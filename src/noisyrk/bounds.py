@@ -29,11 +29,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import SvdFactors, as_vector, svd
+from .linalg import SvdFactors, _fmt, as_vector, scaled_condition_number, spectral_norm, svd
 from .problems import NoiseModel, LinearSystem, NoisySystem
 
 __all__ = [
@@ -116,91 +117,131 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _spec_norm(a: np.ndarray) -> float:
-    """Spectral norm that maps the zero matrix to 0 (for noise terms)."""
-    if not np.any(a):
+def _starts(x0) -> list:
+    """``x0`` as a list of start vectors: itself, or the rows of a (trials, n) stack."""
+    arr = np.asarray(x0, dtype=float)
+    return [as_vector(x, "x0") for x in arr] if arr.ndim == 2 else [as_vector(arr, "x0")]
+
+
+def _curve(kind, r, starts, target, horizon, squared, ks, scalars) -> BoundCurve:
+    """The bound at rate ``1 - 1/r`` from the trial-mean initial error against ``target``."""
+    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
+    initial = float(np.mean(errors))
+    rate = 1.0 - 1.0 / r
+    return BoundCurve(
+        kind=kind, rate=rate, horizon=horizon, initial_error=initial, squared=squared,
+        iterations=np.asarray(ks, dtype=np.int64),
+        values=_evaluate(rate, initial, horizon, ks, squared), scalars=scalars,
+    )
+
+
+class _Analysis:
+    """Spectral quantities of one bound call, each computed on first use.
+
+    The iteration matrix is ``noisy.a_tilde``, or ``sys.a`` when no noisy
+    system is given.
+    """
+
+    def __init__(self, sys: LinearSystem, noisy: NoisySystem | None = None):
+        self.sys = sys
+        self.noisy = noisy
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        """SVD of the iteration matrix."""
+        return self.sys.factors if self.noisy is None else svd(self.noisy.a_tilde)
+
+    @cached_property
+    def r(self) -> float:
+        """Scaled condition number of the iteration matrix."""
+        if self.factors.rank == 0:
+            raise HypothesisError("iteration matrix is numerically zero")
+        return scaled_condition_number(self.factors)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.factors.sigma[-1])
+
+    @cached_property
+    def da(self) -> np.ndarray:
+        """Total matrix perturbation ``At - A``."""
+        return self.noisy.matrix_noise()
+
+    @cached_property
+    def da_norm(self) -> float:
+        """``||dA||_2``; 0 when the matrix carries no noise."""
+        return spectral_norm(self.da) if np.any(self.da) else 0.0
+
+    @cached_property
+    def q(self) -> float:
+        """``||pinv(A)|| ||dA||``, once rank preservation and ``q < 1`` are checked."""
+        base = self.sys.factors
+        if self.factors.rank != base.rank:
+            raise HypothesisError(
+                f"rank preservation failed: rank(A) = {base.rank}, "
+                f"rank of the noisy matrix = {self.factors.rank}"
+            )
+        q = self.da_norm / float(base.sigma[-1])
+        if q >= 1.0:
+            raise HypothesisError(f"noise smallness failed: ||pinv(A)|| * ||E|| = {q:.6g} >= 1")
+        return q
+
+    @cached_property
+    def x_nls(self) -> np.ndarray:
+        """Noisy least squares solution ``pinv(At) bt``."""
+        return self.factors.pinv_apply(self.noisy.b_tilde)
+
+    def check_weyl(self) -> None:
+        # opportunistic singular-value perturbation sanity check
+        base, tilde = self.sys.factors, self.factors
+        r = min(self.noisy.a_tilde.shape)
+        sa = np.zeros(r)
+        sa[: base.rank] = base.sigma
+        st = np.zeros(r)
+        st[: tilde.rank] = tilde.sigma
+        slack = 1e-9 * max(1.0, float(sa[0]), float(st[0]))
+        if np.max(np.abs(st - sa)) > self.da_norm + slack:
+            raise HypothesisError("singular value perturbation exceeded the noise norm (Weyl check)")
+
+
+def _factor_size(eff: np.ndarray, i_plus: np.ndarray) -> float:
+    """``sqrt(||M||^2 + ||inv(I + M) M||^2)``; 0 for a switched-off factor ``M``."""
+    if not np.any(eff):
         return 0.0
-    s = svd(a)
-    return float(s.sigma[0]) if s.rank else 0.0
-
-
-def _scaled_r(factors: SvdFactors) -> float:
-    if factors.rank == 0:
-        raise HypothesisError("iteration matrix is numerically zero")
-    s = factors.sigma
-    return float(np.sum(s * s) / (s[-1] * s[-1]))
+    return math.hypot(spectral_norm(eff), spectral_norm(np.linalg.solve(i_plus, eff)))
 
 
 def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) -> None:
-    rel = _norm(a @ x - b) / _norm(b)
+    b_norm = _norm(b)
+    if b_norm == 0.0:
+        raise HypothesisError(f"consistency of {what} is undefined: its right-hand side is zero")
+    rel = _norm(a @ x - b) / b_norm
     if rel > _CONSISTENCY_RTOL:
         raise HypothesisError(
             f"consistency of {what} failed: relative residual {rel:.3e} exceeds {_CONSISTENCY_RTOL:g}"
         )
 
 
-def _require_perturbation_hypotheses(sys: LinearSystem, noise_norm: float) -> float:
-    """Check ||pinv(A)|| ||E|| < 1 and return that product."""
-    q = noise_norm / float(sys.factors.sigma[-1])
-    if q >= 1.0:
-        raise HypothesisError(f"noise smallness failed: ||pinv(A)|| * ||E|| = {q:.6g} >= 1")
-    return q
-
-
-def _require_rank_preserved(sys: LinearSystem, tilde: SvdFactors) -> None:
-    if tilde.rank != sys.factors.rank:
-        raise HypothesisError(
-            f"rank preservation failed: rank(A) = {sys.factors.rank}, "
-            f"rank of the noisy matrix = {tilde.rank}"
-        )
-
-
-def _check_weyl(base: SvdFactors, tilde: SvdFactors, shape: tuple, noise_norm: float) -> None:
-    # opportunistic singular-value perturbation sanity check
-    r = min(shape)
-    sa = np.zeros(r)
-    sa[: base.rank] = base.sigma
-    st = np.zeros(r)
-    st[: tilde.rank] = tilde.sigma
-    slack = 1e-9 * max(1.0, float(sa[0]), float(st[0]))
-    if np.max(np.abs(st - sa)) > noise_norm + slack:
-        raise HypothesisError("singular value perturbation exceeded the noise norm (Weyl check)")
-
-
 def bound_noiseless(sys: LinearSystem, x0: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound for a consistent system: pure geometric decay."""
-    x0 = as_vector(x0, "x0")
-    r = _scaled_r(sys.factors)
-    rate = 1.0 - 1.0 / r
-    d = x0 - sys.x_ls
-    initial = float(d @ d)
-    values = _evaluate(rate, initial, 0.0, ks, squared=True)
-    return BoundCurve(
-        kind=BoundKind.NOISELESS, rate=rate, horizon=0.0, initial_error=initial,
-        squared=True, iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={"scaled_condition_number": r},
+    starts = _starts(x0)
+    r = _Analysis(sys).r
+    return _curve(
+        BoundKind.NOISELESS, r, starts, sys.x_ls, 0.0, True, ks,
+        {"scaled_condition_number": r},
     )
 
 
 def bound_rhs_noise(sys: LinearSystem, eps: np.ndarray, x0: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound when only the right-hand side is noisy."""
-    x0 = as_vector(x0, "x0")
+    starts = _starts(x0)
     eps = np.asarray(eps, dtype=float)
-    r = _scaled_r(sys.factors)
-    sigma_min = float(sys.factors.sigma[-1])
-    horizon = float(eps @ eps) / (sigma_min * sigma_min)
-    d = x0 - sys.x_ls
-    initial = float(d @ d)
-    rate = 1.0 - 1.0 / r
-    values = _evaluate(rate, initial, horizon, ks, squared=True)
-    return BoundCurve(
-        kind=BoundKind.RHS_NOISE, rate=rate, horizon=horizon, initial_error=initial,
-        squared=True, iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={
-            "scaled_condition_number": r,
-            "sigma_min": sigma_min,
-            "rhs_noise_norm": _norm(eps),
-        },
+    an = _Analysis(sys)
+    r = an.r
+    horizon = float(eps @ eps) / (an.sigma_min * an.sigma_min)
+    return _curve(
+        BoundKind.RHS_NOISE, r, starts, sys.x_ls, horizon, True, ks,
+        {"scaled_condition_number": r, "sigma_min": an.sigma_min, "rhs_noise_norm": _norm(eps)},
     )
 
 
@@ -212,22 +253,16 @@ def bound_additive(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) ->
     noise terms, and the rate uses the noisy matrix's scaled condition
     number.
     """
-    x0 = as_vector(x0, "x0")
-    tilde = svd(noisy.a_tilde)
-    r_tilde = _scaled_r(tilde)
-    sigma_min = float(tilde.sigma[-1])
-    mismatch = noisy.matrix_noise() @ sys.x_ls - noisy.rhs_noise()
-    horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
-    d = x0 - sys.x_ls
-    initial = float(d @ d)
-    rate = 1.0 - 1.0 / r_tilde
-    values = _evaluate(rate, initial, horizon, ks, squared=True)
-    return BoundCurve(
-        kind=BoundKind.ADDITIVE, rate=rate, horizon=horizon, initial_error=initial,
-        squared=True, iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={
+    starts = _starts(x0)
+    an = _Analysis(sys, noisy)
+    r_tilde = an.r
+    mismatch = an.da @ sys.x_ls - noisy.rhs_noise()
+    horizon = float(mismatch @ mismatch) / (an.sigma_min * an.sigma_min)
+    return _curve(
+        BoundKind.ADDITIVE, r_tilde, starts, sys.x_ls, horizon, True, ks,
+        {
             "scaled_condition_number_tilde": r_tilde,
-            "sigma_min_tilde": sigma_min,
+            "sigma_min_tilde": an.sigma_min,
             "noise_mismatch_norm": _norm(mismatch),
         },
     )
@@ -254,18 +289,16 @@ def perturbed_ls_distance(sys: LinearSystem, noisy: NoisySystem) -> float:
     The returned value is verified to dominate the directly computed
     distance ``||pinv(At) bt - x_ls||``.
     """
-    tilde = svd(noisy.a_tilde)
-    _require_rank_preserved(sys, tilde)
-    noise = noisy.matrix_noise()
-    noise_norm = _spec_norm(noise)
-    q = _require_perturbation_hypotheses(sys, noise_norm)
-    _check_weyl(sys.factors, tilde, noisy.a_tilde.shape, noise_norm)
+    return _ls_distance(_Analysis(sys, noisy))
+
+
+def _ls_distance(an: _Analysis) -> float:
+    sys = an.sys
+    q = an.q
+    an.check_weyl()
     pinv_norm = 1.0 / float(sys.factors.sigma[-1])
-    eps_norm = _norm(noisy.rhs_noise())
-    x_ls_norm = _norm(sys.x_ls)
-    value = (2.0 * q * x_ls_norm + pinv_norm * eps_norm) / (1.0 - q)
-    x_nls = tilde.pinv_apply(noisy.b_tilde)
-    direct = _norm(x_nls - sys.x_ls)
+    value = (2.0 * q * _norm(sys.x_ls) + pinv_norm * _norm(an.noisy.rhs_noise())) / (1.0 - q)
+    direct = _norm(an.x_nls - sys.x_ls)
     if direct > value + 1e-9 * max(1.0, value):
         raise HypothesisError(
             f"perturbed least squares distance bound violated: {direct:.6g} > {value:.6g}"
@@ -281,26 +314,17 @@ def bound_perturbation_doubly(
     Needs rank preservation, small noise, and consistency of the noisy
     system itself; the horizon is :func:`perturbed_ls_distance`.
     """
-    x0 = as_vector(x0, "x0")
-    tilde = svd(noisy.a_tilde)
-    _require_rank_preserved(sys, tilde)
-    noise_norm = _spec_norm(noisy.matrix_noise())
-    _require_perturbation_hypotheses(sys, noise_norm)
-    x_nls = tilde.pinv_apply(noisy.b_tilde)
-    _require_consistent(noisy.a_tilde, x_nls, noisy.b_tilde, "the noisy linear system")
-    horizon = perturbed_ls_distance(sys, noisy)
-    r_tilde = _scaled_r(tilde)
-    rate = 1.0 - 1.0 / r_tilde
-    initial = _norm(x0 - x_nls)
-    values = _evaluate(rate, initial, horizon, ks, squared=False)
-    return BoundCurve(
-        kind=BoundKind.PERTURBATION_DOUBLY, rate=rate, horizon=horizon,
-        initial_error=initial, squared=False,
-        iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={
-            "scaled_condition_number_tilde": r_tilde,
-            "sigma_min_tilde": float(tilde.sigma[-1]),
-            "matrix_noise_norm": noise_norm,
+    starts = _starts(x0)
+    an = _Analysis(sys, noisy)
+    an.q  # rank preservation and small noise are checked before consistency
+    _require_consistent(noisy.a_tilde, an.x_nls, noisy.b_tilde, "the noisy linear system")
+    horizon = _ls_distance(an)
+    return _curve(
+        BoundKind.PERTURBATION_DOUBLY, an.r, starts, an.x_nls, horizon, False, ks,
+        {
+            "scaled_condition_number_tilde": an.r,
+            "sigma_min_tilde": an.sigma_min,
+            "matrix_noise_norm": an.da_norm,
             "rhs_noise_norm": _norm(noisy.rhs_noise()),
             "x_ls_norm": _norm(sys.x_ls),
         },
@@ -319,29 +343,20 @@ def bound_perturbation_partial(
         raise HypothesisError(
             "partial perturbation bound requested for a model other than partial_consistent"
         )
-    x0 = as_vector(x0, "x0")
-    tilde = svd(noisy.a_tilde)
-    _require_rank_preserved(sys, tilde)
-    noise_norm = _spec_norm(noisy.matrix_noise())
-    q = _require_perturbation_hypotheses(sys, noise_norm)
-    _check_weyl(sys.factors, tilde, noisy.a_tilde.shape, noise_norm)
-    x_pnls = tilde.pinv_apply(sys.b)
+    starts = _starts(x0)
+    an = _Analysis(sys, noisy)
+    q = an.q
+    an.check_weyl()
+    x_pnls = an.factors.pinv_apply(sys.b)
     _require_consistent(noisy.a_tilde, x_pnls, sys.b, "the partially noisy linear system")
-    sigma_min_tilde = float(tilde.sigma[-1])
     eps_norm = _norm(noisy.rhs_noise())
-    horizon = 2.0 * _norm(sys.x_ls) * q / (1.0 - q) + eps_norm / sigma_min_tilde
-    r_tilde = _scaled_r(tilde)
-    rate = 1.0 - 1.0 / r_tilde
-    initial = _norm(x0 - x_pnls)
-    values = _evaluate(rate, initial, horizon, ks, squared=False)
-    return BoundCurve(
-        kind=BoundKind.PERTURBATION_PARTIAL, rate=rate, horizon=horizon,
-        initial_error=initial, squared=False,
-        iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={
-            "scaled_condition_number_tilde": r_tilde,
-            "sigma_min_tilde": sigma_min_tilde,
-            "matrix_noise_norm": noise_norm,
+    horizon = 2.0 * _norm(sys.x_ls) * q / (1.0 - q) + eps_norm / an.sigma_min
+    return _curve(
+        BoundKind.PERTURBATION_PARTIAL, an.r, starts, x_pnls, horizon, False, ks,
+        {
+            "scaled_condition_number_tilde": an.r,
+            "sigma_min_tilde": an.sigma_min,
+            "matrix_noise_norm": an.da_norm,
             "rhs_noise_norm": eps_norm,
             "x_ls_norm": _norm(sys.x_ls),
         },
@@ -360,13 +375,14 @@ def bound_multiplicative_perturbation(
         e2 = (1 + e1) * (rho + (1 + rho) * sqrt(||E||^2 + ||inv(I+E) E||^2))
         horizon = e1 ||x_ls|| + e2 ||pinv(A)|| ||b||
 
-    Requires nonsingular factors and a consistent noisy system.
+    Requires nonsingular factors, a nonzero ``b`` and a consistent noisy
+    system.
     """
     if noisy.model is not NoiseModel.MULTIPLICATIVE:
         raise HypothesisError(
             "multiplicative perturbation bound requested for a non-multiplicative model"
         )
-    x0 = as_vector(x0, "x0")
+    starts = _starts(x0)
     m, n = noisy.a_tilde.shape
     e_eff = noisy.sigma_a * noisy.e
     f_eff = noisy.sigma_a * noisy.f
@@ -376,26 +392,21 @@ def bound_multiplicative_perturbation(
         s = svd(mat)
         if s.rank < mat.shape[0] or float(s.sigma[-1]) < 1e-8:
             raise HypothesisError(f"invertibility of ({label}) failed")
-    tilde = svd(noisy.a_tilde)
-    x_nls = tilde.pinv_apply(noisy.b_tilde)
-    _require_consistent(noisy.a_tilde, x_nls, noisy.b_tilde, "the noisy linear system")
-    e1 = math.hypot(_spec_norm(f_eff), _spec_norm(np.linalg.solve(i_f, f_eff)))
-    rho = _norm(noisy.rhs_noise()) / _norm(sys.b)
-    e_part = math.hypot(_spec_norm(e_eff), _spec_norm(np.linalg.solve(i_e, e_eff)))
+    an = _Analysis(sys, noisy)
+    _require_consistent(noisy.a_tilde, an.x_nls, noisy.b_tilde, "the noisy linear system")
+    b_norm = _norm(sys.b)
+    if b_norm == 0.0:
+        raise HypothesisError("relative right-hand side noise is undefined: b is zero")
+    e1 = _factor_size(f_eff, i_f)
+    rho = _norm(noisy.rhs_noise()) / b_norm
+    e_part = _factor_size(e_eff, i_e)
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
     pinv_norm = 1.0 / float(sys.factors.sigma[-1])
-    b_norm = _norm(sys.b)
     horizon = e1 * _norm(sys.x_ls) + e2 * pinv_norm * b_norm
-    r_tilde = _scaled_r(tilde)
-    rate = 1.0 - 1.0 / r_tilde
-    initial = _norm(x0 - x_nls)
-    values = _evaluate(rate, initial, horizon, ks, squared=False)
-    return BoundCurve(
-        kind=BoundKind.MULTIPLICATIVE_PERTURBATION, rate=rate, horizon=horizon,
-        initial_error=initial, squared=False,
-        iterations=np.asarray(ks, dtype=np.int64), values=values,
-        scalars={
-            "scaled_condition_number_tilde": r_tilde,
+    return _curve(
+        BoundKind.MULTIPLICATIVE_PERTURBATION, an.r, starts, an.x_nls, horizon, False, ks,
+        {
+            "scaled_condition_number_tilde": an.r,
             "e1": e1,
             "e2": e2,
             "relative_rhs_noise": rho,
@@ -421,25 +432,22 @@ def horizon_comparison(sys: LinearSystem, noisy: NoisySystem) -> HorizonComparis
         raise HypothesisError(
             "horizon comparison requested for a model other than partial_consistent"
         )
-    tilde = svd(noisy.a_tilde)
-    _require_rank_preserved(sys, tilde)
-    noise = noisy.matrix_noise()
-    noise_norm = _spec_norm(noise)
-    q = _require_perturbation_hypotheses(sys, noise_norm)
-    _check_weyl(sys.factors, tilde, noisy.a_tilde.shape, noise_norm)
+    an = _Analysis(sys, noisy)
+    q = an.q
+    an.check_weyl()
     sigma_min = float(sys.factors.sigma[-1])
-    sigma_min_tilde = float(tilde.sigma[-1])
+    sigma_min_tilde = an.sigma_min
     eps = noisy.rhs_noise()
     eps_norm = _norm(eps)
     x_ls_norm = _norm(sys.x_ls)
 
-    main = _norm(noise @ sys.x_ls - eps) / sigma_min_tilde
+    main = _norm(an.da @ sys.x_ls - eps) / sigma_min_tilde
     partial = 2.0 * x_ls_norm * q / (1.0 - q) + eps_norm / sigma_min_tilde
-    condition = 2.0 * sigma_min_tilde > sigma_min - noise_norm
+    condition = 2.0 * sigma_min_tilde > sigma_min - an.da_norm
 
     chain = False
     if condition:
-        middle = (noise_norm * x_ls_norm + eps_norm) / sigma_min_tilde
+        middle = (an.da_norm * x_ls_norm + eps_norm) / sigma_min_tilde
         slack = 1e-9 * max(1.0, partial)
         chain = main <= middle + slack and middle <= partial + slack
     return HorizonComparison(
@@ -481,7 +489,11 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
 def evaluate_bound(
     kind: BoundKind, sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks
 ) -> BoundCurve:
-    """Dispatch a bound by kind, validating it applies to the noise model."""
+    """Dispatch a bound by kind, validating it applies to the noise model.
+
+    ``x0`` is one start vector or a (trials, n) stack of them; for a stack
+    the curve carries the trial-mean initial error.
+    """
     kind = BoundKind(kind)
     if kind is BoundKind.NOISELESS:
         if np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()):
@@ -506,7 +518,7 @@ def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:
     """CSV of iteration/bound pairs plus a JSON sidecar with the scalars."""
     lines = ["iteration,bound_value"]
     for k, v in zip(curve.iterations, curve.values):
-        lines.append(f"{int(k)},{format(float(v), '.17g')}")
+        lines.append(f"{int(k)},{_fmt(v)}")
     path = str(path)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,13 +25,14 @@ from .bounds import evaluate_bound, write_bound_csv
 from .errors import HypothesisError
 from .experiments import (
     ExperimentConfig,
+    _rk_from,
     apply_paper_scale,
     run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
     write_band_csv,
 )
-from .kaczmarz import RkConfig, X0Mode, initial_iterate, record_points, solve, write_trajectory_csv
+from .kaczmarz import initial_iterate, record_points, solve, write_trajectory_csv
 from .problems import (
     NoiseModel,
     SpectrumSpec,
@@ -86,17 +87,6 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _rk_from(data: dict, seed_override: int | None, default_seed: int) -> RkConfig:
-    seed = seed_override if seed_override is not None else int(data.get("seed", default_seed))
-    return RkConfig(
-        max_iterations=int(data.get("max_iterations", 10_000)),
-        trials=int(data.get("trials", 10)),
-        record_stride=data.get("record_stride"),
-        seed=seed,
-        x0_mode=X0Mode(data.get("x0_mode", "range")),
-    )
-
-
 def _make_noisy(sys, noise: dict, seed: int):
     model = NoiseModel(noise.get("model", "additive"))
     sigma_a = float(noise.get("sigma_a", 0.0))
@@ -136,7 +126,7 @@ def _cmd_gen(args, cfg: dict) -> int:
 def _cmd_solve(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
     noisy = load_system(cfg["system_dir"])
-    rk = _rk_from(cfg.get("rk", {}), args.seed, default_seed=0)
+    rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
     traj = solve(noisy, rk)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "traj.csv", traj)
@@ -147,7 +137,7 @@ def _cmd_solve(args, cfg: dict) -> int:
 def _cmd_bounds(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
     noisy = load_system(cfg["system_dir"])
-    rk = _rk_from(cfg.get("rk", {}), args.seed, default_seed=0)
+    rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
     ks = record_points(rk.max_iterations, rk.record_stride)
     x0 = initial_iterate(noisy.a_tilde, rk, trial=0)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,7 +173,7 @@ def _cmd_figure(args, cfg: dict) -> int:
 def _cmd_precondition(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
-    rk = _rk_from(cfg.get("rk", {}), args.seed, default_seed=seed)
+    rk = _rk_from(cfg.get("rk", {}), seed, args.seed)
     run_preconditioner_demo(
         SpectrumSpec(**cfg["spectrum"]),
         tau=float(cfg["tau"]),

@@ -27,13 +27,13 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .bounds import (
-    BoundCurve,
     BoundKind,
     bound_additive,
     evaluate_bound,
@@ -50,7 +50,7 @@ from .kaczmarz import (
     solve,
     write_trajectory_csv,
 )
-from .linalg import svd
+from .linalg import _fmt, scaled_condition_number, svd
 from .problems import (
     LinearSystem,
     NoiseModel,
@@ -145,17 +145,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         master_seed = int(data["master_seed"])
         noise = data.get("noise", {})
-        rk_data = data.get("rk", {})
-        rk = RkConfig(
-            max_iterations=int(rk_data.get("max_iterations", 10_000)),
-            trials=int(rk_data.get("trials", 10)),
-            record_stride=rk_data.get("record_stride"),
-            seed=int(rk_data.get("seed", master_seed)),
-            x0_mode=X0Mode(rk_data.get("x0_mode", "range")),
-        )
         return cls(
             spectrum=SpectrumSpec(**data["spectrum"]),
-            rk=rk,
+            rk=_rk_from(data.get("rk", {}), master_seed),
             master_seed=master_seed,
             noise_model=NoiseModel(noise.get("model", "additive")),
             use_e=bool(noise.get("use_e", True)),
@@ -165,6 +157,17 @@ class ExperimentConfig:
             bound_kinds=tuple(data.get("bounds", ())),
             output_dir=data.get("output_dir"),
         )
+
+
+def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
+    """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
+    return RkConfig(
+        max_iterations=int(data.get("max_iterations", 10_000)),
+        trials=int(data.get("trials", 10)),
+        record_stride=data.get("record_stride"),
+        seed=seed if seed is not None else int(data.get("seed", default_seed)),
+        x0_mode=X0Mode(data.get("x0_mode", "range")),
+    )
 
 
 def apply_paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -229,35 +232,21 @@ def build_noisy(cfg: ExperimentConfig, sys: LinearSystem, sigma_a: float, sigma_
     return preconditioner_noise(sys)
 
 
-def _mean_curve(curves: list) -> BoundCurve:
-    """One curve whose initial error is the mean across trials.
-
-    Bound values are affine in the initial error, so this equals the
-    pointwise mean of the per-trial curves and still dominates the
-    trial-averaged empirical error.
-    """
-    init = float(np.mean([c.initial_error for c in curves]))
-    return curves[0].with_initial_error(init)
-
-
 def _sig(x: float) -> str:
     return format(float(x), "g")
 
 
-def _run_grid_point(args) -> GridPointResult:
-    cfg, sigma_a, sigma_b = args
-    sys = generate_system(cfg.spectrum, cfg.master_seed)
+def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
     noisy = build_noisy(cfg, sys, sigma_a, sigma_b)
     traj = solve(noisy, cfg.rk)
-    ks = traj.recorded_iterations
-    x0s = [initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)]
+    x0s = np.stack([initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)])
     curves: dict = {}
     errors: dict = {}
+    # bounds are affine in the initial error, so one curve from the trial-mean
+    # initial error is the pointwise mean of the per-trial curves
     for kind in cfg.bound_kinds:
         try:
-            curves[kind] = _mean_curve(
-                [evaluate_bound(kind, sys, noisy, x0, ks) for x0 in x0s]
-            )
+            curves[kind] = evaluate_bound(kind, sys, noisy, x0s, traj.recorded_iterations)
         except HypothesisError as exc:
             errors[kind] = str(exc)
     result = GridPointResult(
@@ -288,16 +277,27 @@ def write_band_csv(path, traj: Trajectory) -> None:
             mean_sq[j], mean_sq[j] - 0.5 * std_sq[j], mean_sq[j] + 0.5 * std_sq[j],
             mean_abs[j], mean_abs[j] - 0.5 * std_abs[j], mean_abs[j] + 0.5 * std_abs[j],
         )
-        lines.append(",".join([str(int(k))] + [format(float(v), ".17g") for v in vals]))
+        lines.append(",".join([str(int(k))] + [_fmt(v) for v in vals]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _map_grid(worker, payloads, threads: int):
-    if threads <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+def _generate_and_run(worker, cfg: ExperimentConfig, sigma_a: float, sigma_b: float):
+    return worker(cfg, generate_system(cfg.spectrum, cfg.master_seed), sigma_a, sigma_b)
+
+
+def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
+    """``worker(cfg, sys, sigma_a, sigma_b)`` at each grid point.
+
+    In process the system is generated once.  Pool tasks generate their own:
+    generating it here would also load BLAS into this process and raise the
+    run's peak resident memory above that of any worker.
+    """
+    if threads <= 1 or len(grid) <= 1:
+        sys = generate_system(cfg.spectrum, cfg.master_seed)
+        return [worker(cfg, sys, a, b) for a, b in grid]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(partial(_generate_and_run, worker, cfg), *zip(*grid)))
 
 
 def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
@@ -309,8 +309,7 @@ def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """
     if cfg.noise_grid is None:
         raise ValueError("figure experiments need an explicit noise grid")
-    payloads = [(cfg, a, b) for a, b in cfg.noise_grid]
-    results = _map_grid(_run_grid_point, payloads, threads)
+    results = _map_grid(_run_grid_point, cfg, cfg.noise_grid, threads)
     mapping = {(r.sigma_a, r.sigma_b): r for r in results}
     if cfg.output_dir is not None:
         errors = {
@@ -329,9 +328,7 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
     return max(1, iterations_to_tolerance(r_tilde, initial_sq_error, _DECAY_TARGET))
 
 
-def _run_table2_point(args) -> tuple:
-    cfg, sigma_a, sigma_b = args
-    sys = generate_system(cfg.spectrum, cfg.master_seed)
+def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
     noisy = build_noisy(cfg, sys, sigma_a, sigma_b)
     tilde = svd(noisy.a_tilde)
     kappa = float(tilde.sigma[0] / tilde.sigma[-1])
@@ -371,8 +368,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     if cfg.noise_model is not NoiseModel.ADDITIVE:
         raise ValueError("the sweep is defined for the additive noise model")
     grid = cfg.noise_grid if cfg.noise_grid is not None else TABLE2_GRID
-    payloads = [(cfg, a, b) for a, b in grid]
-    outcomes = _map_grid(_run_table2_point, payloads, threads)
+    outcomes = _map_grid(_run_table2_point, cfg, grid, threads)
     rows = [row for row, _ in outcomes]
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
@@ -390,7 +386,7 @@ def write_table2_csv(path, rows) -> None:
     for r in rows:
         vals = (r.sigma_a, r.sigma_b, r.kappa_a_tilde, r.r_tilde,
                 r.theoretical_horizon, r.empirical_horizon)
-        lines.append(",".join(format(float(v), ".17g") for v in vals))
+        lines.append(",".join(_fmt(v) for v in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -421,7 +417,7 @@ def run_preconditioner_demo(
 
     ks0 = np.asarray([0], dtype=np.int64)
     curve = bound_additive(sys, noisy, x0s[0], ks0)
-    r = float(np.sum(sys.factors.sigma ** 2) / sys.factors.sigma[-1] ** 2)
+    r = scaled_condition_number(sys.factors)
     r_tilde = float(curve.scalars["scaled_condition_number_tilde"])
     if initial_sq_error is None:
         initial_sq_error = float(np.mean([np.sum((x0 - sys.x_ls) ** 2) for x0 in x0s]))

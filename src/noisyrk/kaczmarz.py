@@ -26,7 +26,7 @@ import numpy as np
 
 from . import seeding
 from .errors import HypothesisError
-from .linalg import as_matrix, as_vector
+from .linalg import _fmt, as_matrix, as_vector
 from .problems import NoisySystem
 
 __all__ = [
@@ -108,9 +108,6 @@ class RowSampler:
         idx = np.searchsorted(self.cumulative, u * self._total, side="right")
         # guard the measure-zero case where u * total rounds up to total
         return np.where(idx >= self.weights.size, self._last_positive, idx)
-
-    def sample(self) -> int:
-        return int(self.sample_block(1)[0])
 
 
 def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
@@ -249,7 +246,3 @@ def write_trajectory_csv(path: str | os.PathLike, traj: Trajectory) -> None:
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

@@ -48,6 +48,12 @@ def partial(small_system):
     return partial_consistent_noise(small_system, 0.4, seed=21)
 
 
+def zero_rhs_system(m):
+    """m x 15 full-column-rank system whose right-hand side is zero."""
+    base = generate_system(SpectrumSpec(m=m, n=15, r=15, sigma_min=1.0, sigma_max=4.0), seed=3)
+    return dataclasses.replace(base, b=np.zeros(m), x_ls=np.zeros(15))
+
+
 def toy_system_aligned_with_last_direction():
     """3x3 flat-top system whose solution is the last right singular vector."""
     spec = SpectrumSpec(m=3, n=3, r=3, sigma_min=1.0, sigma_max=3.0, spacing=Spacing.FLAT_TOP)
@@ -177,6 +183,12 @@ class TestBoundPerturbationDoubly:
         noisy = additive_noise(small_system, 0.01, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="consistency"):
             bound_perturbation_doubly(small_system, noisy, small_system.x_ls, KS)
+
+    def test_zero_rhs_rejected(self):
+        sys_ = zero_rhs_system(30)
+        noisy = additive_noise(sys_, 0.0, 0.0, seed=1)
+        with pytest.raises(HypothesisError, match="right-hand side is zero"):
+            bound_perturbation_doubly(sys_, noisy, np.ones(15), KS)
 
 
 class TestBoundPerturbationPartial:
@@ -312,6 +324,19 @@ class TestBoundMultiplicativePerturbation:
         with pytest.raises(HypothesisError, match="consistency"):
             bound_multiplicative_perturbation(small_system, noisy, x0, KS)
 
+    @pytest.mark.parametrize(
+        "m, sigma_b, match",
+        [
+            (30, 0.0, "right-hand side is zero"),  # zero noisy rhs: consistency undefined
+            (15, 0.1, "b is zero"),  # square, so consistent: rho = ||eps|| / ||b|| undefined
+        ],
+    )
+    def test_zero_rhs_rejected(self, m, sigma_b, match):
+        sys_ = zero_rhs_system(m)
+        noisy = multiplicative_noise(sys_, 0.01, sigma_b, seed=3)
+        with pytest.raises(HypothesisError, match=match):
+            bound_multiplicative_perturbation(sys_, noisy, np.ones(15), KS)
+
 
 class TestHorizonComparison:
     def test_zero_noise_chain(self, small_system, partial):
@@ -387,6 +412,17 @@ class TestDispatcherAndCsv:
         noisy = additive_noise(small_system, 0.1, 0.1, seed=2)
         with pytest.raises(HypothesisError, match="matrix"):
             evaluate_bound(BoundKind.RHS_NOISE, small_system, noisy, x0, KS)
+
+    @pytest.mark.parametrize("kind", [BoundKind.ADDITIVE, BoundKind.PERTURBATION_DOUBLY])
+    def test_stacked_x0_carries_trial_mean_initial_error(self, small_system, partial, kind):
+        cfg = RkConfig(max_iterations=1, trials=5, seed=8)
+        x0s = np.stack([initial_iterate(partial.a_tilde, cfg, t) for t in range(cfg.trials)])
+        stacked = evaluate_bound(kind, small_system, partial, x0s, KS)
+        rows = [evaluate_bound(kind, small_system, partial, x, KS) for x in x0s]
+        expected = rows[0].with_initial_error(float(np.mean([c.initial_error for c in rows])))
+        assert stacked.squared == (kind is BoundKind.ADDITIVE)
+        assert stacked.initial_error == expected.initial_error
+        assert np.array_equal(stacked.values, expected.values)
 
     def test_csv_and_sidecar(self, small_system, x0, tmp_path):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=2)

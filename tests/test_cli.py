@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from noisyrk import cli
 from noisyrk.cli import main
 
 SPECTRUM = {"m": 30, "n": 15, "r": 15, "sigma_min": 1.0, "sigma_max": 4.0}
@@ -183,3 +184,43 @@ class TestUsageErrors:
 
     def test_missing_subcommand_exit_1(self, capsys):
         assert main([]) == 1
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestRkParsing:
+    # where each subcommand hands over its parsed RkConfig
+    HANDOFF = {
+        "solve": ("solve", lambda args, kwargs: args[1]),
+        "bounds": ("initial_iterate", lambda args, kwargs: args[1]),
+        "precondition": ("run_preconditioner_demo", lambda args, kwargs: kwargs["rk"]),
+        "figure": ("run_figure_experiment", lambda args, kwargs: args[0].rk),
+        "table2": ("run_table2", lambda args, kwargs: args[0].rk),
+    }
+
+    @pytest.mark.parametrize("seed_flag, seed", [([], 9), (["--seed", "11"], 11)])
+    def test_every_subcommand_parses_rk_alike(
+        self, tmp_path, system_dir, monkeypatch, seed_flag, seed
+    ):
+        rk = {"max_iterations": 40, "trials": 3, "record_stride": 8, "seed": 9, "x0_mode": "zero"}
+        cfg = write_config(
+            tmp_path / "all.json",
+            {
+                "system_dir": str(system_dir), "spectrum": SPECTRUM, "tau": 50.0,
+                "grid": [[0.0, 0.0]], "bounds": ["additive"], "master_seed": 7, "rk": rk,
+            },
+        )
+        for sub, (name, pick) in self.HANDOFF.items():
+            def capture(*args, _pick=pick, **kwargs):
+                raise _Captured(_pick(args, kwargs))
+
+            monkeypatch.setattr(cli, name, capture)
+            argv = [sub, "--config", cfg, "--out", str(tmp_path / sub), *seed_flag]
+            with pytest.raises(_Captured) as got:
+                main(argv)
+            parsed = got.value.args[0]
+            fields = (parsed.max_iterations, parsed.trials, parsed.record_stride,
+                      parsed.seed, parsed.x0_mode.value, parsed.x0)
+            assert fields == (40, 3, 8, seed, "zero", None), sub

@@ -129,6 +129,31 @@ class TestFigureExperiment:
         again = {p.name: p.read_bytes() for p in out.iterdir()}
         assert snapshot == again
 
+    def test_one_system_and_one_analysis_per_bound_call(self, monkeypatch):
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05))
+        kinds = (
+            BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE, BoundKind.MULTIPLICATIVE_PERTURBATION,
+        )
+        cfg = make_config(
+            noise_model=NoiseModel.MULTIPLICATIVE, noise_grid=grid, bound_kinds=kinds,
+            rk=RkConfig(max_iterations=200, trials=10, seed=42),
+        )
+        results = run_figure_experiment(cfg)
+        for res in results.values():
+            assert set(res.bound_errors) == {BoundKind.MULTIPLICATIVE_PERTURBATION}
+            assert "consistency" in res.bound_errors[BoundKind.MULTIPLICATIVE_PERTURBATION]
+        # one generate_system; per point two noise-factor checks, one SVD of At per
+        # squared kind, and the two factor checks plus At of the failing kind
+        assert len(svd_calls) == 1 + len(grid) * 7
+
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
             run_figure_experiment(make_config(noise_grid=None))
