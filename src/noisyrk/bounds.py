@@ -25,7 +25,6 @@ Pure functions throughout; safe to evaluate concurrently.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -34,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import SvdFactors, _fmt, as_vector, scaled_condition_number, spectral_norm, svd
+from .linalg import SvdFactors, as_vector, scaled_condition_number, spectral_norm, svd
+from .linalg import _write_json, _write_table
 from .problems import NoiseModel, LinearSystem, NoisySystem
 
 __all__ = [
@@ -516,12 +516,8 @@ def evaluate_bound(
 
 def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:
     """CSV of iteration/bound pairs plus a JSON sidecar with the scalars."""
-    lines = ["iteration,bound_value"]
-    for k, v in zip(curve.iterations, curve.values):
-        lines.append(f"{int(k)},{_fmt(v)}")
     path = str(path)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, "iteration,bound_value", np.column_stack([curve.iterations, curve.values]))
     meta = {
         "kind": curve.kind.value,
         "rate_per_iteration": curve.rate,
@@ -531,6 +527,4 @@ def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:
         "scalars": curve.scalars,
     }
     sidecar = path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sidecar, meta)

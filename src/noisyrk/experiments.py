@@ -22,7 +22,6 @@ execution order.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +49,7 @@ from .kaczmarz import (
     solve,
     write_trajectory_csv,
 )
-from .linalg import _fmt, scaled_condition_number, svd
+from .linalg import _write_json, _write_table, scaled_condition_number, svd
 from .problems import (
     LinearSystem,
     NoiseModel,
@@ -271,15 +270,12 @@ def write_band_csv(path, traj: Trajectory) -> None:
     """Mean plus/minus half a standard deviation, squared and unsquared."""
     mean_sq, std_sq = traj.mean_squared_error, traj.std_squared_error
     mean_abs, std_abs = traj.mean_error(), traj.std_error()
-    lines = ["iteration,mean_sq,lo_sq,hi_sq,mean_abs,lo_abs,hi_abs"]
-    for j, k in enumerate(traj.recorded_iterations):
-        vals = (
-            mean_sq[j], mean_sq[j] - 0.5 * std_sq[j], mean_sq[j] + 0.5 * std_sq[j],
-            mean_abs[j], mean_abs[j] - 0.5 * std_abs[j], mean_abs[j] + 0.5 * std_abs[j],
-        )
-        lines.append(",".join([str(int(k))] + [_fmt(v) for v in vals]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = np.column_stack([
+        traj.recorded_iterations,
+        mean_sq, mean_sq - 0.5 * std_sq, mean_sq + 0.5 * std_sq,
+        mean_abs, mean_abs - 0.5 * std_abs, mean_abs + 0.5 * std_abs,
+    ])
+    _write_table(path, "iteration,mean_sq,lo_sq,hi_sq,mean_abs,lo_abs,hi_abs", columns)
 
 
 def _generate_and_run(worker, cfg: ExperimentConfig, sigma_a: float, sigma_b: float):
@@ -382,13 +378,9 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 
 def write_table2_csv(path, rows) -> None:
-    lines = ["sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon"]
-    for r in rows:
-        vals = (r.sigma_a, r.sigma_b, r.kappa_a_tilde, r.r_tilde,
-                r.theoretical_horizon, r.empirical_horizon)
-        lines.append(",".join(_fmt(v) for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = [(r.sigma_a, r.sigma_b, r.kappa_a_tilde, r.r_tilde,
+               r.theoretical_horizon, r.empirical_horizon) for r in rows]
+    _write_table(path, "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon", values)
 
 
 def run_preconditioner_demo(
@@ -444,9 +436,7 @@ def run_preconditioner_demo(
             "tau": tau,
             "initial_sq_error": initial_sq_error,
         }
-        with open(out / "preconditioner.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "preconditioner.json", summary)
     return demo
 
 
@@ -454,6 +444,4 @@ def _write_meta(out: Path, cfg: ExperimentConfig, extra: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config": cfg.to_dict(), "library_version": __version__}
     meta.update(extra)
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)

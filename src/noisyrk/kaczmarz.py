@@ -26,7 +26,7 @@ import numpy as np
 
 from . import seeding
 from .errors import HypothesisError
-from .linalg import _fmt, as_matrix, as_vector
+from .linalg import _write_table, as_matrix, as_vector
 from .problems import NoisySystem
 
 __all__ = [
@@ -239,10 +239,8 @@ def write_trajectory_csv(path: str | os.PathLike, traj: Trajectory) -> None:
     """CSV: iteration, mean/std of squared error, then one column per trial."""
     header = ["iteration", "mean_sq_err", "std_sq_err"]
     header.extend(f"trial_{t}" for t in range(traj.trials))
-    lines = [",".join(header)]
-    for j, k in enumerate(traj.recorded_iterations):
-        row = [str(int(k)), _fmt(traj.mean_squared_error[j]), _fmt(traj.std_squared_error[j])]
-        row.extend(_fmt(v) for v in traj.per_trial_squared_error[:, j])
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = np.column_stack([
+        traj.recorded_iterations, traj.mean_squared_error, traj.std_squared_error,
+        traj.per_trial_squared_error.T,
+    ])
+    _write_table(path, ",".join(header), columns)

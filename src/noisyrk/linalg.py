@@ -3,8 +3,8 @@
 SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
 singular value, scaled condition number) all flow through :func:`svd`,
 which truncates below a numerical-rank tolerance so rank-deficient
-inputs behave predictably.  Plain-text matrix and vector files
-round-trip float64 values exactly via 17 significant digits.
+inputs behave predictably.  Every output file is written here; its
+text tables round-trip float64 values exactly via 17 significant digits.
 
 Everything here is a pure function of immutable inputs; results are
 safe to share across threads.
@@ -12,6 +12,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -179,57 +180,57 @@ def orthonormalize_columns(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text file formats.
+# Plain-text file formats, all written here.
 #
-# Matrix: first line "rows cols", then one line per row of space-separated
-# decimals.  Vector: first line "dim", then one value per line.  Values are
-# written with 17 significant digits so float64 round-trips exactly.
+# _write_table: one header line, then one line per row of an array, every
+# value as %.17g (float64 round-trips exactly; integers below 2**53 print
+# without a decimal point) joined by a delimiter.  Matrix: header
+# "rows cols", space-separated rows.  Vector: header "dim", one value per
+# line.  The CSVs: a column-name header, comma-separated rows.
+# _write_json: indent 2, sorted keys, trailing newline.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_table(path: str | os.PathLike, header: str, rows, delimiter: str = ",") -> None:
+    np.savetxt(path, rows, fmt="%.17g", delimiter=delimiter, header=header, comments="")
+
+
+def _write_json(path: str | os.PathLike, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_table(path: str | os.PathLike, header_name: str) -> np.ndarray:
+    """Body of a file written by :func:`_write_table`, checked against its dims header."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != len(header_name.split()):
+            raise ValueError(f"{path}: expected '{header_name}' header")
+        dims = tuple(int(d) for d in header)
+        data = np.loadtxt(fh, dtype=float, ndmin=len(dims))
+    if data.shape != dims:
+        raise ValueError(f"{path}: body shape {data.shape} does not match header {dims}")
+    return data
 
 
 def write_matrix(path: str | os.PathLike, a) -> None:
     """Write a matrix in the plain-text format described above."""
     arr = as_matrix(a)
-    lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    lines.extend(" ".join(_fmt(x) for x in row) for row in arr)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, f"{arr.shape[0]} {arr.shape[1]}", arr, delimiter=" ")
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (rows, cols):
-        raise ValueError(f"{path}: body shape {data.shape} does not match header ({rows}, {cols})")
-    return as_matrix(data, name=str(path))
+    return as_matrix(_read_table(path, "rows cols"), name=str(path))
 
 
 def write_vector(path: str | os.PathLike, v) -> None:
     """Write a vector: a "dim" header line, then one value per line."""
     arr = as_vector(v)
-    lines = [str(arr.size)]
-    lines.extend(_fmt(x) for x in arr)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, str(arr.size), arr)
 
 
 def read_vector(path: str | os.PathLike) -> np.ndarray:
     """Read a vector written by :func:`write_vector`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 1:
-            raise ValueError(f"{path}: expected 'dim' header")
-        dim = int(header[0])
-        data = np.loadtxt(fh, dtype=float, ndmin=1)
-    if data.shape != (dim,):
-        raise ValueError(f"{path}: body length {data.shape} does not match header {dim}")
-    return as_vector(data, name=str(path))
+    return as_vector(_read_table(path, "dim"), name=str(path))

@@ -31,6 +31,7 @@ from . import seeding
 from .errors import HypothesisError
 from .linalg import (
     SvdFactors,
+    _write_json,
     orthonormalize_columns,
     read_matrix,
     read_vector,
@@ -347,22 +348,39 @@ def save_system(noisy: NoisySystem, directory: str | os.PathLike) -> None:
         "spec": noisy.base.spec.to_dict() if noisy.base.spec else None,
         "seed": noisy.base.seed,
     }
-    with open(path / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path / "meta.json", meta)
+
+
+def _read_shaped(file: Path, shape: tuple) -> np.ndarray:
+    arr = read_matrix(file) if file.suffix == ".mat" else read_vector(file)
+    if arr.shape != shape:
+        raise ValueError(f"{file}: shape {arr.shape} does not match {shape} implied by A.mat")
+    return arr
 
 
 def load_system(directory: str | os.PathLike) -> NoisySystem:
-    """Reconstruct a noisy system written by :func:`save_system`."""
+    """Reconstruct a noisy system written by :func:`save_system`.
+
+    Every file must agree with the ``(m, n)`` of ``A.mat``; a ``ValueError``
+    names the first file that does not and both shapes.
+    """
     path = Path(directory)
     with open(path / "meta.json") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path / 'meta.json'}: expected a JSON object, got {type(meta).__name__}")
     a = read_matrix(path / "A.mat")
+    m, n = a.shape
     spec = SpectrumSpec(**meta["spec"]) if meta.get("spec") else None
+    if spec is not None and (spec.m, spec.n) != (m, n):
+        raise ValueError(
+            f"{path / 'meta.json'}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}"
+        )
+    model = NoiseModel(meta["model"])
     base = LinearSystem(
         a=a,
-        b=read_vector(path / "b.vec"),
-        x_ls=read_vector(path / "xls.vec"),
+        b=_read_shaped(path / "b.vec", (m,)),
+        x_ls=_read_shaped(path / "xls.vec", (n,)),
         factors=svd(a),
         spec=spec,
         seed=meta.get("seed"),
@@ -370,12 +388,12 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     f_path = path / "f.mat"
     return NoisySystem(
         base=base,
-        a_tilde=read_matrix(path / "atilde.mat"),
-        b_tilde=read_vector(path / "btilde.vec"),
-        e=read_matrix(path / "e.mat"),
-        f=read_matrix(f_path) if f_path.exists() else None,
-        eps=read_vector(path / "eps.vec"),
+        a_tilde=_read_shaped(path / "atilde.mat", (m, n)),
+        b_tilde=_read_shaped(path / "btilde.vec", (m,)),
+        e=_read_shaped(path / "e.mat", (m, m) if model is NoiseModel.MULTIPLICATIVE else (m, n)),
+        f=_read_shaped(f_path, (n, n)) if f_path.exists() or model is NoiseModel.MULTIPLICATIVE else None,
+        eps=_read_shaped(path / "eps.vec", (m,)),
         sigma_a=float(meta["sigma_a"]),
         sigma_b=float(meta["sigma_b"]),
-        model=NoiseModel(meta["model"]),
+        model=model,
     )

@@ -97,6 +97,20 @@ class TestBounds:
         )
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+class TestMalformedSystem:
+    @pytest.mark.parametrize("subcommand", ["solve", "bounds"])
+    def test_misshaped_atilde_exit_1(self, tmp_path, system_dir, capsys, subcommand):
+        lines = (system_dir / "atilde.mat").read_text().splitlines()
+        (system_dir / "atilde.mat").write_text("\n".join(["20 15"] + lines[1:21]) + "\n")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system_dir": str(system_dir), "rk": RK, "bounds": ["additive"]},
+        )
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "atilde.mat: shape (20, 15) does not match (30, 15)" in err
+
 
 class TestTable2:
     def test_happy_path_and_determinism(self, tmp_path):

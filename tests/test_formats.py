@@ -1,0 +1,121 @@
+"""Exact bytes of every output writer, and the float64 round trip of the text formats."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from noisyrk.bounds import BoundCurve, BoundKind, write_bound_csv
+from noisyrk.experiments import Table2Row, write_band_csv, write_table2_csv
+from noisyrk.kaczmarz import Trajectory, write_trajectory_csv
+from noisyrk.linalg import read_matrix, read_vector, write_matrix, write_vector
+
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+
+TRAJ = Trajectory(
+    recorded_iterations=np.array([0, 1, 2000, 2**53], dtype=np.int64),
+    per_trial_squared_error=np.array([[-0.0, TINY, 0.1, HUGE], [1.0, 0.25, 0.1, 4.0]]),
+    mean_squared_error=np.array([0.5, 0.125, 0.1, HUGE]),
+    std_squared_error=np.array([0.5, TINY, 0.0, 1.0]),
+)
+
+
+class TestGoldenBytes:
+    """Literal file texts; any change to a writer's output shows up here."""
+
+    def test_matrix(self, tmp_path):
+        write_matrix(tmp_path / "a.mat", [[-0.0, TINY, HUGE], [0.1, 1.0, -2.5]])
+        assert (tmp_path / "a.mat").read_text() == (
+            "2 3\n"
+            "-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
+            "0.10000000000000001 1 -2.5\n"
+        )
+
+    def test_vector(self, tmp_path):
+        write_vector(tmp_path / "v.vec", [-0.0, TINY, HUGE, 0.1])
+        assert (tmp_path / "v.vec").read_text() == (
+            "4\n-0\n4.9406564584124654e-324\n1.7976931348623157e+308\n0.10000000000000001\n"
+        )
+
+    def test_trajectory_csv(self, tmp_path):
+        write_trajectory_csv(tmp_path / "traj.csv", TRAJ)
+        assert (tmp_path / "traj.csv").read_text() == (
+            "iteration,mean_sq_err,std_sq_err,trial_0,trial_1\n"
+            "0,0.5,0.5,-0,1\n"
+            "1,0.125,4.9406564584124654e-324,4.9406564584124654e-324,0.25\n"
+            "2000,0.10000000000000001,0,0.10000000000000001,0.10000000000000001\n"
+            "9007199254740992,1.7976931348623157e+308,1,1.7976931348623157e+308,4\n"
+        )
+
+    def test_band_csv(self, tmp_path):
+        write_band_csv(tmp_path / "band.csv", TRAJ)
+        assert (tmp_path / "band.csv").read_text() == (
+            "iteration,mean_sq,lo_sq,hi_sq,mean_abs,lo_abs,hi_abs\n"
+            "0,0.5,0.25,0.75,0.5,0.25,0.75\n"
+            "1,0.125,0.125,0.125,0.25,0.125,0.375\n"
+            "2000,0.10000000000000001,0.10000000000000001,0.10000000000000001,"
+            "0.31622776601683794,0.31622776601683794,0.31622776601683794\n"
+            "9007199254740992,1.7976931348623157e+308,1.7976931348623157e+308,"
+            "1.7976931348623157e+308,6.7039039649712978e+153,3.3519519824856489e+153,"
+            "1.0055855947456946e+154\n"
+        )
+
+    def test_bound_csv_and_sidecar(self, tmp_path):
+        curve = BoundCurve(
+            kind=BoundKind.ADDITIVE, rate=0.1, horizon=TINY, initial_error=HUGE, squared=True,
+            iterations=np.array([0, 1, 2000]), values=np.array([-0.0, TINY, 0.1]),
+            scalars={"q": 0.1, "r": 2.0},
+        )
+        write_bound_csv(tmp_path / "bound.csv", curve)
+        assert (tmp_path / "bound.csv").read_text() == (
+            "iteration,bound_value\n0,-0\n1,4.9406564584124654e-324\n2000,0.10000000000000001\n"
+        )
+        assert (tmp_path / "bound.meta.json").read_text() == (
+            "{\n"
+            '  "horizon": 5e-324,\n'
+            '  "initial_error": 1.7976931348623157e+308,\n'
+            '  "kind": "additive",\n'
+            '  "rate_per_iteration": 0.1,\n'
+            '  "scalars": {\n'
+            '    "q": 0.1,\n'
+            '    "r": 2.0\n'
+            "  },\n"
+            '  "squared": true\n'
+            "}\n"
+        )
+
+    def test_table2_csv(self, tmp_path):
+        rows = [Table2Row(-0.0, TINY, HUGE, 0.1, 2000.0, 1e-300),
+                Table2Row(0.1, 0.2, 3.0, 4.5, 1e10, 0.3)]
+        write_table2_csv(tmp_path / "table2.csv", rows)
+        assert (tmp_path / "table2.csv").read_text() == (
+            "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon\n"
+            "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,2000,1e-300\n"
+            "0.10000000000000001,0.20000000000000001,3,4.5,10000000000,0.29999999999999999\n"
+        )
+
+
+# every finite float64: subnormals, signed zeros, the largest magnitudes
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=FINITE))
+    def test_matrix_bit_exact(self, tmp_path_factory, a):
+        path = tmp_path_factory.mktemp("m") / "a.mat"
+        write_matrix(path, a)
+        back = read_matrix(path)
+        assert back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=1, max_side=12),
+                        elements=FINITE))
+    def test_vector_bit_exact(self, tmp_path_factory, v):
+        path = tmp_path_factory.mktemp("v") / "v.vec"
+        write_vector(path, v)
+        back = read_vector(path)
+        assert back.shape == v.shape
+        assert back.tobytes() == v.tobytes()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +23,8 @@ from noisyrk import (
     sigma_min_nonzero,
     spectral_norm,
     svd,
+    write_matrix,
+    write_vector,
 )
 
 
@@ -245,3 +250,40 @@ class TestSerialization:
         back = load_system(tmp_path / "sys")
         assert np.array_equal(back.f, noisy.f)
         assert back.model is NoiseModel.MULTIPLICATIVE
+
+    # (model, file, replacement): a shape that disagrees with the 40x20 A.mat,
+    # or for meta.json a rewrite of the saved object
+    @pytest.mark.parametrize("model, name, bad, message", [
+        ("multiplicative", "b.vec", (39,), "b.vec: shape (39,) does not match (40,)"),
+        ("multiplicative", "xls.vec", (21,), "xls.vec: shape (21,) does not match (20,)"),
+        ("multiplicative", "atilde.mat", (30, 20), "atilde.mat: shape (30, 20) does not match (40, 20)"),
+        ("multiplicative", "btilde.vec", (42,), "btilde.vec: shape (42,) does not match (40,)"),
+        ("multiplicative", "eps.vec", (41,), "eps.vec: shape (41,) does not match (40,)"),
+        ("multiplicative", "e.mat", (40, 20), "e.mat: shape (40, 20) does not match (40, 40)"),
+        ("multiplicative", "f.mat", (20, 19), "f.mat: shape (20, 19) does not match (20, 20)"),
+        ("additive", "e.mat", (40, 40), "e.mat: shape (40, 40) does not match (40, 20)"),
+        ("additive", "meta.json", lambda meta: [1, 2], "meta.json: expected a JSON object, got list"),
+        ("additive", "meta.json", lambda meta: {**meta, "spec": {**meta["spec"], "m": 30}},
+         "meta.json: spec shape (30, 20) does not match A.mat (40, 20)"),
+    ])
+    def test_rejects_misshaped_directory(self, small_system, tmp_path, model, name, bad, message):
+        if model == "multiplicative":
+            noisy = multiplicative_noise(small_system, 0.05, 0.1, seed=13)
+        else:
+            noisy = additive_noise(small_system, 0.2, 0.3, seed=13)
+        save_system(noisy, tmp_path)
+        target = tmp_path / name
+        if name == "meta.json":
+            target.write_text(json.dumps(bad(json.loads(target.read_text()))))
+        elif name.endswith(".mat"):
+            write_matrix(target, np.ones(bad))
+        else:
+            write_vector(target, np.ones(bad))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_system(tmp_path)
+
+    def test_multiplicative_requires_f(self, small_system, tmp_path):
+        save_system(multiplicative_noise(small_system, 0.05, 0.1, seed=13), tmp_path)
+        (tmp_path / "f.mat").unlink()
+        with pytest.raises(FileNotFoundError, match="f.mat"):
+            load_system(tmp_path)
