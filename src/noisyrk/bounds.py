@@ -28,13 +28,11 @@ import enum
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import SvdFactors, as_vector, scaled_condition_number, spectral_norm, svd
-from .linalg import _write_json, _write_table
+from .linalg import _write_json, _write_table, as_vector, scaled_condition_number, spectral_norm, svd
 from .problems import NoiseModel, LinearSystem, NoisySystem
 
 __all__ = [
@@ -117,14 +115,13 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _starts(x0) -> list:
-    """``x0`` as a list of start vectors: itself, or the rows of a (trials, n) stack."""
+def _curve(kind, r, x0, target, horizon, squared, ks, scalars) -> BoundCurve:
+    """The bound at rate ``1 - 1/r`` from the mean initial error of ``x0`` against ``target``.
+
+    ``x0`` is one start vector or the rows of a (trials, n) stack.
+    """
     arr = np.asarray(x0, dtype=float)
-    return [as_vector(x, "x0") for x in arr] if arr.ndim == 2 else [as_vector(arr, "x0")]
-
-
-def _curve(kind, r, starts, target, horizon, squared, ks, scalars) -> BoundCurve:
-    """The bound at rate ``1 - 1/r`` from the trial-mean initial error against ``target``."""
+    starts = [as_vector(x, "x0") for x in arr] if arr.ndim == 2 else [as_vector(arr, "x0")]
     errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
     initial = float(np.mean(errors))
     rate = 1.0 - 1.0 / r
@@ -135,73 +132,40 @@ def _curve(kind, r, starts, target, horizon, squared, ks, scalars) -> BoundCurve
     )
 
 
-class _Analysis:
-    """Spectral quantities of one bound call, each computed on first use.
+def _r(spectrum) -> float:
+    """Scaled condition number of an iteration matrix from its ``SvdFactors`` or analysis."""
+    if spectrum.sigma.size == 0:
+        raise HypothesisError("iteration matrix is numerically zero")
+    return scaled_condition_number(spectrum)
 
-    The iteration matrix is ``noisy.a_tilde``, or ``sys.a`` when no noisy
-    system is given.
-    """
 
-    def __init__(self, sys: LinearSystem, noisy: NoisySystem | None = None):
-        self.sys = sys
-        self.noisy = noisy
+def _q(sys: LinearSystem, noisy: NoisySystem) -> float:
+    """``||pinv(A)|| ||dA||``, once rank preservation, ``q < 1`` and Weyl are checked."""
+    sigma, sigma_tilde = sys.factors.sigma, noisy.analysis.sigma
+    if sigma_tilde.size != sigma.size:
+        raise HypothesisError(
+            f"rank preservation failed: rank(A) = {sigma.size}, "
+            f"rank of the noisy matrix = {sigma_tilde.size}"
+        )
+    q = noisy.matrix_noise_norm / float(sigma[-1])
+    if q >= 1.0:
+        raise HypothesisError(f"noise smallness failed: ||pinv(A)|| * ||E|| = {q:.6g} >= 1")
+    # opportunistic singular-value perturbation sanity check
+    slack = 1e-9 * max(1.0, float(sigma[0]), float(sigma_tilde[0]))
+    if np.max(np.abs(sigma_tilde - sigma)) > noisy.matrix_noise_norm + slack:
+        raise HypothesisError("singular value perturbation exceeded the noise norm (Weyl check)")
+    return q
 
-    @cached_property
-    def factors(self) -> SvdFactors:
-        """SVD of the iteration matrix."""
-        return self.sys.factors if self.noisy is None else svd(self.noisy.a_tilde)
 
-    @cached_property
-    def r(self) -> float:
-        """Scaled condition number of the iteration matrix."""
-        if self.factors.rank == 0:
-            raise HypothesisError("iteration matrix is numerically zero")
-        return scaled_condition_number(self.factors)
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.factors.sigma[-1])
-
-    @cached_property
-    def da(self) -> np.ndarray:
-        """Total matrix perturbation ``At - A``."""
-        return self.noisy.matrix_noise()
-
-    @cached_property
-    def da_norm(self) -> float:
-        """``||dA||_2``; 0 when the matrix carries no noise."""
-        return spectral_norm(self.da) if np.any(self.da) else 0.0
-
-    @cached_property
-    def q(self) -> float:
-        """``||pinv(A)|| ||dA||``, once rank preservation and ``q < 1`` are checked."""
-        base = self.sys.factors
-        if self.factors.rank != base.rank:
-            raise HypothesisError(
-                f"rank preservation failed: rank(A) = {base.rank}, "
-                f"rank of the noisy matrix = {self.factors.rank}"
-            )
-        q = self.da_norm / float(base.sigma[-1])
-        if q >= 1.0:
-            raise HypothesisError(f"noise smallness failed: ||pinv(A)|| * ||E|| = {q:.6g} >= 1")
-        return q
-
-    @cached_property
-    def x_nls(self) -> np.ndarray:
-        """Noisy least squares solution ``pinv(At) bt``."""
-        return self.factors.pinv_apply(self.noisy.b_tilde)
-
-    def check_weyl(self) -> None:
-        # opportunistic singular-value perturbation sanity check
-        base, tilde = self.sys.factors, self.factors
-        r = min(self.noisy.a_tilde.shape)
-        sa = np.zeros(r)
-        sa[: base.rank] = base.sigma
-        st = np.zeros(r)
-        st[: tilde.rank] = tilde.sigma
-        slack = 1e-9 * max(1.0, float(sa[0]), float(st[0]))
-        if np.max(np.abs(st - sa)) > self.da_norm + slack:
-            raise HypothesisError("singular value perturbation exceeded the noise norm (Weyl check)")
+def _perturbation_scalars(sys: LinearSystem, noisy: NoisySystem) -> dict:
+    """Scalars shared by the two bounds routed through a perturbation argument."""
+    return {
+        "scaled_condition_number_tilde": _r(noisy.analysis),
+        "sigma_min_tilde": float(noisy.analysis.sigma[-1]),
+        "matrix_noise_norm": noisy.matrix_noise_norm,
+        "rhs_noise_norm": _norm(noisy.rhs_noise()),
+        "x_ls_norm": _norm(sys.x_ls),
+    }
 
 
 def _factor_size(eff: np.ndarray, i_plus: np.ndarray) -> float:
@@ -224,24 +188,22 @@ def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) 
 
 def bound_noiseless(sys: LinearSystem, x0: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound for a consistent system: pure geometric decay."""
-    starts = _starts(x0)
-    r = _Analysis(sys).r
+    r = _r(sys.factors)
     return _curve(
-        BoundKind.NOISELESS, r, starts, sys.x_ls, 0.0, True, ks,
+        BoundKind.NOISELESS, r, x0, sys.x_ls, 0.0, True, ks,
         {"scaled_condition_number": r},
     )
 
 
 def bound_rhs_noise(sys: LinearSystem, eps: np.ndarray, x0: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound when only the right-hand side is noisy."""
-    starts = _starts(x0)
     eps = np.asarray(eps, dtype=float)
-    an = _Analysis(sys)
-    r = an.r
-    horizon = float(eps @ eps) / (an.sigma_min * an.sigma_min)
+    r = _r(sys.factors)
+    sigma_min = float(sys.factors.sigma[-1])
+    horizon = float(eps @ eps) / (sigma_min * sigma_min)
     return _curve(
-        BoundKind.RHS_NOISE, r, starts, sys.x_ls, horizon, True, ks,
-        {"scaled_condition_number": r, "sigma_min": an.sigma_min, "rhs_noise_norm": _norm(eps)},
+        BoundKind.RHS_NOISE, r, x0, sys.x_ls, horizon, True, ks,
+        {"scaled_condition_number": r, "sigma_min": sigma_min, "rhs_noise_norm": _norm(eps)},
     )
 
 
@@ -253,16 +215,15 @@ def bound_additive(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) ->
     noise terms, and the rate uses the noisy matrix's scaled condition
     number.
     """
-    starts = _starts(x0)
-    an = _Analysis(sys, noisy)
-    r_tilde = an.r
-    mismatch = an.da @ sys.x_ls - noisy.rhs_noise()
-    horizon = float(mismatch @ mismatch) / (an.sigma_min * an.sigma_min)
+    r_tilde = _r(noisy.analysis)
+    mismatch = noisy.matrix_noise() @ sys.x_ls - noisy.rhs_noise()
+    sigma_min = float(noisy.analysis.sigma[-1])
+    horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
     return _curve(
-        BoundKind.ADDITIVE, r_tilde, starts, sys.x_ls, horizon, True, ks,
+        BoundKind.ADDITIVE, r_tilde, x0, sys.x_ls, horizon, True, ks,
         {
             "scaled_condition_number_tilde": r_tilde,
-            "sigma_min_tilde": an.sigma_min,
+            "sigma_min_tilde": sigma_min,
             "noise_mismatch_norm": _norm(mismatch),
         },
     )
@@ -289,16 +250,10 @@ def perturbed_ls_distance(sys: LinearSystem, noisy: NoisySystem) -> float:
     The returned value is verified to dominate the directly computed
     distance ``||pinv(At) bt - x_ls||``.
     """
-    return _ls_distance(_Analysis(sys, noisy))
-
-
-def _ls_distance(an: _Analysis) -> float:
-    sys = an.sys
-    q = an.q
-    an.check_weyl()
+    q = _q(sys, noisy)
     pinv_norm = 1.0 / float(sys.factors.sigma[-1])
-    value = (2.0 * q * _norm(sys.x_ls) + pinv_norm * _norm(an.noisy.rhs_noise())) / (1.0 - q)
-    direct = _norm(an.x_nls - sys.x_ls)
+    value = (2.0 * q * _norm(sys.x_ls) + pinv_norm * _norm(noisy.rhs_noise())) / (1.0 - q)
+    direct = _norm(noisy.analysis.x_nls - sys.x_ls)
     if direct > value + 1e-9 * max(1.0, value):
         raise HypothesisError(
             f"perturbed least squares distance bound violated: {direct:.6g} > {value:.6g}"
@@ -314,20 +269,14 @@ def bound_perturbation_doubly(
     Needs rank preservation, small noise, and consistency of the noisy
     system itself; the horizon is :func:`perturbed_ls_distance`.
     """
-    starts = _starts(x0)
-    an = _Analysis(sys, noisy)
-    an.q  # rank preservation and small noise are checked before consistency
-    _require_consistent(noisy.a_tilde, an.x_nls, noisy.b_tilde, "the noisy linear system")
-    horizon = _ls_distance(an)
+    tilde = noisy.analysis
+    _q(sys, noisy)  # rank preservation and small noise are checked before consistency
+    _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
+    horizon = perturbed_ls_distance(sys, noisy)
+    s = _perturbation_scalars(sys, noisy)
     return _curve(
-        BoundKind.PERTURBATION_DOUBLY, an.r, starts, an.x_nls, horizon, False, ks,
-        {
-            "scaled_condition_number_tilde": an.r,
-            "sigma_min_tilde": an.sigma_min,
-            "matrix_noise_norm": an.da_norm,
-            "rhs_noise_norm": _norm(noisy.rhs_noise()),
-            "x_ls_norm": _norm(sys.x_ls),
-        },
+        BoundKind.PERTURBATION_DOUBLY, s["scaled_condition_number_tilde"], x0, tilde.x_nls,
+        horizon, False, ks, s,
     )
 
 
@@ -343,23 +292,14 @@ def bound_perturbation_partial(
         raise HypothesisError(
             "partial perturbation bound requested for a model other than partial_consistent"
         )
-    starts = _starts(x0)
-    an = _Analysis(sys, noisy)
-    q = an.q
-    an.check_weyl()
-    x_pnls = an.factors.pinv_apply(sys.b)
-    _require_consistent(noisy.a_tilde, x_pnls, sys.b, "the partially noisy linear system")
-    eps_norm = _norm(noisy.rhs_noise())
-    horizon = 2.0 * _norm(sys.x_ls) * q / (1.0 - q) + eps_norm / an.sigma_min
+    tilde = noisy.analysis
+    q = _q(sys, noisy)
+    _require_consistent(noisy.a_tilde, tilde.x_pnls, sys.b, "the partially noisy linear system")
+    s = _perturbation_scalars(sys, noisy)
+    horizon = 2.0 * s["x_ls_norm"] * q / (1.0 - q) + s["rhs_noise_norm"] / s["sigma_min_tilde"]
     return _curve(
-        BoundKind.PERTURBATION_PARTIAL, an.r, starts, x_pnls, horizon, False, ks,
-        {
-            "scaled_condition_number_tilde": an.r,
-            "sigma_min_tilde": an.sigma_min,
-            "matrix_noise_norm": an.da_norm,
-            "rhs_noise_norm": eps_norm,
-            "x_ls_norm": _norm(sys.x_ls),
-        },
+        BoundKind.PERTURBATION_PARTIAL, s["scaled_condition_number_tilde"], x0, tilde.x_pnls,
+        horizon, False, ks, s,
     )
 
 
@@ -382,7 +322,6 @@ def bound_multiplicative_perturbation(
         raise HypothesisError(
             "multiplicative perturbation bound requested for a non-multiplicative model"
         )
-    starts = _starts(x0)
     m, n = noisy.a_tilde.shape
     e_eff = noisy.sigma_a * noisy.e
     f_eff = noisy.sigma_a * noisy.f
@@ -392,8 +331,8 @@ def bound_multiplicative_perturbation(
         s = svd(mat)
         if s.rank < mat.shape[0] or float(s.sigma[-1]) < 1e-8:
             raise HypothesisError(f"invertibility of ({label}) failed")
-    an = _Analysis(sys, noisy)
-    _require_consistent(noisy.a_tilde, an.x_nls, noisy.b_tilde, "the noisy linear system")
+    tilde = noisy.analysis
+    _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
     b_norm = _norm(sys.b)
     if b_norm == 0.0:
         raise HypothesisError("relative right-hand side noise is undefined: b is zero")
@@ -403,10 +342,11 @@ def bound_multiplicative_perturbation(
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
     pinv_norm = 1.0 / float(sys.factors.sigma[-1])
     horizon = e1 * _norm(sys.x_ls) + e2 * pinv_norm * b_norm
+    r_tilde = _r(tilde)
     return _curve(
-        BoundKind.MULTIPLICATIVE_PERTURBATION, an.r, starts, an.x_nls, horizon, False, ks,
+        BoundKind.MULTIPLICATIVE_PERTURBATION, r_tilde, x0, tilde.x_nls, horizon, False, ks,
         {
-            "scaled_condition_number_tilde": an.r,
+            "scaled_condition_number_tilde": r_tilde,
             "e1": e1,
             "e2": e2,
             "relative_rhs_noise": rho,
@@ -432,22 +372,20 @@ def horizon_comparison(sys: LinearSystem, noisy: NoisySystem) -> HorizonComparis
         raise HypothesisError(
             "horizon comparison requested for a model other than partial_consistent"
         )
-    an = _Analysis(sys, noisy)
-    q = an.q
-    an.check_weyl()
+    q = _q(sys, noisy)
     sigma_min = float(sys.factors.sigma[-1])
-    sigma_min_tilde = an.sigma_min
+    sigma_min_tilde = float(noisy.analysis.sigma[-1])
     eps = noisy.rhs_noise()
     eps_norm = _norm(eps)
     x_ls_norm = _norm(sys.x_ls)
 
-    main = _norm(an.da @ sys.x_ls - eps) / sigma_min_tilde
+    main = _norm(noisy.matrix_noise() @ sys.x_ls - eps) / sigma_min_tilde
     partial = 2.0 * x_ls_norm * q / (1.0 - q) + eps_norm / sigma_min_tilde
-    condition = 2.0 * sigma_min_tilde > sigma_min - an.da_norm
+    condition = 2.0 * sigma_min_tilde > sigma_min - noisy.matrix_noise_norm
 
     chain = False
     if condition:
-        middle = (an.da_norm * x_ls_norm + eps_norm) / sigma_min_tilde
+        middle = (noisy.matrix_noise_norm * x_ls_norm + eps_norm) / sigma_min_tilde
         slack = 1e-9 * max(1.0, partial)
         chain = main <= middle + slack and middle <= partial + slack
     return HorizonComparison(

@@ -36,6 +36,7 @@ from .kaczmarz import initial_iterate, record_points, solve, write_trajectory_cs
 from .problems import (
     NoiseModel,
     SpectrumSpec,
+    _config_value,
     additive_noise,
     generate_system,
     load_system,
@@ -84,13 +85,16 @@ def _build_parser() -> _Parser:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _make_noisy(sys, noise: dict, seed: int):
-    model = NoiseModel(noise.get("model", "additive"))
-    sigma_a = float(noise.get("sigma_a", 0.0))
-    sigma_b = float(noise.get("sigma_b", 0.0))
+    model = _config_value(noise, "model", NoiseModel, NoiseModel.ADDITIVE, "noise")
+    sigma_a = _config_value(noise, "sigma_a", float, 0.0, "noise")
+    sigma_b = _config_value(noise, "sigma_b", float, 0.0, "noise")
     if model is NoiseModel.ADDITIVE:
         return additive_noise(sys, sigma_a, sigma_b, seed)
     if model is NoiseModel.MULTIPLICATIVE:
@@ -101,23 +105,21 @@ def _make_noisy(sys, noise: dict, seed: int):
             seed=seed,
         )
     if model is NoiseModel.PARTIAL_CONSISTENT:
-        return partial_consistent_noise(sys, float(noise.get("strength", 0.5)), seed)
+        return partial_consistent_noise(sys, _config_value(noise, "strength", float, 0.5, "noise"), seed)
     return preconditioner_noise(sys)
 
 
-def _out_dir(args, cfg: dict, required: bool = True) -> Path | None:
-    out = args.out or cfg.get("output_dir")
+def _out_dir(args, cfg: dict) -> Path:
+    out = args.out or _config_value(cfg, "output_dir", os.fspath, None)
     if out is None:
-        if required:
-            raise ValueError("an output directory is required (--out or output_dir)")
-        return None
+        raise ValueError("an output directory is required (--out or output_dir)")
     return Path(out)
 
 
 def _cmd_gen(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    sys_ = generate_system(SpectrumSpec(**cfg["spectrum"]), seed)
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", int, 0)
+    sys_ = generate_system(_config_value(cfg, "spectrum", SpectrumSpec.from_dict), seed)
     noisy = _make_noisy(sys_, cfg.get("noise", {}), seed)
     save_system(noisy, out)
     return 0
@@ -125,7 +127,7 @@ def _cmd_gen(args, cfg: dict) -> int:
 
 def _cmd_solve(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
-    noisy = load_system(cfg["system_dir"])
+    noisy = load_system(_config_value(cfg, "system_dir", os.fspath))
     rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
     traj = solve(noisy, rk)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,12 +138,12 @@ def _cmd_solve(args, cfg: dict) -> int:
 
 def _cmd_bounds(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
-    noisy = load_system(cfg["system_dir"])
+    noisy = load_system(_config_value(cfg, "system_dir", os.fspath))
     rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
     ks = record_points(rk.max_iterations, rk.record_stride)
     x0 = initial_iterate(noisy.a_tilde, rk, trial=0)
     out.mkdir(parents=True, exist_ok=True)
-    for kind in cfg["bounds"]:
+    for kind in _config_value(cfg, "bounds", list):
         curve = evaluate_bound(kind, noisy.base, noisy, x0, ks)
         write_bound_csv(out / f"bound_{curve.kind.value}.csv", curve)
     return 0
@@ -172,11 +174,11 @@ def _cmd_figure(args, cfg: dict) -> int:
 
 def _cmd_precondition(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
+    seed = args.seed if args.seed is not None else _config_value(cfg, "master_seed", int, 0)
     rk = _rk_from(cfg.get("rk", {}), seed, args.seed)
     run_preconditioner_demo(
-        SpectrumSpec(**cfg["spectrum"]),
-        tau=float(cfg["tau"]),
+        _config_value(cfg, "spectrum", SpectrumSpec.from_dict),
+        tau=_config_value(cfg, "tau", float),
         rk=rk,
         master_seed=seed,
         output_dir=out,
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

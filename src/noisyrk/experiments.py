@@ -49,12 +49,13 @@ from .kaczmarz import (
     solve,
     write_trajectory_csv,
 )
-from .linalg import _write_json, _write_table, scaled_condition_number, svd
+from .linalg import _write_json, _write_table, scaled_condition_number
 from .problems import (
     LinearSystem,
     NoiseModel,
     NoisySystem,
     SpectrumSpec,
+    _config_value,
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -142,18 +143,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        master_seed = int(data["master_seed"])
+        master_seed = _config_value(data, "master_seed", int)
         noise = data.get("noise", {})
         return cls(
-            spectrum=SpectrumSpec(**data["spectrum"]),
+            spectrum=_config_value(data, "spectrum", SpectrumSpec.from_dict),
             rk=_rk_from(data.get("rk", {}), master_seed),
             master_seed=master_seed,
-            noise_model=NoiseModel(noise.get("model", "additive")),
+            noise_model=_config_value(noise, "model", NoiseModel, NoiseModel.ADDITIVE, "noise"),
             use_e=bool(noise.get("use_e", True)),
             use_f=bool(noise.get("use_f", True)),
-            strength=float(noise.get("strength", 0.5)),
+            strength=_config_value(noise, "strength", float, 0.5, "noise"),
             noise_grid=data.get("grid"),
-            bound_kinds=tuple(data.get("bounds", ())),
+            bound_kinds=_config_value(data, "bounds", tuple, ()),
             output_dir=data.get("output_dir"),
         )
 
@@ -161,10 +162,10 @@ class ExperimentConfig:
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
     """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
     return RkConfig(
-        max_iterations=int(data.get("max_iterations", 10_000)),
-        trials=int(data.get("trials", 10)),
+        max_iterations=_config_value(data, "max_iterations", int, 10_000, "rk"),
+        trials=_config_value(data, "trials", int, 10, "rk"),
         record_stride=data.get("record_stride"),
-        seed=seed if seed is not None else int(data.get("seed", default_seed)),
+        seed=seed if seed is not None else _config_value(data, "seed", int, default_seed, "rk"),
         x0_mode=X0Mode(data.get("x0_mode", "range")),
     )
 
@@ -326,13 +327,11 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
 
 def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
     noisy = build_noisy(cfg, sys, sigma_a, sigma_b)
-    tilde = svd(noisy.a_tilde)
-    kappa = float(tilde.sigma[0] / tilde.sigma[-1])
     x0s = [initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)]
     init_mean = float(np.mean([np.sum((x0 - sys.x_ls) ** 2) for x0 in x0s]))
-    ks0 = np.asarray([0], dtype=np.int64)
-    curve = bound_additive(sys, noisy, x0s[0], ks0)
+    curve = bound_additive(sys, noisy, x0s[0], [0])
     r_tilde = curve.scalars["scaled_condition_number_tilde"]
+    kappa = float(noisy.analysis.sigma[0] / noisy.analysis.sigma[-1])
     iterations = _adaptive_iterations(r_tilde, init_mean)
     traj = solve(noisy, replace(cfg.rk, max_iterations=iterations))
     empirical = empirical_horizon(traj)
@@ -407,8 +406,7 @@ def run_preconditioner_demo(
     zero = additive_noise(sys, 0.0, 0.0, master_seed)
     traj_noiseless = solve(zero, shared)
 
-    ks0 = np.asarray([0], dtype=np.int64)
-    curve = bound_additive(sys, noisy, x0s[0], ks0)
+    curve = bound_additive(sys, noisy, x0s[0], [0])
     r = scaled_condition_number(sys.factors)
     r_tilde = float(curve.scalars["scaled_condition_number_tilde"])
     if initial_sq_error is None:

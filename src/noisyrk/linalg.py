@@ -130,9 +130,10 @@ def pseudoinverse(a, tol: float | None = None) -> np.ndarray:
     return factors.pinv()
 
 
-def _nonzero_factors(a, op: str) -> SvdFactors:
-    factors = a if isinstance(a, SvdFactors) else svd(a)
-    if factors.rank == 0:
+def _nonzero_factors(a, op: str):
+    # a matrix, or what carries its kept singular values (SvdFactors, NoisyAnalysis)
+    factors = a if hasattr(a, "sigma") else svd(a)
+    if factors.sigma.size == 0:
         raise ValueError(f"{op} is undefined for the zero matrix")
     return factors
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "NoiseModel",
     "SpectrumSpec",
     "LinearSystem",
+    "NoisyAnalysis",
     "NoisySystem",
     "generate_system",
     "additive_noise",
@@ -59,6 +62,25 @@ __all__ = [
 
 _MAX_REDRAWS = 100
 _MIN_FACTOR_SIGMA = 1e-8  # nonsingularity floor for (I + E), (I + F), (I + M)
+_REQUIRED = object()
+
+
+def _config_value(data, key: str, convert, default=_REQUIRED, where: str = "config"):
+    """``convert(data[key])``, or ``default`` when an optional ``key`` is absent.
+
+    A block that is not a JSON object, a missing required key, or a value
+    ``convert`` rejects is a ``ValueError`` naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing required key '{key}'")
+        return default
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
 
 
 class Spacing(str, enum.Enum):
@@ -91,6 +113,8 @@ class SpectrumSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spacing", Spacing(self.spacing))
+        if not all(isinstance(d, numbers.Integral) for d in (self.m, self.n, self.r)):
+            raise ValueError("m, n and r must be integers")
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.r <= min(self.m, self.n):
@@ -104,6 +128,11 @@ class SpectrumSpec:
         d = asdict(self)
         d["spacing"] = self.spacing.value
         return d
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SpectrumSpec":
+        """Inverse of :meth:`to_dict`; an unknown or missing field is a ``TypeError`` naming it."""
+        return cls(**data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +149,19 @@ class LinearSystem:
     factors: SvdFactors
     spec: SpectrumSpec | None = None
     seed: int | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class NoisyAnalysis:
+    """What the bounds read from the one SVD of ``a_tilde``: O(m + n) numbers.
+
+    ``sigma`` holds the singular values kept by the numerical-rank cut, in
+    nonincreasing order, so its length is the rank.  No factor matrix is kept.
+    """
+
+    sigma: np.ndarray
+    x_nls: np.ndarray  # pinv(a_tilde) b_tilde, the noisy least squares solution
+    x_pnls: np.ndarray  # pinv(a_tilde) b, with the noiseless right-hand side
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +200,25 @@ class NoisySystem:
     def rhs_noise(self) -> np.ndarray:
         """Total effective perturbation of the right-hand side."""
         return self.sigma_b * self.eps
+
+    # The system's only cached state: each value is a deterministic function of
+    # the frozen fields, so two threads filling it store equal values.
+
+    @cached_property
+    def analysis(self) -> NoisyAnalysis:
+        """The single factorization of ``a_tilde``, reduced to what the bounds use."""
+        factors = svd(self.a_tilde)
+        return NoisyAnalysis(
+            sigma=factors.sigma,
+            x_nls=factors.pinv_apply(self.b_tilde),
+            x_pnls=factors.pinv_apply(self.base.b),
+        )
+
+    @cached_property
+    def matrix_noise_norm(self) -> float:
+        """``||a_tilde - a||_2``; 0 when the matrix carries no noise."""
+        da = self.matrix_noise()
+        return spectral_norm(da) if np.any(da) else 0.0
 
 
 def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:
@@ -365,18 +426,17 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     names the first file that does not and both shapes.
     """
     path = Path(directory)
-    with open(path / "meta.json") as fh:
+    where = str(path / "meta.json")
+    with open(where) as fh:
         meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path / 'meta.json'}: expected a JSON object, got {type(meta).__name__}")
+    model = _config_value(meta, "model", NoiseModel, where=where)
+    sigma_a = _config_value(meta, "sigma_a", float, where=where)
+    sigma_b = _config_value(meta, "sigma_b", float, where=where)
     a = read_matrix(path / "A.mat")
     m, n = a.shape
-    spec = SpectrumSpec(**meta["spec"]) if meta.get("spec") else None
+    spec = _config_value(meta, "spec", SpectrumSpec.from_dict, where=where) if meta.get("spec") else None
     if spec is not None and (spec.m, spec.n) != (m, n):
-        raise ValueError(
-            f"{path / 'meta.json'}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}"
-        )
-    model = NoiseModel(meta["model"])
+        raise ValueError(f"{where}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}")
     base = LinearSystem(
         a=a,
         b=_read_shaped(path / "b.vec", (m,)),
@@ -393,7 +453,7 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
         e=_read_shaped(path / "e.mat", (m, m) if model is NoiseModel.MULTIPLICATIVE else (m, n)),
         f=_read_shaped(f_path, (n, n)) if f_path.exists() or model is NoiseModel.MULTIPLICATIVE else None,
         eps=_read_shaped(path / "eps.vec", (m,)),
-        sigma_a=float(meta["sigma_a"]),
-        sigma_b=float(meta["sigma_b"]),
+        sigma_a=sigma_a,
+        sigma_b=sigma_b,
         model=model,
     )

@@ -18,6 +18,20 @@ def rank_deficient_system():
     return generate_system(spec, seed=19)
 
 
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` during the test."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 def make_matrix_with_rank(rng: np.random.Generator, m: int, n: int, r: int) -> np.ndarray:
     """Exact-rank-r matrix from a product of Gaussian factors."""
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))

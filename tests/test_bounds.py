@@ -8,6 +8,7 @@ from noisyrk import (
     BoundKind,
     HypothesisError,
     LinearSystem,
+    NoiseModel,
     RkConfig,
     Spacing,
     SpectrumSpec,
@@ -26,6 +27,7 @@ from noisyrk import (
     iterations_to_tolerance,
     multiplicative_noise,
     partial_consistent_noise,
+    perturbed_ls_distance,
     preconditioner_noise,
     pseudoinverse,
     sigma_min_nonzero,
@@ -451,3 +453,32 @@ class TestDispatcherAndCsv:
         mean_curve = np.mean([c.values for c in curves], axis=0)
         frac = np.mean(traj.mean_squared_error <= mean_curve + 1e-12)
         assert frac >= 0.95
+
+
+class TestNoisyAnalysisMemo:
+    @pytest.mark.parametrize(
+        "make_noisy",
+        [
+            lambda sys_: multiplicative_noise(sys_, 0.05, 0.05, seed=4),
+            lambda sys_: partial_consistent_noise(sys_, 0.4, seed=21),
+        ],
+        ids=["multiplicative", "partial_consistent"],
+    )
+    def test_memo_keeps_no_matrix(self, small_system, x0, make_noisy):
+        noisy = make_noisy(small_system)
+        for kind in BoundKind:
+            try:
+                evaluate_bound(kind, small_system, noisy, x0, KS)
+            except HypothesisError:
+                pass
+        if noisy.model is NoiseModel.PARTIAL_CONSISTENT:
+            horizon_comparison(small_system, noisy)
+            perturbed_ls_distance(small_system, noisy)
+        own = {f.name for f in dataclasses.fields(noisy)}
+        memo = {k: v for k, v in vars(noisy).items() if k not in own}
+        assert set(memo) == {"analysis", "matrix_noise_norm"}
+        values = [getattr(memo["analysis"], f.name) for f in dataclasses.fields(memo["analysis"])]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3
+        assert max(a.size for a in arrays) <= max(noisy.a_tilde.shape)
+        assert isinstance(memo["matrix_noise_norm"], float)

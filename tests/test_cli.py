@@ -97,6 +97,23 @@ class TestBounds:
         )
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    def test_one_svd_per_matrix_for_two_kinds(self, tmp_path, svd_calls):
+        gen = write_config(
+            tmp_path / "gen.json",
+            {"spectrum": SPECTRUM, "noise": {"model": "multiplicative", "sigma_a": 0.01}, "seed": 3},
+        )
+        system = tmp_path / "system"
+        assert main(["gen", "--config", gen, "--out", str(system)]) == 0
+        cfg = write_config(
+            tmp_path / "bounds.json",
+            {"system_dir": str(system), "rk": RK, "bounds": ["additive", "multiplicative"]},
+        )
+        del svd_calls[:]
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 0
+        # load_system factors A; both kinds share the one factorization of At
+        assert svd_calls == [(30, 15), (30, 15)]
+
+
 class TestMalformedSystem:
     @pytest.mark.parametrize("subcommand", ["solve", "bounds"])
     def test_misshaped_atilde_exit_1(self, tmp_path, system_dir, capsys, subcommand):
@@ -198,6 +215,64 @@ class TestUsageErrors:
 
     def test_missing_subcommand_exit_1(self, capsys):
         assert main([]) == 1
+
+
+class TestConfigErrors:
+    FULL = {
+        "spectrum": SPECTRUM, "tau": 50.0, "rk": RK, "master_seed": 7,
+        "grid": [[0.0, 0.0]], "bounds": ["additive"],
+    }
+
+    @pytest.mark.parametrize(
+        "subcommand, key",
+        [("gen", "spectrum"), ("solve", "system_dir"), ("bounds", "bounds"),
+         ("precondition", "tau"), ("table2", "master_seed"), ("figure", "spectrum")],
+    )
+    def test_missing_key_exit_1(self, tmp_path, system_dir, capsys, subcommand, key):
+        data = {**self.FULL, "system_dir": str(system_dir)}
+        del data[key]
+        cfg = write_config(tmp_path / "cfg.json", data)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"missing required key '{key}'" in err
+
+    @pytest.mark.parametrize(
+        "spectrum, message",
+        [({**SPECTRUM, "rank": 3}, "unexpected keyword argument 'rank'"),
+         ({"m": 30, "n": 15, "r": 15, "sigma_max": 4.0}, "argument: 'sigma_min'"),
+         ({**SPECTRUM, "m": "30"}, "bad value for 'spectrum'"),
+         ({**SPECTRUM, "m": 30.0}, "m, n and r must be integers")],
+    )
+    @pytest.mark.parametrize("subcommand", ["gen", "figure"])
+    def test_bad_spectrum_exit_1(self, tmp_path, capsys, spectrum, message, subcommand):
+        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "spectrum": spectrum})
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["model", "sigma_a", "sigma_b"])
+    def test_meta_without_key_exit_1(self, tmp_path, system_dir, capsys, key):
+        meta = json.loads((system_dir / "meta.json").read_text())
+        del meta[key]
+        (system_dir / "meta.json").write_text(json.dumps(meta))
+        cfg = write_config(tmp_path / "cfg.json", {"system_dir": str(system_dir), "rk": RK})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert f"meta.json: missing required key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [[1, 2], {**FULL, "noise": [1]}, {**FULL, "rk": {"trials": None}}])
+    def test_wrong_json_type_exit_1(self, tmp_path, capsys, data):
+        cfg = write_config(tmp_path / "cfg.json", data)
+        assert main(["figure", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_program_type_error_is_not_a_config_error(self, tmp_path, system_dir, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand type(s)")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        cfg = write_config(tmp_path / "cfg.json", {"system_dir": str(system_dir), "rk": RK})
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
 
 
 class _Captured(Exception):

@@ -129,15 +129,7 @@ class TestFigureExperiment:
         again = {p.name: p.read_bytes() for p in out.iterdir()}
         assert snapshot == again
 
-    def test_one_system_and_one_analysis_per_bound_call(self, monkeypatch):
-        svd_calls = []
-        real_svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            svd_calls.append(args[0].shape)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    def test_one_system_and_one_analysis_per_bound_call(self, svd_calls):
         grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05))
         kinds = (
             BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE, BoundKind.MULTIPLICATIVE_PERTURBATION,
@@ -150,9 +142,9 @@ class TestFigureExperiment:
         for res in results.values():
             assert set(res.bound_errors) == {BoundKind.MULTIPLICATIVE_PERTURBATION}
             assert "consistency" in res.bound_errors[BoundKind.MULTIPLICATIVE_PERTURBATION]
-        # one generate_system; per point two noise-factor checks, one SVD of At per
-        # squared kind, and the two factor checks plus At of the failing kind
-        assert len(svd_calls) == 1 + len(grid) * 7
+        # one generate_system; per point the two noise-factor checks, one SVD of At
+        # shared by every kind, and the two factor checks of the failing kind
+        assert len(svd_calls) == 1 + len(grid) * 5
 
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
@@ -173,6 +165,13 @@ class TestTable2:
         lines = (tmp_path / "table2.csv").read_text().splitlines()
         assert lines[0] == "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon"
         assert len(lines) == 3
+
+    def test_one_svd_of_the_noisy_matrix_per_point(self, svd_calls):
+        grid = ((0.0, 0.0), (0.01, 0.01), (0.1, 0.0))
+        rows = run_table2(make_config(noise_grid=grid))
+        # one generate_system, then per point one SVD of At gives kappa and r_tilde
+        assert len(svd_calls) == 1 + len(grid)
+        assert all(r.kappa_a_tilde >= 1.0 and r.r_tilde >= SPEC.n for r in rows)
 
     def test_rhs_only_horizon_independent_of_matrix_draw(self):
         cfg = make_config(noise_grid=((1.0, 0.0),))
