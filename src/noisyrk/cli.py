@@ -37,6 +37,7 @@ from .problems import (
     NoiseModel,
     SpectrumSpec,
     _config_value,
+    _or_none,
     additive_noise,
     generate_system,
     load_system,
@@ -182,7 +183,7 @@ def _cmd_precondition(args, cfg: dict) -> int:
         rk=rk,
         master_seed=seed,
         output_dir=out,
-        initial_sq_error=cfg.get("initial_sq_error"),
+        initial_sq_error=_config_value(cfg, "initial_sq_error", _or_none(float), None),
     )
     return 0
 

@@ -56,6 +56,7 @@ from .problems import (
     NoisySystem,
     SpectrumSpec,
     _config_value,
+    _or_none,
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -114,7 +115,7 @@ class ExperimentConfig:
             self, "bound_kinds", tuple(BoundKind(k) for k in self.bound_kinds)
         )
         if self.noise_grid is not None:
-            grid = tuple((float(a), float(b)) for a, b in self.noise_grid)
+            grid = _noise_grid(self.noise_grid)
             if not grid:
                 raise ValueError("noise grid must be nonempty")
             object.__setattr__(self, "noise_grid", grid)
@@ -153,10 +154,14 @@ class ExperimentConfig:
             use_e=bool(noise.get("use_e", True)),
             use_f=bool(noise.get("use_f", True)),
             strength=_config_value(noise, "strength", float, 0.5, "noise"),
-            noise_grid=data.get("grid"),
+            noise_grid=_config_value(data, "grid", _or_none(_noise_grid), None),
             bound_kinds=_config_value(data, "bounds", tuple, ()),
-            output_dir=data.get("output_dir"),
+            output_dir=_config_value(data, "output_dir", _or_none(os.fspath), None),
         )
+
+
+def _noise_grid(pairs) -> tuple:
+    return tuple((float(a), float(b)) for a, b in pairs)
 
 
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
@@ -164,7 +169,7 @@ def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig
     return RkConfig(
         max_iterations=_config_value(data, "max_iterations", int, 10_000, "rk"),
         trials=_config_value(data, "trials", int, 10, "rk"),
-        record_stride=data.get("record_stride"),
+        record_stride=_config_value(data, "record_stride", _or_none(int), None, "rk"),
         seed=seed if seed is not None else _config_value(data, "seed", int, default_seed, "rk"),
         x0_mode=X0Mode(data.get("x0_mode", "range")),
     )

@@ -6,13 +6,17 @@ One step projects the iterate onto the hyperplane of a single equation:
 
 Rows are drawn with replacement, with probability proportional to their
 squared norm, via inverse-CDF lookup over the prefix sums.  ``solve``
-orchestrates multiple independent trials and records the squared error
-against the noiseless least squares solution on a fixed iteration grid.
+runs multiple independent trials and records the squared error against
+the noiseless least squares solution on a fixed iteration grid.
 
-Trials are embarrassingly parallel in principle: each trial owns its own
-generator streams and writes a disjoint row of the trajectory, so the
-loop could be farmed out without changing any result.  The implementation
-runs them sequentially; a single trial is inherently sequential.
+The trials run in lockstep: their iterates are the rows of one
+(trials, n) block, and each step projects every row onto its own
+trial's sampled equation at once (one gathered-row dot product per
+trial).  Each trial still draws its rows from its own
+generator stream, in fixed chunks of steps; a stream yields the same
+uniforms however its draws are split into blocks, so batching changes
+no draw, and a trial's result does not depend on how many trials run
+beside it.  A single trial is inherently sequential.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ __all__ = [
 
 # Cap on stored records per run; the stride grows with the iteration count.
 _MAX_RECORDS = 2000
+
+# Steps per trial drawn at once; bounds the draw buffers at O(trials * chunk).
+_CHUNK = 1024
 
 
 class X0Mode(str, enum.Enum):
@@ -80,6 +87,8 @@ class RkConfig:
             raise ValueError("record_stride must be at least 1")
         if (self.x0_mode is X0Mode.GIVEN) != (self.x0 is not None):
             raise ValueError("x0 must be supplied exactly when x0_mode is 'given'")
+        if self.x0 is not None and np.ndim(self.x0) == 2 and len(self.x0) != self.trials:
+            raise ValueError(f"x0 stack has {len(self.x0)} rows for {self.trials} trials")
 
 
 class RowSampler:
@@ -117,18 +126,32 @@ def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     return RowSampler(weights, seeding.stream(seed, seeding.SAMPLER, trial))
 
 
+def _step(x: np.ndarray, a: np.ndarray, idx, rhs, inv_norm_sq) -> None:
+    """One RK step of every trial at once, in place.
+
+    Row t of the (trials, n) block ``x`` is projected onto the hyperplane
+    ``a[idx[t]] . x = rhs[t]``; ``inv_norm_sq[t]`` is ``1 / ||a[idx[t]]||^2``.
+    """
+    rows = a.take(idx, axis=0)
+    rows *= ((np.vecdot(rows, x) - rhs) * inv_norm_sq)[:, None]
+    x -= rows
+
+
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     """One projection onto the hyperplane row . x = rhs.
 
     After the step the selected equation holds exactly (up to rounding).
     The row must be nonzero; zero rows are excluded by the sampler.
+    This is the solver's step applied to a single trial.
     """
     x = as_vector(x, "x")
     row = as_vector(row, "row")
     norm_sq = float(row @ row)
     if norm_sq == 0.0:
         raise ValueError("cannot project onto a zero row")
-    return x - ((row @ x - rhs) / norm_sq) * row
+    block = x[None, :].copy()
+    _step(block, row[None, :], [0], rhs, 1.0 / norm_sq)
+    return block[0]
 
 
 def initial_iterate(a_tilde: np.ndarray, cfg: RkConfig, trial: int) -> np.ndarray:
@@ -143,9 +166,10 @@ def initial_iterate(a_tilde: np.ndarray, cfg: RkConfig, trial: int) -> np.ndarra
         return np.zeros(n)
     if cfg.x0_mode is X0Mode.GIVEN:
         x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.ndim == 2:
-            return as_vector(x0[trial], "x0").copy()
-        return as_vector(x0, "x0").copy()
+        x0 = as_vector(x0[trial] if x0.ndim == 2 else x0, "x0")
+        if x0.size != n:
+            raise ValueError(f"x0 has width {x0.size}, the system has {n} unknowns")
+        return x0.copy()
     y = seeding.stream(cfg.seed, seeding.START_POINT, trial).standard_normal(a_tilde.shape[0])
     return a_tilde.T @ y
 
@@ -193,28 +217,28 @@ def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
     Each trial starts from its own x0 (see :func:`initial_iterate`), draws
     rows from its own sampler stream, and records the squared distance to
     the *noiseless* solution ``noisy.base.x_ls`` at the configured stride.
+    All trials advance together, one :func:`_step` per iteration.
     Bit-identical output for identical inputs and config.
     """
     a = np.ascontiguousarray(noisy.a_tilde)
     b = np.ascontiguousarray(noisy.b_tilde)
     x_ls = noisy.base.x_ls
     ks = record_points(cfg.max_iterations, cfg.record_stride)
+    samplers = [make_sampler(a, cfg.seed, t) for t in range(cfg.trials)]
+    w = samplers[0].weights
+    x = np.stack([initial_iterate(a, cfg, t) for t in range(cfg.trials)])
     per_trial = np.empty((cfg.trials, ks.size))
-    for trial in range(cfg.trials):
-        sampler = make_sampler(a, cfg.seed, trial)
-        w = sampler.weights
-        x = initial_iterate(a, cfg, trial)
-        d = x - x_ls
-        per_trial[trial, 0] = d @ d
-        done = 0
-        for j in range(1, ks.size):
-            target = int(ks[j])
-            for i in sampler.sample_block(target - done):
-                row = a[i]
-                x -= ((row @ x - b[i]) / w[i]) * row
-            done = target
-            d = x - x_ls
-            per_trial[trial, j] = d @ d
+    per_trial[:, 0] = _squared_distance(x, x_ls)
+    column = {k: j for j, k in enumerate(ks.tolist())}
+    for start in range(0, cfg.max_iterations, _CHUNK):
+        count = min(_CHUNK, cfg.max_iterations - start)
+        # idx[s, t]: the row trial t projects onto at iteration start + s + 1
+        idx = np.stack([s.sample_block(count) for s in samplers], axis=1)
+        for k, (i, rhs, inv) in enumerate(zip(idx, b[idx], 1.0 / w[idx]), start=start + 1):
+            _step(x, a, i, rhs, inv)
+            j = column.get(k)
+            if j is not None:
+                per_trial[:, j] = _squared_distance(x, x_ls)
     if not np.isfinite(per_trial).all():
         raise HypothesisError("iteration produced non-finite errors")
     return Trajectory(
@@ -223,6 +247,11 @@ def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
         mean_squared_error=per_trial.mean(axis=0),
         std_squared_error=per_trial.std(axis=0),
     )
+
+
+def _squared_distance(x: np.ndarray, x_ls: np.ndarray) -> np.ndarray:
+    d = x - x_ls
+    return np.vecdot(d, d)
 
 
 def empirical_horizon(traj: Trajectory) -> float:

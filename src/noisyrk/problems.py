@@ -83,6 +83,11 @@ def _config_value(data, key: str, convert, default=_REQUIRED, where: str = "conf
         raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
 
 
+def _or_none(convert):
+    """``convert`` for a key whose JSON null means "not set"."""
+    return lambda value: None if value is None else convert(value)
+
+
 class Spacing(str, enum.Enum):
     """How the singular values fill [sigma_min, sigma_max]."""
 

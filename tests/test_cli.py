@@ -265,6 +265,23 @@ class TestConfigErrors:
         assert main(["figure", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, change, key",
+        [("figure", {"grid": 5}, "grid"),
+         ("figure", {"rk": {**RK, "record_stride": [5]}}, "record_stride"),
+         ("figure", {"output_dir": 5}, "output_dir"),
+         ("precondition", {"initial_sq_error": [1.0]}, "initial_sq_error")],
+        ids=["grid", "record_stride", "output_dir", "initial_sq_error"],
+    )
+    def test_wrong_value_type_names_key(self, tmp_path, capsys, subcommand, change, key):
+        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, **change})
+        # output_dir is only read from the config when --out is absent
+        out = [] if key == "output_dir" else ["--out", str(tmp_path / "x")]
+        assert main([subcommand, "--config", cfg, *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"bad value for '{key}'" in err
+
     def test_program_type_error_is_not_a_config_error(self, tmp_path, system_dir, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("unsupported operand type(s)")

@@ -84,6 +84,14 @@ class TestRowSampler:
         assert np.array_equal(one, two)
         assert not np.array_equal(one, make_sampler(a, seed=6).sample_block(1000))
 
+    @pytest.mark.parametrize("first, second", [(1, 1), (7, 1024), (1024, 1), (300, 2200)])
+    def test_blocks_concatenate_to_one_draw(self, small_system, first, second):
+        # the solver draws in fixed chunks; a split stream must give the same rows
+        split = make_sampler(small_system.a, seed=3, trial=2)
+        parts = np.concatenate([split.sample_block(first), split.sample_block(second)])
+        whole = make_sampler(small_system.a, seed=3, trial=2).sample_block(first + second)
+        assert np.array_equal(parts, whole)
+
 
 class TestRecordPoints:
     def test_includes_endpoints(self):
@@ -125,6 +133,30 @@ class TestSolve:
         d = x - small_system.x_ls
         assert traj.per_trial_squared_error[0, -1] == pytest.approx(float(d @ d), rel=1e-12)
 
+    def test_every_trial_matches_its_rk_step_sequence(self, small_system):
+        # 2500 steps cross a draw-chunk boundary; a stride of 7 does not divide them
+        noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
+        cfg = RkConfig(max_iterations=2500, trials=3, record_stride=7, seed=9)
+        traj = solve(noisy, cfg)
+        ks = traj.recorded_iterations
+        assert ks[-1] == 2500 and 2500 % 7 != 0
+        for trial in range(cfg.trials):
+            x = initial_iterate(noisy.a_tilde, cfg, trial)
+            rows = make_sampler(noisy.a_tilde, cfg.seed, trial).sample_block(2500)
+            expected = []
+            for k, i in enumerate(rows, start=1):
+                x = rk_step(x, noisy.a_tilde[i], noisy.b_tilde[i])
+                if k in ks:
+                    d = x - small_system.x_ls
+                    expected.append(float(d @ d))
+            assert_allclose(traj.per_trial_squared_error[trial, 1:], expected, rtol=1e-12)
+
+    def test_trial_independent_of_other_trials(self, small_system):
+        noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
+        three = solve(noisy, RkConfig(max_iterations=2500, trials=3, record_stride=7, seed=9))
+        one = solve(noisy, RkConfig(max_iterations=2500, trials=1, record_stride=7, seed=9))
+        assert np.array_equal(three.per_trial_squared_error[0], one.per_trial_squared_error[0])
+
     def test_monotone_decrease_in_expectation(self, noiseless):
         cfg = RkConfig(max_iterations=1500, trials=100, record_stride=50, seed=3)
         mse = solve(noiseless, cfg).mean_squared_error
@@ -152,6 +184,17 @@ class TestSolve:
         d1 = x0s[1] - small_system.x_ls
         assert traj.per_trial_squared_error[0, 0] == pytest.approx(float(d0 @ d0))
         assert traj.per_trial_squared_error[1, 0] == pytest.approx(float(d1 @ d1))
+
+    def test_x0_stack_needs_one_row_per_trial(self, small_system):
+        x0s = np.zeros((2, small_system.a.shape[1]))
+        with pytest.raises(ValueError, match="2 rows for 3 trials"):
+            RkConfig(max_iterations=5, trials=3, x0_mode=X0Mode.GIVEN, x0=x0s)
+
+    @pytest.mark.parametrize("shape", [(19,), (2, 21)])
+    def test_x0_width_must_match_system(self, noiseless, shape):
+        cfg = RkConfig(max_iterations=5, trials=2, x0_mode=X0Mode.GIVEN, x0=np.zeros(shape))
+        with pytest.raises(ValueError, match="20 unknowns"):
+            solve(noiseless, cfg)
 
 
 class TestProjectionGeometry:
