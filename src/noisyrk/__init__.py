@@ -67,6 +67,7 @@ from .linalg import (
 from .problems import (
     LinearSystem,
     NoiseModel,
+    NoiseSpec,
     NoisySystem,
     Spacing,
     SpectrumSpec,
@@ -88,8 +89,8 @@ __all__ = [
     "orthonormalize_columns", "read_matrix", "write_matrix",
     "read_vector", "write_vector",
     # problems
-    "Spacing", "NoiseModel", "SpectrumSpec", "LinearSystem", "NoisySystem",
-    "generate_system", "additive_noise", "multiplicative_noise",
+    "Spacing", "NoiseModel", "NoiseSpec", "SpectrumSpec", "LinearSystem",
+    "NoisySystem", "generate_system", "additive_noise", "multiplicative_noise",
     "partial_consistent_noise", "preconditioner_noise",
     "save_system", "load_system",
     # solver

@@ -84,11 +84,6 @@ class BoundCurve:
     values: np.ndarray
     scalars: dict
 
-    def with_initial_error(self, initial_error: float) -> "BoundCurve":
-        """Same bound re-evaluated from a different initial error."""
-        values = _evaluate(self.rate, initial_error, self.horizon, self.iterations, self.squared)
-        return replace(self, initial_error=float(initial_error), values=values)
-
 
 @dataclass(frozen=True)
 class HorizonComparison:
@@ -105,12 +100,6 @@ class HorizonComparison:
     chain_verified: bool
 
 
-def _evaluate(rate, initial_error, horizon, ks, squared) -> np.ndarray:
-    ks = np.asarray(ks, dtype=float)
-    exponent = ks if squared else ks / 2.0
-    return rate ** exponent * initial_error + horizon
-
-
 def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
@@ -125,10 +114,11 @@ def _curve(kind, r, x0, target, horizon, squared, ks, scalars) -> BoundCurve:
     errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
     initial = float(np.mean(errors))
     rate = 1.0 - 1.0 / r
+    exponent = np.asarray(ks, dtype=float) / (1.0 if squared else 2.0)
     return BoundCurve(
         kind=kind, rate=rate, horizon=horizon, initial_error=initial, squared=squared,
         iterations=np.asarray(ks, dtype=np.int64),
-        values=_evaluate(rate, initial, horizon, ks, squared), scalars=scalars,
+        values=rate ** exponent * initial + horizon, scalars=scalars,
     )
 
 

@@ -53,9 +53,11 @@ from .linalg import _write_json, _write_table, scaled_condition_number
 from .problems import (
     LinearSystem,
     NoiseModel,
+    NoiseSpec,
     NoisySystem,
     SpectrumSpec,
     _config_value,
+    _exact,
     _or_none,
     additive_noise,
     generate_system,
@@ -74,6 +76,7 @@ __all__ = [
     "run_table2",
     "run_preconditioner_demo",
     "apply_paper_scale",
+    "build_noisy",
     "write_band_csv",
 ]
 
@@ -101,16 +104,12 @@ class ExperimentConfig:
     spectrum: SpectrumSpec
     rk: RkConfig
     master_seed: int
-    noise_model: NoiseModel = NoiseModel.ADDITIVE
-    use_e: bool = True
-    use_f: bool = True
-    strength: float = 0.5
+    noise: NoiseSpec = NoiseSpec()
     noise_grid: tuple | None = None
     bound_kinds: tuple = ()
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "noise_model", NoiseModel(self.noise_model))
         object.__setattr__(
             self, "bound_kinds", tuple(BoundKind(k) for k in self.bound_kinds)
         )
@@ -123,12 +122,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "spectrum": self.spectrum.to_dict(),
-            "noise": {
-                "model": self.noise_model.value,
-                "use_e": self.use_e,
-                "use_f": self.use_f,
-                "strength": self.strength,
-            },
+            "noise": self.noise.to_dict(),
             "grid": [list(p) for p in self.noise_grid] if self.noise_grid else None,
             "rk": {
                 "max_iterations": self.rk.max_iterations,
@@ -144,16 +138,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        master_seed = _config_value(data, "master_seed", int)
-        noise = data.get("noise", {})
+        master_seed = _config_value(data, "master_seed", _exact(int))
         return cls(
             spectrum=_config_value(data, "spectrum", SpectrumSpec.from_dict),
             rk=_rk_from(data.get("rk", {}), master_seed),
             master_seed=master_seed,
-            noise_model=_config_value(noise, "model", NoiseModel, NoiseModel.ADDITIVE, "noise"),
-            use_e=bool(noise.get("use_e", True)),
-            use_f=bool(noise.get("use_f", True)),
-            strength=_config_value(noise, "strength", float, 0.5, "noise"),
+            noise=NoiseSpec.from_dict(data.get("noise", {})),
             noise_grid=_config_value(data, "grid", _or_none(_noise_grid), None),
             bound_kinds=_config_value(data, "bounds", tuple, ()),
             output_dir=_config_value(data, "output_dir", _or_none(os.fspath), None),
@@ -167,10 +157,10 @@ def _noise_grid(pairs) -> tuple:
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
     """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
     return RkConfig(
-        max_iterations=_config_value(data, "max_iterations", int, 10_000, "rk"),
-        trials=_config_value(data, "trials", int, 10, "rk"),
-        record_stride=_config_value(data, "record_stride", _or_none(int), None, "rk"),
-        seed=seed if seed is not None else _config_value(data, "seed", int, default_seed, "rk"),
+        max_iterations=_config_value(data, "max_iterations", _exact(int), 10_000, "rk"),
+        trials=_config_value(data, "trials", _exact(int), 10, "rk"),
+        record_stride=_config_value(data, "record_stride", _or_none(_exact(int)), None, "rk"),
+        seed=seed if seed is not None else _config_value(data, "seed", _exact(int), default_seed, "rk"),
         x0_mode=X0Mode(data.get("x0_mode", "range")),
     )
 
@@ -188,7 +178,6 @@ class GridPointResult:
 
     sigma_a: float
     sigma_b: float
-    noisy: NoisySystem
     trajectory: Trajectory
     curves: dict
     bound_errors: dict
@@ -219,21 +208,23 @@ class PreconditionerDemo:
     horizon: float
 
 
-def build_noisy(cfg: ExperimentConfig, sys: LinearSystem, sigma_a: float, sigma_b: float) -> NoisySystem:
-    """Construct the grid point's noisy system per the configured model."""
-    if cfg.noise_model is NoiseModel.ADDITIVE:
-        return additive_noise(sys, sigma_a, sigma_b, cfg.master_seed)
-    if cfg.noise_model is NoiseModel.MULTIPLICATIVE:
+def build_noisy(noise: NoiseSpec, sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int) -> NoisySystem:
+    """The noisy system of one magnitude pair under ``noise``: the only noise-model dispatch.
+
+    For ``partial_consistent`` ``sigma_a`` is q = ||pinv(A)|| ||dA||; ``sigma_b`` must be 0.
+    """
+    if noise.model is NoiseModel.ADDITIVE:
+        return additive_noise(sys, sigma_a, sigma_b, seed)
+    if noise.model is NoiseModel.MULTIPLICATIVE:
         return multiplicative_noise(
-            sys, sigma_a, sigma_b, use_e=cfg.use_e, use_f=cfg.use_f, seed=cfg.master_seed
+            sys, sigma_a, sigma_b, use_e=noise.use_e, use_f=noise.use_f, seed=seed
         )
-    if cfg.noise_model is NoiseModel.PARTIAL_CONSISTENT:
-        if sigma_b != 0.0:
-            raise ValueError("the partial_consistent model carries no right-hand side noise")
-        strength = sigma_a if sigma_a > 0 else cfg.strength
-        return partial_consistent_noise(sys, strength, cfg.master_seed)
-    if sigma_a != 0.0 or sigma_b != 0.0:
-        raise ValueError("the preconditioner model takes no noise magnitudes")
+    if sigma_b != 0.0:
+        raise ValueError(f"the {noise.model.value} model takes no sigma_b")
+    if noise.model is NoiseModel.PARTIAL_CONSISTENT:
+        return partial_consistent_noise(sys, sigma_a, seed)
+    if sigma_a != 0.0:
+        raise ValueError("the preconditioner model takes no sigma_a")
     return preconditioner_noise(sys)
 
 
@@ -242,7 +233,7 @@ def _sig(x: float) -> str:
 
 
 def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
-    noisy = build_noisy(cfg, sys, sigma_a, sigma_b)
+    noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
     traj = solve(noisy, cfg.rk)
     x0s = np.stack([initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)])
     curves: dict = {}
@@ -254,10 +245,7 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
             curves[kind] = evaluate_bound(kind, sys, noisy, x0s, traj.recorded_iterations)
         except HypothesisError as exc:
             errors[kind] = str(exc)
-    result = GridPointResult(
-        sigma_a=sigma_a, sigma_b=sigma_b, noisy=noisy,
-        trajectory=traj, curves=curves, bound_errors=errors,
-    )
+    result = GridPointResult(sigma_a, sigma_b, traj, curves, errors)
     if cfg.output_dir is not None:
         _write_grid_point(Path(cfg.output_dir), result)
     return result
@@ -331,16 +319,15 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
 
 
 def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
-    noisy = build_noisy(cfg, sys, sigma_a, sigma_b)
+    noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
     x0s = [initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)]
-    init_mean = float(np.mean([np.sum((x0 - sys.x_ls) ** 2) for x0 in x0s]))
-    curve = bound_additive(sys, noisy, x0s[0], [0])
+    curve = bound_additive(sys, noisy, x0s, [0])  # its initial error is the trial mean
     r_tilde = curve.scalars["scaled_condition_number_tilde"]
     kappa = float(noisy.analysis.sigma[0] / noisy.analysis.sigma[-1])
-    iterations = _adaptive_iterations(r_tilde, init_mean)
+    iterations = _adaptive_iterations(r_tilde, curve.initial_error)
     traj = solve(noisy, replace(cfg.rk, max_iterations=iterations))
     empirical = empirical_horizon(traj)
-    decayed = curve.rate ** iterations * init_mean
+    decayed = curve.rate ** iterations * curve.initial_error
     if decayed > max(1e-3 * empirical, 1e-10):
         logger.warning(
             "empirical horizon at (%g, %g) still carries a geometric term %.3e",
@@ -365,7 +352,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     term is negligible next to the horizon being measured.  Uses the
     standard ten-point grid when the config does not override it.
     """
-    if cfg.noise_model is not NoiseModel.ADDITIVE:
+    if cfg.noise.model is not NoiseModel.ADDITIVE:
         raise ValueError("the sweep is defined for the additive noise model")
     grid = cfg.noise_grid if cfg.noise_grid is not None else TABLE2_GRID
     outcomes = _map_grid(_run_table2_point, cfg, grid, threads)
@@ -404,11 +391,11 @@ def run_preconditioner_demo(
     mean initial error in those predictions when supplied.
     """
     sys = generate_system(spec, master_seed)
-    noisy = preconditioner_noise(sys)
+    noisy = build_noisy(NoiseSpec(NoiseModel.PRECONDITIONER), sys, 0.0, 0.0, master_seed)
     x0s = np.stack([initial_iterate(noisy.a_tilde, rk, t) for t in range(rk.trials)])
     shared = replace(rk, x0_mode=X0Mode.GIVEN, x0=x0s)
     traj_noisy = solve(noisy, shared)
-    zero = additive_noise(sys, 0.0, 0.0, master_seed)
+    zero = build_noisy(NoiseSpec(), sys, 0.0, 0.0, master_seed)
     traj_noiseless = solve(zero, shared)
 
     curve = bound_additive(sys, noisy, x0s[0], [0])

@@ -70,20 +70,14 @@ class SvdFactors:
 
     ``u`` (m x rank) and ``v`` (n x rank) have orthonormal columns and
     ``sigma`` holds the strictly positive singular values kept by the
-    numerical-rank cut, in nonincreasing order.  ``tolerance`` is the
-    absolute cutoff that was applied.  A zero matrix yields the empty
-    factor set with ``rank == 0``.
+    numerical-rank cut, in nonincreasing order.  A zero matrix yields
+    the empty factor set with ``rank == 0``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank: int
-    tolerance: float
-
-    def reconstruct(self) -> np.ndarray:
-        """Product ``u @ diag(sigma) @ v.T`` (the rank-truncated matrix)."""
-        return (self.u * self.sigma) @ self.v.T
 
     def pinv(self) -> np.ndarray:
         """Pseudoinverse ``v @ diag(1/sigma) @ u.T`` over kept components."""
@@ -113,7 +107,6 @@ def svd(a, tol: float | None = None) -> SvdFactors:
         sigma=s[:rank].copy(),
         v=np.ascontiguousarray(vt[:rank].T),
         rank=rank,
-        tolerance=cutoff,
     )
 
 

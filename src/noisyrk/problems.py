@@ -8,8 +8,8 @@ noiseless system is consistent.  Four noise models then corrupt it:
 * ``additive``            -- A + sigma_a * E,  b + sigma_b * eps
 * ``multiplicative``      -- (I + sigma_a E) A (I + sigma_a F),  b + sigma_b * eps
 * ``partial_consistent``  -- A(I + M) with the right-hand side unchanged,
-                             rescaled so ||pinv(A)|| * ||dA|| equals a given
-                             strength < 1; rank and consistency are preserved
+                             rescaled so q = ||pinv(A)|| * ||dA|| takes a
+                             given value < 1; rank and consistency are preserved
 * ``preconditioner``      -- A + (sigma_{r-1} - sigma_r) u_r v_r^T, a
                              deliberate rank-gap fill that shrinks the scaled
                              condition number
@@ -48,6 +48,7 @@ __all__ = [
     "Spacing",
     "NoiseModel",
     "SpectrumSpec",
+    "NoiseSpec",
     "LinearSystem",
     "NoisyAnalysis",
     "NoisySystem",
@@ -86,6 +87,15 @@ def _config_value(data, key: str, convert, default=_REQUIRED, where: str = "conf
 def _or_none(convert):
     """``convert`` for a key whose JSON null means "not set"."""
     return lambda value: None if value is None else convert(value)
+
+
+def _exact(kind: type):
+    """Converter taking only JSON values of type ``kind``: no truncated ``100.9``, no true ``"false"``."""
+    def convert(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return convert
 
 
 class Spacing(str, enum.Enum):
@@ -138,6 +148,37 @@ class SpectrumSpec:
     def from_dict(cls, data: dict) -> "SpectrumSpec":
         """Inverse of :meth:`to_dict`; an unknown or missing field is a ``TypeError`` naming it."""
         return cls(**data)
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """A noise model; ``use_e`` / ``use_f`` switch the multiplicative factors.
+
+    The magnitudes ``sigma_a`` / ``sigma_b`` come from a grid point, or beside it in ``gen``'s block.
+    """
+
+    model: NoiseModel = NoiseModel.ADDITIVE
+    use_e: bool = True
+    use_f: bool = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", NoiseModel(self.model))
+
+    def to_dict(self) -> dict:
+        return {"model": self.model.value, "use_e": self.use_e, "use_f": self.use_f}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "NoiseSpec":
+        """Inverse of :meth:`to_dict`; a key other than these and the magnitudes is a ``ValueError``."""
+        spec = cls(
+            _config_value(data, "model", NoiseModel, NoiseModel.ADDITIVE, "noise"),
+            _config_value(data, "use_e", _exact(bool), True, "noise"),
+            _config_value(data, "use_f", _exact(bool), True, "noise"),
+        )
+        unknown = set(data) - {"model", "use_e", "use_f", "sigma_a", "sigma_b"}
+        if unknown:
+            raise ValueError(f"noise: unknown key '{min(unknown)}'")
+        return spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,22 +377,22 @@ def multiplicative_noise(
     )
 
 
-def partial_consistent_noise(sys: LinearSystem, strength: float, seed: int) -> NoisySystem:
+def partial_consistent_noise(sys: LinearSystem, q: float, seed: int) -> NoisySystem:
     """Matrix-only corruption that keeps ``a_tilde x = b`` consistent.
 
     The perturbation is dA = a M for a square standard-normal M rescaled
-    so that ``||pinv(a)|| * ||dA|| == strength < 1``.  Because
+    so that ``||pinv(a)|| * ||dA|| == q < 1``.  Because
     a_tilde = a (I + M) with I + M nonsingular, the rank and the range
     of the matrix are unchanged and b stays in range(a_tilde).
     """
-    if not 0 < strength < 1:
-        raise ValueError("strength must lie strictly between 0 and 1")
+    if not 0 < q < 1:
+        raise ValueError(f"q = ||pinv(A)|| ||dA|| must lie strictly between 0 and 1, got {q:g}")
     n = sys.a.shape[1]
     pinv_norm = 1.0 / sigma_min_nonzero(sys.factors)
     for attempt in range(_MAX_REDRAWS):
         m0 = seeding.stream(seed, seeding.MATRIX_NOISE, attempt).standard_normal((n, n))
         am = sys.a @ m0
-        scale = strength / (pinv_norm * spectral_norm(am))
+        scale = q / (pinv_norm * spectral_norm(am))
         if sigma_min_nonzero(np.eye(n) + scale * m0) >= _MIN_FACTOR_SIGMA:
             break
     else:

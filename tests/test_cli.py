@@ -1,9 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from noisyrk import cli
+from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system
 from noisyrk.cli import main
+from noisyrk.experiments import build_noisy
 
 SPECTRUM = {"m": 30, "n": 15, "r": 15, "sigma_min": 1.0, "sigma_max": 4.0}
 RK = {"max_iterations": 2000, "trials": 4, "record_stride": 100, "seed": 5}
@@ -51,6 +55,37 @@ class TestGen:
         assert snapshot(out1) == snapshot(out2)
         assert (out1 / "A.mat").read_bytes() != (out3 / "A.mat").read_bytes()
 
+    @pytest.mark.parametrize(
+        "noise",
+        [{"model": "additive", "sigma_a": 0.1, "sigma_b": 0.2},
+         {"model": "multiplicative", "sigma_a": 0.05, "sigma_b": 0.1, "use_f": False},
+         {"model": "partial_consistent", "sigma_a": 0.3},
+         {"model": "preconditioner"}],
+        ids=lambda noise: noise["model"],
+    )
+    def test_same_system_as_build_noisy(self, tmp_path, noise):
+        cfg = write_config(tmp_path / "gen.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "system")]) == 0
+        loaded = load_system(tmp_path / "system")
+        magnitudes = (noise.get("sigma_a", 0.0), noise.get("sigma_b", 0.0))
+        sys_ = generate_system(SpectrumSpec(**SPECTRUM), 3)
+        built = build_noisy(NoiseSpec.from_dict(noise), sys_, *magnitudes, 3)
+        assert np.array_equal(loaded.a_tilde, built.a_tilde)
+        assert np.array_equal(loaded.b_tilde, built.b_tilde)
+
+    @pytest.mark.parametrize(
+        "noise, key",
+        [({"model": "preconditioner", "sigma_a": 0.1}, "sigma_a"),
+         ({"model": "preconditioner", "sigma_b": 0.1}, "sigma_b"),
+         ({"model": "partial_consistent", "sigma_a": 0.3, "sigma_b": 0.1}, "sigma_b")],
+    )
+    def test_magnitude_the_model_does_not_take_exit_1(self, tmp_path, capsys, noise, key):
+        cfg = write_config(tmp_path / "gen.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "system")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"takes no {key}" in err
+
 
 class TestSolve:
     def test_happy_path(self, tmp_path, system_dir):
@@ -96,6 +131,17 @@ class TestBounds:
             {"system_dir": str(system_dir), "rk": RK, "bounds": ["nope"]},
         )
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    def test_initial_error_is_the_trial_mean_that_solve_starts_from(self, tmp_path, system_dir):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system_dir": str(system_dir), "rk": RK, "bounds": ["additive"]},
+        )
+        for sub in ("solve", "bounds"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub), "--seed", "1"]) == 0
+        traj = np.loadtxt(tmp_path / "solve" / "traj.csv", delimiter=",", skiprows=1)
+        meta = json.loads((tmp_path / "bounds" / "bound_additive.meta.json").read_text())
+        assert meta["initial_error"] == pytest.approx(traj[0, 1], rel=1e-12)
 
     def test_one_svd_per_matrix_for_two_kinds(self, tmp_path, svd_calls):
         gen = write_config(
@@ -282,6 +328,38 @@ class TestConfigErrors:
         assert err.startswith("config error:")
         assert f"bad value for '{key}'" in err
 
+    @pytest.mark.parametrize(
+        "noise, key",
+        [({"model": "partial_consistent", "sigma_a": 0.3, "strength": 0.3}, "strength"),
+         ({"model": "multiplicative", "use_f": "false"}, "use_f"),
+         ({"model": "multiplicative", "use_e": 0}, "use_e")],
+    )
+    @pytest.mark.parametrize("subcommand", ["gen", "figure"])
+    def test_bad_noise_key_exit_1(self, tmp_path, capsys, subcommand, noise, key):
+        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "noise": noise})
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise:")
+        assert f"key '{key}'" in err or f"bad value for '{key}'" in err
+
+    @pytest.mark.parametrize(
+        "subcommand, change, key",
+        [("solve", {"rk": {**RK, "max_iterations": 100.9}}, "max_iterations"),
+         ("solve", {"rk": {**RK, "trials": 2.7}}, "trials"),
+         ("solve", {"rk": {**RK, "record_stride": 50.5}}, "record_stride"),
+         ("figure", {"rk": {**RK, "seed": 5.5}}, "seed"),
+         ("figure", {"master_seed": 7.5}, "master_seed"),
+         ("precondition", {"master_seed": 7.5}, "master_seed"),
+         ("gen", {"seed": 3.5}, "seed"),
+         ("gen", {"seed": True}, "seed")],
+    )
+    def test_fractional_integer_exit_1(self, tmp_path, system_dir, capsys, subcommand, change, key):
+        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "system_dir": str(system_dir), **change})
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"bad value for '{key}'" in err
+
     def test_program_type_error_is_not_a_config_error(self, tmp_path, system_dir, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("unsupported operand type(s)")
@@ -330,3 +408,15 @@ class TestRkParsing:
             fields = (parsed.max_iterations, parsed.trials, parsed.record_stride,
                       parsed.seed, parsed.x0_mode.value, parsed.x0)
             assert fields == (40, 3, 8, seed, "zero", None), sub
+
+
+class TestBenchmarkLookups:
+    def test_every_traced_name_exists(self):
+        # the benchmark's tracer patches these names where the CLI and the
+        # experiment runners look them up; a missing one would break it
+        path = Path(__file__).resolve().parents[1] / "bench" / "trace_pass.py"
+        spec = importlib.util.spec_from_file_location("trace_pass", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for target, attr, _ in module.TARGETS:
+            assert hasattr(target, attr), f"{target.__name__}.{attr}"

@@ -7,6 +7,7 @@ from noisyrk import (
     BoundKind,
     ExperimentConfig,
     NoiseModel,
+    NoiseSpec,
     RkConfig,
     Spacing,
     SpectrumSpec,
@@ -20,6 +21,7 @@ from noisyrk import (
     run_preconditioner_demo,
     run_table2,
 )
+from noisyrk.experiments import build_noisy
 
 SPEC = SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=4.0)
 
@@ -29,7 +31,6 @@ def make_config(tmp_path=None, **overrides):
         spectrum=SPEC,
         rk=RkConfig(max_iterations=3000, trials=5, record_stride=150, seed=42),
         master_seed=42,
-        noise_model=NoiseModel.ADDITIVE,
         noise_grid=((0.0, 0.0),),
         bound_kinds=(BoundKind.ADDITIVE,),
         output_dir=str(tmp_path) if tmp_path is not None else None,
@@ -62,8 +63,7 @@ class TestFigureExperiment:
     def test_multiplicative_regime_emits_bound(self, tmp_path):
         cfg = make_config(
             tmp_path,
-            noise_model=NoiseModel.MULTIPLICATIVE,
-            use_f=False,
+            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE, use_f=False),
             noise_grid=((0.05, 0.05),),
             bound_kinds=(BoundKind.MULTIPLICATIVE,),
         )
@@ -77,7 +77,7 @@ class TestFigureExperiment:
         # bound against the hypothesis-free one on the same dataset
         cfg = make_config(
             tmp_path,
-            noise_model=NoiseModel.PARTIAL_CONSISTENT,
+            noise=NoiseSpec(NoiseModel.PARTIAL_CONSISTENT),
             noise_grid=((0.4, 0.0),),
             bound_kinds=(BoundKind.PERTURBATION_PARTIAL, BoundKind.ADDITIVE),
         )
@@ -105,11 +105,14 @@ class TestFigureExperiment:
         assert "noiseless" in meta["bound_errors"]["0.1_0.1"]
 
     def test_noise_draw_shared_across_grid(self):
-        cfg = make_config(noise_grid=((0.01, 0.01), (0.5, 0.5)))
-        results = run_figure_experiment(cfg)
-        e1 = results[(0.01, 0.01)].noisy.e
-        e2 = results[(0.5, 0.5)].noisy.e
-        assert np.array_equal(e1, e2)
+        # every grid point scales the same unit draws by its own magnitudes
+        sys_ = generate_system(SPEC, 42)
+        for model, draws in ((NoiseModel.ADDITIVE, "e eps"), (NoiseModel.MULTIPLICATIVE, "e f eps")):
+            low = build_noisy(NoiseSpec(model), sys_, 0.01, 0.01, 42)
+            high = build_noisy(NoiseSpec(model), sys_, 0.5, 0.5, 42)
+            for name in draws.split():
+                assert np.array_equal(getattr(low, name), getattr(high, name)), (model, name)
+            assert not np.array_equal(low.a_tilde, high.a_tilde)
 
     def test_byte_identical_under_same_config(self, tmp_path):
         out = tmp_path / "runs"
@@ -135,7 +138,7 @@ class TestFigureExperiment:
             BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE, BoundKind.MULTIPLICATIVE_PERTURBATION,
         )
         cfg = make_config(
-            noise_model=NoiseModel.MULTIPLICATIVE, noise_grid=grid, bound_kinds=kinds,
+            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=grid, bound_kinds=kinds,
             rk=RkConfig(max_iterations=200, trials=10, seed=42),
         )
         results = run_figure_experiment(cfg)
@@ -191,7 +194,7 @@ class TestTable2:
         assert len(TABLE2_GRID) == 10
 
     def test_non_additive_rejected(self):
-        cfg = make_config(noise_model=NoiseModel.MULTIPLICATIVE, noise_grid=((0.0, 0.0),))
+        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=((0.0, 0.0),))
         with pytest.raises(ValueError, match="additive"):
             run_table2(cfg)
 
@@ -238,11 +241,13 @@ class TestConfigSerialization:
     def test_roundtrip(self, tmp_path):
         cfg = make_config(
             tmp_path,
+            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE, use_e=False),
             noise_grid=((0.0, 0.0), (0.1, 0.2)),
             bound_kinds=(BoundKind.ADDITIVE, BoundKind.RHS_NOISE),
         )
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back.spectrum == cfg.spectrum
+        assert back.noise == cfg.noise
         assert back.noise_grid == cfg.noise_grid
         assert back.bound_kinds == cfg.bound_kinds
         assert back.rk.max_iterations == cfg.rk.max_iterations
