@@ -21,9 +21,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import evaluate_bound, write_bound_csv
+from .bounds import BoundKind, evaluate_bound, write_bound_csv
 from .errors import HypothesisError
 from .experiments import (
+    _EXPERIMENT_KEYS,
     ExperimentConfig,
     _rk_from,
     apply_paper_scale,
@@ -35,11 +36,9 @@ from .experiments import (
 )
 from .kaczmarz import initial_iterate, record_points, solve, write_trajectory_csv
 from .problems import (
+    _NOISE_KEYS, _REQUIRED, _exact, _list_of, _number, _or_none, _read,  # the config reader
     NoiseSpec,
     SpectrumSpec,
-    _config_value,
-    _exact,
-    _or_none,
     generate_system,
     load_system,
     save_system,
@@ -58,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="noisyrk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -73,103 +79,92 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override every seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--scale", choices=("desk", "paper"), default="desk",
-            help="'paper' swaps in full-size dimensions and budget (figure/table2)",
-        )
-        p.add_argument(
-            "--threads", type=int, default=os.cpu_count(),
-            help="worker pool size for grid points",
-        )
+        if name in ("table2", "figure"):
+            p.add_argument("--scale", choices=("desk", "paper"), default="desk", help="'paper': full-size run")
+            p.add_argument("--threads", type=_threads, default=os.cpu_count(), help="pool size over grid points")
     return parser
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+def _config(args, schema: dict) -> dict:
+    """The ``--config`` object read through ``schema``; ``--out`` overrides ``output_dir``, and one is required."""
+    with open(args.config) as fh:
+        cfg = _read(json.load(fh), "config", {**schema, "output_dir": (_or_none(os.fspath), None)})
+    cfg["output_dir"] = args.out or cfg["output_dir"]
+    if cfg["output_dir"] is None:
+        raise ValueError("an output directory is required (--out or output_dir)")
     return cfg
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or _config_value(cfg, "output_dir", os.fspath, None)
-    if out is None:
-        raise ValueError("an output directory is required (--out or output_dir)")
-    return Path(out)
-
-
-def _cmd_gen(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", _exact(int), 0)
-    block = cfg.get("noise", {})
-    noise = NoiseSpec.from_dict(block)
-    sigma_a = _config_value(block, "sigma_a", float, 0.0, "noise")
-    sigma_b = _config_value(block, "sigma_b", float, 0.0, "noise")
-    sys_ = generate_system(_config_value(cfg, "spectrum", SpectrumSpec.from_dict), seed)
-    save_system(build_noisy(noise, sys_, sigma_a, sigma_b, seed), out)
+def _cmd_gen(args) -> int:
+    cfg = _config(args, {
+        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (_exact(dict), {}), "seed": (_exact(int), 0),
+    })
+    # gen's noise block carries the magnitudes that a grid point supplies elsewhere
+    noise = _read(cfg["noise"], "noise", {**_NOISE_KEYS, "sigma_a": (_number, 0.0), "sigma_b": (_number, 0.0)})
+    sigma_a, sigma_b = noise.pop("sigma_a"), noise.pop("sigma_b")
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    sys_ = generate_system(cfg["spectrum"], seed)
+    save_system(build_noisy(NoiseSpec(**noise), sys_, sigma_a, sigma_b, seed), cfg["output_dir"])
     return 0
 
 
-def _cmd_solve(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg)
-    noisy = load_system(_config_value(cfg, "system_dir", os.fspath))
-    rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
-    traj = solve(noisy, rk)
+def _cmd_solve(args) -> int:
+    cfg = _config(args, {"system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {})})
+    rk = _rk_from(cfg["rk"], 0, args.seed)  # every key is read before the system is loaded
+    traj = solve(load_system(cfg["system_dir"]), rk)
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "traj.csv", traj)
     write_band_csv(out / "band.csv", traj)
     return 0
 
 
-def _cmd_bounds(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg)
-    noisy = load_system(_config_value(cfg, "system_dir", os.fspath))
-    rk = _rk_from(cfg.get("rk", {}), 0, args.seed)
+def _cmd_bounds(args) -> int:
+    cfg = _config(args, {
+        "system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), _REQUIRED),
+    })
+    rk = _rk_from(cfg["rk"], 0, args.seed)
+    noisy = load_system(cfg["system_dir"])
     ks = record_points(rk.max_iterations, rk.record_stride)
     # every trial's start, as solve uses them: the curves carry the trial-mean initial error
     x0 = [initial_iterate(noisy.a_tilde, rk, t) for t in range(rk.trials)]
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    for kind in _config_value(cfg, "bounds", list):
+    for kind in cfg["bounds"]:
         curve = evaluate_bound(kind, noisy.base, noisy, x0, ks)
         write_bound_csv(out / f"bound_{curve.kind.value}.csv", curve)
     return 0
 
 
-def _experiment_config(args, cfg: dict) -> ExperimentConfig:
-    exp = ExperimentConfig.from_dict(cfg)
+def _experiment_config(args) -> ExperimentConfig:
+    exp = ExperimentConfig._from_fields(_config(args, _EXPERIMENT_KEYS))
     if args.seed is not None:
         exp = replace(exp, master_seed=args.seed, rk=replace(exp.rk, seed=args.seed))
-    if args.out is not None:
-        exp = replace(exp, output_dir=args.out)
-    if args.scale == "paper":
-        exp = apply_paper_scale(exp)
-    if exp.output_dir is None:
-        raise ValueError("an output directory is required (--out or output_dir)")
-    return exp
+    return apply_paper_scale(exp) if args.scale == "paper" else exp
 
 
-def _cmd_table2(args, cfg: dict) -> int:
-    run_table2(_experiment_config(args, cfg), threads=args.threads)
+def _cmd_table2(args) -> int:
+    run_table2(_experiment_config(args), threads=args.threads)
     return 0
 
 
-def _cmd_figure(args, cfg: dict) -> int:
-    run_figure_experiment(_experiment_config(args, cfg), threads=args.threads)
+def _cmd_figure(args) -> int:
+    run_figure_experiment(_experiment_config(args), threads=args.threads)
     return 0
 
 
-def _cmd_precondition(args, cfg: dict) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else _config_value(cfg, "master_seed", _exact(int), 0)
-    rk = _rk_from(cfg.get("rk", {}), seed, args.seed)
+def _cmd_precondition(args) -> int:
+    cfg = _config(args, {
+        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "tau": (_number, _REQUIRED), "rk": (_exact(dict), {}),
+        "master_seed": (_exact(int), 0), "initial_sq_error": (_or_none(_number), None),
+    })
     run_preconditioner_demo(
-        _config_value(cfg, "spectrum", SpectrumSpec.from_dict),
-        tau=_config_value(cfg, "tau", float),
-        rk=rk,
-        master_seed=seed,
-        output_dir=out,
-        initial_sq_error=_config_value(cfg, "initial_sq_error", _or_none(float), None),
+        cfg["spectrum"],
+        tau=cfg["tau"],
+        rk=_rk_from(cfg["rk"], cfg["master_seed"], args.seed),
+        master_seed=args.seed if args.seed is not None else cfg["master_seed"],
+        output_dir=Path(cfg["output_dir"]),
+        initial_sq_error=cfg["initial_sq_error"],
     )
     return 0
 
@@ -191,8 +186,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.subcommand](args, cfg)
+        return _COMMANDS[args.subcommand](args)
     except HypothesisError as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 2

@@ -56,9 +56,7 @@ from .problems import (
     NoiseSpec,
     NoisySystem,
     SpectrumSpec,
-    _config_value,
-    _exact,
-    _or_none,
+    _REQUIRED, _exact, _list_of, _number, _or_none, _read,  # the config reader
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -138,31 +136,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        master_seed = _config_value(data, "master_seed", _exact(int))
+        return cls._from_fields(_read(data, "config", _EXPERIMENT_KEYS))
+
+    @classmethod
+    def _from_fields(cls, f: dict) -> "ExperimentConfig":
+        """The config of the keys read through ``_EXPERIMENT_KEYS``."""
         return cls(
-            spectrum=_config_value(data, "spectrum", SpectrumSpec.from_dict),
-            rk=_rk_from(data.get("rk", {}), master_seed),
-            master_seed=master_seed,
-            noise=NoiseSpec.from_dict(data.get("noise", {})),
-            noise_grid=_config_value(data, "grid", _or_none(_noise_grid), None),
-            bound_kinds=_config_value(data, "bounds", tuple, ()),
-            output_dir=_config_value(data, "output_dir", _or_none(os.fspath), None),
+            f["spectrum"], _rk_from(f["rk"], f["master_seed"]), f["master_seed"],
+            f["noise"], f["grid"], f["bounds"], f["output_dir"],
         )
 
 
 def _noise_grid(pairs) -> tuple:
-    return tuple((float(a), float(b)) for a, b in pairs)
+    return tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
+
+
+def _x0_mode(value) -> X0Mode:
+    if value not in ("zero", "range"):  # "given" needs an x0, which no config carries
+        raise ValueError(f"expected 'zero' or 'range', got {value!r}")
+    return X0Mode(value)
 
 
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
     """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
-    return RkConfig(
-        max_iterations=_config_value(data, "max_iterations", _exact(int), 10_000, "rk"),
-        trials=_config_value(data, "trials", _exact(int), 10, "rk"),
-        record_stride=_config_value(data, "record_stride", _or_none(_exact(int)), None, "rk"),
-        seed=seed if seed is not None else _config_value(data, "seed", _exact(int), default_seed, "rk"),
-        x0_mode=X0Mode(data.get("x0_mode", "range")),
-    )
+    rk = RkConfig(**_read(data, "rk", {
+        "max_iterations": (_exact(int), 10_000), "trials": (_exact(int), 10),
+        "record_stride": (_or_none(_exact(int)), None), "seed": (_exact(int), default_seed),
+        "x0_mode": (_x0_mode, "range"),
+    }))
+    return rk if seed is None else replace(rk, seed=seed)
+
+
+# An experiment's config keys; ``rk`` is read by ``_rk_from`` once ``master_seed``, its default seed, is known.
+_EXPERIMENT_KEYS = {
+    "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (NoiseSpec.from_dict, {}),
+    "grid": (_or_none(_noise_grid), None), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), []),
+    "output_dir": (_or_none(os.fspath), None), "master_seed": (_exact(int), _REQUIRED),
+}
 
 
 def apply_paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -286,7 +296,8 @@ def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
     if threads <= 1 or len(grid) <= 1:
         sys = generate_system(cfg.spectrum, cfg.master_seed)
         return [worker(cfg, sys, a, b) for a, b in grid]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # fork starts every worker up front, so never more workers than points
+    with ProcessPoolExecutor(max_workers=min(threads, len(grid))) as pool:
         return list(pool.map(partial(_generate_and_run, worker, cfg), *zip(*grid)))
 
 
@@ -423,8 +434,8 @@ def run_preconditioner_demo(
             "r": demo.r,
             "r_tilde": demo.r_tilde,
             "horizon": demo.horizon,
-            "tau": tau,
-            "initial_sq_error": initial_sq_error,
+            "tau": float(tau),
+            "initial_sq_error": float(initial_sq_error),
         }
         _write_json(out / "preconditioner.json", summary)
     return demo

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
@@ -66,22 +67,26 @@ _MIN_FACTOR_SIGMA = 1e-8  # nonsingularity floor for (I + E), (I + F), (I + M)
 _REQUIRED = object()
 
 
-def _config_value(data, key: str, convert, default=_REQUIRED, where: str = "config"):
-    """``convert(data[key])``, or ``default`` when an optional ``key`` is absent.
+def _read(data, where: str, schema: dict) -> dict:
+    """The JSON object ``data`` read through ``schema``: ``{key: (convert, JSON default or _REQUIRED)}``.
 
-    A block that is not a JSON object, a missing required key, or a value
-    ``convert`` rejects is a ``ValueError`` naming the key.
+    A block that is not an object, a key the schema does not name, a missing
+    required key or a value ``convert`` rejects is a ``ValueError`` naming ``where`` and the key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
-    if key not in data:
-        if default is _REQUIRED:
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ValueError(f"{where}: unknown key '{min(unknown)}'")
+    fields = {}
+    for key, (convert, default) in schema.items():
+        if key not in data and default is _REQUIRED:
             raise ValueError(f"{where}: missing required key '{key}'")
-        return default
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
+        try:
+            fields[key] = convert(data.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
+    return fields
 
 
 def _or_none(convert):
@@ -96,6 +101,18 @@ def _exact(kind: type):
             raise ValueError(f"expected {kind.__name__}, got {value!r}")
         return value
     return convert
+
+
+def _number(value):
+    """Converter for a finite JSON number, not a bool or a string; kept as written, so ``to_dict`` echoes it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _list_of(convert):
+    """Converter for a JSON list, reading each item with ``convert``."""
+    return lambda value: [convert(item) for item in _exact(list)(value)]
 
 
 class Spacing(str, enum.Enum):
@@ -146,8 +163,11 @@ class SpectrumSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectrumSpec":
-        """Inverse of :meth:`to_dict`; an unknown or missing field is a ``TypeError`` naming it."""
-        return cls(**data)
+        """Inverse of :meth:`to_dict`, read by :func:`_read`."""
+        return cls(**_read(data, "spectrum", {
+            "m": (_exact(int), _REQUIRED), "n": (_exact(int), _REQUIRED), "r": (_exact(int), _REQUIRED),
+            "sigma_min": (_number, _REQUIRED), "sigma_max": (_number, _REQUIRED), "spacing": (Spacing, "even"),
+        }))
 
 
 @dataclass(frozen=True)
@@ -169,16 +189,12 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
-        """Inverse of :meth:`to_dict`; a key other than these and the magnitudes is a ``ValueError``."""
-        spec = cls(
-            _config_value(data, "model", NoiseModel, NoiseModel.ADDITIVE, "noise"),
-            _config_value(data, "use_e", _exact(bool), True, "noise"),
-            _config_value(data, "use_f", _exact(bool), True, "noise"),
-        )
-        unknown = set(data) - {"model", "use_e", "use_f", "sigma_a", "sigma_b"}
-        if unknown:
-            raise ValueError(f"noise: unknown key '{min(unknown)}'")
-        return spec
+        """Inverse of :meth:`to_dict`, read by :func:`_read`."""
+        return cls(**_read(data, "noise", _NOISE_KEYS))
+
+
+# The keys of a noise block; ``gen``'s block adds the magnitudes.
+_NOISE_KEYS = {"model": (NoiseModel, "additive"), "use_e": (_exact(bool), True), "use_f": (_exact(bool), True)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,13 +490,13 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     path = Path(directory)
     where = str(path / "meta.json")
     with open(where) as fh:
-        meta = json.load(fh)
-    model = _config_value(meta, "model", NoiseModel, where=where)
-    sigma_a = _config_value(meta, "sigma_a", float, where=where)
-    sigma_b = _config_value(meta, "sigma_b", float, where=where)
+        meta = _read(json.load(fh), where, {
+            "model": (NoiseModel, _REQUIRED), "sigma_a": (_number, _REQUIRED), "sigma_b": (_number, _REQUIRED),
+            "spec": (_or_none(SpectrumSpec.from_dict), None), "seed": (_or_none(_exact(int)), None),
+        })
+    model, spec = meta["model"], meta["spec"]
     a = read_matrix(path / "A.mat")
     m, n = a.shape
-    spec = _config_value(meta, "spec", SpectrumSpec.from_dict, where=where) if meta.get("spec") else None
     if spec is not None and (spec.m, spec.n) != (m, n):
         raise ValueError(f"{where}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}")
     base = LinearSystem(
@@ -489,7 +505,7 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
         x_ls=_read_shaped(path / "xls.vec", (n,)),
         factors=svd(a),
         spec=spec,
-        seed=meta.get("seed"),
+        seed=meta["seed"],
     )
     f_path = path / "f.mat"
     return NoisySystem(
@@ -499,7 +515,7 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
         e=_read_shaped(path / "e.mat", (m, m) if model is NoiseModel.MULTIPLICATIVE else (m, n)),
         f=_read_shaped(f_path, (n, n)) if f_path.exists() or model is NoiseModel.MULTIPLICATIVE else None,
         eps=_read_shaped(path / "eps.vec", (m,)),
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
+        sigma_a=float(meta["sigma_a"]),
+        sigma_b=float(meta["sigma_b"]),
         model=model,
     )

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,28 @@ from noisyrk.experiments import build_noisy
 
 SPECTRUM = {"m": 30, "n": 15, "r": 15, "sigma_min": 1.0, "sigma_max": 4.0}
 RK = {"max_iterations": 2000, "trials": 4, "record_stride": 100, "seed": 5}
+# one valid config per subcommand; solve and bounds add the "system_dir" of a system
+CONFIGS = {
+    "gen": {"spectrum": SPECTRUM, "seed": 3},
+    "solve": {"rk": RK},
+    "bounds": {"rk": RK, "bounds": ["additive"]},
+    "precondition": {"spectrum": SPECTRUM, "tau": 50.0, "rk": RK, "master_seed": 7},
+    "table2": {"spectrum": SPECTRUM, "rk": RK, "master_seed": 7, "grid": [[0.0, 0.0]]},
+    "figure": {"spectrum": SPECTRUM, "rk": RK, "master_seed": 7, "grid": [[0.0, 0.0]], "bounds": ["additive"]},
+}
 
 
 def write_config(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def config_for(subcommand, system_dir, /, **change):
+    """The valid config of ``subcommand`` with ``change`` on top."""
+    data = dict(CONFIGS[subcommand])
+    if subcommand in ("solve", "bounds"):
+        data["system_dir"] = str(system_dir)
+    return {**data, **change}
 
 
 def snapshot(directory):
@@ -69,7 +87,8 @@ class TestGen:
         loaded = load_system(tmp_path / "system")
         magnitudes = (noise.get("sigma_a", 0.0), noise.get("sigma_b", 0.0))
         sys_ = generate_system(SpectrumSpec(**SPECTRUM), 3)
-        built = build_noisy(NoiseSpec.from_dict(noise), sys_, *magnitudes, 3)
+        spec = NoiseSpec.from_dict({k: v for k, v in noise.items() if k not in ("sigma_a", "sigma_b")})
+        built = build_noisy(spec, sys_, *magnitudes, 3)
         assert np.array_equal(loaded.a_tilde, built.a_tilde)
         assert np.array_equal(loaded.b_tilde, built.b_tilde)
 
@@ -133,11 +152,8 @@ class TestBounds:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
     def test_initial_error_is_the_trial_mean_that_solve_starts_from(self, tmp_path, system_dir):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            {"system_dir": str(system_dir), "rk": RK, "bounds": ["additive"]},
-        )
         for sub in ("solve", "bounds"):
+            cfg = write_config(tmp_path / f"{sub}.json", config_for(sub, system_dir))
             assert main([sub, "--config", cfg, "--out", str(tmp_path / sub), "--seed", "1"]) == 0
         traj = np.loadtxt(tmp_path / "solve" / "traj.csv", delimiter=",", skiprows=1)
         meta = json.loads((tmp_path / "bounds" / "bound_additive.meta.json").read_text())
@@ -165,10 +181,7 @@ class TestMalformedSystem:
     def test_misshaped_atilde_exit_1(self, tmp_path, system_dir, capsys, subcommand):
         lines = (system_dir / "atilde.mat").read_text().splitlines()
         (system_dir / "atilde.mat").write_text("\n".join(["20 15"] + lines[1:21]) + "\n")
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            {"system_dir": str(system_dir), "rk": RK, "bounds": ["additive"]},
-        )
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, system_dir))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -262,20 +275,26 @@ class TestUsageErrors:
     def test_missing_subcommand_exit_1(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure", "--threads", "0"], ["table2", "--threads", "-2"],
+         ["gen", "--threads", "7"], ["gen", "--scale", "paper"], ["solve", "--threads", "1"],
+         ["bounds", "--scale", "desk"], ["precondition", "--threads", "2"]],
+    )
+    def test_pool_flags_only_on_figure_and_table2(self, capsys, argv):
+        # --threads and --scale act on figure/table2 only, and --threads is at least 1
+        assert main([*argv, "--config", "x.json"]) == 1
+        assert "usage" in capsys.readouterr().err.lower()
+
 
 class TestConfigErrors:
-    FULL = {
-        "spectrum": SPECTRUM, "tau": 50.0, "rk": RK, "master_seed": 7,
-        "grid": [[0.0, 0.0]], "bounds": ["additive"],
-    }
-
     @pytest.mark.parametrize(
         "subcommand, key",
         [("gen", "spectrum"), ("solve", "system_dir"), ("bounds", "bounds"),
          ("precondition", "tau"), ("table2", "master_seed"), ("figure", "spectrum")],
     )
     def test_missing_key_exit_1(self, tmp_path, system_dir, capsys, subcommand, key):
-        data = {**self.FULL, "system_dir": str(system_dir)}
+        data = config_for(subcommand, system_dir)
         del data[key]
         cfg = write_config(tmp_path / "cfg.json", data)
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -285,14 +304,17 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "spectrum, message",
-        [({**SPECTRUM, "rank": 3}, "unexpected keyword argument 'rank'"),
-         ({"m": 30, "n": 15, "r": 15, "sigma_max": 4.0}, "argument: 'sigma_min'"),
+        [({**SPECTRUM, "rank": 3}, "spectrum: unknown key 'rank'"),
+         ({"m": 30, "n": 15, "r": 15, "sigma_max": 4.0}, "spectrum: missing required key 'sigma_min'"),
          ({**SPECTRUM, "m": "30"}, "bad value for 'spectrum'"),
-         ({**SPECTRUM, "m": 30.0}, "m, n and r must be integers")],
+         ({**SPECTRUM, "m": 30.0}, "spectrum: bad value for 'm': expected int, got 30.0"),
+         ({**SPECTRUM, "sigma_min": True}, "spectrum: bad value for 'sigma_min'"),
+         ({**SPECTRUM, "sigma_max": "4.0"}, "spectrum: bad value for 'sigma_max'"),
+         ({**SPECTRUM, "sigma_min": float("nan")}, "spectrum: bad value for 'sigma_min'")],
     )
     @pytest.mark.parametrize("subcommand", ["gen", "figure"])
     def test_bad_spectrum_exit_1(self, tmp_path, capsys, spectrum, message, subcommand):
-        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "spectrum": spectrum})
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, spectrum=spectrum))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         assert message in capsys.readouterr().err
 
@@ -305,7 +327,37 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         assert f"meta.json: missing required key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("data", [[1, 2], {**FULL, "noise": [1]}, {**FULL, "rk": {"trials": None}}])
+    @pytest.mark.parametrize(
+        "subcommand, change, message",
+        [("gen", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("solve", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("bounds", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("precondition", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("table2", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("figure", {"bogus": 1}, "config: unknown key 'bogus'"),
+         ("solve", {"bounds": ["additive"]}, "config: unknown key 'bounds'"),
+         # the system directory does not exist: the whole config is read before loading it
+         ("solve", {"rk": {**RK, "tirals": 5}, "system_dir": "no/system"}, "rk: unknown key 'tirals'"),
+         ("figure", {"rk": {**RK, "tirals": 5}}, "rk: unknown key 'tirals'"),
+         ("precondition", {"spectrum": {**SPECTRUM, "rank": 3}}, "spectrum: unknown key 'rank'"),
+         ("figure", {"noise": {"model": "additive", "sigma_a": 0.5}}, "noise: unknown key 'sigma_a'"),
+         ("table2", {"noise": {"model": "additive", "sigma_b": 0.5}}, "noise: unknown key 'sigma_b'"),
+         ("solve", "meta.json", "meta.json: unknown key 'bogus'")],
+    )
+    def test_unknown_key_exit_1(self, tmp_path, system_dir, capsys, subcommand, change, message):
+        if change == "meta.json":
+            meta = json.loads((system_dir / "meta.json").read_text())
+            (system_dir / "meta.json").write_text(json.dumps({**meta, "bogus": 1}))
+            change = {}
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, system_dir, **change))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "data", [[1, 2], config_for("figure", None, noise=[1]), config_for("figure", None, rk={"trials": None})]
+    )
     def test_wrong_json_type_exit_1(self, tmp_path, capsys, data):
         cfg = write_config(tmp_path / "cfg.json", data)
         assert main(["figure", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -316,11 +368,27 @@ class TestConfigErrors:
         [("figure", {"grid": 5}, "grid"),
          ("figure", {"rk": {**RK, "record_stride": [5]}}, "record_stride"),
          ("figure", {"output_dir": 5}, "output_dir"),
-         ("precondition", {"initial_sq_error": [1.0]}, "initial_sq_error")],
-        ids=["grid", "record_stride", "output_dir", "initial_sq_error"],
+         ("precondition", {"initial_sq_error": [1.0]}, "initial_sq_error"),
+         ("gen", {"noise": {"model": "additive", "sigma_a": True}}, "sigma_a"),
+         ("gen", {"noise": {"model": "additive", "sigma_b": "0.1"}}, "sigma_b"),
+         ("gen", {"noise": {"model": "additive", "sigma_a": float("nan")}}, "sigma_a"),
+         ("precondition", {"tau": "5"}, "tau"),
+         ("precondition", {"tau": True}, "tau"),
+         ("precondition", {"initial_sq_error": float("inf")}, "initial_sq_error"),
+         ("figure", {"grid": [[True, 0.0]]}, "grid"),
+         ("table2", {"grid": [[0.0, "0.1"]]}, "grid"),
+         ("figure", {"grid": [[float("nan"), 0.0]]}, "grid"),
+         ("bounds", {"bounds": "additive", "system_dir": "no/system"}, "bounds"),
+         ("figure", {"bounds": "additive"}, "bounds"),
+         ("solve", {"rk": {**RK, "x0_mode": "rowspace"}}, "x0_mode"),
+         ("bounds", {"rk": {**RK, "x0_mode": "given"}}, "x0_mode")],
+        ids=["grid", "record_stride", "output_dir", "initial_sq_error",
+             "sigma_a-true", "sigma_b-string", "sigma_a-nan", "tau-string", "tau-true", "initial_sq_error-inf",
+             "grid-true", "grid-string", "grid-nan", "bounds-string", "figure-bounds-string",
+             "x0_mode-rowspace", "x0_mode-given"],
     )
-    def test_wrong_value_type_names_key(self, tmp_path, capsys, subcommand, change, key):
-        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, **change})
+    def test_wrong_value_type_names_key(self, tmp_path, system_dir, capsys, subcommand, change, key):
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, system_dir, **change))
         # output_dir is only read from the config when --out is absent
         out = [] if key == "output_dir" else ["--out", str(tmp_path / "x")]
         assert main([subcommand, "--config", cfg, *out]) == 1
@@ -330,17 +398,17 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "noise, key",
-        [({"model": "partial_consistent", "sigma_a": 0.3, "strength": 0.3}, "strength"),
+        [({"model": "partial_consistent", "strength": 0.3}, "strength"),
          ({"model": "multiplicative", "use_f": "false"}, "use_f"),
          ({"model": "multiplicative", "use_e": 0}, "use_e")],
     )
     @pytest.mark.parametrize("subcommand", ["gen", "figure"])
     def test_bad_noise_key_exit_1(self, tmp_path, capsys, subcommand, noise, key):
-        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "noise": noise})
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, noise=noise))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: noise:")
-        assert f"key '{key}'" in err or f"bad value for '{key}'" in err
+        assert err.startswith("config error:")
+        assert f"noise: unknown key '{key}'" in err or f"noise: bad value for '{key}'" in err
 
     @pytest.mark.parametrize(
         "subcommand, change, key",
@@ -354,7 +422,7 @@ class TestConfigErrors:
          ("gen", {"seed": True}, "seed")],
     )
     def test_fractional_integer_exit_1(self, tmp_path, system_dir, capsys, subcommand, change, key):
-        cfg = write_config(tmp_path / "cfg.json", {**self.FULL, "system_dir": str(system_dir), **change})
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, system_dir, **change))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -389,14 +457,8 @@ class TestRkParsing:
         self, tmp_path, system_dir, monkeypatch, seed_flag, seed
     ):
         rk = {"max_iterations": 40, "trials": 3, "record_stride": 8, "seed": 9, "x0_mode": "zero"}
-        cfg = write_config(
-            tmp_path / "all.json",
-            {
-                "system_dir": str(system_dir), "spectrum": SPECTRUM, "tau": 50.0,
-                "grid": [[0.0, 0.0]], "bounds": ["additive"], "master_seed": 7, "rk": rk,
-            },
-        )
         for sub, (name, pick) in self.HANDOFF.items():
+            cfg = write_config(tmp_path / f"{sub}.json", config_for(sub, system_dir, rk=rk))
             def capture(*args, _pick=pick, **kwargs):
                 raise _Captured(_pick(args, kwargs))
 
@@ -411,6 +473,29 @@ class TestRkParsing:
 
 
 class TestBenchmarkLookups:
+    def test_every_benchmark_config_parses(self, tmp_path, monkeypatch):
+        # each command stops at its first step after reading the config, so
+        # reaching it means the whole config parsed; a stricter reader must
+        # never turn a benchmark operation into a config error
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+
+        def capture(*args, **kwargs):
+            raise _Captured()
+
+        for name in ("generate_system", "load_system", "run_table2", "run_figure_experiment"):
+            monkeypatch.setattr(cli, name, capture)
+        commands = set()
+        for name, workload in module.WORKLOADS.items():
+            for argv in workload.commands(tmp_path / name, 1, workload.threads):
+                with pytest.raises(_Captured):
+                    main(argv)
+                commands.add(argv[0])
+        assert commands == {"gen", "solve", "bounds", "table2", "figure"}
+
     def test_every_traced_name_exists(self):
         # the benchmark's tracer patches these names where the CLI and the
         # experiment runners look them up; a missing one would break it

@@ -21,6 +21,7 @@ from noisyrk import (
     run_preconditioner_demo,
     run_table2,
 )
+from noisyrk import experiments
 from noisyrk.experiments import build_noisy
 
 SPEC = SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=4.0)
@@ -152,6 +153,28 @@ class TestFigureExperiment:
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
             run_figure_experiment(make_config(noise_grid=None))
+
+    def test_pool_has_no_more_workers_than_points(self, monkeypatch):
+        # fork starts every worker at once: a pool must never outnumber the grid
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1))), threads=5000)
+        run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1), (0.2, 0.2))), threads=2)
+        assert sizes == [2, 2]
 
 
 class TestTable2:

@@ -265,6 +265,12 @@ class TestSerialization:
         ("additive", "meta.json", lambda meta: [1, 2], "meta.json: expected a JSON object, got list"),
         ("additive", "meta.json", lambda meta: {**meta, "spec": {**meta["spec"], "m": 30}},
          "meta.json: spec shape (30, 20) does not match A.mat (40, 20)"),
+        ("additive", "meta.json", lambda meta: {**meta, "sigma_a": True}, "meta.json: bad value for 'sigma_a'"),
+        ("additive", "meta.json", lambda meta: {**meta, "sigma_b": "0.3"}, "meta.json: bad value for 'sigma_b'"),
+        ("additive", "meta.json", lambda meta: {**meta, "sigma_a": float("nan")},
+         "meta.json: bad value for 'sigma_a'"),
+        ("additive", "meta.json", lambda meta: {**meta, "seed": 13.0}, "meta.json: bad value for 'seed'"),
+        ("additive", "meta.json", lambda meta: {**meta, "bogus": 1}, "meta.json: unknown key 'bogus'"),
     ])
     def test_rejects_misshaped_directory(self, small_system, tmp_path, model, name, bad, message):
         if model == "multiplicative":
