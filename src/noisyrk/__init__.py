@@ -25,7 +25,7 @@ from .bounds import (
     perturbed_ls_distance,
     write_bound_csv,
 )
-from .errors import HypothesisError
+from .errors import HypothesisError, KernelBuildError
 from .experiments import (
     ExperimentConfig,
     GridPointResult,
@@ -83,6 +83,7 @@ from .problems import (
 __all__ = [
     "__version__",
     "HypothesisError",
+    "KernelBuildError",
     # linalg
     "SvdFactors", "svd", "pseudoinverse", "scaled_condition_number",
     "spectral_norm", "frobenius_norm", "sigma_min_nonzero",

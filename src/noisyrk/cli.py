@@ -136,20 +136,22 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    exp = ExperimentConfig._from_fields(_config(args, _EXPERIMENT_KEYS))
+def _experiment_config(args, schema: dict) -> ExperimentConfig:
+    exp = ExperimentConfig._from_fields(_config(args, schema))
     if args.seed is not None:
         exp = replace(exp, master_seed=args.seed, rk=replace(exp.rk, seed=args.seed))
     return apply_paper_scale(exp) if args.scale == "paper" else exp
 
 
 def _cmd_table2(args) -> int:
-    run_table2(_experiment_config(args), threads=args.threads)
+    # the sweep evaluates no bound curves, so a bounds list is an unknown key
+    schema = {k: v for k, v in _EXPERIMENT_KEYS.items() if k != "bounds"}
+    run_table2(_experiment_config(args, schema), threads=args.threads)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    run_figure_experiment(_experiment_config(args), threads=args.threads)
+    run_figure_experiment(_experiment_config(args, _EXPERIMENT_KEYS), threads=args.threads)
     return 0
 
 

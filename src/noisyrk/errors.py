@@ -9,3 +9,12 @@ class HypothesisError(RuntimeError):
     report exactly what broke.  The command-line front end maps this to
     exit code 2, as opposed to configuration errors (exit code 1).
     """
+
+
+class KernelBuildError(OSError):
+    """The compiled RK step kernel could not be built.
+
+    Raised at the first solve when no C compiler is on ``PATH`` or the
+    build fails; the message shows the compiler command.  As an
+    ``OSError`` the command-line front end maps it to exit code 1.
+    """

@@ -140,10 +140,10 @@ class ExperimentConfig:
 
     @classmethod
     def _from_fields(cls, f: dict) -> "ExperimentConfig":
-        """The config of the keys read through ``_EXPERIMENT_KEYS``."""
+        """The config of the keys read through ``_EXPERIMENT_KEYS``; ``table2`` reads no ``bounds``."""
         return cls(
             f["spectrum"], _rk_from(f["rk"], f["master_seed"]), f["master_seed"],
-            f["noise"], f["grid"], f["bounds"], f["output_dir"],
+            f["noise"], f["grid"], f.get("bounds", ()), f["output_dir"],
         )
 
 

@@ -9,27 +9,42 @@ squared norm, via inverse-CDF lookup over the prefix sums.  ``solve``
 runs multiple independent trials and records the squared error against
 the noiseless least squares solution on a fixed iteration grid.
 
-The trials run in lockstep: their iterates are the rows of one
-(trials, n) block, and each step projects every row onto its own
-trial's sampled equation at once (one gathered-row dot product per
-trial).  Each trial still draws its rows from its own
+The step is one compiled C function, ``rk_chunk`` in ``_rk.c``: it
+advances every trial through a chunk of steps and writes the squared
+error at the recorded iterations, so a chunk costs one foreign call
+however densely it records.  Its sums run in index order and it is
+built without ``-ffast-math`` or ``-march=native``, so results do not
+depend on the host's vector instructions.  It is compiled with the local
+``gcc`` at the first solve into ``$XDG_CACHE_HOME/noisyrk`` (default
+``~/.cache/noisyrk``), under a name keyed by the source, the flags and
+the compiler, and loaded with ``ctypes``; a warm cache starts no
+process.  There is no pure-numpy step: without a compiler the first
+solve raises :class:`~noisyrk.errors.KernelBuildError`.
+
+Sampling stays in numpy.  Each trial draws its rows from its own
 generator stream, in fixed chunks of steps; a stream yields the same
-uniforms however its draws are split into blocks, so batching changes
-no draw, and a trial's result does not depend on how many trials run
-beside it.  A single trial is inherently sequential.
+uniforms however its draws are split into blocks, and the kernel
+advances each trial on its own iterate, so a trial's result does not
+depend on how many trials run beside it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import math
 import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .errors import HypothesisError
+from .errors import HypothesisError, KernelBuildError
 from .linalg import _write_table, as_matrix, as_vector
 from .problems import NoisySystem
 
@@ -50,8 +65,15 @@ __all__ = [
 # Cap on stored records per run; the stride grows with the iteration count.
 _MAX_RECORDS = 2000
 
-# Steps per trial drawn at once; bounds the draw buffers at O(trials * chunk).
+# Steps per trial drawn at once and advanced by one kernel call; bounds the
+# draw buffers at O(trials * chunk).
 _CHUNK = 1024
+
+# Build of the step kernel.  No -ffast-math or -march=native, and no fused
+# multiply-adds: the sums keep their order on every host.
+_KERNEL_SOURCE = Path(__file__).with_name("_rk.c")
+_COMPILER = "gcc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class X0Mode(str, enum.Enum):
@@ -126,15 +148,72 @@ def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     return RowSampler(weights, seeding.stream(seed, seeding.SAMPLER, trial))
 
 
-def _step(x: np.ndarray, a: np.ndarray, idx, rhs, inv_norm_sq) -> None:
-    """One RK step of every trial at once, in place.
+@functools.cache
+def _kernel():
+    """The compiled ``rk_chunk``, built on first use into ``$XDG_CACHE_HOME/noisyrk``
+    (``~/.cache/noisyrk`` when that is unset).
 
-    Row t of the (trials, n) block ``x`` is projected onto the hyperplane
-    ``a[idx[t]] . x = rhs[t]``; ``inv_norm_sq[t]`` is ``1 / ||a[idx[t]]||^2``.
+    The library's name is the sha256 of the source, the flags and the
+    resolved compiler with its ``stat``, so a warm start runs no process
+    and a changed compiler or source builds afresh.  Concurrent builds
+    each write a private temp file and rename it into place.
     """
-    rows = a.take(idx, axis=0)
-    rows *= ((np.vecdot(rows, x) - rhs) * inv_norm_sq)[:, None]
-    x -= rows
+    import hashlib  # not loaded by numpy, so imported here to keep `import noisyrk` light
+
+    source = _KERNEL_SOURCE.read_bytes()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "noisyrk"
+    command = [_COMPILER, *_CFLAGS, "-o", str(cache / "_rk-<key>.so"), str(_KERNEL_SOURCE)]
+    found = shutil.which(_COMPILER)
+    if found is None:
+        raise KernelBuildError(
+            f"the RK step kernel needs a C compiler: {_COMPILER!r} is not on PATH; "
+            f"it is built once with: {' '.join(command)}"
+        )
+    compiler = os.path.realpath(found)
+    st = os.stat(compiler)
+    key = hashlib.sha256(repr((
+        source, _CFLAGS, compiler, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+    )).encode()).hexdigest()[:32]
+    lib = cache / f"_rk-{key}.so"
+    if not lib.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
+        os.close(fd)
+        command = [compiler, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+            if done.returncode != 0:
+                raise KernelBuildError(
+                    f"building the RK step kernel failed (exit {done.returncode}): "
+                    f"{' '.join(command)}\n{done.stderr.strip()}"
+                )
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib)).rk_chunk
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    n = ctypes.c_int64
+    fn.argtypes = [n, n, n, f64, f64, f64, i64, i64, f64, out, out, n]
+    fn.restype = None
+    return fn
+
+
+def _rk_chunk(a, b, w, idx, col, x_ls, x, err) -> None:
+    """Advance row t of ``x`` through the rows ``idx[t]`` of ``a``, in place.
+
+    ``w`` holds the squared row norms of ``a``.  After step s the squared
+    distance of row t to ``x_ls`` goes to ``err[t, col[s]]`` when
+    ``col[s] >= 0``.  Shapes are checked here, before any pointer is
+    handed to the kernel.
+    """
+    (m, n), (trials, steps) = a.shape, idx.shape
+    if (b.shape, w.shape, x_ls.shape, x.shape, col.shape) != ((m,), (m,), (n,), (trials, n), (steps,)) \
+            or err.shape[0] != trials:
+        raise ValueError("RK kernel arguments have inconsistent shapes")
+    _kernel()(trials, n, steps, a, b, w, idx, col, x_ls, x, err, err.shape[1])
 
 
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
@@ -142,15 +221,19 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
 
     After the step the selected equation holds exactly (up to rounding).
     The row must be nonzero; zero rows are excluded by the sampler.
-    This is the solver's step applied to a single trial.
+    This is the solver's kernel called for one trial and one step.
     """
     x = as_vector(x, "x")
     row = as_vector(row, "row")
+    if row.size != x.size:
+        raise ValueError(f"row has width {row.size}, x has {x.size}")
     norm_sq = float(row @ row)
     if norm_sq == 0.0:
         raise ValueError("cannot project onto a zero row")
     block = x[None, :].copy()
-    _step(block, row[None, :], [0], rhs, 1.0 / norm_sq)
+    # no step is recorded, so the kernel reads no x_ls and writes no error
+    _rk_chunk(np.ascontiguousarray(row)[None, :], np.array([float(rhs)]), np.array([norm_sq]),
+              np.zeros((1, 1), np.int64), np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
     return block[0]
 
 
@@ -217,28 +300,27 @@ def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
     Each trial starts from its own x0 (see :func:`initial_iterate`), draws
     rows from its own sampler stream, and records the squared distance to
     the *noiseless* solution ``noisy.base.x_ls`` at the configured stride.
-    All trials advance together, one :func:`_step` per iteration.
+    Each chunk of steps is one call of the compiled kernel for all trials.
     Bit-identical output for identical inputs and config.
     """
-    a = np.ascontiguousarray(noisy.a_tilde)
-    b = np.ascontiguousarray(noisy.b_tilde)
-    x_ls = noisy.base.x_ls
+    a = np.ascontiguousarray(noisy.a_tilde, dtype=float)
+    b = np.ascontiguousarray(noisy.b_tilde, dtype=float)
+    x_ls = np.ascontiguousarray(noisy.base.x_ls, dtype=float)
     ks = record_points(cfg.max_iterations, cfg.record_stride)
     samplers = [make_sampler(a, cfg.seed, t) for t in range(cfg.trials)]
-    w = samplers[0].weights
-    x = np.stack([initial_iterate(a, cfg, t) for t in range(cfg.trials)])
+    x = np.stack([initial_iterate(a, cfg, t) for t in range(cfg.trials)]).astype(float, order="C")
     per_trial = np.empty((cfg.trials, ks.size))
-    per_trial[:, 0] = _squared_distance(x, x_ls)
-    column = {k: j for j, k in enumerate(ks.tolist())}
+    d = x - x_ls
+    per_trial[:, 0] = np.vecdot(d, d)
     for start in range(0, cfg.max_iterations, _CHUNK):
         count = min(_CHUNK, cfg.max_iterations - start)
-        # idx[s, t]: the row trial t projects onto at iteration start + s + 1
-        idx = np.stack([s.sample_block(count) for s in samplers], axis=1)
-        for k, (i, rhs, inv) in enumerate(zip(idx, b[idx], 1.0 / w[idx]), start=start + 1):
-            _step(x, a, i, rhs, inv)
-            j = column.get(k)
-            if j is not None:
-                per_trial[:, j] = _squared_distance(x, x_ls)
+        # idx[t, s]: the row trial t projects onto at iteration start + s + 1,
+        # whose error goes to column col[s] when that iteration is recorded
+        idx = np.stack([s.sample_block(count) for s in samplers])
+        lo, hi = np.searchsorted(ks, [start + 1, start + count + 1])
+        col = np.full(count, -1, dtype=np.int64)
+        col[ks[lo:hi] - start - 1] = np.arange(lo, hi)
+        _rk_chunk(a, b, samplers[0].weights, idx, col, x_ls, x, per_trial)
     if not np.isfinite(per_trial).all():
         raise HypothesisError("iteration produced non-finite errors")
     return Trajectory(
@@ -247,11 +329,6 @@ def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
         mean_squared_error=per_trial.mean(axis=0),
         std_squared_error=per_trial.std(axis=0),
     )
-
-
-def _squared_distance(x: np.ndarray, x_ls: np.ndarray) -> np.ndarray:
-    d = x - x_ls
-    return np.vecdot(d, d)
 
 
 def empirical_horizon(traj: Trajectory) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisyrk import SpectrumSpec, generate_system
+from noisyrk import SpectrumSpec, generate_system, kaczmarz
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,15 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
+
+
+@pytest.fixture()
+def kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache directory under ``tmp_path``; the kernel is loaded afresh in it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    kaczmarz._kernel.cache_clear()
+    yield tmp_path / "xdg" / "noisyrk"
+    kaczmarz._kernel.cache_clear()
 
 
 def make_matrix_with_rank(rng: np.random.Generator, m: int, n: int, r: int) -> np.ndarray:

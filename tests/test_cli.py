@@ -121,6 +121,14 @@ class TestSolve:
         main(["solve", "--config", cfg, "--out", str(tmp_path / "run")])
         assert snapshot(system_dir) == before
 
+    def test_missing_compiler_exit_1(self, tmp_path, system_dir, kernel_cache, monkeypatch, capsys):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        cfg = write_config(tmp_path / "solve.json", {"system_dir": str(system_dir), "rk": RK})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "gcc -O2" in err
+        assert "Traceback" not in err
+
 
 class TestBounds:
     def test_valid_kinds(self, tmp_path, system_dir):
@@ -342,7 +350,8 @@ class TestConfigErrors:
          ("precondition", {"spectrum": {**SPECTRUM, "rank": 3}}, "spectrum: unknown key 'rank'"),
          ("figure", {"noise": {"model": "additive", "sigma_a": 0.5}}, "noise: unknown key 'sigma_a'"),
          ("table2", {"noise": {"model": "additive", "sigma_b": 0.5}}, "noise: unknown key 'sigma_b'"),
-         ("solve", "meta.json", "meta.json: unknown key 'bogus'")],
+         ("solve", "meta.json", "meta.json: unknown key 'bogus'"),
+         ("table2", {"bounds": ["additive"]}, "config: unknown key 'bounds'")],
     )
     def test_unknown_key_exit_1(self, tmp_path, system_dir, capsys, subcommand, change, message):
         if change == "meta.json":

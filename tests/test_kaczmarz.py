@@ -1,13 +1,23 @@
+import dataclasses
+import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from noisyrk import (
+    HypothesisError,
+    KernelBuildError,
     RkConfig,
     X0Mode,
     additive_noise,
     empirical_horizon,
     initial_iterate,
+    kaczmarz,
     make_sampler,
     record_points,
     rk_step,
@@ -21,6 +31,17 @@ from noisyrk import (
 @pytest.fixture(scope="module")
 def noiseless(small_system):
     return additive_noise(small_system, 0.0, 0.0, seed=1)
+
+
+def reference_errors(noisy, cfg, trial):
+    """Squared errors after each of a trial's steps, from the projection written out in numpy."""
+    a, b, x_ls = noisy.a_tilde, noisy.b_tilde, noisy.base.x_ls
+    x = initial_iterate(a, cfg, trial)
+    errors = []
+    for i in make_sampler(a, cfg.seed, trial).sample_block(cfg.max_iterations):
+        x = x - (a[i] @ x - b[i]) / (a[i] @ a[i]) * a[i]
+        errors.append((x - x_ls) @ (x - x_ls))
+    return np.array(errors)
 
 
 class TestRkStep:
@@ -51,6 +72,10 @@ class TestRkStep:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             rk_step(np.zeros(3), np.zeros(3), 1.0)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width 2"):
+            rk_step(np.zeros(3), np.ones(2), 1.0)
 
 
 class TestRowSampler:
@@ -121,34 +146,22 @@ class TestSolve:
         t2 = solve(noiseless, cfg)
         assert np.array_equal(t1.per_trial_squared_error, t2.per_trial_squared_error)
 
-    def test_matches_rk_step_sequence(self, small_system):
-        # one solver trial reproduces the public single-step operation
+    def test_matches_reference_projection(self, small_system):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
         cfg = RkConfig(max_iterations=20, trials=1, record_stride=20, seed=9)
         traj = solve(noisy, cfg)
-        sampler = make_sampler(noisy.a_tilde, cfg.seed, trial=0)
-        x = initial_iterate(noisy.a_tilde, cfg, 0)
-        for i in sampler.sample_block(20):
-            x = rk_step(x, noisy.a_tilde[i], noisy.b_tilde[i])
-        d = x - small_system.x_ls
-        assert traj.per_trial_squared_error[0, -1] == pytest.approx(float(d @ d), rel=1e-12)
+        assert_allclose(traj.per_trial_squared_error[0, -1], reference_errors(noisy, cfg, 0)[-1], rtol=1e-12)
 
-    def test_every_trial_matches_its_rk_step_sequence(self, small_system):
-        # 2500 steps cross a draw-chunk boundary; a stride of 7 does not divide them
+    @pytest.mark.parametrize("stride", [7, 1])
+    def test_every_trial_matches_reference_projection(self, small_system, stride):
+        # 2500 steps cross a kernel-chunk boundary; a stride of 7 does not divide them
         noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
-        cfg = RkConfig(max_iterations=2500, trials=3, record_stride=7, seed=9)
+        cfg = RkConfig(max_iterations=2500, trials=3, record_stride=stride, seed=9)
         traj = solve(noisy, cfg)
         ks = traj.recorded_iterations
-        assert ks[-1] == 2500 and 2500 % 7 != 0
+        assert ks[-1] == 2500
         for trial in range(cfg.trials):
-            x = initial_iterate(noisy.a_tilde, cfg, trial)
-            rows = make_sampler(noisy.a_tilde, cfg.seed, trial).sample_block(2500)
-            expected = []
-            for k, i in enumerate(rows, start=1):
-                x = rk_step(x, noisy.a_tilde[i], noisy.b_tilde[i])
-                if k in ks:
-                    d = x - small_system.x_ls
-                    expected.append(float(d @ d))
+            expected = reference_errors(noisy, cfg, trial)[ks[1:] - 1]
             assert_allclose(traj.per_trial_squared_error[trial, 1:], expected, rtol=1e-12)
 
     def test_trial_independent_of_other_trials(self, small_system):
@@ -190,11 +203,60 @@ class TestSolve:
         with pytest.raises(ValueError, match="2 rows for 3 trials"):
             RkConfig(max_iterations=5, trials=3, x0_mode=X0Mode.GIVEN, x0=x0s)
 
+    def test_inconsistent_system_shapes_rejected(self, noiseless):
+        # the kernel would read past the end of b_tilde
+        short = dataclasses.replace(noiseless, b_tilde=noiseless.b_tilde[:-1])
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            solve(short, RkConfig(max_iterations=5, trials=1))
+
+    def test_overflowing_error_is_a_failed_hypothesis(self, noiseless, small_system):
+        # ||x0 - x_ls||^2 overflows for entries of 1e200: solve must not return inf or NaN
+        x0 = np.full(small_system.a.shape[1], 1e200)
+        cfg = RkConfig(max_iterations=5, trials=2, x0_mode=X0Mode.GIVEN, x0=x0)
+        with np.errstate(over="ignore"), pytest.raises(HypothesisError, match="non-finite"):
+            solve(noiseless, cfg)
+
     @pytest.mark.parametrize("shape", [(19,), (2, 21)])
     def test_x0_width_must_match_system(self, noiseless, shape):
         cfg = RkConfig(max_iterations=5, trials=2, x0_mode=X0Mode.GIVEN, x0=np.zeros(shape))
         with pytest.raises(ValueError, match="20 unknowns"):
             solve(noiseless, cfg)
+
+
+class TestKernelBuild:
+    def test_source_ships_as_package_data(self):
+        assert (importlib.resources.files("noisyrk") / "_rk.c").is_file()
+
+    def test_missing_compiler_names_the_command(self, kernel_cache, monkeypatch, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        with pytest.raises(KernelBuildError, match="gcc -O2 -fPIC -shared -ffp-contract=off"):
+            rk_step(np.zeros(2), np.array([1.0, 0.0]), 2.0)
+
+    def test_warm_start_runs_no_process(self, kernel_cache, monkeypatch):
+        rk_step(np.zeros(2), np.array([1.0, 0.0]), 2.0)
+        kaczmarz._kernel.cache_clear()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a warm kernel cache ran a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        assert_allclose(rk_step(np.zeros(2), np.array([1.0, 0.0]), 2.0), [2.0, 0.0])
+        assert [p.suffix for p in kernel_cache.iterdir()] == [".so"]
+
+    def test_leftover_temp_file_does_not_break_a_build(self, kernel_cache):
+        kernel_cache.mkdir(parents=True)
+        (kernel_cache / "stale.tmp").write_bytes(b"not a library")
+        assert_allclose(rk_step(np.zeros(2), np.array([1.0, 1.0]), 1.0), [0.5, 0.5])
+
+    def test_concurrent_builds_into_one_empty_cache(self, kernel_cache):
+        env = {**os.environ, "XDG_CACHE_HOME": str(kernel_cache.parent),
+               "PYTHONPATH": str(Path(kaczmarz.__file__).parents[1])}
+        code = "import numpy as np, noisyrk; print(noisyrk.rk_step(np.zeros(2), np.array([1.0, 0.0]), 2.0))"
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) for _ in range(2)]
+        outcomes = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outcomes
+        assert [p.suffix for p in kernel_cache.iterdir()] == [".so"]
 
 
 class TestProjectionGeometry:
