@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import _write_json, _write_table, as_vector, scaled_condition_number, spectral_norm, svd
-from .problems import NoiseModel, LinearSystem, NoisySystem
+from .linalg import _write_json, _write_table, as_vector, scaled_condition_number, spectral_norm
+from .problems import NoiseModel, LinearSystem, NoisySystem, _nonsingular
 
 __all__ = [
     "BoundKind",
@@ -305,27 +305,25 @@ def bound_multiplicative_perturbation(
         e2 = (1 + e1) * (rho + (1 + rho) * sqrt(||E||^2 + ||inv(I+E) E||^2))
         horizon = e1 ||x_ls|| + e2 ||pinv(A)|| ||b||
 
-    Requires nonsingular factors, a nonzero ``b`` and a consistent noisy
-    system.
+    Requires a consistent noisy system, a nonzero ``b`` and nonsingular
+    factors, checked in that order: the factor checks take an SVD each.
     """
     if noisy.model is not NoiseModel.MULTIPLICATIVE:
         raise HypothesisError(
             "multiplicative perturbation bound requested for a non-multiplicative model"
         )
-    m, n = noisy.a_tilde.shape
-    e_eff = noisy.sigma_a * noisy.e
-    f_eff = noisy.sigma_a * noisy.f
-    i_e = np.eye(m) + e_eff
-    i_f = np.eye(n) + f_eff
-    for label, mat in (("I + E", i_e), ("I + F", i_f)):
-        s = svd(mat)
-        if s.rank < mat.shape[0] or float(s.sigma[-1]) < 1e-8:
-            raise HypothesisError(f"invertibility of ({label}) failed")
     tilde = noisy.analysis
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
     b_norm = _norm(sys.b)
     if b_norm == 0.0:
         raise HypothesisError("relative right-hand side noise is undefined: b is zero")
+    e_eff = noisy.sigma_a * noisy.e
+    f_eff = noisy.sigma_a * noisy.f
+    i_e = np.eye(len(e_eff)) + e_eff
+    i_f = np.eye(len(f_eff)) + f_eff
+    for label, mat in (("I + E", i_e), ("I + F", i_f)):
+        if not _nonsingular(mat):
+            raise HypothesisError(f"invertibility of ({label}) failed")
     e1 = _factor_size(f_eff, i_f)
     rho = _norm(noisy.rhs_noise()) / b_norm
     e_part = _factor_size(e_eff, i_e)

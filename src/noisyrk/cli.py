@@ -8,8 +8,8 @@ dataset over a grid), ``precondition`` (gap-fill speedup demo).
 Configs are JSON (see the README for the schema per subcommand).
 ``--seed`` overrides every seed in the config, so it fully determines
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
-Exit codes: 0 success, 1 configuration error, 2 failed numerical
-hypothesis (the failing condition is printed).
+Exit codes: 0 success, 1 configuration error or failed kernel build, 2
+failed numerical hypothesis (the failing condition is printed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import BoundKind, evaluate_bound, write_bound_csv
-from .errors import HypothesisError
+from .errors import HypothesisError, KernelBuildError
 from .experiments import (
     _EXPERIMENT_KEYS,
     ExperimentConfig,
@@ -193,7 +193,8 @@ def main(argv=None) -> int:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        prefix = "kernel build error" if isinstance(exc, KernelBuildError) else "config error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,6 @@ class KernelBuildError(OSError):
     """The compiled RK step kernel could not be built.
 
     Raised at the first solve when no C compiler is on ``PATH`` or the
-    build fails; the message shows the compiler command.  As an
-    ``OSError`` the command-line front end maps it to exit code 1.
+    build fails; the message shows the compiler command.  The
+    command-line front end reports it as a kernel build error, exit code 1.
     """

@@ -318,7 +318,7 @@ def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
             for r in results
             if r.bound_errors
         }
-        _write_meta(Path(cfg.output_dir), cfg, {"bound_errors": errors})
+        _write_meta(Path(cfg.output_dir), cfg.to_dict(), {"bound_errors": errors})
     return mapping
 
 
@@ -375,7 +375,8 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
         budgets = {
             f"{_sig(r.sigma_a)}_{_sig(r.sigma_b)}": its for (r, its) in outcomes
         }
-        _write_meta(out, cfg, {"adaptive_iterations": budgets})
+        config = {k: v for k, v in cfg.to_dict().items() if k != "bounds"}  # so `table2` reads it back
+        _write_meta(out, config, {"adaptive_iterations": budgets})
     return rows
 
 
@@ -441,8 +442,8 @@ def run_preconditioner_demo(
     return demo
 
 
-def _write_meta(out: Path, cfg: ExperimentConfig, extra: dict) -> None:
+def _write_meta(out: Path, config: dict, extra: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config": cfg.to_dict(), "library_version": __version__}
+    meta = {"config": config, "library_version": __version__}
     meta.update(extra)
     _write_json(out / "meta.json", meta)

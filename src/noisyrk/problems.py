@@ -208,9 +208,13 @@ class LinearSystem:
     a: np.ndarray
     b: np.ndarray
     x_ls: np.ndarray
-    factors: SvdFactors
     spec: SpectrumSpec | None = None
     seed: int | None = None
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        """The SVD of ``a``, taken at first read; :func:`generate_system` fills it with its own."""
+        return svd(self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +287,12 @@ class NoisySystem:
         return spectral_norm(da) if np.any(da) else 0.0
 
 
+def _nonsingular(factor: np.ndarray) -> bool:
+    """Whether a noise factor I + E, I + F or I + M has full numerical rank and sigma_min >= the floor."""
+    factors = svd(factor)
+    return factors.rank == factor.shape[0] and float(factors.sigma[-1]) >= _MIN_FACTOR_SIGMA
+
+
 def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:
     """Nonincreasing singular values per the spacing rule."""
     if spec.spacing is Spacing.EVEN:
@@ -321,8 +331,9 @@ def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
     z = seeding.stream(seed, seeding.SOLUTION).standard_normal(spec.n)
     b = a @ z
     factors = svd(a)
-    x_ls = factors.pinv_apply(b)
-    return LinearSystem(a=a, b=b, x_ls=x_ls, factors=factors, spec=spec, seed=seed)
+    sys = LinearSystem(a=a, b=b, x_ls=factors.pinv_apply(b), spec=spec, seed=seed)
+    object.__setattr__(sys, "factors", factors)  # the memo of the cached property
+    return sys
 
 
 def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int) -> NoisySystem:
@@ -375,7 +386,7 @@ def multiplicative_noise(
         right = np.eye(n) + sigma_a * f
         if sigma_a == 0 or not (use_e or use_f):
             break
-        if sigma_min_nonzero(left) >= _MIN_FACTOR_SIGMA and sigma_min_nonzero(right) >= _MIN_FACTOR_SIGMA:
+        if _nonsingular(left) and _nonsingular(right):
             break
     else:
         raise HypothesisError(
@@ -409,7 +420,7 @@ def partial_consistent_noise(sys: LinearSystem, q: float, seed: int) -> NoisySys
         m0 = seeding.stream(seed, seeding.MATRIX_NOISE, attempt).standard_normal((n, n))
         am = sys.a @ m0
         scale = q / (pinv_norm * spectral_norm(am))
-        if sigma_min_nonzero(np.eye(n) + scale * m0) >= _MIN_FACTOR_SIGMA:
+        if _nonsingular(np.eye(n) + scale * m0):
             break
     else:
         raise HypothesisError("nonsingularity of (I + M) failed after 100 redraws")
@@ -503,7 +514,6 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
         a=a,
         b=_read_shaped(path / "b.vec", (m,)),
         x_ls=_read_shaped(path / "xls.vec", (n,)),
-        factors=svd(a),
         spec=spec,
         seed=meta["seed"],
     )

@@ -33,7 +33,6 @@ from noisyrk import (
     sigma_min_nonzero,
     solve,
     spectral_norm,
-    svd,
     write_bound_csv,
 )
 
@@ -62,7 +61,7 @@ def toy_system_aligned_with_last_direction():
     base = generate_system(spec, seed=2)
     v_last = base.factors.v[:, -1]
     b = base.a @ v_last
-    return LinearSystem(a=base.a, b=b, x_ls=base.factors.pinv_apply(b), factors=base.factors)
+    return LinearSystem(a=base.a, b=b, x_ls=base.factors.pinv_apply(b))
 
 
 class TestBoundNoiseless:
@@ -75,7 +74,7 @@ class TestBoundNoiseless:
 
     def test_identity_rate(self):
         a = np.eye(6)
-        base = LinearSystem(a=a, b=np.ones(6), x_ls=np.ones(6), factors=svd(a))
+        base = LinearSystem(a=a, b=np.ones(6), x_ls=np.ones(6))
         curve = bound_noiseless(base, np.zeros(6), [0, 1])
         assert curve.rate == pytest.approx(1 - 1 / 6, rel=1e-14)
 
@@ -100,7 +99,7 @@ class TestBoundRhsNoise:
 
     def test_identity_horizon(self):
         a = np.eye(4)
-        base = LinearSystem(a=a, b=np.ones(4), x_ls=np.ones(4), factors=svd(a))
+        base = LinearSystem(a=a, b=np.ones(4), x_ls=np.ones(4))
         eps = np.array([2.0, 0.0, 0.0, 0.0])
         curve = bound_rhs_noise(base, eps, np.zeros(4), [0])
         assert curve.horizon == pytest.approx(4.0, rel=1e-14)
@@ -280,6 +279,27 @@ def consistent_multiplicative_instance(sys_, sigma_a, use_f, seed):
     )
 
 
+def singular_factor_instance(sys_, factor, consistent):
+    """Multiplicative instance whose I + sigma_a E (``factor`` "E") or I + sigma_a F is singular.
+
+    sigma_a times that factor is -u u^T / ||u||^2, so I + sigma_a * factor annihilates u.
+    With ``consistent`` the noisy right-hand side is a_tilde x_ls; else it keeps a drawn
+    rhs noise that leaves the 40x20 noisy system inconsistent.
+    """
+    sigma_a = 0.5
+    noisy = multiplicative_noise(sys_, 0.0, 0.3, seed=5)
+    m, n = sys_.a.shape
+    u = np.random.default_rng(3).standard_normal(m if factor == "E" else n)
+    drop = -np.outer(u, u) / (sigma_a * (u @ u))
+    e, f = (drop, np.zeros((n, n))) if factor == "E" else (np.zeros((m, m)), drop)
+    a_tilde = (np.eye(m) + sigma_a * e) @ sys_.a @ (np.eye(n) + sigma_a * f)
+    b_tilde = a_tilde @ sys_.x_ls if consistent else noisy.b_tilde
+    return dataclasses.replace(
+        noisy, e=e, f=f, sigma_a=sigma_a, a_tilde=a_tilde,
+        eps=b_tilde - sys_.b, sigma_b=1.0, b_tilde=b_tilde,
+    )
+
+
 class TestBoundMultiplicativePerturbation:
     def test_zero_noise_horizon_zero(self, small_system, x0):
         noisy = multiplicative_noise(small_system, 0.0, 0.0, seed=5)
@@ -325,6 +345,21 @@ class TestBoundMultiplicativePerturbation:
         noisy = multiplicative_noise(small_system, 0.05, 0.3, seed=5)
         with pytest.raises(HypothesisError, match="consistency"):
             bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+
+    @pytest.mark.parametrize("factor", ["E", "F"])
+    def test_singular_factor_rejected(self, small_system, x0, factor):
+        noisy = singular_factor_instance(small_system, factor, consistent=True)
+        with pytest.raises(HypothesisError, match=rf"invertibility of \(I \+ {factor}\) failed"):
+            bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+
+    @pytest.mark.parametrize("factor", ["E", "F"])
+    def test_consistency_is_named_before_a_singular_factor(self, small_system, x0, factor, svd_calls):
+        noisy = singular_factor_instance(small_system, factor, consistent=False)
+        _ = noisy.analysis  # factor At before counting
+        del svd_calls[:]
+        with pytest.raises(HypothesisError, match="consistency of the noisy linear system failed"):
+            bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+        assert svd_calls == []  # the factor checks were never reached
 
     @pytest.mark.parametrize(
         "m, sigma_b, match",

@@ -126,7 +126,8 @@ class TestSolve:
         cfg = write_config(tmp_path / "solve.json", {"system_dir": str(system_dir), "rk": RK})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "gcc -O2" in err
+        assert err.startswith("kernel build error:") and not err.startswith("config error:")
+        assert "gcc -O2" in err
         assert "Traceback" not in err
 
 
@@ -180,8 +181,8 @@ class TestBounds:
         )
         del svd_calls[:]
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 0
-        # load_system factors A; both kinds share the one factorization of At
-        assert svd_calls == [(30, 15), (30, 15)]
+        # load_system takes no SVD of A; both kinds share the one factorization of At
+        assert svd_calls == [(30, 15)]
 
 
 class TestMalformedSystem:
@@ -213,6 +214,22 @@ class TestTable2:
         first = snapshot(out)
         assert main(["table2", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         assert snapshot(out) == first
+
+
+@pytest.mark.parametrize("subcommand", ["table2", "figure"])
+def test_recorded_config_reads_back(tmp_path, subcommand):
+    # meta.json's config, fed back unchanged, reruns the same experiment
+    grid = [[0.0, 0.0], [0.1, 0.1]]
+    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, grid=grid))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([subcommand, "--config", cfg, "--out", str(first), "--threads", "1"]) == 0
+    recorded = json.loads((first / "meta.json").read_text())["config"]
+    cfg = write_config(tmp_path / "recorded.json", recorded)
+    assert main([subcommand, "--config", cfg, "--out", str(again), "--threads", "1"]) == 0
+    assert json.loads((again / "meta.json").read_text())["config"] == {**recorded, "output_dir": str(again)}
+    files, rerun = snapshot(first), snapshot(again)
+    del files["meta.json"], rerun["meta.json"]  # they differ in output_dir only, checked above
+    assert files and rerun == files
 
 
 class TestFigure:

@@ -146,9 +146,9 @@ class TestFigureExperiment:
         for res in results.values():
             assert set(res.bound_errors) == {BoundKind.MULTIPLICATIVE_PERTURBATION}
             assert "consistency" in res.bound_errors[BoundKind.MULTIPLICATIVE_PERTURBATION]
-        # one generate_system; per point the two noise-factor checks, one SVD of At
-        # shared by every kind, and the two factor checks of the failing kind
-        assert len(svd_calls) == 1 + len(grid) * 5
+        # one generate_system; per point the two noise-factor checks and one SVD of At
+        # shared by every kind; the failing kind stops at consistency, before its factor checks
+        assert len(svd_calls) == 1 + len(grid) * 3
 
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from noisyrk import (
     LinearSystem,
     NoiseModel,
+    RkConfig,
     Spacing,
     SpectrumSpec,
     additive_noise,
@@ -21,11 +22,13 @@ from noisyrk import (
     save_system,
     scaled_condition_number,
     sigma_min_nonzero,
+    solve,
     spectral_norm,
     svd,
     write_matrix,
     write_vector,
 )
+from noisyrk.problems import _nonsingular
 
 
 def flat_top_system(m, n, r, lo, hi, seed=1):
@@ -67,6 +70,13 @@ class TestGenerateSystem:
         assert np.array_equal(s1.a, s2.a)
         assert np.array_equal(s1.b, s2.b)
         assert np.array_equal(s1.x_ls, s2.x_ls)
+
+    def test_factors_are_the_svd_taken_for_x_ls(self, svd_calls):
+        sys_ = generate_system(SpectrumSpec(m=10, n=6, r=6, sigma_min=1.0, sigma_max=2.0), seed=4)
+        factors = sys_.factors
+        assert svd_calls == [(10, 6)]
+        assert sys_.factors is factors
+        assert np.array_equal(factors.pinv_apply(sys_.b), sys_.x_ls)
 
     def test_solution_in_row_space(self, rank_deficient_system):
         sys_ = rank_deficient_system
@@ -190,6 +200,17 @@ class TestPartialConsistentNoise:
                 partial_consistent_noise(small_system, bad, seed=0)
 
 
+class TestFactorNonsingularity:
+    @pytest.mark.parametrize("factor, nonsingular", [
+        (np.eye(3), True),
+        (np.diag([1.0, 1.0, 0.0]), False),  # rank 2: its kept singular values all pass the floor
+        (np.diag([1.0, 1.0, 1e-9]), False),  # full numerical rank, below the floor
+        (np.zeros((2, 2)), False),
+    ], ids=["identity", "rank-deficient", "below-floor", "zero"])
+    def test_full_rank_and_floor(self, factor, nonsingular):
+        assert _nonsingular(factor) is nonsingular
+
+
 class TestPreconditionerNoise:
     def test_toy_3_3_1(self):
         sys_ = flat_top_system(3, 3, 3, 1.0, 3.0)
@@ -207,16 +228,14 @@ class TestPreconditionerNoise:
     def test_degenerate_spectrum_errors(self):
         a = np.diag([3.0, 3.0])
         b = a @ np.array([1.0, 1.0])
-        factors = svd(a)
-        sys_ = LinearSystem(a=a, b=b, x_ls=factors.pinv_apply(b), factors=factors)
+        sys_ = LinearSystem(a=a, b=b, x_ls=svd(a).pinv_apply(b))
         with pytest.raises(ValueError, match="distinct"):
             preconditioner_noise(sys_)
 
     def test_rank_one_errors(self):
         a = np.outer([1.0, 2.0], [3.0, 4.0])
-        factors = svd(a)
         b = a @ np.ones(2)
-        sys_ = LinearSystem(a=a, b=b, x_ls=factors.pinv_apply(b), factors=factors)
+        sys_ = LinearSystem(a=a, b=b, x_ls=svd(a).pinv_apply(b))
         with pytest.raises(ValueError, match="rank"):
             preconditioner_noise(sys_)
 
@@ -287,6 +306,16 @@ class TestSerialization:
             write_vector(target, np.ones(bad))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_system(tmp_path)
+
+    def test_load_and_solve_take_no_svd(self, small_system, tmp_path, svd_calls):
+        save_system(multiplicative_noise(small_system, 0.05, 0.1, seed=13), tmp_path)
+        del svd_calls[:]
+        back = load_system(tmp_path)
+        solve(back, RkConfig(max_iterations=50, trials=2, seed=1))
+        assert svd_calls == []
+        # the base factors are taken at first read, from the loaded A
+        assert_allclose(back.base.factors.sigma, small_system.factors.sigma, rtol=1e-14)
+        assert svd_calls == [(40, 20)]
 
     def test_multiplicative_requires_f(self, small_system, tmp_path):
         save_system(multiplicative_noise(small_system, 0.05, 0.1, seed=13), tmp_path)
