@@ -14,7 +14,7 @@ from noisyrk import (
     bound_additive,
     empirical_horizon,
     generate_system,
-    initial_iterate,
+    initial_iterates,
     solve,
 )
 
@@ -23,10 +23,10 @@ base = generate_system(spec, seed=3)
 noisy = additive_noise(base, sigma_a=0.05, sigma_b=0.05, seed=3)
 
 cfg = RkConfig(max_iterations=20_000, trials=20, record_stride=500, seed=4)
-traj = solve(noisy, cfg)
+x0s = initial_iterates(noisy.a_tilde, cfg)
+traj = solve(noisy, cfg, x0s)
 
-# one curve from the trial-mean initial error of the stacked start points
-x0s = np.stack([initial_iterate(noisy.a_tilde, cfg, t) for t in range(cfg.trials)])
+# one curve from the trial-mean initial error of the same start points
 curve = bound_additive(base, noisy, x0s, traj.recorded_iterations)
 bound_values = curve.values
 

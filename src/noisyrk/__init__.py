@@ -43,7 +43,7 @@ from .kaczmarz import (
     Trajectory,
     X0Mode,
     empirical_horizon,
-    initial_iterate,
+    initial_iterates,
     make_sampler,
     record_points,
     rk_step,
@@ -96,7 +96,7 @@ __all__ = [
     "save_system", "load_system",
     # solver
     "X0Mode", "RkConfig", "RowSampler", "Trajectory", "rk_step",
-    "make_sampler", "initial_iterate", "record_points", "solve",
+    "make_sampler", "initial_iterates", "record_points", "solve",
     "empirical_horizon", "write_trajectory_csv",
     # bounds
     "BoundKind", "BoundCurve", "HorizonComparison", "bound_noiseless",

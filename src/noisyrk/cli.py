@@ -34,7 +34,7 @@ from .experiments import (
     run_table2,
     write_band_csv,
 )
-from .kaczmarz import initial_iterate, record_points, solve, write_trajectory_csv
+from .kaczmarz import initial_iterates, record_points, solve, write_trajectory_csv
 from .problems import (
     _NOISE_KEYS, _REQUIRED, _exact, _list_of, _number, _or_none, _read,  # the config reader
     NoiseSpec,
@@ -126,8 +126,8 @@ def _cmd_bounds(args) -> int:
     rk = _rk_from(cfg["rk"], 0, args.seed)
     noisy = load_system(cfg["system_dir"])
     ks = record_points(rk.max_iterations, rk.record_stride)
-    # every trial's start, as solve uses them: the curves carry the trial-mean initial error
-    x0 = [initial_iterate(noisy.a_tilde, rk, t) for t in range(rk.trials)]
+    # the starts solve uses by default: the curves carry the trial-mean initial error
+    x0 = initial_iterates(noisy.a_tilde, rk)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for kind in cfg["bounds"]:

@@ -45,7 +45,7 @@ from .kaczmarz import (
     Trajectory,
     X0Mode,
     empirical_horizon,
-    initial_iterate,
+    initial_iterates,
     solve,
     write_trajectory_csv,
 )
@@ -151,18 +151,12 @@ def _noise_grid(pairs) -> tuple:
     return tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
 
 
-def _x0_mode(value) -> X0Mode:
-    if value not in ("zero", "range"):  # "given" needs an x0, which no config carries
-        raise ValueError(f"expected 'zero' or 'range', got {value!r}")
-    return X0Mode(value)
-
-
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
     """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
     rk = RkConfig(**_read(data, "rk", {
         "max_iterations": (_exact(int), 10_000), "trials": (_exact(int), 10),
         "record_stride": (_or_none(_exact(int)), None), "seed": (_exact(int), default_seed),
-        "x0_mode": (_x0_mode, "range"),
+        "x0_mode": (X0Mode, "range"),
     }))
     return rk if seed is None else replace(rk, seed=seed)
 
@@ -244,8 +238,8 @@ def _sig(x: float) -> str:
 
 def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
     noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
-    traj = solve(noisy, cfg.rk)
-    x0s = np.stack([initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)])
+    x0s = initial_iterates(noisy.a_tilde, cfg.rk)
+    traj = solve(noisy, cfg.rk, x0s)
     curves: dict = {}
     errors: dict = {}
     # bounds are affine in the initial error, so one curve from the trial-mean
@@ -331,12 +325,12 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
 
 def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
     noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
-    x0s = [initial_iterate(noisy.a_tilde, cfg.rk, t) for t in range(cfg.rk.trials)]
+    x0s = initial_iterates(noisy.a_tilde, cfg.rk)
     curve = bound_additive(sys, noisy, x0s, [0])  # its initial error is the trial mean
     r_tilde = curve.scalars["scaled_condition_number_tilde"]
     kappa = float(noisy.analysis.sigma[0] / noisy.analysis.sigma[-1])
     iterations = _adaptive_iterations(r_tilde, curve.initial_error)
-    traj = solve(noisy, replace(cfg.rk, max_iterations=iterations))
+    traj = solve(noisy, replace(cfg.rk, max_iterations=iterations), x0s)
     empirical = empirical_horizon(traj)
     decayed = curve.rate ** iterations * curve.initial_error
     if decayed > max(1e-3 * empirical, 1e-10):
@@ -404,17 +398,16 @@ def run_preconditioner_demo(
     """
     sys = generate_system(spec, master_seed)
     noisy = build_noisy(NoiseSpec(NoiseModel.PRECONDITIONER), sys, 0.0, 0.0, master_seed)
-    x0s = np.stack([initial_iterate(noisy.a_tilde, rk, t) for t in range(rk.trials)])
-    shared = replace(rk, x0_mode=X0Mode.GIVEN, x0=x0s)
-    traj_noisy = solve(noisy, shared)
+    x0s = initial_iterates(noisy.a_tilde, rk)
+    traj_noisy = solve(noisy, rk, x0s)
     zero = build_noisy(NoiseSpec(), sys, 0.0, 0.0, master_seed)
-    traj_noiseless = solve(zero, shared)
+    traj_noiseless = solve(zero, rk, x0s)
 
-    curve = bound_additive(sys, noisy, x0s[0], [0])
+    curve = bound_additive(sys, noisy, x0s, [0])  # its initial error is the trial mean
     r = scaled_condition_number(sys.factors)
     r_tilde = float(curve.scalars["scaled_condition_number_tilde"])
     if initial_sq_error is None:
-        initial_sq_error = float(np.mean([np.sum((x0 - sys.x_ls) ** 2) for x0 in x0s]))
+        initial_sq_error = curve.initial_error
     demo = PreconditionerDemo(
         k_noiseless=iterations_to_tolerance(r, initial_sq_error, tau),
         k_noisy=iterations_to_tolerance(r_tilde, initial_sq_error, tau, curve.horizon),

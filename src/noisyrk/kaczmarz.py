@@ -55,7 +55,7 @@ __all__ = [
     "Trajectory",
     "rk_step",
     "make_sampler",
-    "initial_iterate",
+    "initial_iterates",
     "record_points",
     "solve",
     "empirical_horizon",
@@ -81,23 +81,17 @@ class X0Mode(str, enum.Enum):
     # a_tilde.T @ y for standard-normal y: a start inside the row space
     # of the iteration matrix
     RANGE_ROWSPACE = "range"
-    GIVEN = "given"
 
 
 @dataclass(frozen=True, eq=False)
 class RkConfig:
-    """Iteration budget, recording grid, and trial layout for a solve.
-
-    In ``given`` mode ``x0`` is either one vector shared by all trials
-    or a (trials, n) stack with one starting point per trial.
-    """
+    """Iteration budget, recording grid, trial layout and start mode for a solve."""
 
     max_iterations: int
     trials: int = 10
     record_stride: int | None = None
     seed: int = 0
     x0_mode: X0Mode = X0Mode.RANGE_ROWSPACE
-    x0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0_mode", X0Mode(self.x0_mode))
@@ -107,10 +101,6 @@ class RkConfig:
             raise ValueError("trials must be at least 1")
         if self.record_stride is not None and self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if (self.x0_mode is X0Mode.GIVEN) != (self.x0 is not None):
-            raise ValueError("x0 must be supplied exactly when x0_mode is 'given'")
-        if self.x0 is not None and np.ndim(self.x0) == 2 and len(self.x0) != self.trials:
-            raise ValueError(f"x0 stack has {len(self.x0)} rows for {self.trials} trials")
 
 
 class RowSampler:
@@ -156,7 +146,8 @@ def _kernel():
     The library's name is the sha256 of the source, the flags and the
     resolved compiler with its ``stat``, so a warm start runs no process
     and a changed compiler or source builds afresh.  Concurrent builds
-    each write a private temp file and rename it into place.
+    each write a private temp file and rename it into place.  Every
+    failure, an unusable cache location included, is a ``KernelBuildError``.
     """
     import hashlib  # not loaded by numpy, so imported here to keep `import noisyrk` light
 
@@ -175,23 +166,28 @@ def _kernel():
         source, _CFLAGS, compiler, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
     )).encode()).hexdigest()[:32]
     lib = cache / f"_rk-{key}.so"
-    if not lib.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
-        os.close(fd)
-        command = [compiler, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
-        try:
-            done = subprocess.run(command, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise KernelBuildError(
-                    f"building the RK step kernel failed (exit {done.returncode}): "
-                    f"{' '.join(command)}\n{done.stderr.strip()}"
-                )
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib)).rk_chunk
+    try:
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
+            os.close(fd)
+            command = [compiler, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
+            try:
+                done = subprocess.run(command, capture_output=True, text=True)
+                if done.returncode != 0:
+                    raise KernelBuildError(
+                        f"building the RK step kernel failed (exit {done.returncode}): "
+                        f"{' '.join(command)}\n{done.stderr.strip()}"
+                    )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).rk_chunk
+    except KernelBuildError:
+        raise
+    except OSError as exc:  # an unusable cache location is no config error
+        raise KernelBuildError(f"the RK step kernel cannot be built or loaded at {lib}: {exc}") from exc
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
@@ -237,24 +233,22 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     return block[0]
 
 
-def initial_iterate(a_tilde: np.ndarray, cfg: RkConfig, trial: int) -> np.ndarray:
-    """Starting point for one trial, drawn from the trial's own stream.
+def initial_iterates(a_tilde: np.ndarray, cfg: RkConfig) -> np.ndarray:
+    """The (trials, n) stack of a solve's starting points, one row per trial.
 
-    In ``range`` mode the underlying standard-normal draw depends only on
-    (seed, trial), so the same seed yields the same draw across every
-    noise setting of an experiment.
+    In ``range`` mode row t is ``a_tilde.T @ y`` for a standard-normal y
+    drawn from trial t's own stream, so it depends only on (seed, trial)
+    and the same seed yields the same draw across every noise setting
+    of an experiment.
     """
-    n = a_tilde.shape[1]
+    m, n = a_tilde.shape
     if cfg.x0_mode is X0Mode.ZERO:
-        return np.zeros(n)
-    if cfg.x0_mode is X0Mode.GIVEN:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        x0 = as_vector(x0[trial] if x0.ndim == 2 else x0, "x0")
-        if x0.size != n:
-            raise ValueError(f"x0 has width {x0.size}, the system has {n} unknowns")
-        return x0.copy()
-    y = seeding.stream(cfg.seed, seeding.START_POINT, trial).standard_normal(a_tilde.shape[0])
-    return a_tilde.T @ y
+        return np.zeros((cfg.trials, n))
+    # one product per row: a single (trials, m) @ a_tilde would sum in another order
+    return np.stack([
+        a_tilde.T @ seeding.stream(cfg.seed, seeding.START_POINT, t).standard_normal(m)
+        for t in range(cfg.trials)
+    ])
 
 
 def record_points(max_iterations: int, stride: int | None = None) -> np.ndarray:
@@ -294,10 +288,12 @@ class Trajectory:
         return np.sqrt(self.per_trial_squared_error).std(axis=0)
 
 
-def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
+def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Trajectory:
     """Run randomized Kaczmarz on the noisy system over independent trials.
 
-    Each trial starts from its own x0 (see :func:`initial_iterate`), draws
+    Trial t starts from row t of ``x0``, a finite (trials, n) stack that
+    defaults to :func:`initial_iterates`; callers that also evaluate
+    bounds pass the stack they evaluate them from.  Each trial draws
     rows from its own sampler stream, and records the squared distance to
     the *noiseless* solution ``noisy.base.x_ls`` at the configured stride.
     Each chunk of steps is one call of the compiled kernel for all trials.
@@ -307,8 +303,13 @@ def solve(noisy: NoisySystem, cfg: RkConfig) -> Trajectory:
     b = np.ascontiguousarray(noisy.b_tilde, dtype=float)
     x_ls = np.ascontiguousarray(noisy.base.x_ls, dtype=float)
     ks = record_points(cfg.max_iterations, cfg.record_stride)
-    samplers = [make_sampler(a, cfg.seed, t) for t in range(cfg.trials)]
-    x = np.stack([initial_iterate(a, cfg, t) for t in range(cfg.trials)]).astype(float, order="C")
+    # a copy: the kernel advances it in place
+    x = np.array(initial_iterates(a, cfg) if x0 is None else x0, dtype=float, order="C")
+    if x.shape != (cfg.trials, a.shape[1]):
+        raise ValueError(f"x0 has shape {x.shape}; one start per trial needs {(cfg.trials, a.shape[1])}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 contains non-finite entries")
+    samplers = [make_sampler(a, cfg.seed, trial) for trial in range(cfg.trials)]
     per_trial = np.empty((cfg.trials, ks.size))
     d = x - x_ls
     per_trial[:, 0] = np.vecdot(d, d)
@@ -344,7 +345,7 @@ def empirical_horizon(traj: Trajectory) -> float:
 def write_trajectory_csv(path: str | os.PathLike, traj: Trajectory) -> None:
     """CSV: iteration, mean/std of squared error, then one column per trial."""
     header = ["iteration", "mean_sq_err", "std_sq_err"]
-    header.extend(f"trial_{t}" for t in range(traj.trials))
+    header.extend(f"trial_{k}" for k in range(traj.trials))
     columns = np.column_stack([
         traj.recorded_iterations, traj.mean_squared_error, traj.std_squared_error,
         traj.per_trial_squared_error.T,

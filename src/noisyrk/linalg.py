@@ -88,19 +88,15 @@ class SvdFactors:
         return self.v @ ((self.u.T @ y) / self.sigma)
 
 
-def svd(a, tol: float | None = None) -> SvdFactors:
+def svd(a) -> SvdFactors:
     """Singular value decomposition with numerical-rank truncation.
 
-    Singular values at or below ``tol * sigma_1`` are dropped; ``tol``
-    defaults to ``max(m, n) * machine epsilon``.  Deterministic for a
-    fixed input.
+    Singular values at or below ``max(m, n) * machine epsilon * sigma_1``
+    are dropped.  Deterministic for a fixed input.
     """
     arr = as_matrix(a)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    rel = max(arr.shape) * np.finfo(float).eps if tol is None else float(tol)
-    if rel < 0:
-        raise ValueError("tolerance must be nonnegative")
-    cutoff = rel * (float(s[0]) if s.size else 0.0)
+    cutoff = max(arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :rank]),
@@ -110,13 +106,12 @@ def svd(a, tol: float | None = None) -> SvdFactors:
     )
 
 
-def pseudoinverse(a, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the truncated SVD.
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via the truncated SVD of :func:`svd`.
 
     Satisfies the four Penrose identities to high relative accuracy.
-    ``tol`` has the same meaning as in :func:`svd`.
     """
-    factors = svd(a, tol)
+    factors = svd(a)
     if factors.rank == 0:
         arr = as_matrix(a)
         return np.zeros((arr.shape[1], arr.shape[0]))

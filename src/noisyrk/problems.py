@@ -386,7 +386,8 @@ def multiplicative_noise(
         right = np.eye(n) + sigma_a * f
         if sigma_a == 0 or not (use_e or use_f):
             break
-        if _nonsingular(left) and _nonsingular(right):
+        # a switched-off factor is the identity
+        if (not use_e or _nonsingular(left)) and (not use_f or _nonsingular(right)):
             break
     else:
         raise HypothesisError(

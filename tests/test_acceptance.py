@@ -20,7 +20,7 @@ from noisyrk import (
     frobenius_norm,
     generate_system,
     horizon_comparison,
-    initial_iterate,
+    initial_iterates,
     iterations_to_tolerance,
     make_sampler,
     multiplicative_noise,
@@ -84,7 +84,7 @@ def test_criterion_3_zero_noise_sweep_row():
 
 def _domination_fraction(sys_, noisy, cfg, bound_fn):
     traj = solve(noisy, cfg)
-    x0s = [initial_iterate(noisy.a_tilde, cfg, t) for t in range(cfg.trials)]
+    x0s = initial_iterates(noisy.a_tilde, cfg)
     values = np.mean(
         [bound_fn(sys_, noisy, x, traj.recorded_iterations).values for x in x0s], axis=0
     )
@@ -211,7 +211,7 @@ class TestCriterion7Properties:
 
     def test_rhs_bound_equals_additive_with_zero_matrix_noise(self, small_system):
         noisy = additive_noise(small_system, 0.0, 0.8, seed=3)
-        x0 = initial_iterate(noisy.a_tilde, RkConfig(max_iterations=1, seed=4), 0)
+        x0 = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=1, seed=4))[0]
         ks = np.arange(0, 2001, 100)
         via_additive = bound_additive(small_system, noisy, x0, ks)
         via_rhs = bound_rhs_noise(small_system, noisy.rhs_noise(), x0, ks)

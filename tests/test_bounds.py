@@ -23,7 +23,7 @@ from noisyrk import (
     evaluate_bound,
     generate_system,
     horizon_comparison,
-    initial_iterate,
+    initial_iterates,
     iterations_to_tolerance,
     multiplicative_noise,
     partial_consistent_noise,
@@ -41,7 +41,7 @@ KS = np.arange(0, 201, 20)
 
 @pytest.fixture(scope="module")
 def x0(small_system):
-    return initial_iterate(small_system.a, RkConfig(max_iterations=1, seed=5), 0)
+    return initial_iterates(small_system.a, RkConfig(max_iterations=1, trials=1, seed=5))[0]
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ class TestBoundPerturbationDoubly:
     def test_dominates_unsquared_empirical_mean(self, small_system, partial):
         cfg = RkConfig(max_iterations=2000, trials=20, record_stride=100, seed=6)
         traj = solve(partial, cfg)
-        x0s = [initial_iterate(partial.a_tilde, cfg, t) for t in range(cfg.trials)]
+        x0s = initial_iterates(partial.a_tilde, cfg)
         curves = [
             bound_perturbation_doubly(small_system, partial, x, traj.recorded_iterations)
             for x in x0s
@@ -453,7 +453,7 @@ class TestDispatcherAndCsv:
     @pytest.mark.parametrize("kind", [BoundKind.ADDITIVE, BoundKind.PERTURBATION_DOUBLY])
     def test_stacked_x0_carries_trial_mean_initial_error(self, small_system, partial, kind):
         cfg = RkConfig(max_iterations=1, trials=5, seed=8)
-        x0s = np.stack([initial_iterate(partial.a_tilde, cfg, t) for t in range(cfg.trials)])
+        x0s = initial_iterates(partial.a_tilde, cfg)
         stacked = evaluate_bound(kind, small_system, partial, x0s, KS)
         rows = [evaluate_bound(kind, small_system, partial, x, KS) for x in x0s]
         initial = float(np.mean([c.initial_error for c in rows]))
@@ -484,7 +484,7 @@ class TestDispatcherAndCsv:
         noisy = additive_noise(small_system, 0.05, 0.05, seed=31)
         cfg = RkConfig(max_iterations=3000, trials=30, record_stride=100, seed=32)
         traj = solve(noisy, cfg)
-        x0s = [initial_iterate(noisy.a_tilde, cfg, t) for t in range(cfg.trials)]
+        x0s = initial_iterates(noisy.a_tilde, cfg)
         curves = [
             bound_additive(small_system, noisy, x, traj.recorded_iterations) for x in x0s
         ]

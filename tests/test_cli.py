@@ -130,6 +130,18 @@ class TestSolve:
         assert "gcc -O2" in err
         assert "Traceback" not in err
 
+    def test_unusable_kernel_cache_exit_1(self, tmp_path, system_dir, kernel_cache, monkeypatch, capsys):
+        # a cache location under a regular file cannot be created
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        cfg = write_config(tmp_path / "solve.json", {"system_dir": str(system_dir), "rk": RK})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kernel build error:") and not err.startswith("config error:")
+        assert str(blocker / "noisyrk") in err
+        assert "Traceback" not in err
+
 
 class TestBounds:
     def test_valid_kinds(self, tmp_path, system_dir):
@@ -472,7 +484,7 @@ class TestRkParsing:
     # where each subcommand hands over its parsed RkConfig
     HANDOFF = {
         "solve": ("solve", lambda args, kwargs: args[1]),
-        "bounds": ("initial_iterate", lambda args, kwargs: args[1]),
+        "bounds": ("initial_iterates", lambda args, kwargs: args[1]),
         "precondition": ("run_preconditioner_demo", lambda args, kwargs: kwargs["rk"]),
         "figure": ("run_figure_experiment", lambda args, kwargs: args[0].rk),
         "table2": ("run_table2", lambda args, kwargs: args[0].rk),
@@ -494,8 +506,8 @@ class TestRkParsing:
                 main(argv)
             parsed = got.value.args[0]
             fields = (parsed.max_iterations, parsed.trials, parsed.record_stride,
-                      parsed.seed, parsed.x0_mode.value, parsed.x0)
-            assert fields == (40, 3, 8, seed, "zero", None), sub
+                      parsed.seed, parsed.x0_mode.value)
+            assert fields == (40, 3, 8, seed, "zero"), sub
 
 
 class TestBenchmarkLookups:

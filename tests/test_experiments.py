@@ -16,7 +16,7 @@ from noisyrk import (
     apply_paper_scale,
     bound_additive,
     generate_system,
-    initial_iterate,
+    initial_iterates,
     run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
@@ -224,7 +224,7 @@ class TestTable2:
     def test_diagonal_horizon_monotone_at_desk_scale(self):
         spec = SpectrumSpec(m=200, n=100, r=100, sigma_min=5.0, sigma_max=50.0)
         sys_ = generate_system(spec, seed=1)
-        x0 = initial_iterate(sys_.a, RkConfig(max_iterations=1, seed=1), 0)
+        x0 = initial_iterates(sys_.a, RkConfig(max_iterations=1, trials=1, seed=1))[0]
         horizons = []
         for s in (0.005, 0.01, 0.05, 0.1, 0.5):
             noisy = additive_noise(sys_, s, s, seed=1)

@@ -13,10 +13,9 @@ from noisyrk import (
     HypothesisError,
     KernelBuildError,
     RkConfig,
-    X0Mode,
     additive_noise,
     empirical_horizon,
-    initial_iterate,
+    initial_iterates,
     kaczmarz,
     make_sampler,
     record_points,
@@ -36,7 +35,7 @@ def noiseless(small_system):
 def reference_errors(noisy, cfg, trial):
     """Squared errors after each of a trial's steps, from the projection written out in numpy."""
     a, b, x_ls = noisy.a_tilde, noisy.b_tilde, noisy.base.x_ls
-    x = initial_iterate(a, cfg, trial)
+    x = initial_iterates(a, cfg)[trial]
     errors = []
     for i in make_sampler(a, cfg.seed, trial).sample_block(cfg.max_iterations):
         x = x - (a[i] @ x - b[i]) / (a[i] @ a[i]) * a[i]
@@ -178,7 +177,7 @@ class TestSolve:
     def test_iterates_confined_to_row_space(self, small_system):
         noisy = additive_noise(small_system, 0.2, 0.2, seed=8)
         cfg = RkConfig(max_iterations=200, trials=1, seed=8)
-        x0 = initial_iterate(noisy.a_tilde, cfg, 0)
+        x0 = initial_iterates(noisy.a_tilde, cfg)[0]
         sampler = make_sampler(noisy.a_tilde, cfg.seed, trial=0)
         x = x0.copy()
         for i in sampler.sample_block(200):
@@ -191,17 +190,42 @@ class TestSolve:
     def test_given_x0_per_trial(self, noiseless, small_system):
         n = small_system.a.shape[1]
         x0s = np.arange(2 * n, dtype=float).reshape(2, n)
-        cfg = RkConfig(max_iterations=5, trials=2, seed=0, x0_mode=X0Mode.GIVEN, x0=x0s)
-        traj = solve(noiseless, cfg)
+        traj = solve(noiseless, RkConfig(max_iterations=5, trials=2, seed=0), x0s)
         d0 = x0s[0] - small_system.x_ls
         d1 = x0s[1] - small_system.x_ls
         assert traj.per_trial_squared_error[0, 0] == pytest.approx(float(d0 @ d0))
         assert traj.per_trial_squared_error[1, 0] == pytest.approx(float(d1 @ d1))
 
-    def test_x0_stack_needs_one_row_per_trial(self, small_system):
+    def test_x0_stack_needs_one_row_per_trial(self, noiseless, small_system):
         x0s = np.zeros((2, small_system.a.shape[1]))
-        with pytest.raises(ValueError, match="2 rows for 3 trials"):
-            RkConfig(max_iterations=5, trials=3, x0_mode=X0Mode.GIVEN, x0=x0s)
+        with pytest.raises(ValueError, match=r"shape \(2, 20\); one start per trial needs \(3, 20\)"):
+            solve(noiseless, RkConfig(max_iterations=5, trials=3), x0s)
+
+    def test_non_finite_x0_rejected(self, noiseless, small_system):
+        x0s = np.zeros((2, small_system.a.shape[1]))
+        x0s[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(noiseless, RkConfig(max_iterations=5, trials=2), x0s)
+
+    @pytest.mark.parametrize("mode", ["range", "zero"])
+    def test_default_starts_are_initial_iterates(self, small_system, mode):
+        noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
+        cfg = RkConfig(max_iterations=300, trials=3, seed=9, x0_mode=mode)
+        x0s = initial_iterates(noisy.a_tilde, cfg)
+        kept = x0s.copy()
+        given = solve(noisy, cfg, x0s)
+        assert np.array_equal(x0s, kept)  # the caller's stack is not advanced in place
+        assert np.array_equal(given.per_trial_squared_error, solve(noisy, cfg).per_trial_squared_error)
+
+    def test_initial_iterates_rows_depend_only_on_seed_and_trial(self, small_system):
+        a = small_system.a
+        five = initial_iterates(a, RkConfig(max_iterations=1, trials=5, seed=3))
+        two = initial_iterates(a, RkConfig(max_iterations=1, trials=2, seed=3))
+        assert five.shape == (5, a.shape[1])
+        assert np.array_equal(five[:2], two)
+        assert not np.array_equal(five[0], five[1])
+        assert np.array_equal(initial_iterates(a, RkConfig(max_iterations=1, trials=2, x0_mode="zero")),
+                              np.zeros((2, a.shape[1])))
 
     def test_inconsistent_system_shapes_rejected(self, noiseless):
         # the kernel would read past the end of b_tilde
@@ -211,16 +235,14 @@ class TestSolve:
 
     def test_overflowing_error_is_a_failed_hypothesis(self, noiseless, small_system):
         # ||x0 - x_ls||^2 overflows for entries of 1e200: solve must not return inf or NaN
-        x0 = np.full(small_system.a.shape[1], 1e200)
-        cfg = RkConfig(max_iterations=5, trials=2, x0_mode=X0Mode.GIVEN, x0=x0)
+        x0s = np.full((2, small_system.a.shape[1]), 1e200)
         with np.errstate(over="ignore"), pytest.raises(HypothesisError, match="non-finite"):
-            solve(noiseless, cfg)
+            solve(noiseless, RkConfig(max_iterations=5, trials=2), x0s)
 
     @pytest.mark.parametrize("shape", [(19,), (2, 21)])
     def test_x0_width_must_match_system(self, noiseless, shape):
-        cfg = RkConfig(max_iterations=5, trials=2, x0_mode=X0Mode.GIVEN, x0=np.zeros(shape))
-        with pytest.raises(ValueError, match="20 unknowns"):
-            solve(noiseless, cfg)
+        with pytest.raises(ValueError, match=r"one start per trial needs \(2, 20\)"):
+            solve(noiseless, RkConfig(max_iterations=5, trials=2), np.zeros(shape))
 
 
 class TestKernelBuild:

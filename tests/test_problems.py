@@ -28,6 +28,7 @@ from noisyrk import (
     write_matrix,
     write_vector,
 )
+from noisyrk import seeding
 from noisyrk.problems import _nonsingular
 
 
@@ -170,6 +171,19 @@ class TestMultiplicativeNoise:
         direct = noisy.a_tilde - small_system.a
         expansion = noisy.matrix_noise()
         assert np.max(np.abs(direct - expansion)) <= 1e-10 * spectral_norm(small_system.a)
+
+    @pytest.mark.parametrize("use_e, use_f, factored", [(True, False, [(30, 30)]), (False, True, [(15, 15)])])
+    def test_switched_off_factor_takes_no_svd(self, svd_calls, use_e, use_f, factored):
+        sys_ = generate_system(SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=3.0), seed=4)
+        svd_calls.clear()
+        noisy = multiplicative_noise(sys_, 0.2, 0.1, use_e=use_e, use_f=use_f, seed=5)
+        assert svd_calls == factored
+        # the first draw, unchanged: the switched-off factor is the identity
+        left, right = np.eye(30) + 0.2 * noisy.e, np.eye(15) + 0.2 * noisy.f
+        assert np.any(noisy.e) == use_e and np.any(noisy.f) == use_f
+        assert np.array_equal(noisy.e, seeding.stream(5, seeding.MATRIX_NOISE, 0).standard_normal((30, 30)) * use_e)
+        assert np.array_equal(noisy.f, seeding.stream(5, seeding.RIGHT_FACTOR_NOISE, 0).standard_normal((15, 15)) * use_f)
+        assert np.array_equal(noisy.a_tilde, left @ sys_.a @ right)
 
 
 class TestPartialConsistentNoise:
