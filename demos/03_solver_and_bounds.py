@@ -27,7 +27,7 @@ x0s = initial_iterates(noisy.a_tilde, cfg)
 traj = solve(noisy, cfg, x0s)
 
 # one curve from the trial-mean initial error of the same start points
-curve = bound_additive(base, noisy, x0s, traj.recorded_iterations)
+curve = bound_additive(noisy, x0s, traj.recorded_iterations)
 bound_values = curve.values
 
 print(f"rate per iteration: {curve.rate:.6f}")

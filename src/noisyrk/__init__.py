@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .kaczmarz import (
     RkConfig,
-    RowSampler,
     Trajectory,
     X0Mode,
     empirical_horizon,
@@ -51,7 +50,6 @@ from .kaczmarz import (
     write_trajectory_csv,
 )
 from .linalg import (
-    SvdFactors,
     frobenius_norm,
     orthonormalize_columns,
     pseudoinverse,
@@ -85,7 +83,7 @@ __all__ = [
     "HypothesisError",
     "KernelBuildError",
     # linalg
-    "SvdFactors", "svd", "pseudoinverse", "scaled_condition_number",
+    "svd", "pseudoinverse", "scaled_condition_number",
     "spectral_norm", "frobenius_norm", "sigma_min_nonzero",
     "orthonormalize_columns", "read_matrix", "write_matrix",
     "read_vector", "write_vector",
@@ -95,7 +93,7 @@ __all__ = [
     "partial_consistent_noise", "preconditioner_noise",
     "save_system", "load_system",
     # solver
-    "X0Mode", "RkConfig", "RowSampler", "Trajectory", "rk_step",
+    "X0Mode", "RkConfig", "Trajectory", "rk_step",
     "make_sampler", "initial_iterates", "record_points", "solve",
     "empirical_horizon", "write_trajectory_csv",
     # bounds

@@ -6,8 +6,8 @@ exponent halved for bounds on the unsquared error).  The rate is always
 condition number of the matrix the iteration actually touches.  The
 catalog:
 
-* ``noiseless``       squared error, horizon 0 (consistent system)
-* ``rhs_noise``       squared, horizon ||eps||^2 / sigma_min(A)^2
+* ``noiseless``       squared error, horizon 0; needs a noise-free system
+* ``rhs_noise``       squared, horizon ||eps||^2 / sigma_min(A)^2; clean matrix
 * ``additive``        squared, hypothesis-free, horizon
                       ||E x_ls - eps||^2 / sigma_min(At)^2
 * ``multiplicative``  squared, same with dA = E A + A F + E A F
@@ -18,6 +18,10 @@ catalog:
                       original right-hand side reachable
 * ``multiplicative_perturbation``  unsquared, valid for perturbations of
                       any size but needs a consistent noisy system
+
+Every bound is ``bound_<kind>(noisy, x0s, ks)``: it reads the noiseless
+system as ``noisy.base``, carries the trial-mean initial error of the
+(trials, n) stack ``x0s``, and checks its own hypothesis.
 
 Pure functions throughout; safe to evaluate concurrently.
 """
@@ -32,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import _write_json, _write_table, as_vector, scaled_condition_number, spectral_norm
-from .problems import NoiseModel, LinearSystem, NoisySystem, _nonsingular
+from .linalg import _write_json, _write_table, scaled_condition_number, spectral_norm
+from .problems import NoiseModel, NoisySystem, _nonsingular
 
 __all__ = [
     "BoundKind",
@@ -104,13 +108,16 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _curve(kind, r, x0, target, horizon, squared, ks, scalars) -> BoundCurve:
-    """The bound at rate ``1 - 1/r`` from the mean initial error of ``x0`` against ``target``.
+def _curve(kind, r, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
+    """The bound at rate ``1 - 1/r`` from the mean initial error of the starts against ``target``.
 
-    ``x0`` is one start vector or the rows of a (trials, n) stack.
+    ``x0s`` is a finite (trials, n) stack, checked as ``solve`` checks its starts.
     """
-    arr = np.asarray(x0, dtype=float)
-    starts = [as_vector(x, "x0") for x in arr] if arr.ndim == 2 else [as_vector(arr, "x0")]
+    starts = np.asarray(x0s, dtype=float)
+    if starts.ndim != 2 or starts.shape[0] == 0 or starts.shape[1] != target.size:
+        raise ValueError(f"x0s has shape {starts.shape}; a stack of starts needs (trials, {target.size})")
+    if not np.isfinite(starts).all():
+        raise ValueError("x0s contains non-finite entries")
     errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
     initial = float(np.mean(errors))
     rate = 1.0 - 1.0 / r
@@ -129,9 +136,9 @@ def _r(spectrum) -> float:
     return scaled_condition_number(spectrum)
 
 
-def _q(sys: LinearSystem, noisy: NoisySystem) -> float:
+def _q(noisy: NoisySystem) -> float:
     """``||pinv(A)|| ||dA||``, once rank preservation, ``q < 1`` and Weyl are checked."""
-    sigma, sigma_tilde = sys.factors.sigma, noisy.analysis.sigma
+    sigma, sigma_tilde = noisy.base.factors.sigma, noisy.analysis.sigma
     if sigma_tilde.size != sigma.size:
         raise HypothesisError(
             f"rank preservation failed: rank(A) = {sigma.size}, "
@@ -147,14 +154,14 @@ def _q(sys: LinearSystem, noisy: NoisySystem) -> float:
     return q
 
 
-def _perturbation_scalars(sys: LinearSystem, noisy: NoisySystem) -> dict:
+def _perturbation_scalars(noisy: NoisySystem) -> dict:
     """Scalars shared by the two bounds routed through a perturbation argument."""
     return {
         "scaled_condition_number_tilde": _r(noisy.analysis),
         "sigma_min_tilde": float(noisy.analysis.sigma[-1]),
         "matrix_noise_norm": noisy.matrix_noise_norm,
         "rhs_noise_norm": _norm(noisy.rhs_noise()),
-        "x_ls_norm": _norm(sys.x_ls),
+        "x_ls_norm": _norm(noisy.base.x_ls),
     }
 
 
@@ -176,28 +183,33 @@ def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) 
         )
 
 
-def bound_noiseless(sys: LinearSystem, x0: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for a consistent system: pure geometric decay."""
-    r = _r(sys.factors)
+def bound_noiseless(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
+    """Squared-error bound for a system that carries no noise: pure geometric decay."""
+    if np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()):
+        raise HypothesisError("noiseless bound requested but the system carries noise")
+    base = noisy.base
+    r = _r(base.factors)
     return _curve(
-        BoundKind.NOISELESS, r, x0, sys.x_ls, 0.0, True, ks,
+        BoundKind.NOISELESS, r, x0s, base.x_ls, 0.0, True, ks,
         {"scaled_condition_number": r},
     )
 
 
-def bound_rhs_noise(sys: LinearSystem, eps: np.ndarray, x0: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound when only the right-hand side is noisy."""
-    eps = np.asarray(eps, dtype=float)
-    r = _r(sys.factors)
-    sigma_min = float(sys.factors.sigma[-1])
+def bound_rhs_noise(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
+    """Squared-error bound for a system whose matrix carries no noise."""
+    if np.any(noisy.matrix_noise()):
+        raise HypothesisError("rhs-noise bound requested but the matrix carries noise")
+    base, eps = noisy.base, noisy.rhs_noise()
+    r = _r(base.factors)
+    sigma_min = float(base.factors.sigma[-1])
     horizon = float(eps @ eps) / (sigma_min * sigma_min)
     return _curve(
-        BoundKind.RHS_NOISE, r, x0, sys.x_ls, horizon, True, ks,
+        BoundKind.RHS_NOISE, r, x0s, base.x_ls, horizon, True, ks,
         {"scaled_condition_number": r, "sigma_min": sigma_min, "rhs_noise_norm": _norm(eps)},
     )
 
 
-def bound_additive(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) -> BoundCurve:
+def bound_additive(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Hypothesis-free squared-error bound against the noiseless solution.
 
     Works for any matrix perturbation: the horizon is
@@ -206,11 +218,11 @@ def bound_additive(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) ->
     number.
     """
     r_tilde = _r(noisy.analysis)
-    mismatch = noisy.matrix_noise() @ sys.x_ls - noisy.rhs_noise()
+    mismatch = noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
     sigma_min = float(noisy.analysis.sigma[-1])
     horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
     return _curve(
-        BoundKind.ADDITIVE, r_tilde, x0, sys.x_ls, horizon, True, ks,
+        BoundKind.ADDITIVE, r_tilde, x0s, noisy.base.x_ls, horizon, True, ks,
         {
             "scaled_condition_number_tilde": r_tilde,
             "sigma_min_tilde": sigma_min,
@@ -219,7 +231,7 @@ def bound_additive(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) ->
     )
 
 
-def bound_multiplicative(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks) -> BoundCurve:
+def bound_multiplicative(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound for two-sided multiplicative corruption.
 
     Identical in shape to :func:`bound_additive` but with the effective
@@ -228,11 +240,11 @@ def bound_multiplicative(sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, 
     """
     if noisy.model is not NoiseModel.MULTIPLICATIVE:
         raise HypothesisError("multiplicative bound requested for a non-multiplicative model")
-    curve = bound_additive(sys, noisy, x0, ks)
+    curve = bound_additive(noisy, x0s, ks)
     return replace(curve, kind=BoundKind.MULTIPLICATIVE)
 
 
-def perturbed_ls_distance(sys: LinearSystem, noisy: NoisySystem) -> float:
+def perturbed_ls_distance(noisy: NoisySystem) -> float:
     """Upper bound on the distance between the noisy and noiseless solutions.
 
     ``(2 q ||x_ls|| + ||pinv(A)|| ||eps||) / (1 - q)`` with
@@ -240,10 +252,11 @@ def perturbed_ls_distance(sys: LinearSystem, noisy: NoisySystem) -> float:
     The returned value is verified to dominate the directly computed
     distance ``||pinv(At) bt - x_ls||``.
     """
-    q = _q(sys, noisy)
-    pinv_norm = 1.0 / float(sys.factors.sigma[-1])
-    value = (2.0 * q * _norm(sys.x_ls) + pinv_norm * _norm(noisy.rhs_noise())) / (1.0 - q)
-    direct = _norm(noisy.analysis.x_nls - sys.x_ls)
+    base = noisy.base
+    q = _q(noisy)
+    pinv_norm = 1.0 / float(base.factors.sigma[-1])
+    value = (2.0 * q * _norm(base.x_ls) + pinv_norm * _norm(noisy.rhs_noise())) / (1.0 - q)
+    direct = _norm(noisy.analysis.x_nls - base.x_ls)
     if direct > value + 1e-9 * max(1.0, value):
         raise HypothesisError(
             f"perturbed least squares distance bound violated: {direct:.6g} > {value:.6g}"
@@ -251,28 +264,24 @@ def perturbed_ls_distance(sys: LinearSystem, noisy: NoisySystem) -> float:
     return float(value)
 
 
-def bound_perturbation_doubly(
-    sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks
-) -> BoundCurve:
+def bound_perturbation_doubly(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Unsquared bound routed through the noisy least squares solution.
 
     Needs rank preservation, small noise, and consistency of the noisy
     system itself; the horizon is :func:`perturbed_ls_distance`.
     """
     tilde = noisy.analysis
-    _q(sys, noisy)  # rank preservation and small noise are checked before consistency
+    _q(noisy)  # rank preservation and small noise are checked before consistency
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    horizon = perturbed_ls_distance(sys, noisy)
-    s = _perturbation_scalars(sys, noisy)
+    horizon = perturbed_ls_distance(noisy)
+    s = _perturbation_scalars(noisy)
     return _curve(
-        BoundKind.PERTURBATION_DOUBLY, s["scaled_condition_number_tilde"], x0, tilde.x_nls,
+        BoundKind.PERTURBATION_DOUBLY, s["scaled_condition_number_tilde"], x0s, tilde.x_nls,
         horizon, False, ks, s,
     )
 
 
-def bound_perturbation_partial(
-    sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks
-) -> BoundCurve:
+def bound_perturbation_partial(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Unsquared bound for matrix noise with the original right-hand side.
 
     The horizon is ``2 ||x_ls|| q / (1 - q) + ||eps|| / sigma_min(At)``,
@@ -283,19 +292,17 @@ def bound_perturbation_partial(
             "partial perturbation bound requested for a model other than partial_consistent"
         )
     tilde = noisy.analysis
-    q = _q(sys, noisy)
-    _require_consistent(noisy.a_tilde, tilde.x_pnls, sys.b, "the partially noisy linear system")
-    s = _perturbation_scalars(sys, noisy)
+    q = _q(noisy)
+    _require_consistent(noisy.a_tilde, tilde.x_pnls, noisy.base.b, "the partially noisy linear system")
+    s = _perturbation_scalars(noisy)
     horizon = 2.0 * s["x_ls_norm"] * q / (1.0 - q) + s["rhs_noise_norm"] / s["sigma_min_tilde"]
     return _curve(
-        BoundKind.PERTURBATION_PARTIAL, s["scaled_condition_number_tilde"], x0, tilde.x_pnls,
+        BoundKind.PERTURBATION_PARTIAL, s["scaled_condition_number_tilde"], x0s, tilde.x_pnls,
         horizon, False, ks, s,
     )
 
 
-def bound_multiplicative_perturbation(
-    sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks
-) -> BoundCurve:
+def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Unsquared bound for multiplicative noise of arbitrary size.
 
     With scaled factors E, F and relative right-hand noise
@@ -312,9 +319,9 @@ def bound_multiplicative_perturbation(
         raise HypothesisError(
             "multiplicative perturbation bound requested for a non-multiplicative model"
         )
-    tilde = noisy.analysis
+    base, tilde = noisy.base, noisy.analysis
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    b_norm = _norm(sys.b)
+    b_norm = _norm(base.b)
     if b_norm == 0.0:
         raise HypothesisError("relative right-hand side noise is undefined: b is zero")
     e_eff = noisy.sigma_a * noisy.e
@@ -328,23 +335,23 @@ def bound_multiplicative_perturbation(
     rho = _norm(noisy.rhs_noise()) / b_norm
     e_part = _factor_size(e_eff, i_e)
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
-    pinv_norm = 1.0 / float(sys.factors.sigma[-1])
-    horizon = e1 * _norm(sys.x_ls) + e2 * pinv_norm * b_norm
+    pinv_norm = 1.0 / float(base.factors.sigma[-1])
+    horizon = e1 * _norm(base.x_ls) + e2 * pinv_norm * b_norm
     r_tilde = _r(tilde)
     return _curve(
-        BoundKind.MULTIPLICATIVE_PERTURBATION, r_tilde, x0, tilde.x_nls, horizon, False, ks,
+        BoundKind.MULTIPLICATIVE_PERTURBATION, r_tilde, x0s, tilde.x_nls, horizon, False, ks,
         {
             "scaled_condition_number_tilde": r_tilde,
             "e1": e1,
             "e2": e2,
             "relative_rhs_noise": rho,
-            "x_ls_norm": _norm(sys.x_ls),
+            "x_ls_norm": _norm(base.x_ls),
             "b_norm": b_norm,
         },
     )
 
 
-def horizon_comparison(sys: LinearSystem, noisy: NoisySystem) -> HorizonComparison:
+def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
     """Compare the direct and the perturbation horizon (unsquared forms).
 
     Whenever ``2 sigma_min(At) > sigma_min(A) - ||E||`` the direct
@@ -360,14 +367,15 @@ def horizon_comparison(sys: LinearSystem, noisy: NoisySystem) -> HorizonComparis
         raise HypothesisError(
             "horizon comparison requested for a model other than partial_consistent"
         )
-    q = _q(sys, noisy)
-    sigma_min = float(sys.factors.sigma[-1])
+    base = noisy.base
+    q = _q(noisy)
+    sigma_min = float(base.factors.sigma[-1])
     sigma_min_tilde = float(noisy.analysis.sigma[-1])
     eps = noisy.rhs_noise()
     eps_norm = _norm(eps)
-    x_ls_norm = _norm(sys.x_ls)
+    x_ls_norm = _norm(base.x_ls)
 
-    main = _norm(noisy.matrix_noise() @ sys.x_ls - eps) / sigma_min_tilde
+    main = _norm(noisy.matrix_noise() @ base.x_ls - eps) / sigma_min_tilde
     partial = 2.0 * x_ls_norm * q / (1.0 - q) + eps_norm / sigma_min_tilde
     condition = 2.0 * sigma_min_tilde > sigma_min - noisy.matrix_noise_norm
 
@@ -412,32 +420,20 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     return k
 
 
-def evaluate_bound(
-    kind: BoundKind, sys: LinearSystem, noisy: NoisySystem, x0: np.ndarray, ks
-) -> BoundCurve:
-    """Dispatch a bound by kind, validating it applies to the noise model.
+_BOUNDS = {
+    BoundKind.NOISELESS: bound_noiseless,
+    BoundKind.RHS_NOISE: bound_rhs_noise,
+    BoundKind.ADDITIVE: bound_additive,
+    BoundKind.MULTIPLICATIVE: bound_multiplicative,
+    BoundKind.PERTURBATION_DOUBLY: bound_perturbation_doubly,
+    BoundKind.PERTURBATION_PARTIAL: bound_perturbation_partial,
+    BoundKind.MULTIPLICATIVE_PERTURBATION: bound_multiplicative_perturbation,
+}
 
-    ``x0`` is one start vector or a (trials, n) stack of them; for a stack
-    the curve carries the trial-mean initial error.
-    """
-    kind = BoundKind(kind)
-    if kind is BoundKind.NOISELESS:
-        if np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()):
-            raise HypothesisError("noiseless bound requested but the system carries noise")
-        return bound_noiseless(sys, x0, ks)
-    if kind is BoundKind.RHS_NOISE:
-        if np.any(noisy.matrix_noise()):
-            raise HypothesisError("rhs-noise bound requested but the matrix carries noise")
-        return bound_rhs_noise(sys, noisy.rhs_noise(), x0, ks)
-    if kind is BoundKind.ADDITIVE:
-        return bound_additive(sys, noisy, x0, ks)
-    if kind is BoundKind.MULTIPLICATIVE:
-        return bound_multiplicative(sys, noisy, x0, ks)
-    if kind is BoundKind.PERTURBATION_DOUBLY:
-        return bound_perturbation_doubly(sys, noisy, x0, ks)
-    if kind is BoundKind.PERTURBATION_PARTIAL:
-        return bound_perturbation_partial(sys, noisy, x0, ks)
-    return bound_multiplicative_perturbation(sys, noisy, x0, ks)
+
+def evaluate_bound(kind: BoundKind, noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
+    """``bound_<kind>(noisy, x0s, ks)``; the bound checks its own hypothesis."""
+    return _BOUNDS[BoundKind(kind)](noisy, x0s, ks)
 
 
 def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:

@@ -127,11 +127,12 @@ def _cmd_bounds(args) -> int:
     noisy = load_system(cfg["system_dir"])
     ks = record_points(rk.max_iterations, rk.record_stride)
     # the starts solve uses by default: the curves carry the trial-mean initial error
-    x0 = initial_iterates(noisy.a_tilde, rk)
+    x0s = initial_iterates(noisy.a_tilde, rk)
+    # every kind is evaluated before any file is written: a failing kind leaves no output
+    curves = [evaluate_bound(kind, noisy, x0s, ks) for kind in cfg["bounds"]]
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    for kind in cfg["bounds"]:
-        curve = evaluate_bound(kind, noisy.base, noisy, x0, ks)
+    for curve in curves:
         write_bound_csv(out / f"bound_{curve.kind.value}.csv", curve)
     return 0
 

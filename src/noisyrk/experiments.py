@@ -246,7 +246,7 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
     # initial error is the pointwise mean of the per-trial curves
     for kind in cfg.bound_kinds:
         try:
-            curves[kind] = evaluate_bound(kind, sys, noisy, x0s, traj.recorded_iterations)
+            curves[kind] = evaluate_bound(kind, noisy, x0s, traj.recorded_iterations)
         except HypothesisError as exc:
             errors[kind] = str(exc)
     result = GridPointResult(sigma_a, sigma_b, traj, curves, errors)
@@ -326,7 +326,7 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
 def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
     noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
     x0s = initial_iterates(noisy.a_tilde, cfg.rk)
-    curve = bound_additive(sys, noisy, x0s, [0])  # its initial error is the trial mean
+    curve = bound_additive(noisy, x0s, [0])  # its initial error is the trial mean
     r_tilde = curve.scalars["scaled_condition_number_tilde"]
     kappa = float(noisy.analysis.sigma[0] / noisy.analysis.sigma[-1])
     iterations = _adaptive_iterations(r_tilde, curve.initial_error)
@@ -403,7 +403,7 @@ def run_preconditioner_demo(
     zero = build_noisy(NoiseSpec(), sys, 0.0, 0.0, master_seed)
     traj_noiseless = solve(zero, rk, x0s)
 
-    curve = bound_additive(sys, noisy, x0s, [0])  # its initial error is the trial mean
+    curve = bound_additive(noisy, x0s, [0])  # its initial error is the trial mean
     r = scaled_condition_number(sys.factors)
     r_tilde = float(curve.scalars["scaled_condition_number_tilde"])
     if initial_sq_error is None:

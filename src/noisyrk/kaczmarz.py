@@ -51,7 +51,6 @@ from .problems import NoisySystem
 __all__ = [
     "X0Mode",
     "RkConfig",
-    "RowSampler",
     "Trajectory",
     "rk_step",
     "make_sampler",

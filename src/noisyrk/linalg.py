@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SvdFactors",
     "as_matrix",
     "as_vector",
     "svd",

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import noisyrk
 from noisyrk import (
     BoundKind,
     HypothesisError,
@@ -40,8 +42,19 @@ KS = np.arange(0, 201, 20)
 
 
 @pytest.fixture(scope="module")
-def x0(small_system):
-    return initial_iterates(small_system.a, RkConfig(max_iterations=1, trials=1, seed=5))[0]
+def x0s(small_system):
+    """A one-trial (1, n) stack of starts."""
+    return initial_iterates(small_system.a, RkConfig(max_iterations=1, trials=1, seed=5))
+
+
+def noise_free(sys_):
+    """``sys_`` as a noisy system that carries no noise."""
+    return additive_noise(sys_, 0.0, 0.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def clean(small_system):
+    return noise_free(small_system)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +78,9 @@ def toy_system_aligned_with_last_direction():
 
 
 class TestBoundNoiseless:
-    def test_value_at_zero_is_initial_error(self, small_system, x0):
-        curve = bound_noiseless(small_system, x0, KS)
-        d = x0 - small_system.x_ls
+    def test_value_at_zero_is_initial_error(self, small_system, clean, x0s):
+        curve = bound_noiseless(clean, x0s, KS)
+        d = x0s[0] - small_system.x_ls
         assert curve.values[0] == pytest.approx(float(d @ d), rel=1e-14)
         assert curve.horizon == 0.0
         assert curve.squared
@@ -75,39 +88,40 @@ class TestBoundNoiseless:
     def test_identity_rate(self):
         a = np.eye(6)
         base = LinearSystem(a=a, b=np.ones(6), x_ls=np.ones(6))
-        curve = bound_noiseless(base, np.zeros(6), [0, 1])
+        curve = bound_noiseless(noise_free(base), np.zeros((1, 6)), [0, 1])
         assert curve.rate == pytest.approx(1 - 1 / 6, rel=1e-14)
 
     def test_toy_reaches_half_at_269(self):
         sys_ = toy_system_aligned_with_last_direction()  # R = 19
         start = sys_.x_ls + 1000.0 * sys_.factors.v[:, 0]  # squared distance 1e6
-        curve = bound_noiseless(sys_, start, [269])
+        curve = bound_noiseless(noise_free(sys_), start[None], [269])
         assert curve.initial_error == pytest.approx(1e6, rel=1e-9)
         assert curve.values[0] <= 0.5
 
-    def test_values_nonincreasing_and_above_horizon(self, small_system, x0):
-        curve = bound_noiseless(small_system, x0, KS)
+    def test_values_nonincreasing_and_above_horizon(self, clean, x0s):
+        curve = bound_noiseless(clean, x0s, KS)
         assert np.all(np.diff(curve.values) <= 0)
         assert np.all(curve.values >= curve.horizon)
 
 
 class TestBoundRhsNoise:
-    def test_zero_noise_reduces_to_noiseless(self, small_system, x0):
-        c1 = bound_rhs_noise(small_system, np.zeros(40), x0, KS)
-        c0 = bound_noiseless(small_system, x0, KS)
+    def test_zero_noise_reduces_to_noiseless(self, clean, x0s):
+        c1 = bound_rhs_noise(clean, x0s, KS)
+        c0 = bound_noiseless(clean, x0s, KS)
         assert_allclose(c1.values, c0.values, rtol=1e-14)
 
     def test_identity_horizon(self):
         a = np.eye(4)
         base = LinearSystem(a=a, b=np.ones(4), x_ls=np.ones(4))
         eps = np.array([2.0, 0.0, 0.0, 0.0])
-        curve = bound_rhs_noise(base, eps, np.zeros(4), [0])
+        noisy = dataclasses.replace(noise_free(base), eps=eps, sigma_b=1.0, b_tilde=base.b + eps)
+        curve = bound_rhs_noise(noisy, np.zeros((1, 4)), [0])
         assert curve.horizon == pytest.approx(4.0, rel=1e-14)
 
-    def test_matches_additive_bound_when_matrix_noise_off(self, small_system, x0):
+    def test_matches_additive_bound_when_matrix_noise_off(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.0, 0.7, seed=3)
-        via_additive = bound_additive(small_system, noisy, x0, KS)
-        via_rhs = bound_rhs_noise(small_system, noisy.rhs_noise(), x0, KS)
+        via_additive = bound_additive(noisy, x0s, KS)
+        via_rhs = bound_rhs_noise(noisy, x0s, KS)
         assert np.max(np.abs(via_additive.values - via_rhs.values)) <= 1e-12 * via_rhs.values[0]
         assert via_additive.rate == via_rhs.rate
         assert via_additive.horizon == pytest.approx(via_rhs.horizon, abs=1e-15)
@@ -118,20 +132,20 @@ class TestPerturbedLsDistance:
         from noisyrk import perturbed_ls_distance
 
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
-        assert perturbed_ls_distance(small_system, noisy) == pytest.approx(0.0, abs=1e-15)
+        assert perturbed_ls_distance(noisy) == pytest.approx(0.0, abs=1e-15)
 
     def test_rhs_only_collapses_to_pinv_times_eps(self, small_system):
         from noisyrk import perturbed_ls_distance
 
         noisy = additive_noise(small_system, 0.0, 0.3, seed=1)
         expected = np.linalg.norm(noisy.rhs_noise()) / sigma_min_nonzero(small_system.a)
-        assert perturbed_ls_distance(small_system, noisy) == pytest.approx(expected, rel=1e-12)
+        assert perturbed_ls_distance(noisy) == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_direct_distance(self, small_system):
         from noisyrk import perturbed_ls_distance
 
         noisy = additive_noise(small_system, 0.002, 0.01, seed=14)
-        bound = perturbed_ls_distance(small_system, noisy)
+        bound = perturbed_ls_distance(noisy)
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert bound >= np.linalg.norm(x_nls - small_system.x_ls)
 
@@ -142,7 +156,7 @@ class TestPerturbedLsDistance:
         noisy = dataclasses.replace(
             partial, eps=eps, sigma_b=0.01, b_tilde=small_system.b + 0.01 * eps
         )
-        bound = perturbed_ls_distance(small_system, noisy)
+        bound = perturbed_ls_distance(noisy)
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert bound >= np.linalg.norm(x_nls - small_system.x_ls)
 
@@ -151,108 +165,104 @@ class TestPerturbedLsDistance:
 
         noisy = additive_noise(small_system, 5.0, 0.0, seed=1)
         with pytest.raises(HypothesisError, match="smallness"):
-            perturbed_ls_distance(small_system, noisy)
+            perturbed_ls_distance(noisy)
 
 
 class TestBoundPerturbationDoubly:
-    def test_zero_noise_collapse_to_unsquared_decay(self, small_system, x0):
+    def test_zero_noise_collapse_to_unsquared_decay(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
-        curve = bound_perturbation_doubly(small_system, noisy, x0, KS)
-        squared = bound_noiseless(small_system, x0, KS)
+        curve = bound_perturbation_doubly(noisy, x0s, KS)
+        squared = bound_noiseless(noisy, x0s, KS)
         assert not curve.squared
         assert curve.horizon == pytest.approx(0.0, abs=1e-15)
         assert_allclose(curve.values**2, squared.values, rtol=1e-10)
 
     def test_partial_instance_horizon_formula(self, small_system, partial):
-        curve = bound_perturbation_doubly(small_system, partial, small_system.x_ls, KS)
+        curve = bound_perturbation_doubly(partial, small_system.x_ls[None], KS)
         q = 0.4
         expected = 2 * np.linalg.norm(small_system.x_ls) * q / (1 - q)
         assert curve.horizon == pytest.approx(expected, rel=1e-9)
 
-    def test_dominates_unsquared_empirical_mean(self, small_system, partial):
+    def test_dominates_unsquared_empirical_mean(self, partial):
         cfg = RkConfig(max_iterations=2000, trials=20, record_stride=100, seed=6)
         traj = solve(partial, cfg)
         x0s = initial_iterates(partial.a_tilde, cfg)
-        curves = [
-            bound_perturbation_doubly(small_system, partial, x, traj.recorded_iterations)
-            for x in x0s
-        ]
-        mean_values = np.mean([c.values for c in curves], axis=0)
-        assert np.all(traj.mean_error() <= mean_values + 1e-9)
+        curve = bound_perturbation_doubly(partial, x0s, traj.recorded_iterations)
+        assert np.all(traj.mean_error() <= curve.values + 1e-9)
 
     def test_inconsistent_system_rejected(self, small_system):
         noisy = additive_noise(small_system, 0.01, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="consistency"):
-            bound_perturbation_doubly(small_system, noisy, small_system.x_ls, KS)
+            bound_perturbation_doubly(noisy, small_system.x_ls[None], KS)
 
     def test_zero_rhs_rejected(self):
         sys_ = zero_rhs_system(30)
         noisy = additive_noise(sys_, 0.0, 0.0, seed=1)
         with pytest.raises(HypothesisError, match="right-hand side is zero"):
-            bound_perturbation_doubly(sys_, noisy, np.ones(15), KS)
+            bound_perturbation_doubly(noisy, np.ones((1, 15)), KS)
 
 
 class TestBoundPerturbationPartial:
-    def test_model_mismatch_rejected(self, small_system, x0):
+    def test_model_mismatch_rejected(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.01, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="partial"):
-            bound_perturbation_partial(small_system, noisy, x0, KS)
+            bound_perturbation_partial(noisy, x0s, KS)
 
-    def test_zero_noise_horizon_zero(self, small_system, partial, x0):
+    def test_zero_noise_horizon_zero(self, small_system, partial, x0s):
         clean = dataclasses.replace(
             partial, a_tilde=small_system.a.copy(), e=np.zeros_like(small_system.a)
         )
-        curve = bound_perturbation_partial(small_system, clean, x0, KS)
+        curve = bound_perturbation_partial(clean, x0s, KS)
         assert curve.horizon == pytest.approx(0.0, abs=1e-15)
 
-    def test_matrix_only_horizon(self, small_system, partial, x0):
-        curve = bound_perturbation_partial(small_system, partial, x0, KS)
+    def test_matrix_only_horizon(self, small_system, partial, x0s):
+        curve = bound_perturbation_partial(partial, x0s, KS)
         q = 0.4
         expected = 2 * np.linalg.norm(small_system.x_ls) * q / (1 - q)
         assert curve.horizon == pytest.approx(expected, rel=1e-9)
         # with no right-hand side noise this equals the doubly-noisy horizon
-        doubly = bound_perturbation_doubly(small_system, partial, x0, KS)
+        doubly = bound_perturbation_doubly(partial, x0s, KS)
         assert curve.horizon == pytest.approx(doubly.horizon, rel=1e-12)
 
-    def test_initial_error_uses_partial_solution(self, small_system, partial, x0):
-        curve = bound_perturbation_partial(small_system, partial, x0, KS)
+    def test_initial_error_uses_partial_solution(self, small_system, partial, x0s):
+        curve = bound_perturbation_partial(partial, x0s, KS)
         x_pnls = pseudoinverse(partial.a_tilde) @ small_system.b
-        assert curve.initial_error == pytest.approx(np.linalg.norm(x0 - x_pnls), rel=1e-12)
+        assert curve.initial_error == pytest.approx(np.linalg.norm(x0s[0] - x_pnls), rel=1e-12)
 
 
 class TestBoundAdditive:
-    def test_zero_noise(self, small_system, x0):
+    def test_zero_noise(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
-        curve = bound_additive(small_system, noisy, x0, KS)
+        curve = bound_additive(noisy, x0s, KS)
         assert curve.horizon == 0.0
-        clean = bound_noiseless(small_system, x0, KS)
+        clean = bound_noiseless(noisy, x0s, KS)
         assert curve.rate == pytest.approx(clean.rate, rel=1e-14)
 
     def test_preconditioner_toy_horizon(self):
         sys_ = toy_system_aligned_with_last_direction()
         noisy = preconditioner_noise(sys_)
-        curve = bound_additive(sys_, noisy, sys_.x_ls, [0, 1])
+        curve = bound_additive(noisy, sys_.x_ls[None], [0, 1])
         # noise maps the solution to 2 u_r, and sigma_min of the filled
         # spectrum is 3, so the horizon is 4/9
         assert curve.horizon == pytest.approx(4.0 / 9.0, rel=1e-9)
         assert curve.rate == pytest.approx(1 - 1 / 3, rel=1e-9)
 
     def test_any_model_accepted(self, small_system, partial):
-        curve = bound_additive(small_system, partial, small_system.x_ls, KS)
+        curve = bound_additive(partial, small_system.x_ls[None], KS)
         assert curve.horizon > 0
 
 
 class TestBoundMultiplicative:
-    def test_zero_noise(self, small_system, x0):
+    def test_zero_noise(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.0, 0.0, seed=4)
-        curve = bound_multiplicative(small_system, noisy, x0, KS)
+        curve = bound_multiplicative(noisy, x0s, KS)
         assert curve.horizon == 0.0
 
-    def test_left_only_effective_noise(self, small_system, x0):
+    def test_left_only_effective_noise(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.05, 0.0, use_f=False, seed=4)
         expected = 0.05 * noisy.e @ small_system.a
         assert np.max(np.abs(noisy.matrix_noise() - expected)) <= 1e-12
-        curve = bound_multiplicative(small_system, noisy, x0, KS)
+        curve = bound_multiplicative(noisy, x0s, KS)
         mism = expected @ small_system.x_ls
         sigma_min = sigma_min_nonzero(noisy.a_tilde)
         assert curve.horizon == pytest.approx(float(mism @ mism) / sigma_min**2, rel=1e-10)
@@ -263,10 +273,10 @@ class TestBoundMultiplicative:
         scale = spectral_norm(small_system.a)
         assert np.max(np.abs(noisy.matrix_noise() - direct)) <= 1e-10 * scale
 
-    def test_model_mismatch_rejected(self, small_system, x0):
+    def test_model_mismatch_rejected(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.1, 0.0, seed=4)
         with pytest.raises(HypothesisError, match="multiplicative"):
-            bound_multiplicative(small_system, noisy, x0, KS)
+            bound_multiplicative(noisy, x0s, KS)
 
 
 def consistent_multiplicative_instance(sys_, sigma_a, use_f, seed):
@@ -301,14 +311,14 @@ def singular_factor_instance(sys_, factor, consistent):
 
 
 class TestBoundMultiplicativePerturbation:
-    def test_zero_noise_horizon_zero(self, small_system, x0):
+    def test_zero_noise_horizon_zero(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.0, 0.0, seed=5)
-        curve = bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
         assert curve.horizon == pytest.approx(0.0, abs=1e-12)
         assert curve.scalars["e1"] == 0.0
         assert curve.scalars["e2"] == 0.0
 
-    def test_left_only_consistent_collapse(self, small_system, x0):
+    def test_left_only_consistent_collapse(self, small_system, x0s):
         # E = b c^T keeps b inside the perturbed range, so the noisy
         # system stays consistent with no right-hand side noise at all
         rng = np.random.default_rng(15)
@@ -321,7 +331,7 @@ class TestBoundMultiplicativePerturbation:
             base_mult, e=e, f=np.zeros((20, 20)), sigma_a=sigma_a,
             a_tilde=left @ small_system.a,
         )
-        curve = bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
         assert curve.scalars["e1"] == 0.0
         e_eff = sigma_a * e
         e2_direct = (
@@ -335,30 +345,30 @@ class TestBoundMultiplicativePerturbation:
         expected = e2_direct * pinv_norm * np.linalg.norm(small_system.b)
         assert curve.horizon == pytest.approx(expected, rel=1e-10)
 
-    def test_horizon_dominates_direct_distance(self, small_system, x0):
+    def test_horizon_dominates_direct_distance(self, small_system, x0s):
         noisy = consistent_multiplicative_instance(small_system, 0.02, use_f=True, seed=16)
-        curve = bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert curve.horizon >= np.linalg.norm(x_nls - small_system.x_ls)
 
-    def test_inconsistent_rejected(self, small_system, x0):
+    def test_inconsistent_rejected(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.05, 0.3, seed=5)
         with pytest.raises(HypothesisError, match="consistency"):
-            bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+            bound_multiplicative_perturbation(noisy, x0s, KS)
 
     @pytest.mark.parametrize("factor", ["E", "F"])
-    def test_singular_factor_rejected(self, small_system, x0, factor):
+    def test_singular_factor_rejected(self, small_system, x0s, factor):
         noisy = singular_factor_instance(small_system, factor, consistent=True)
         with pytest.raises(HypothesisError, match=rf"invertibility of \(I \+ {factor}\) failed"):
-            bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+            bound_multiplicative_perturbation(noisy, x0s, KS)
 
     @pytest.mark.parametrize("factor", ["E", "F"])
-    def test_consistency_is_named_before_a_singular_factor(self, small_system, x0, factor, svd_calls):
+    def test_consistency_is_named_before_a_singular_factor(self, small_system, x0s, factor, svd_calls):
         noisy = singular_factor_instance(small_system, factor, consistent=False)
         _ = noisy.analysis  # factor At before counting
         del svd_calls[:]
         with pytest.raises(HypothesisError, match="consistency of the noisy linear system failed"):
-            bound_multiplicative_perturbation(small_system, noisy, x0, KS)
+            bound_multiplicative_perturbation(noisy, x0s, KS)
         assert svd_calls == []  # the factor checks were never reached
 
     @pytest.mark.parametrize(
@@ -372,7 +382,7 @@ class TestBoundMultiplicativePerturbation:
         sys_ = zero_rhs_system(m)
         noisy = multiplicative_noise(sys_, 0.01, sigma_b, seed=3)
         with pytest.raises(HypothesisError, match=match):
-            bound_multiplicative_perturbation(sys_, noisy, np.ones(15), KS)
+            bound_multiplicative_perturbation(noisy, np.ones((1, 15)), KS)
 
 
 class TestHorizonComparison:
@@ -380,7 +390,7 @@ class TestHorizonComparison:
         clean = dataclasses.replace(
             partial, a_tilde=small_system.a.copy(), e=np.zeros_like(small_system.a)
         )
-        cmp_ = horizon_comparison(small_system, clean)
+        cmp_ = horizon_comparison(clean)
         assert cmp_.condition_holds
         assert cmp_.main_horizon == pytest.approx(0.0, abs=1e-15)
         assert cmp_.partial_horizon == pytest.approx(0.0, abs=1e-15)
@@ -391,7 +401,7 @@ class TestHorizonComparison:
         for seed in range(20):
             sys_ = generate_system(spec, seed=seed)
             noisy = partial_consistent_noise(sys_, 0.2 + 0.03 * seed % 0.7, seed=seed)
-            cmp_ = horizon_comparison(sys_, noisy)
+            cmp_ = horizon_comparison(noisy)
             assert cmp_.condition_holds
             assert cmp_.chain_verified
             assert cmp_.main_horizon <= cmp_.partial_horizon + 1e-9
@@ -403,12 +413,12 @@ class TestHorizonComparison:
         s_min = sigma_min_nonzero(small_system.a)
         s_min_tilde = sigma_min_nonzero(partial.a_tilde)
         assert s_min - noise_norm <= s_min_tilde + 1e-9
-        assert horizon_comparison(small_system, partial).condition_holds
+        assert horizon_comparison(partial).condition_holds
 
     def test_model_mismatch_rejected(self, small_system):
         noisy = additive_noise(small_system, 0.1, 0.0, seed=2)
         with pytest.raises(HypothesisError):
-            horizon_comparison(small_system, noisy)
+            horizon_comparison(noisy)
 
 
 class TestIterationsToTolerance:
@@ -440,22 +450,22 @@ class TestIterationsToTolerance:
 
 
 class TestDispatcherAndCsv:
-    def test_noiseless_kind_requires_clean_system(self, small_system, x0):
+    def test_noiseless_kind_requires_clean_system(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.1, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="noise"):
-            evaluate_bound(BoundKind.NOISELESS, small_system, noisy, x0, KS)
+            evaluate_bound(BoundKind.NOISELESS, noisy, x0s, KS)
 
-    def test_rhs_kind_requires_clean_matrix(self, small_system, x0):
+    def test_rhs_kind_requires_clean_matrix(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=2)
         with pytest.raises(HypothesisError, match="matrix"):
-            evaluate_bound(BoundKind.RHS_NOISE, small_system, noisy, x0, KS)
+            evaluate_bound(BoundKind.RHS_NOISE, noisy, x0s, KS)
 
     @pytest.mark.parametrize("kind", [BoundKind.ADDITIVE, BoundKind.PERTURBATION_DOUBLY])
-    def test_stacked_x0_carries_trial_mean_initial_error(self, small_system, partial, kind):
+    def test_stacked_x0_carries_trial_mean_initial_error(self, partial, kind):
         cfg = RkConfig(max_iterations=1, trials=5, seed=8)
         x0s = initial_iterates(partial.a_tilde, cfg)
-        stacked = evaluate_bound(kind, small_system, partial, x0s, KS)
-        rows = [evaluate_bound(kind, small_system, partial, x, KS) for x in x0s]
+        stacked = evaluate_bound(kind, partial, x0s, KS)
+        rows = [evaluate_bound(kind, partial, x[None], KS) for x in x0s]
         initial = float(np.mean([c.initial_error for c in rows]))
         exponent = np.asarray(KS, dtype=float) / (1.0 if stacked.squared else 2.0)
         assert stacked.squared == (kind is BoundKind.ADDITIVE)
@@ -464,9 +474,9 @@ class TestDispatcherAndCsv:
         # the mean of the per-trial curves, since each is affine in its initial error
         assert np.allclose(stacked.values, np.mean([c.values for c in rows], axis=0), rtol=1e-12)
 
-    def test_csv_and_sidecar(self, small_system, x0, tmp_path):
+    def test_csv_and_sidecar(self, small_system, x0s, tmp_path):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=2)
-        curve = bound_additive(small_system, noisy, x0, KS)
+        curve = bound_additive(noisy, x0s, KS)
         path = tmp_path / "bound_additive.csv"
         write_bound_csv(path, curve)
         lines = path.read_text().splitlines()
@@ -485,12 +495,51 @@ class TestDispatcherAndCsv:
         cfg = RkConfig(max_iterations=3000, trials=30, record_stride=100, seed=32)
         traj = solve(noisy, cfg)
         x0s = initial_iterates(noisy.a_tilde, cfg)
-        curves = [
-            bound_additive(small_system, noisy, x, traj.recorded_iterations) for x in x0s
-        ]
-        mean_curve = np.mean([c.values for c in curves], axis=0)
-        frac = np.mean(traj.mean_squared_error <= mean_curve + 1e-12)
+        curve = bound_additive(noisy, x0s, traj.recorded_iterations)
+        frac = np.mean(traj.mean_squared_error <= curve.values + 1e-12)
         assert frac >= 0.95
+
+
+SYSTEMS = {
+    "clean": noise_free,
+    "rhs_only": lambda sys_: additive_noise(sys_, 0.0, 0.3, seed=1),
+    "additive": lambda sys_: additive_noise(sys_, 0.05, 0.05, seed=2),
+    "multiplicative": lambda sys_: multiplicative_noise(sys_, 0.05, 0.05, seed=4),
+    "partial_consistent": lambda sys_: partial_consistent_noise(sys_, 0.4, seed=21),
+    "preconditioner": preconditioner_noise,
+}
+
+
+class TestOneSignature:
+    @pytest.mark.parametrize("kind", list(BoundKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("make_noisy", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_dispatch_is_the_direct_call(self, small_system, x0s, make_noisy, kind):
+        noisy = make_noisy(small_system)
+        direct = getattr(noisyrk, f"bound_{kind.value}")
+        try:
+            expected = direct(noisy, x0s, KS)
+        except HypothesisError as exc:
+            with pytest.raises(HypothesisError) as info:
+                evaluate_bound(kind, noisy, x0s, KS)
+            assert str(info.value) == str(exc)
+            return
+        curve = evaluate_bound(kind, noisy, x0s, KS)
+        assert curve.kind is kind
+        assert np.array_equal(curve.values, expected.values)
+        assert curve.scalars == expected.scalars
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [bound_additive, bound_perturbation_doubly,
+         lambda *args: evaluate_bound(BoundKind.PERTURBATION_PARTIAL, *args)],
+        ids=["bound_additive", "bound_perturbation_doubly", "evaluate_bound"],
+    )
+    @pytest.mark.parametrize("shape", [(20,), (3, 1), (3, 21)], ids=["1-D", "width-1", "width-n+1"])
+    def test_start_that_is_not_a_trials_by_n_stack_raises(self, small_system, partial, evaluate, shape):
+        # n = 20, and every hypothesis of the three holds for partial, so only the shape can fail
+        assert small_system.a.shape[1] == 20
+        with pytest.raises(ValueError, match=re.escape(f"x0s has shape {shape}")):
+            evaluate(partial, np.ones(shape), KS)
 
 
 class TestNoisyAnalysisMemo:
@@ -502,16 +551,16 @@ class TestNoisyAnalysisMemo:
         ],
         ids=["multiplicative", "partial_consistent"],
     )
-    def test_memo_keeps_no_matrix(self, small_system, x0, make_noisy):
+    def test_memo_keeps_no_matrix(self, small_system, x0s, make_noisy):
         noisy = make_noisy(small_system)
         for kind in BoundKind:
             try:
-                evaluate_bound(kind, small_system, noisy, x0, KS)
+                evaluate_bound(kind, noisy, x0s, KS)
             except HypothesisError:
                 pass
         if noisy.model is NoiseModel.PARTIAL_CONSISTENT:
-            horizon_comparison(small_system, noisy)
-            perturbed_ls_distance(small_system, noisy)
+            horizon_comparison(noisy)
+            perturbed_ls_distance(noisy)
         own = {f.name for f in dataclasses.fields(noisy)}
         memo = {k: v for k, v in vars(noisy).items() if k not in own}
         assert set(memo) == {"analysis", "matrix_noise_norm"}

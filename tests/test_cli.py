@@ -165,6 +165,15 @@ class TestBounds:
         err = capsys.readouterr().err
         assert "consistency" in err
 
+    def test_a_failing_kind_writes_no_file(self, tmp_path, system_dir, capsys):
+        # additive evaluates; multiplicative fails its hypothesis on the additive system
+        kinds = ["additive", "multiplicative"]
+        cfg = write_config(tmp_path / "bounds.json", config_for("bounds", system_dir, bounds=kinds))
+        out = tmp_path / "bounds"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+        assert "multiplicative" in capsys.readouterr().err
+        assert list(out.glob("bound_*")) == []
+
     def test_unknown_kind_is_config_error(self, tmp_path, system_dir, capsys):
         cfg = write_config(
             tmp_path / "bounds.json",
