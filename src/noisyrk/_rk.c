@@ -1,8 +1,23 @@
-/* Randomized Kaczmarz chunk kernel, loaded by noisyrk.kaczmarz through ctypes.
+/* Randomized Kaczmarz chunk kernel and row sampler, loaded by
+ * noisyrk.kaczmarz through ctypes.
  *
- * Advances each of `trials` iterates (the rows of the C-contiguous
- * trials x n block `x`) through `steps` projections.  At step s trial t
- * projects onto row i = idx[t * steps + s] of the m x n matrix `a`:
+ * Row draws.  Row i is drawn with probability w_i / total by inverse CDF
+ * over the prefix sums cum[0..m-1] (cum[m-1] == total): a uniform u in
+ * [0, 1) picks the first row with cum[i] > u * total, which is numpy's
+ * searchsorted(cum, u * total, "right").  A guide table makes that a short
+ * walk (Devroye 1986, sec. III.2): with G the smallest power of two >= m,
+ * guide[k] is the first row with cum[i] > (k / G) * total.  A draw starts
+ * at guide[(int64)(u * G)] and advances while cum[i] <= u * total.  As G
+ * is a power of two, u * G and k / G are exact, and rounded products are
+ * monotone, so the start never passes the answer.  When u * total rounds
+ * up to total the walk runs past row m - 1 and the draw falls back to
+ * `last`, the last row of positive weight.  rk_sample and rk_chunk share
+ * this one resolver.
+ *
+ * Steps.  rk_chunk advances each of `trials` iterates (the rows of the
+ * C-contiguous trials x n block `x`) through `steps` projections.  At
+ * step s trial t draws row i from u[t * steps + s] of the m x n matrix
+ * `a` and projects onto it:
  *
  *     x_t <- x_t - (a_i . x_t - b_i) / w_i * a_i,     w_i = ||a_i||^2
  *
@@ -13,15 +28,32 @@
  */
 #include <stdint.h>
 
+static inline int64_t resolve(double u, int64_t m, const double *cum, double total,
+                              const int64_t *guide, int64_t g, int64_t last)
+{
+    double target = u * total;
+    int64_t i = guide[(int64_t)(u * (double)g)];
+    while (i < m && cum[i] <= target)
+        i++;
+    return i < m ? i : last;
+}
+
+void rk_sample(int64_t count, const double *u, int64_t m, const double *cum, double total,
+               const int64_t *guide, int64_t g, int64_t last, int64_t *idx)
+{
+    for (int64_t s = 0; s < count; s++)
+        idx[s] = resolve(u[s], m, cum, total, guide, g, last);
+}
+
 void rk_chunk(int64_t trials, int64_t n, int64_t steps,
-              const double *a, const double *b, const double *w,
-              const int64_t *idx, const int64_t *col, const double *x_ls,
-              double *x, double *err, int64_t ncols)
+              const double *a, const double *b, const double *w, const double *u,
+              int64_t m, const double *cum, double total, const int64_t *guide, int64_t g, int64_t last,
+              const int64_t *col, const double *x_ls, double *x, double *err, int64_t ncols)
 {
     for (int64_t t = 0; t < trials; t++) {
         double *xt = x + t * n;
         for (int64_t s = 0; s < steps; s++) {
-            int64_t i = idx[t * steps + s];
+            int64_t i = resolve(u[t * steps + s], m, cum, total, guide, g, last);
             const double *row = a + i * n;
             double dot = 0.0;
             for (int64_t j = 0; j < n; j++)

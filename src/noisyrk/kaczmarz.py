@@ -12,8 +12,11 @@ the noiseless least squares solution on a fixed iteration grid.
 The step is one compiled C function, ``rk_chunk`` in ``_rk.c``: it
 advances every trial through a chunk of steps and writes the squared
 error at the recorded iterations, so a chunk costs one foreign call
-however densely it records.  Its sums run in index order and it is
-built without ``-ffast-math`` or ``-march=native``, so results do not
+however densely it records.  It also turns each trial's uniforms into
+row indices, through a guide table over the prefix sums; ``rk_sample``
+in the same file runs that one resolver for :meth:`RowSampler.sample_block`,
+so there is no second index path.  Its sums run in a fixed order and it
+is built without ``-ffast-math`` or ``-march=native``, so results do not
 depend on the host's vector instructions.  It is compiled with the local
 ``gcc`` at the first solve into ``$XDG_CACHE_HOME/noisyrk`` (default
 ``~/.cache/noisyrk``), under a name keyed by the source, the flags and
@@ -21,11 +24,11 @@ the compiler, and loaded with ``ctypes``; a warm cache starts no
 process.  There is no pure-numpy step: without a compiler the first
 solve raises :class:`~noisyrk.errors.KernelBuildError`.
 
-Sampling stays in numpy.  Each trial draws its rows from its own
-generator stream, in fixed chunks of steps; a stream yields the same
-uniforms however its draws are split into blocks, and the kernel
-advances each trial on its own iterate, so a trial's result does not
-depend on how many trials run beside it.
+Each trial draws its uniforms from its own generator stream, in fixed
+chunks of steps; a stream yields the same uniforms however its draws are
+split into blocks, and the kernel advances each trial on its own
+iterate, so a trial's result does not depend on how many trials run
+beside it.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class RowSampler:
 
     Zero rows carry zero weight and are never produced.  Sampling is
     inverse-CDF over the prefix sums of the weights, one uniform per
-    draw, from a dedicated generator stream.
+    draw, from a dedicated generator stream; the kernel's guide-table
+    resolver turns the uniforms into indices.
     """
 
     def __init__(self, weights: np.ndarray, rng: np.random.Generator):
@@ -117,17 +121,28 @@ class RowSampler:
         if not np.any(weights > 0):
             raise ValueError("matrix has no nonzero rows to sample")
         self.weights = weights
-        self.cumulative = np.cumsum(weights)
         self.rng = rng
-        self._total = float(self.cumulative[-1])
-        self._last_positive = int(np.flatnonzero(weights > 0)[-1])
+        self.table = _guide_table(weights)
 
     def sample_block(self, count: int) -> np.ndarray:
         """Draw ``count`` indices at once (order matters and is stable)."""
         u = self.rng.random(count)
-        idx = np.searchsorted(self.cumulative, u * self._total, side="right")
-        # guard the measure-zero case where u * total rounds up to total
-        return np.where(idx >= self.weights.size, self._last_positive, idx)
+        idx = np.empty(count, dtype=np.int64)
+        _kernel().rk_sample(count, u, *self.table, idx)
+        return idx
+
+
+def _guide_table(weights: np.ndarray) -> tuple:
+    """The resolver's arguments after the uniforms: m, prefix sums, total, guide, G, last positive row.
+
+    G is the smallest power of two >= m, and ``guide[k]`` the first row whose
+    prefix sum exceeds ``(k / G) * total``; ``_rk.c`` says why that start is exact.
+    """
+    cumulative = np.cumsum(weights)
+    total = float(cumulative[-1])
+    size = 1 << (weights.size - 1).bit_length()
+    guide = np.searchsorted(cumulative, np.arange(size) / size * total, side="right")
+    return weights.size, cumulative, total, guide, size, int(np.flatnonzero(weights > 0)[-1])
 
 
 def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
@@ -182,7 +197,7 @@ def _kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).rk_chunk
+        kernel = ctypes.CDLL(str(lib))
     except KernelBuildError:
         raise
     except OSError as exc:  # an unusable cache location is no config error
@@ -190,25 +205,27 @@ def _kernel():
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    n = ctypes.c_int64
-    fn.argtypes = [n, n, n, f64, f64, f64, i64, i64, f64, out, out, n]
-    fn.restype = None
-    return fn
+    n, d = ctypes.c_int64, ctypes.c_double
+    table = [n, f64, d, i64, n, n]  # the resolver's arguments, as _guide_table returns them
+    kernel.rk_sample.argtypes = [n, f64, *table, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
+    kernel.rk_chunk.argtypes = [n, n, n, f64, f64, f64, f64, *table, i64, f64, out, out, n]
+    kernel.rk_sample.restype = kernel.rk_chunk.restype = None
+    return kernel
 
 
-def _rk_chunk(a, b, w, idx, col, x_ls, x, err) -> None:
-    """Advance row t of ``x`` through the rows ``idx[t]`` of ``a``, in place.
+def _rk_chunk(a, b, w, u, table, col, x_ls, x, err) -> None:
+    """Advance row t of ``x`` through the rows of ``a`` that the uniforms ``u[t]`` draw, in place.
 
-    ``w`` holds the squared row norms of ``a``.  After step s the squared
-    distance of row t to ``x_ls`` goes to ``err[t, col[s]]`` when
-    ``col[s] >= 0``.  Shapes are checked here, before any pointer is
-    handed to the kernel.
+    ``w`` holds the squared row norms of ``a`` and ``table`` the sampler's
+    :func:`_guide_table` over them.  After step s the squared distance of
+    row t to ``x_ls`` goes to ``err[t, col[s]]`` when ``col[s] >= 0``.
+    Shapes are checked here, before any pointer is handed to the kernel.
     """
-    (m, n), (trials, steps) = a.shape, idx.shape
+    (m, n), (trials, steps) = a.shape, u.shape
     if (b.shape, w.shape, x_ls.shape, x.shape, col.shape) != ((m,), (m,), (n,), (trials, n), (steps,)) \
-            or err.shape[0] != trials:
+            or err.shape[0] != trials or table[0] != m:
         raise ValueError("RK kernel arguments have inconsistent shapes")
-    _kernel()(trials, n, steps, a, b, w, idx, col, x_ls, x, err, err.shape[1])
+    _kernel().rk_chunk(trials, n, steps, a, b, w, u, *table, col, x_ls, x, err, err.shape[1])
 
 
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
@@ -226,9 +243,10 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     if norm_sq == 0.0:
         raise ValueError("cannot project onto a zero row")
     block = x[None, :].copy()
-    # no step is recorded, so the kernel reads no x_ls and writes no error
-    _rk_chunk(np.ascontiguousarray(row)[None, :], np.array([float(rhs)]), np.array([norm_sq]),
-              np.zeros((1, 1), np.int64), np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
+    w = np.array([norm_sq])
+    # the one row is drawn by u = 0; no step is recorded, so the kernel reads no x_ls and writes no error
+    _rk_chunk(np.ascontiguousarray(row)[None, :], np.array([float(rhs)]), w, np.zeros((1, 1)),
+              _guide_table(w), np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
     return block[0]
 
 
@@ -314,13 +332,13 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
     per_trial[:, 0] = np.vecdot(d, d)
     for start in range(0, cfg.max_iterations, _CHUNK):
         count = min(_CHUNK, cfg.max_iterations - start)
-        # idx[t, s]: the row trial t projects onto at iteration start + s + 1,
+        # u[t, s] draws the row trial t projects onto at iteration start + s + 1,
         # whose error goes to column col[s] when that iteration is recorded
-        idx = np.stack([s.sample_block(count) for s in samplers])
+        u = np.stack([s.rng.random(count) for s in samplers])
         lo, hi = np.searchsorted(ks, [start + 1, start + count + 1])
         col = np.full(count, -1, dtype=np.int64)
         col[ks[lo:hi] - start - 1] = np.arange(lo, hi)
-        _rk_chunk(a, b, samplers[0].weights, idx, col, x_ls, x, per_trial)
+        _rk_chunk(a, b, samplers[0].weights, u, samplers[0].table, col, x_ls, x, per_trial)
     if not np.isfinite(per_trial).all():
         raise HypothesisError("iteration produced non-finite errors")
     return Trajectory(

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisyrk import (
@@ -115,6 +117,28 @@ class TestRowSampler:
         parts = np.concatenate([split.sample_block(first), split.sample_block(second)])
         whole = make_sampler(small_system.a, seed=3, trial=2).sample_block(first + second)
         assert np.array_equal(parts, whole)
+
+
+class TestGuideTableResolver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e12)), min_size=1, max_size=70)
+        .filter(lambda w: any(w)),
+        drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+    )
+    def test_rk_sample_is_searchsorted_plus_clamp(self, weights, drawn):
+        w = np.array(weights)
+        table = kaczmarz._guide_table(w)
+        cum, total = table[1], table[2]
+        # the uniforms lie in [0, 1); every prefix-sum boundary below 1 is a draw
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate([[0.0, below_one], np.minimum(cum / total, below_one), drawn])
+        idx = np.empty(u.size, dtype=np.int64)
+        kaczmarz._kernel().rk_sample(u.size, u, *table, idx)
+        expected = np.searchsorted(cum, u * total, side="right")
+        expected[expected >= w.size] = np.flatnonzero(w > 0)[-1]
+        assert np.array_equal(idx, expected)
+        assert np.all(w[idx] > 0)
 
 
 class TestRecordPoints:
