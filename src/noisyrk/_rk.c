@@ -22,9 +22,15 @@
  *     x_t <- x_t - (a_i . x_t - b_i) / w_i * a_i,     w_i = ||a_i||^2
  *
  * When col[s] >= 0 the squared error ||x_t - x_ls||^2 after step s goes
- * to err[t * ncols + col[s]].  The trials are independent and each sum
- * runs in index order, so a trial's result does not depend on the other
- * trials or on the host's vector width (built with -ffp-contract=off).
+ * to err[t * ncols + col[s]].
+ *
+ * Summation order.  The dot product and the squared error each sum into
+ * four accumulators, term j into s[j mod 4], so four add chains run side
+ * by side instead of one (Higham 2002, ch. 4).  The n mod 4 trailing
+ * terms go into s0, and the result is (s0 + s1) + (s2 + s3).  The order
+ * is written out here and built with -ffp-contract=off and without
+ * -ffast-math, so it is the same on every host.  The trials are
+ * independent, so a trial's result does not depend on the other trials.
  */
 #include <stdint.h>
 
@@ -36,6 +42,43 @@ static inline int64_t resolve(double u, int64_t m, const double *cum, double tot
     while (i < m && cum[i] <= target)
         i++;
     return i < m ? i : last;
+}
+
+static inline double dot4(const double *p, const double *q, int64_t n)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        s0 += p[j] * q[j];
+        s1 += p[j + 1] * q[j + 1];
+        s2 += p[j + 2] * q[j + 2];
+        s3 += p[j + 3] * q[j + 3];
+    }
+    for (; j < n; j++)
+        s0 += p[j] * q[j];
+    return (s0 + s1) + (s2 + s3);
+}
+
+/* ||p - q||^2 in the order of dot4 */
+static inline double dist4(const double *p, const double *q, int64_t n)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, d0, d1, d2, d3;
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        d0 = p[j] - q[j];
+        d1 = p[j + 1] - q[j + 1];
+        d2 = p[j + 2] - q[j + 2];
+        d3 = p[j + 3] - q[j + 3];
+        s0 += d0 * d0;
+        s1 += d1 * d1;
+        s2 += d2 * d2;
+        s3 += d3 * d3;
+    }
+    for (; j < n; j++) {
+        d0 = p[j] - q[j];
+        s0 += d0 * d0;
+    }
+    return (s0 + s1) + (s2 + s3);
 }
 
 void rk_sample(int64_t count, const double *u, int64_t m, const double *cum, double total,
@@ -55,20 +98,11 @@ void rk_chunk(int64_t trials, int64_t n, int64_t steps,
         for (int64_t s = 0; s < steps; s++) {
             int64_t i = resolve(u[t * steps + s], m, cum, total, guide, g, last);
             const double *row = a + i * n;
-            double dot = 0.0;
-            for (int64_t j = 0; j < n; j++)
-                dot += row[j] * xt[j];
-            double c = (dot - b[i]) / w[i];
+            double c = (dot4(row, xt, n) - b[i]) / w[i];
             for (int64_t j = 0; j < n; j++)
                 xt[j] -= c * row[j];
-            if (col[s] >= 0) {
-                double sq = 0.0;
-                for (int64_t j = 0; j < n; j++) {
-                    double d = xt[j] - x_ls[j];
-                    sq += d * d;
-                }
-                err[t * ncols + col[s]] = sq;
-            }
+            if (col[s] >= 0)
+                err[t * ncols + col[s]] = dist4(xt, x_ls, n);
         }
     }
 }

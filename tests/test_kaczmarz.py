@@ -15,8 +15,10 @@ from noisyrk import (
     HypothesisError,
     KernelBuildError,
     RkConfig,
+    SpectrumSpec,
     additive_noise,
     empirical_horizon,
+    generate_system,
     initial_iterates,
     kaczmarz,
     make_sampler,
@@ -34,14 +36,26 @@ def noiseless(small_system):
     return additive_noise(small_system, 0.0, 0.0, seed=1)
 
 
+def kernel_sum(terms):
+    """``sum(terms)`` in the kernel's order: term j into s[j mod 4], the tail into s0, (s0 + s1) + (s2 + s3)."""
+    whole = terms.size - terms.size % 4
+    s = np.zeros(4)
+    for quad in terms[:whole].reshape(-1, 4):
+        s = s + quad
+    for term in terms[whole:]:
+        s[0] += term
+    return (s[0] + s[1]) + (s[2] + s[3])
+
+
 def reference_errors(noisy, cfg, trial):
     """Squared errors after each of a trial's steps, from the projection written out in numpy."""
     a, b, x_ls = noisy.a_tilde, noisy.b_tilde, noisy.base.x_ls
     x = initial_iterates(a, cfg)[trial]
+    sampler = make_sampler(a, cfg.seed, trial)
     errors = []
-    for i in make_sampler(a, cfg.seed, trial).sample_block(cfg.max_iterations):
-        x = x - (a[i] @ x - b[i]) / (a[i] @ a[i]) * a[i]
-        errors.append((x - x_ls) @ (x - x_ls))
+    for i in sampler.sample_block(cfg.max_iterations):
+        x = x - (kernel_sum(a[i] * x) - b[i]) / sampler.weights[i] * a[i]
+        errors.append(kernel_sum((x - x_ls) * (x - x_ls)))
     return np.array(errors)
 
 
@@ -185,7 +199,16 @@ class TestSolve:
         assert ks[-1] == 2500
         for trial in range(cfg.trials):
             expected = reference_errors(noisy, cfg, trial)[ks[1:] - 1]
-            assert_allclose(traj.per_trial_squared_error[trial, 1:], expected, rtol=1e-12)
+            assert np.array_equal(traj.per_trial_squared_error[trial, 1:], expected)
+
+    def test_tail_terms_match_reference_projection(self):
+        # n = 23: three terms past the last group of four go into the first accumulator
+        sys_ = generate_system(SpectrumSpec(m=30, n=23, r=23, sigma_min=1.0, sigma_max=4.0), seed=2)
+        noisy = additive_noise(sys_, 0.1, 0.1, seed=4)
+        cfg = RkConfig(max_iterations=300, trials=2, record_stride=1, seed=9)
+        traj = solve(noisy, cfg)
+        for trial in range(cfg.trials):
+            assert np.array_equal(traj.per_trial_squared_error[trial, 1:], reference_errors(noisy, cfg, trial))
 
     def test_trial_independent_of_other_trials(self, small_system):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
