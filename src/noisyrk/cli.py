@@ -10,16 +10,23 @@ Configs are JSON (see the README for the schema per subcommand).
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
 Exit codes: 0 success, 1 configuration error or failed kernel build, 2
 failed numerical hypothesis (the failing condition is printed).
+
+``main`` first sets numpy's bundled OpenBLAS to one thread, so the
+output bytes do not depend on the host's core count, and pool workers
+(forked) inherit that.  A BLAS without that call is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .bounds import BoundKind, evaluate_bound, write_bound_csv
 from .errors import HypothesisError, KernelBuildError
@@ -182,7 +189,17 @@ _COMMANDS = {
 }
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread; another BLAS keeps its own count."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            pass
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

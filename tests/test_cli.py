@@ -1,12 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system
+from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system, seeding
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
 
@@ -270,6 +272,32 @@ class TestFigure:
         assert main(["figure", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
         assert (out / "traj_0_0.csv").exists()
         assert (out / "bound_noiseless_0_0.csv").exists()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at 500x300 the SVDs and products are large enough for OpenBLAS to split
+        # them over threads, which changes their rounding unless the CLI pins one
+        cfg = write_config(tmp_path / "fig.json", {
+            "spectrum": {"m": 500, "n": 300, "r": 300, "sigma_min": 1.0, "sigma_max": 10.0},
+            "rk": {"max_iterations": 300, "trials": 2, "seed": 1},
+            "master_seed": 1,
+            "grid": [[0.05, 0.05]],
+            "bounds": ["additive", "multiplicative"],
+            "noise": {"model": "multiplicative"},
+        })
+        out = tmp_path / "fig"  # one path for both runs, as meta.json records it
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            done = subprocess.run(
+                [sys.executable, "-m", "noisyrk.cli", "figure", "--config", cfg, "--out", str(out), "--threads", "1"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(snapshot(out))
+            out.rename(tmp_path / f"blas{threads}")
+        assert len(runs[0]) == 7
+        assert runs[0] == runs[1]
 
 
 class TestPrecondition:
@@ -552,3 +580,11 @@ class TestBenchmarkLookups:
         spec.loader.exec_module(module)
         for target, attr, _ in module.TARGETS:
             assert hasattr(target, attr), f"{target.__name__}.{attr}"
+        # its sampler replay draws make_sampler(a, seed, trial).sample_block(count): the
+        # inverse-CDF rows of the trial's stream, as numpy's searchsorted gives them
+        a = np.arange(12.0).reshape(4, 3)
+        idx = module.make_sampler(a, 1, 2).sample_block(5)
+        assert idx.dtype == np.int64 and idx.shape == (5,)
+        cum = np.cumsum(np.sum(a * a, axis=1))
+        u = seeding.stream(1, seeding.SAMPLER, 2).random(5)
+        assert np.array_equal(idx, np.searchsorted(cum, u * cum[-1], side="right"))
