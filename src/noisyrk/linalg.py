@@ -3,7 +3,8 @@
 SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
 singular value, scaled condition number) all flow through :func:`svd`,
 which truncates below a numerical-rank tolerance so rank-deficient
-inputs behave predictably.  Every output file is written here; its
+inputs behave predictably; :func:`singular_values` applies the same cut
+to the values alone, for checks that need no vectors.  Every output file is written here; its
 text tables round-trip float64 values exactly via 17 significant digits.
 
 Everything here is a pure function of immutable inputs; results are
@@ -22,6 +23,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "svd",
+    "singular_values",
     "pseudoinverse",
     "scaled_condition_number",
     "spectral_norm",
@@ -95,14 +97,29 @@ def svd(a) -> SvdFactors:
     """
     arr = as_matrix(a)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    cutoff = max(arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = _rank(s, arr.shape)
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :rank]),
         sigma=s[:rank].copy(),
         v=np.ascontiguousarray(vt[:rank].T),
         rank=rank,
     )
+
+
+def singular_values(a) -> np.ndarray:
+    """The singular values that :func:`svd` keeps, taken without the singular vectors.
+
+    They agree with ``svd(a).sigma`` to rounding, not bit for bit.
+    """
+    arr = as_matrix(a)
+    s = np.linalg.svd(arr, compute_uv=False)
+    return s[:_rank(s, arr.shape)]
+
+
+def _rank(s: np.ndarray, shape: tuple) -> int:
+    # how many of the nonincreasing values s exceed max(m, n) * eps * sigma_1
+    cutoff = max(shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def pseudoinverse(a) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     read_matrix,
     read_vector,
     sigma_min_nonzero,
+    singular_values,
     spectral_norm,
     svd,
     write_matrix,
@@ -251,17 +252,12 @@ class NoisySystem:
     model: NoiseModel
 
     def matrix_noise(self) -> np.ndarray:
-        """Total effective perturbation of the matrix, a_tilde - a.
+        """Total effective perturbation of the matrix, a_tilde - a, read-only.
 
-        Formed from the scaled noise factors (E A + A F + E A F for the
-        multiplicative model) rather than by subtraction.
+        Formed once from the scaled noise factors (E A + A F + E A F for
+        the multiplicative model) rather than by subtraction.
         """
-        if self.model is NoiseModel.MULTIPLICATIVE:
-            a = self.base.a
-            se = self.sigma_a * self.e
-            sf = self.sigma_a * self.f
-            return se @ a + a @ sf + se @ a @ sf
-        return self.sigma_a * self.e
+        return self._matrix_noise
 
     def rhs_noise(self) -> np.ndarray:
         """Total effective perturbation of the right-hand side."""
@@ -269,6 +265,18 @@ class NoisySystem:
 
     # The system's only cached state: each value is a deterministic function of
     # the frozen fields, so two threads filling it store equal values.
+
+    @cached_property
+    def _matrix_noise(self) -> np.ndarray:
+        if self.model is NoiseModel.MULTIPLICATIVE:
+            a = self.base.a
+            sf = self.sigma_a * self.f
+            ea = (self.sigma_a * self.e) @ a
+            da = ea + a @ sf + ea @ sf
+        else:
+            da = self.sigma_a * self.e
+        da.flags.writeable = False
+        return da
 
     @cached_property
     def analysis(self) -> NoisyAnalysis:
@@ -289,8 +297,8 @@ class NoisySystem:
 
 def _nonsingular(factor: np.ndarray) -> bool:
     """Whether a noise factor I + E, I + F or I + M has full numerical rank and sigma_min >= the floor."""
-    factors = svd(factor)
-    return factors.rank == factor.shape[0] and float(factors.sigma[-1]) >= _MIN_FACTOR_SIGMA
+    sigma = singular_values(factor)
+    return sigma.size == factor.shape[0] and float(sigma[-1]) >= _MIN_FACTOR_SIGMA
 
 
 def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:

@@ -551,7 +551,7 @@ class TestNoisyAnalysisMemo:
         ],
         ids=["multiplicative", "partial_consistent"],
     )
-    def test_memo_keeps_no_matrix(self, small_system, x0s, make_noisy):
+    def test_analysis_keeps_no_matrix(self, small_system, x0s, make_noisy):
         noisy = make_noisy(small_system)
         for kind in BoundKind:
             try:
@@ -563,7 +563,9 @@ class TestNoisyAnalysisMemo:
             perturbed_ls_distance(noisy)
         own = {f.name for f in dataclasses.fields(noisy)}
         memo = {k: v for k, v in vars(noisy).items() if k not in own}
-        assert set(memo) == {"analysis", "matrix_noise_norm"}
+        assert set(memo) == {"analysis", "matrix_noise_norm", "_matrix_noise"}
+        # the one matrix kept is a_tilde - a, shared read-only by every matrix_noise() call
+        assert memo["_matrix_noise"] is noisy.matrix_noise() and not memo["_matrix_noise"].flags.writeable
         values = [getattr(memo["analysis"], f.name) for f in dataclasses.fields(memo["analysis"])]
         arrays = [v for v in values if isinstance(v, np.ndarray)]
         assert len(arrays) == 3

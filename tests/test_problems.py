@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -171,6 +172,28 @@ class TestMultiplicativeNoise:
         direct = noisy.a_tilde - small_system.a
         expansion = noisy.matrix_noise()
         assert np.max(np.abs(direct - expansion)) <= 1e-10 * spectral_norm(small_system.a)
+
+    def test_matrix_noise_is_formed_once(self, small_system):
+        products = []
+
+        class Counted(np.ndarray):
+            # counts every product with the base matrix a
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+            def __rmatmul__(self, other):
+                products.append(other.shape)
+                return other @ np.asarray(self)
+
+        noisy = multiplicative_noise(small_system, 0.05, 0.0, seed=2)
+        counted = dataclasses.replace(noisy, base=dataclasses.replace(small_system, a=small_system.a.view(Counted)))
+        first = counted.matrix_noise()
+        assert len(products) == 2  # E A and A F; (E A) F reuses E A
+        assert counted.matrix_noise() is first
+        assert len(products) == 2
+        assert np.array_equal(first, noisy.matrix_noise())
+        assert not first.flags.writeable
 
     @pytest.mark.parametrize("use_e, use_f, factored", [(True, False, [(30, 30)]), (False, True, [(15, 15)])])
     def test_switched_off_factor_takes_no_svd(self, svd_calls, use_e, use_f, factored):
