@@ -10,15 +10,13 @@ Configs are JSON (see the README for the schema per subcommand).
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
 Exit codes: 0 success, 1 configuration error or failed kernel build, 2
 failed numerical hypothesis (the failing condition is printed).
-
-``main`` first sets numpy's bundled OpenBLAS to one thread, so the
-output bytes do not depend on the host's core count, and pool workers
-(forked) inherit that.  A BLAS without that call is left as it is.
+``main`` first runs numpy's BLAS on one thread, so the bytes do not depend on the host.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -190,12 +188,10 @@ _COMMANDS = {
 
 
 def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread; another BLAS keeps its own count."""
+    """Run numpy's bundled OpenBLAS on one thread (forked pool workers inherit it); another BLAS keeps its count."""
     for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        try:
+        with contextlib.suppress(OSError, AttributeError):
             ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
-        except (OSError, AttributeError):
-            pass
 
 
 def main(argv=None) -> int:

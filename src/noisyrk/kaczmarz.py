@@ -106,50 +106,38 @@ class RkConfig:
 
 
 class RowSampler:
-    """Draws row indices with replacement, proportional to squared row norms.
+    """Draws rows of a matrix with replacement, proportional to their squared norms.
 
     Zero rows carry zero weight and are never produced.  Sampling is
-    inverse-CDF over the prefix sums of the weights, one uniform per
-    draw, from a dedicated generator stream; the kernel's guide-table
-    resolver turns the uniforms into indices.
+    inverse-CDF over the prefix sums of the weights, one uniform per draw
+    from a dedicated generator stream, resolved in the kernel through a
+    guide table: with G the smallest power of two >= m, ``guide[k]`` is
+    the first row whose prefix sum exceeds ``(k / G) * total`` (``_rk.c``
+    says why a draw may start its search there).
     """
 
-    def __init__(self, weights: np.ndarray, rng: np.random.Generator):
-        weights = as_vector(weights, "weights")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if not np.any(weights > 0):
+    def __init__(self, a: np.ndarray, rng: np.random.Generator | None):
+        arr = as_matrix(a, "a_tilde")
+        self.weights = as_vector(np.einsum("ij,ij->i", arr, arr), "squared row norms")
+        if not np.any(self.weights > 0):
             raise ValueError("matrix has no nonzero rows to sample")
-        self.weights = weights
         self.rng = rng
-        self.table = _guide_table(weights)
+        cumulative = np.cumsum(self.weights)
+        total, size = float(cumulative[-1]), 1 << (arr.shape[0] - 1).bit_length()
+        guide = np.searchsorted(cumulative, np.arange(size) / size * total, side="right")
+        # the resolver's arguments after the uniforms, in _rk.c's order
+        self.table = (arr.shape[0], cumulative, total, guide, size, int(np.flatnonzero(self.weights > 0)[-1]))
 
     def sample_block(self, count: int) -> np.ndarray:
         """Draw ``count`` indices at once (order matters and is stable)."""
-        u = self.rng.random(count)
         idx = np.empty(count, dtype=np.int64)
-        _kernel().rk_sample(count, u, *self.table, idx)
+        _kernel().rk_sample(count, self.rng.random(count), *self.table, idx)
         return idx
-
-
-def _guide_table(weights: np.ndarray) -> tuple:
-    """The resolver's arguments after the uniforms: m, prefix sums, total, guide, G, last positive row.
-
-    G is the smallest power of two >= m, and ``guide[k]`` the first row whose
-    prefix sum exceeds ``(k / G) * total``; ``_rk.c`` says why that start is exact.
-    """
-    cumulative = np.cumsum(weights)
-    total = float(cumulative[-1])
-    size = 1 << (weights.size - 1).bit_length()
-    guide = np.searchsorted(cumulative, np.arange(size) / size * total, side="right")
-    return weights.size, cumulative, total, guide, size, int(np.flatnonzero(weights > 0)[-1])
 
 
 def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     """Sampler over the rows of ``a_tilde`` with a per-(seed, trial) stream."""
-    arr = as_matrix(a_tilde, "a_tilde")
-    weights = np.einsum("ij,ij->i", arr, arr)
-    return RowSampler(weights, seeding.stream(seed, seeding.SAMPLER, trial))
+    return RowSampler(a_tilde, seeding.stream(seed, seeding.SAMPLER, trial))
 
 
 @functools.cache
@@ -213,19 +201,18 @@ def _kernel():
     return kernel
 
 
-def _rk_chunk(a, b, w, u, table, col, x_ls, x, err) -> None:
-    """Advance row t of ``x`` through the rows of ``a`` that the uniforms ``u[t]`` draw, in place.
+def _rk_chunk(a, b, sampler, u, col, x_ls, x, err) -> None:
+    """Advance row t of ``x`` through the rows of ``a`` that ``sampler`` draws from ``u[t]``, in place.
 
-    ``w`` holds the squared row norms of ``a`` and ``table`` the sampler's
-    :func:`_guide_table` over them.  After step s the squared distance of
-    row t to ``x_ls`` goes to ``err[t, col[s]]`` when ``col[s] >= 0``.
-    Shapes are checked here, before any pointer is handed to the kernel.
+    After step s the squared distance of row t to ``x_ls`` goes to
+    ``err[t, col[s]]`` when ``col[s] >= 0``.  Shapes are checked here,
+    before any pointer is handed to the kernel.
     """
     (m, n), (trials, steps) = a.shape, u.shape
-    if (b.shape, w.shape, x_ls.shape, x.shape, col.shape) != ((m,), (m,), (n,), (trials, n), (steps,)) \
-            or err.shape[0] != trials or table[0] != m:
+    if (b.shape, sampler.weights.shape, x_ls.shape, x.shape, col.shape) != ((m,), (m,), (n,), (trials, n), (steps,)) \
+            or err.shape[0] != trials:
         raise ValueError("RK kernel arguments have inconsistent shapes")
-    _kernel().rk_chunk(trials, n, steps, a, b, w, u, *table, col, x_ls, x, err, err.shape[1])
+    _kernel().rk_chunk(trials, n, steps, a, b, sampler.weights, u, *sampler.table, col, x_ls, x, err, err.shape[1])
 
 
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
@@ -239,14 +226,12 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     row = as_vector(row, "row")
     if row.size != x.size:
         raise ValueError(f"row has width {row.size}, x has {x.size}")
-    norm_sq = float(row @ row)
-    if norm_sq == 0.0:
+    if not np.any(row):
         raise ValueError("cannot project onto a zero row")
-    block = x[None, :].copy()
-    w = np.array([norm_sq])
+    a, block = np.ascontiguousarray(row)[None, :], x[None, :].copy()
     # the one row is drawn by u = 0; no step is recorded, so the kernel reads no x_ls and writes no error
-    _rk_chunk(np.ascontiguousarray(row)[None, :], np.array([float(rhs)]), w, np.zeros((1, 1)),
-              _guide_table(w), np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
+    _rk_chunk(a, np.array([float(rhs)]), RowSampler(a, None), np.zeros((1, 1)),
+              np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
     return block[0]
 
 
@@ -338,7 +323,7 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
         lo, hi = np.searchsorted(ks, [start + 1, start + count + 1])
         col = np.full(count, -1, dtype=np.int64)
         col[ks[lo:hi] - start - 1] = np.arange(lo, hi)
-        _rk_chunk(a, b, samplers[0].weights, u, samplers[0].table, col, x_ls, x, per_trial)
+        _rk_chunk(a, b, samplers[0], u, col, x_ls, x, per_trial)
     if not np.isfinite(per_trial).all():
         raise HypothesisError("iteration produced non-finite errors")
     return Trajectory(

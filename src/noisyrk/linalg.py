@@ -107,19 +107,15 @@ def svd(a) -> SvdFactors:
 
 
 def singular_values(a) -> np.ndarray:
-    """The singular values that :func:`svd` keeps, taken without the singular vectors.
-
-    They agree with ``svd(a).sigma`` to rounding, not bit for bit.
-    """
+    """The singular values :func:`svd` keeps, without the vectors (equal to ``svd(a).sigma`` up to rounding)."""
     arr = as_matrix(a)
     s = np.linalg.svd(arr, compute_uv=False)
     return s[:_rank(s, arr.shape)]
 
 
 def _rank(s: np.ndarray, shape: tuple) -> int:
-    # how many of the nonincreasing values s exceed max(m, n) * eps * sigma_1
-    cutoff = max(shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
-    return int(np.count_nonzero(s > cutoff))
+    """How many of the nonincreasing values ``s`` exceed ``max(m, n) * eps * sigma_1``."""
+    return int(np.count_nonzero(s > max(shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)))
 
 
 def pseudoinverse(a) -> np.ndarray:

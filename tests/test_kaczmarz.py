@@ -141,14 +141,14 @@ class TestGuideTableResolver:
         drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
     )
     def test_rk_sample_is_searchsorted_plus_clamp(self, weights, drawn):
-        w = np.array(weights)
-        table = kaczmarz._guide_table(w)
-        cum, total = table[1], table[2]
+        # one column, so the squared row norms are the squared entries
+        sampler = kaczmarz.RowSampler(np.sqrt(weights)[:, None], None)
+        w, cum, total = sampler.weights, sampler.table[1], sampler.table[2]
         # the uniforms lie in [0, 1); every prefix-sum boundary below 1 is a draw
         below_one = np.nextafter(1.0, 0.0)
         u = np.concatenate([[0.0, below_one], np.minimum(cum / total, below_one), drawn])
         idx = np.empty(u.size, dtype=np.int64)
-        kaczmarz._kernel().rk_sample(u.size, u, *table, idx)
+        kaczmarz._kernel().rk_sample(u.size, u, *sampler.table, idx)
         expected = np.searchsorted(cum, u * total, side="right")
         expected[expected >= w.size] = np.flatnonzero(w > 0)[-1]
         assert np.array_equal(idx, expected)
