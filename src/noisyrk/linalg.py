@@ -4,8 +4,9 @@ SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
 singular value, scaled condition number) all flow through :func:`svd`,
 which truncates below a numerical-rank tolerance so rank-deficient
 inputs behave predictably; :func:`singular_values` applies the same cut
-to the values alone, for checks that need no vectors.  Every output file is written here; its
-text tables round-trip float64 values exactly via 17 significant digits.
+to the values alone, for checks that need no vectors.  Every output
+file is written here; its text tables round-trip float64 values exactly
+via 17 significant digits.
 
 Everything here is a pure function of immutable inputs; results are
 safe to share across threads.
