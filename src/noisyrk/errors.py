@@ -12,11 +12,12 @@ class HypothesisError(RuntimeError):
 
 
 class KernelBuildError(OSError):
-    """The compiled RK step kernel could not be built.
+    """The compiled kernel library could not be built.
 
-    Raised at the first solve when no C compiler is on ``PATH``, the
-    build fails (the message shows the compiler command), or the cache
-    location cannot be written or the library loaded (the message names
-    the library path).  The command-line front end reports it as a
-    kernel build error, exit code 1.
+    Raised at the first solve or the first file read or write when no C
+    compiler is on ``PATH``, the build fails (the message shows the
+    compiler command), or the cache location cannot be written or the
+    library loaded (the message names the library path).  The
+    command-line front end reports it as a kernel build error, exit
+    code 1.
     """

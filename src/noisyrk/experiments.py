@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -290,6 +289,9 @@ def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
     if threads <= 1 or len(grid) <= 1:
         sys = generate_system(cfg.spectrum, cfg.master_seed)
         return [worker(cfg, sys, a, b) for a, b in grid]
+    # imported here: every other command starts faster without it
+    from concurrent.futures import ProcessPoolExecutor
+
     # fork starts every worker up front, so never more workers than points
     with ProcessPoolExecutor(max_workers=min(threads, len(grid))) as pool:
         return list(pool.map(partial(_generate_and_run, worker, cfg), *zip(*grid)))

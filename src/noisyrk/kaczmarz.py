@@ -17,12 +17,11 @@ row indices, through a guide table over the prefix sums; ``rk_sample``
 in the same file runs that one resolver for :meth:`RowSampler.sample_block`,
 so there is no second index path.  Its sums run in a fixed order and it
 is built without ``-ffast-math`` or ``-march=native``, so results do not
-depend on the host's vector instructions.  It is compiled with the local
-``gcc`` at the first solve into ``$XDG_CACHE_HOME/noisyrk`` (default
-``~/.cache/noisyrk``), under a name keyed by the source, the flags and
-the compiler, and loaded with ``ctypes``; a warm cache starts no
-process.  There is no pure-numpy step: without a compiler the first
-solve raises :class:`~noisyrk.errors.KernelBuildError`.
+depend on the host's vector instructions.  The library is built and
+loaded by :func:`noisyrk.linalg._kernel`, which also serves the text
+tables (``%.17g`` values under the "C" numeric locale); there is no
+pure-numpy step, and without a compiler the first solve raises
+:class:`~noisyrk.errors.KernelBuildError`.
 
 Each trial draws its uniforms from its own generator stream, in fixed
 chunks of steps; a stream yields the same uniforms however its draws are
@@ -33,22 +32,16 @@ beside it.
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import functools
 import math
 import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .errors import HypothesisError, KernelBuildError
-from .linalg import _write_table, as_matrix, as_vector
+from .errors import HypothesisError
+from .linalg import _kernel, _write_table, as_matrix, as_vector
 from .problems import NoisySystem
 
 __all__ = [
@@ -70,13 +63,6 @@ _MAX_RECORDS = 2000
 # Steps per trial drawn at once and advanced by one kernel call; bounds the
 # draw buffers at O(trials * chunk).
 _CHUNK = 1024
-
-# Build of the step kernel.  No -ffast-math or -march=native, and no fused
-# multiply-adds: the sums keep their order on every host.
-_KERNEL_SOURCE = Path(__file__).with_name("_rk.c")
-_COMPILER = "gcc"
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
 
 class X0Mode(str, enum.Enum):
     ZERO = "zero"
@@ -138,67 +124,6 @@ class RowSampler:
 def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     """Sampler over the rows of ``a_tilde`` with a per-(seed, trial) stream."""
     return RowSampler(a_tilde, seeding.stream(seed, seeding.SAMPLER, trial))
-
-
-@functools.cache
-def _kernel():
-    """The compiled ``rk_chunk``, built on first use into ``$XDG_CACHE_HOME/noisyrk``
-    (``~/.cache/noisyrk`` when that is unset).
-
-    The library's name is the sha256 of the source, the flags and the
-    resolved compiler with its ``stat``, so a warm start runs no process
-    and a changed compiler or source builds afresh.  Concurrent builds
-    each write a private temp file and rename it into place.  Every
-    failure, an unusable cache location included, is a ``KernelBuildError``.
-    """
-    import hashlib  # not loaded by numpy, so imported here to keep `import noisyrk` light
-
-    source = _KERNEL_SOURCE.read_bytes()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "noisyrk"
-    command = [_COMPILER, *_CFLAGS, "-o", str(cache / "_rk-<key>.so"), str(_KERNEL_SOURCE)]
-    found = shutil.which(_COMPILER)
-    if found is None:
-        raise KernelBuildError(
-            f"the RK step kernel needs a C compiler: {_COMPILER!r} is not on PATH; "
-            f"it is built once with: {' '.join(command)}"
-        )
-    compiler = os.path.realpath(found)
-    st = os.stat(compiler)
-    key = hashlib.sha256(repr((
-        source, _CFLAGS, compiler, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
-    )).encode()).hexdigest()[:32]
-    lib = cache / f"_rk-{key}.so"
-    try:
-        if not lib.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
-            os.close(fd)
-            command = [compiler, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
-            try:
-                done = subprocess.run(command, capture_output=True, text=True)
-                if done.returncode != 0:
-                    raise KernelBuildError(
-                        f"building the RK step kernel failed (exit {done.returncode}): "
-                        f"{' '.join(command)}\n{done.stderr.strip()}"
-                    )
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib))
-    except KernelBuildError:
-        raise
-    except OSError as exc:  # an unusable cache location is no config error
-        raise KernelBuildError(f"the RK step kernel cannot be built or loaded at {lib}: {exc}") from exc
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    n, d = ctypes.c_int64, ctypes.c_double
-    table = [n, f64, d, i64, n, n]  # the resolver's arguments, as _guide_table returns them
-    kernel.rk_sample.argtypes = [n, f64, *table, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
-    kernel.rk_chunk.argtypes = [n, n, n, f64, f64, f64, f64, *table, i64, f64, out, out, n]
-    kernel.rk_sample.restype = kernel.rk_chunk.restype = None
-    return kernel
 
 
 def _rk_chunk(a, b, sampler, u, col, x_ls, x, err) -> None:

@@ -8,17 +8,32 @@ to the values alone, for checks that need no vectors.  Every output
 file is written here; its text tables round-trip float64 values exactly
 via 17 significant digits.
 
+The compiled kernel library, ``_rk.c``, is built and loaded here by
+:func:`_kernel`, at the first solve or the first file read or write.
+Besides the RK chunk and the row sampler it holds the one table writer
+and the one table reader: every value is printed as ``%.17g`` and read
+with ``strtod``, both under the "C" numeric locale, so the bytes do not
+follow the host's locale.
+
 Everything here is a pure function of immutable inputs; results are
 safe to share across threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .errors import KernelBuildError
 
 __all__ = [
     "as_matrix",
@@ -182,19 +197,112 @@ def orthonormalize_columns(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The compiled kernel library.  No -ffast-math or -march=native, and no fused
+# multiply-adds: the sums keep their order on every host.
+# ---------------------------------------------------------------------------
+
+_KERNEL_SOURCE = Path(__file__).with_name("_rk.c")
+_COMPILER = "gcc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def _kernel():
+    """The compiled ``_rk.c``, built on first use into ``$XDG_CACHE_HOME/noisyrk``
+    (``~/.cache/noisyrk`` when that is unset).
+
+    The library's name is the sha256 of the source, the flags and the
+    resolved compiler with its ``stat``, so a warm start runs no process
+    and a changed compiler or source builds afresh.  Concurrent builds
+    each write a private temp file and rename it into place.  Every
+    failure, an unusable cache location included, is a ``KernelBuildError``.
+    """
+    import hashlib  # not loaded by numpy, so imported here to keep `import noisyrk` light
+
+    source = _KERNEL_SOURCE.read_bytes()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "noisyrk"
+    command = [_COMPILER, *_CFLAGS, "-o", str(cache / "_rk-<key>.so"), str(_KERNEL_SOURCE)]
+    found = shutil.which(_COMPILER)
+    if found is None:
+        raise KernelBuildError(
+            f"the kernel library needs a C compiler: {_COMPILER!r} is not on PATH; "
+            f"it is built once with: {' '.join(command)}"
+        )
+    compiler = os.path.realpath(found)
+    st = os.stat(compiler)
+    key = hashlib.sha256(repr((
+        source, _CFLAGS, compiler, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+    )).encode()).hexdigest()[:32]
+    lib = cache / f"_rk-{key}.so"
+    try:
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
+            os.close(fd)
+            command = [compiler, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
+            try:
+                done = subprocess.run(command, capture_output=True, text=True)
+                if done.returncode != 0:
+                    raise KernelBuildError(
+                        f"building the kernel library failed (exit {done.returncode}): "
+                        f"{' '.join(command)}\n{done.stderr.strip()}"
+                    )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib))
+    except KernelBuildError:
+        raise
+    except OSError as exc:  # an unusable cache location is no config error
+        raise KernelBuildError(f"the kernel library cannot be built or loaded at {lib}: {exc}") from exc
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    n, d = ctypes.c_int64, ctypes.c_double
+    table = [n, f64, d, i64, n, n]  # the resolver's arguments, as RowSampler.table holds them
+    kernel.rk_sample.argtypes = [n, f64, *table, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
+    kernel.rk_chunk.argtypes = [n, n, n, f64, f64, f64, f64, *table, i64, f64, out, out, n]
+    kernel.rk_sample.restype = kernel.rk_chunk.restype = None
+    kernel.rk_write_table.argtypes = [ctypes.c_char_p, ctypes.c_char_p, f64, n, n, ctypes.c_char]
+    kernel.rk_read_table.argtypes = [ctypes.c_char_p, n, n, n, out, ctypes.POINTER(n)]
+    kernel.rk_write_table.restype = kernel.rk_read_table.restype = ctypes.c_int
+    return kernel
+
+
+# ---------------------------------------------------------------------------
 # Plain-text file formats, all written here.
 #
 # _write_table: one header line, then one line per row of an array, every
 # value as %.17g (float64 round-trips exactly; integers below 2**53 print
-# without a decimal point) joined by a delimiter.  Matrix: header
+# without a decimal point) joined by a delimiter: the bytes of numpy's
+# savetxt(fmt="%.17g", header=..., comments="").  Matrix: header
 # "rows cols", space-separated rows.  Vector: header "dim", one value per
 # line.  The CSVs: a column-name header, comma-separated rows.
+# _read_table reads the matrix and vector layout back, and nothing looser
+# than trailing whitespace, CRLF and blank lines after the last row.
 # _write_json: indent 2, sorted keys, trailing newline.
 # ---------------------------------------------------------------------------
 
+# _rk.c's TABLE_* codes: what is wrong at the line rk_read_table reports
+_TABLE_ERRORS = {
+    -1: "row has fewer values than the header's {cols}",
+    -2: "row has more values than the header's {cols}",
+    -3: "missing row; the header says {rows} rows",
+    -4: "text after the last of the header's {rows} rows",
+    -5: "malformed value",
+    -6: "hexadecimal value",
+}
+
 
 def _write_table(path: str | os.PathLike, header: str, rows, delimiter: str = ",") -> None:
-    np.savetxt(path, rows, fmt="%.17g", delimiter=delimiter, header=header, comments="")
+    values = np.ascontiguousarray(rows, dtype=float)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"a table is 1-D or 2-D, got shape {values.shape}")
+    nrows, ncols = values.shape if values.ndim == 2 else (values.size, 1)
+    err = _kernel().rk_write_table(os.fsencode(path), header.encode(), values, nrows, ncols, delimiter.encode())
+    if err:
+        raise OSError(err, os.strerror(err), os.fspath(path))
 
 
 def _write_json(path: str | os.PathLike, obj) -> None:
@@ -205,14 +313,22 @@ def _write_json(path: str | os.PathLike, obj) -> None:
 
 def _read_table(path: str | os.PathLike, header_name: str) -> np.ndarray:
     """Body of a file written by :func:`_write_table`, checked against its dims header."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != len(header_name.split()):
-            raise ValueError(f"{path}: expected '{header_name}' header")
-        dims = tuple(int(d) for d in header)
-        data = np.loadtxt(fh, dtype=float, ndmin=len(dims))
-    if data.shape != dims:
-        raise ValueError(f"{path}: body shape {data.shape} does not match header {dims}")
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if len(header) != len(header_name.split()) or not all(d.isdigit() for d in header):
+        raise ValueError(f"{path}: expected '{header_name}' header")
+    dims = tuple(int(d) for d in header)
+    rows, cols = dims if len(dims) == 2 else (dims[0], 1)
+    # every value takes at least a byte, so a header no body could fill allocates nothing
+    if rows * cols > size:
+        raise ValueError(f"{path}: header {dims} asks for more values than the file's {size} bytes hold")
+    data, line = np.empty(dims), ctypes.c_int64(0)
+    err = _kernel().rk_read_table(os.fsencode(path), offset, rows, cols, data, ctypes.byref(line))
+    if err > 0:
+        raise OSError(err, os.strerror(err), os.fspath(path))
+    if err < 0:
+        raise ValueError(f"{path}: line {line.value}: " + _TABLE_ERRORS[err].format(rows=rows, cols=cols))
     return data
 
 

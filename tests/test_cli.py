@@ -75,6 +75,16 @@ class TestGen:
         assert snapshot(out1) == snapshot(out2)
         assert (out1 / "A.mat").read_bytes() != (out3 / "A.mat").read_bytes()
 
+    def test_missing_compiler_exit_1(self, tmp_path, kernel_cache, monkeypatch, capsys):
+        # gen writes its tables through the kernel library
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        cfg = write_config(tmp_path / "gen.json", CONFIGS["gen"])
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "system")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kernel build error:")
+        assert "gcc -O2 -fPIC -shared -ffp-contract=off" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "noise",
         [{"model": "additive", "sigma_a": 0.1, "sigma_b": 0.2},

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -21,7 +22,6 @@ from noisyrk import (
     run_preconditioner_demo,
     run_table2,
 )
-from noisyrk import experiments
 from noisyrk.experiments import build_noisy
 
 SPEC = SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=4.0)
@@ -171,7 +171,7 @@ class TestFigureExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1))), threads=5000)
         run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1), (0.2, 0.2))), threads=2)
         assert sizes == [2, 2]

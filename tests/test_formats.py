@@ -1,6 +1,10 @@
-"""Exact bytes of every output writer, and the float64 round trip of the text formats."""
+"""Exact bytes of every output writer, the float64 round trip of the text formats,
+and the reader's rejection of every other layout."""
+
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -8,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from noisyrk.bounds import BoundCurve, BoundKind, write_bound_csv
 from noisyrk.experiments import Table2Row, write_band_csv, write_table2_csv
 from noisyrk.kaczmarz import Trajectory, write_trajectory_csv
-from noisyrk.linalg import read_matrix, read_vector, write_matrix, write_vector
+from noisyrk.linalg import _write_table, read_matrix, read_vector, write_matrix, write_vector
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -119,3 +123,100 @@ class TestRoundTrip:
         back = read_vector(path)
         assert back.shape == v.shape
         assert back.tobytes() == v.tobytes()
+
+
+# what savetxt is asked to print: any finite float64, with the edge values and
+# exact integers drawn often; 1000000000000000.25 is a tie at the 17th digit
+EDGES = st.sampled_from([0.0, -0.0, TINY, -TINY, HUGE, -HUGE, 2.0**53, -(2.0**53), 0.1, 1000000000000000.25])
+VALUES = st.one_of(FINITE, EDGES, st.integers(-(2**53), 2**53).map(float))
+
+
+class TestSavetxtOracle:
+    """``_write_table`` writes exactly the bytes of numpy's savetxt."""
+
+    @staticmethod
+    def savetxt_bytes(tmp, header, rows, delimiter):
+        np.savetxt(tmp / "oracle", rows, fmt="%.17g", delimiter=delimiter, header=header, comments="")
+        return (tmp / "oracle").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8), elements=VALUES),
+           delimiter=st.sampled_from([",", " "]))
+    def test_bytes_equal_savetxt(self, tmp_path_factory, rows, delimiter):
+        tmp = tmp_path_factory.mktemp("t")
+        _write_table(tmp / "table", "h e a d", rows, delimiter)
+        assert (tmp / "table").read_bytes() == self.savetxt_bytes(tmp, "h e a d", rows, delimiter)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_non_finite_bytes_equal_savetxt(self, tmp_path, value):
+        rows = np.array([[value, 1.0]])
+        _write_table(tmp_path / "table", "a,b", rows)
+        assert (tmp_path / "table").read_bytes() == self.savetxt_bytes(tmp_path, "a,b", rows, ",")
+
+    def test_missing_directory_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "absent" / "a.mat"))):
+            write_matrix(tmp_path / "absent" / "a.mat", np.eye(2))
+
+
+class TestReaderRejects:
+    """Anything but the writer's layout, trailing whitespace and CRLF is a named error."""
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [
+            ("2 2\n1 2\n3\n", 3, "fewer values"),
+            ("2 2\n1 2\n3 \n", 3, "fewer values"),
+            ("2 2\n1 2\n3", 3, "fewer values"),
+            ("2 2\n1 2 5\n3 4\n", 2, "more values"),
+            ("2 2\n1 2\n", 3, "missing row"),
+            ("2 2\n1 2\n3 4\n5 6\n", 4, "after the last"),
+            ("2 2\n1 2\n3 4\n\n# note\n", 5, "after the last"),
+            ("2 2\n1 2\n\n3 4\n", 3, "fewer values"),
+            ("2 2\n# note\n1 2\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 2x\n3 4\n", 2, "malformed value"),
+            ("2 2\n1,2\n3 4\n", 2, "malformed value"),
+            ("2 2\n1  2\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 2\n 3 4\n", 3, "malformed value"),
+            ("2 2\n1\t2\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 2\x003\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 0x10\n3 4\n", 2, "hexadecimal"),
+            ("2 2\n1 2\n-0X1p3 4\n", 3, "hexadecimal"),
+        ],
+    )
+    def test_malformed_matrix_body(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ") + ".*" + what):
+            read_matrix(path)
+
+    def test_vector_row_with_two_values(self, tmp_path):
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"3\n1\n2 4\n3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + "row has more values"):
+            read_vector(path)
+
+    @pytest.mark.parametrize("text", [b"2 x\n1 2\n3 4\n", b"-2 2\n1 2\n3 4\n", b"2\n1\n2\n", b""])
+    def test_malformed_header(self, tmp_path, text):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 'rows cols' header")):
+            read_matrix(path)
+
+    def test_header_larger_than_the_file(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"100000000 100000000\n1 2\n")
+        with pytest.raises(ValueError, match="asks for more values than the file"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"1 2\n1 {value}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", ["2 2\r\n1 2\r\n3 4\r\n", "2 2\n1 2 \t\n3 4\n\n \n", "2 2\n1 2\n3 4"])
+    def test_trailing_whitespace_crlf_and_no_final_newline(self, tmp_path, text):
+        path = tmp_path / "ok.mat"
+        path.write_bytes(text.encode())
+        assert read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
