@@ -40,10 +40,29 @@
  * as "nan" whatever its sign bit, as Python prints it.  rk_read_table
  * reads that layout back from a byte offset past the header: one
  * space between values, trailing whitespace and CRLF allowed, blank
- * lines only after the last row.  Both run under the "C" numeric
- * locale, restored on return, so the decimal point is '.' whatever the
- * host's locale.  Each returns 0, an errno value, or (the reader) one of
- * the negative TABLE_* codes with the 1-based line in *line.
+ * lines only after the last row, every token strtod reads up to a space
+ * or the line end (so "+1", ".5" and "1E5" too).  Both run under the "C"
+ * numeric locale, restored on return, so the decimal point is '.'
+ * whatever the host's locale.  Each returns 0, an errno value, or (the
+ * reader) one of the negative TABLE_* codes with the 1-based line in *line.
+ *
+ * Fast conversions.  Each direction has a fast path that decides the easy
+ * cases exactly and hands every other case to glibc (the usual scheme of
+ * Loitsch, PLDI 2010, and Lemire, SPE 2021), so the bytes written and the
+ * values read are glibc's.  Both scale by tens[], the powers 10^j for
+ * j in [TEN_MIN, TEN_MAX] as 128-bit mantissas truncated from the exact
+ * integers, built at load.  The writer forms m * 10^k for the 53-bit
+ * significand m as a 192-bit product whose integer part holds the 17
+ * digits and whose next 64 bits hold the fraction; the reader forms
+ * w * 10^e for at most 19 digits w and keeps the top 53 bits.  The
+ * truncation and the dropped low bits leave the true value within two
+ * units of those 64 (writer) or 128 (reader) bits above the computed one,
+ * so rounding is decided exactly unless the bits below the rounding
+ * point lie within ROUND_SLACK units of one half, which covers every
+ * exact tie.  Those values go to snprintf("%.17g") or strtod, as do
+ * infinities, a token outside the grammar [-]d+[.d*][e[+-]d+] (such as
+ * "+1", ".5", "1E5", "inf" or 20 significant digits), an exponent
+ * outside the table, and a value read that would be subnormal or overflow.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <ctype.h>
@@ -154,6 +173,174 @@ static int errno_or_eio(void)
     return errno ? errno : EIO;
 }
 
+typedef unsigned __int128 u128;
+
+/* 10^j ~ (hi * 2^64 + lo) * 2^e, the mantissa in [2^127, 2^128) and
+ * truncated.  The writer uses j in [-292, 340], from DBL_MAX down to the
+ * smallest subnormal; the reader, 19 digits at most, reaches past the
+ * subnormals. */
+#define TEN_MIN (-343)
+#define TEN_MAX 340
+static struct ten {
+    uint64_t hi, lo;
+    int e;
+} tens[TEN_MAX - TEN_MIN + 1];
+
+/* 32-bit limbs, least significant first: 10^340 * 2^128 and 2^1280 fit */
+#define LIMBS 42
+
+/* the top 128 bits of x >= 2^127, whose bit 0 weighs 2^scale */
+static void set_ten(const uint32_t *x, int scale, struct ten *t)
+{
+    int i = LIMBS - 1;
+    while (x[i] == 0)
+        i--;
+    int b = 32 * i + 31 - __builtin_clz(x[i]);
+    u128 v = 0;
+    for (i = b; i > b - 128; i--)
+        v = v << 1 | (x[i / 32] >> (i % 32) & 1);
+    t->hi = (uint64_t)(v >> 64);
+    t->lo = (uint64_t)v;
+    t->e = b - 127 + scale;
+}
+
+/* From exact integers, so each entry is the truncation of the true power:
+ * 10^j * 2^128 for j >= 0, and floor(2^1280 / 10^-j), which has at least
+ * 140 bits, for j < 0. */
+__attribute__((constructor)) static void build_tens(void)
+{
+    uint32_t x[LIMBS] = {0};
+    x[128 / 32] = 1;
+    for (int j = 0; j <= TEN_MAX; j++) {
+        set_ten(x, -128, &tens[j - TEN_MIN]);
+        uint64_t carry = 0;
+        for (int i = 0; i < LIMBS; i++) {
+            carry += (uint64_t)x[i] * 10;
+            x[i] = (uint32_t)carry;
+            carry >>= 32;
+        }
+    }
+    memset(x, 0, sizeof x);
+    x[1280 / 32] = 1;
+    for (int j = -1; j >= TEN_MIN; j--) {
+        uint64_t rem = 0;
+        for (int i = LIMBS - 1; i >= 0; i--) {
+            rem = rem << 32 | x[i];
+            x[i] = (uint32_t)(rem / 10);
+            rem %= 10;
+        }
+        set_ten(x, -1280, &tens[j - TEN_MIN]);
+    }
+}
+
+/* The top 128 bits of the 192-bit m * tens[j]. */
+static inline u128 scale_ten(uint64_t m, int j, int *e)
+{
+    const struct ten *t = &tens[j - TEN_MIN];
+    u128 lo = (u128)m * t->lo, hi = (u128)m * t->hi;
+    *e = t->e + 64;
+    return hi + (lo >> 64);
+}
+
+/* Rounding bits this close to one half go to glibc.  The computed bits
+ * lie at most two units below the true ones, so 4 leaves a margin. */
+#define ROUND_SLACK 4
+#define HALF64 ((uint64_t)1 << 63)
+#define E16 10000000000000000ull
+#define E17 100000000000000000ull
+#define MAX17 sizeof "-1.2345678901234567e-308"
+
+/* floor(v) and the top 64 bits of its fraction, for v = m * 2^q * 10^k,
+ * m in [2^63, 2^64) and v in [10^16, 10^18), so u is in [3, 10].  Both
+ * come from the truncated tens[]: they lie at most two units of the
+ * fraction below the true ones. */
+static inline uint64_t scaled(uint64_t m, int q, int k, uint64_t *frac)
+{
+    int e;
+    u128 top = scale_ten(m, k, &e);
+    int u = -(q + e) - 64;
+    *frac = (uint64_t)(top >> u);
+    return (uint64_t)(top >> (u + 64));
+}
+
+/* v as %.17g into s (at least MAX17 bytes, no terminating NUL); returns
+ * the length */
+static int format17(double v, char *s)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t frac = bits & (((uint64_t)1 << 52) - 1);
+    int be = (int)(bits >> 52 & 0x7ff);
+    if (be == 0x7ff) {
+        if (!isnan(v))
+            return snprintf(s, MAX17, "%.17g", v);
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    char *p = s;
+    if (bits >> 63)
+        *p++ = '-';
+    if (be == 0 && frac == 0) {
+        *p++ = '0';
+        return (int)(p - s);
+    }
+    /* |v| = m * 2^q with m in [2^52, 2^53), subnormals normalized */
+    int z = be ? 0 : __builtin_clzll(frac) - 11;
+    uint64_t m = be ? frac | (uint64_t)1 << 52 : frac << z;
+    int q = be ? be - 1075 : -1074 - z;
+    /* x = floor(log10(2^(q + 52))) (exact over every float64 exponent),
+     * the decimal exponent or one below it: then d, the 17 digits, is
+     * below 10^17 or the retry with x + 1 makes it so */
+    int x = ((q + 52) * 78913) >> 18;
+    uint64_t f, d = scaled(m << 11, q - 11, 16 - x, &f);
+    if (d >= E17)
+        d = scaled(m << 11, q - 11, 16 - ++x, &f);
+    if (f > HALF64 - ROUND_SLACK && f < HALF64 + ROUND_SLACK)
+        return snprintf(s, MAX17, "%.17g", v);
+    d += f >> 63;  /* to nearest: no tie is left */
+    if (d == E17) {
+        d = E16;
+        x++;
+    }
+    char dig[17];
+    int nd = 17;
+    for (int i = 16; i >= 0; i--, d /= 10)
+        dig[i] = (char)('0' + d % 10);
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (x < -4 || x >= 17) {
+        *p++ = dig[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, dig + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        if (x >= 100)
+            *p++ = (char)('0' + x / 100);
+        *p++ = (char)('0' + x / 10 % 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (x >= 0) {
+        memcpy(p, dig, x + 1);
+        p += x + 1;
+        if (nd > x + 1) {
+            *p++ = '.';
+            memcpy(p, dig + x + 1, nd - x - 1);
+            p += nd - x - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > x; i--)
+            *p++ = '0';
+        memcpy(p, dig, nd);
+        p += nd;
+    }
+    return (int)(p - s);
+}
+
 int rk_write_table(const char *path, const char *header, const double *v,
                    int64_t rows, int64_t cols, char delim)
 {
@@ -165,13 +352,24 @@ int rk_write_table(const char *path, const char *header, const double *v,
     if (f == NULL) {
         err = errno_or_eio();
     } else {
+        /* the text goes out in blocks of buf, never the whole file at once */
+        char buf[1 << 14];
+        size_t n = 0;
         if (fprintf(f, "%s\n", header) < 0)
             err = errno_or_eio();
-        for (int64_t k = 0; k < rows * cols && !err; k++) {
-            char end = (k + 1) % cols ? delim : '\n';
-            if ((isnan(v[k]) ? fprintf(f, "nan%c", end) : fprintf(f, "%.17g%c", v[k], end)) < 0)
-                err = errno_or_eio();
+        for (int64_t r = 0; r < rows && !err; r++) {
+            for (int64_t j = 0; j < cols; j++) {
+                if (sizeof buf - n <= MAX17) {
+                    if (fwrite(buf, 1, n, f) != n)
+                        err = errno_or_eio();
+                    n = 0;
+                }
+                n += (size_t)format17(*v++, buf + n);
+                buf[n++] = j + 1 < cols ? delim : '\n';
+            }
         }
+        if (!err && fwrite(buf, 1, n, f) != n)
+            err = errno_or_eio();
         if (fclose(f) != 0 && !err)
             err = errno_or_eio();
     }
@@ -196,6 +394,71 @@ static int blank(const char *p)
     return *p == '\0';
 }
 
+#define DIGIT(ch) ((unsigned)((ch) - '0') < 10)
+
+/* The token at p if it is [-]d+[.d*][e[+-]d+] with at most 19 significant
+ * digits, ends at whitespace or NUL, and reads as a normal float64 not
+ * within ROUND_SLACK of a tie: the value into *out and the end returned.
+ * NULL for anything else, which strtod then reads. */
+static const char *read_fast(const char *p, double *out)
+{
+    int neg = *p == '-', nd = 0, e10 = 0;
+    uint64_t w = 0;
+    p += neg;
+    const char *start = p;
+    for (; DIGIT(*p); p++) {
+        if ((w || *p != '0') && ++nd > 19)
+            return NULL;
+        w = w * 10 + (uint64_t)(*p - '0');
+    }
+    if (p == start)
+        return NULL;
+    if (*p == '.')
+        for (p++; DIGIT(*p); p++, e10--) {
+            if ((w || *p != '0') && ++nd > 19)
+                return NULL;
+            w = w * 10 + (uint64_t)(*p - '0');
+        }
+    if (*p == 'e') {
+        int eneg = *++p == '-', ex = 0;
+        p += *p == '-' || *p == '+';
+        if (!DIGIT(*p))
+            return NULL;
+        for (; DIGIT(*p); p++)
+            if (ex < 100000)
+                ex = ex * 10 + (*p - '0');
+        e10 += eneg ? -ex : ex;
+    }
+    if (*p != '\0' && !isspace((unsigned char)*p))
+        return NULL;
+    if (w == 0) {
+        *out = neg ? -0.0 : 0.0;
+        return p;
+    }
+    if (e10 < TEN_MIN || e10 > TEN_MAX)
+        return NULL;
+    /* w * 10^e10 ~ top * 2^e with top in [2^126, 2^128) */
+    int s = __builtin_clzll(w), e;
+    u128 top = scale_ten(w << s, e10, &e);
+    int lz = !(top >> 127), cut = 75 - lz;  /* top's bits below the 53 kept */
+    u128 low = top & (((u128)1 << cut) - 1), half = (u128)1 << (cut - 1);
+    if (low > half - ROUND_SLACK && low < half + ROUND_SLACK)
+        return NULL;
+    uint64_t mant = (uint64_t)(top >> cut);
+    int be = 52 + cut + e - s + 1023;  /* biased exponent of mant * 2^(cut + e - s) */
+    if (be < 1)
+        return NULL;
+    if ((mant += low > half) >> 53) {
+        mant >>= 1;
+        be++;
+    }
+    if (be > 2046)
+        return NULL;
+    uint64_t bits = (uint64_t)neg << 63 | (uint64_t)be << 52 | (mant & (((uint64_t)1 << 52) - 1));
+    memcpy(out, &bits, sizeof bits);
+    return p;
+}
+
 static int parse_row(const char *p, int64_t cols, double *out)
 {
     for (int64_t j = 0; j < cols; j++) {
@@ -208,8 +471,12 @@ static int parse_row(const char *p, int64_t cols, double *out)
         const char *digits = p + (*p == '-' || *p == '+');
         if (digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X'))
             return TABLE_HEX;
-        char *end;
-        out[j] = strtod(p, &end);
+        const char *end = read_fast(p, out + j);
+        if (end == NULL) {
+            char *e;
+            out[j] = strtod(p, &e);
+            end = e;
+        }
         if (end == p || (*end != ' ' && !blank(end)))
             return TABLE_TOKEN;
         p = end;

@@ -11,9 +11,10 @@ via 17 significant digits.
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
 Besides the RK chunk and the row sampler it holds the one table writer
-and the one table reader: every value is printed as ``%.17g`` and read
-with ``strtod``, both under the "C" numeric locale, so the bytes do not
-follow the host's locale.
+and the one table reader: every value is printed exactly as ``%.17g``
+prints it and read exactly as ``strtod`` reads it (a fast path for the
+values it can decide, glibc for the rest), both under the "C" numeric
+locale, so the bytes do not follow the host's locale.
 
 Everything here is a pure function of immutable inputs; results are
 safe to share across threads.
@@ -279,8 +280,10 @@ def _kernel():
 # savetxt(fmt="%.17g", header=..., comments="").  Matrix: header
 # "rows cols", space-separated rows.  Vector: header "dim", one value per
 # line.  The CSVs: a column-name header, comma-separated rows.
-# _read_table reads the matrix and vector layout back, and nothing looser
-# than trailing whitespace, CRLF and blank lines after the last row.
+# _read_table reads the matrix and vector layout back: one space between
+# values, each a token strtod reads (so "+1", ".5" and "1E5" too, but no
+# hexadecimal float), plus trailing whitespace, CRLF and blank lines after
+# the last row.  Anything else is a ValueError naming the file and line.
 # _write_json: indent 2, sorted keys, trailing newline.
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Exact bytes of every output writer, the float64 round trip of the text formats,
 and the reader's rejection of every other layout."""
 
+import random
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from noisyrk.bounds import BoundCurve, BoundKind, write_bound_csv
 from noisyrk.experiments import Table2Row, write_band_csv, write_table2_csv
 from noisyrk.kaczmarz import Trajectory, write_trajectory_csv
-from noisyrk.linalg import _write_table, read_matrix, read_vector, write_matrix, write_vector
+from noisyrk.linalg import _read_table, _write_table, read_matrix, read_vector, write_matrix, write_vector
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -158,6 +159,76 @@ class TestSavetxtOracle:
             write_matrix(tmp_path / "absent" / "a.mat", np.eye(2))
 
 
+def sweep_values() -> np.ndarray:
+    """Every kind of float64 the writer's fast path must get right or hand to snprintf."""
+    rng = np.random.default_rng(14)
+    # exact ties at the 17th digit: n * 2**-k for odd n < 2**53 with n * 5**k of 18
+    # digits, ending in 5 (k = 1 has none: n / 2 has at most 17 digits)
+    ties = []
+    for k in range(1, 13):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        if lo < hi:
+            ties.append(np.ldexp((rng.integers(lo, hi, 10_000) | 1).astype(float), -k))
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    neighbours = np.concatenate([tens, twos, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                 np.nextafter(twos, 0), np.nextafter(twos, np.inf)])
+    subnormals = np.ldexp(rng.integers(1, 2**52, 20_000).astype(float), -1074)
+    integers = rng.integers(0, 2**63, 20_000, dtype=np.uint64).astype(float)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+    gaussians = rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000)
+    edges = np.array([0.0, -0.0, HUGE, -HUGE, TINY, np.ldexp(1.0, -1022), 2.0**53, 2.0**63])
+    values = np.concatenate([*ties, neighbours, subnormals, integers, bits[np.isfinite(bits)], gaussians, edges])
+    values[1::2] *= -1.0
+    return values
+
+
+class TestFastPathSweep:
+    """The writer's and reader's fast paths against Python's correctly rounded conversions."""
+
+    def test_writer_matches_python_and_reads_back(self, tmp_path):
+        values = sweep_values()
+        assert values.size >= 200_000
+        rows = values[: values.size // 8 * 8].reshape(-1, 8)
+        path = tmp_path / "sweep.mat"
+        _write_table(path, f"{rows.shape[0]} 8", rows, " ")
+        lines = path.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == rows.shape[0] + 2
+        wrong = [(x, got) for x, got in zip(rows.ravel().tolist(), " ".join(lines[1:-1]).split(" "))
+                 if got != "%.17g" % x]
+        assert wrong == []
+        assert read_matrix(path).tobytes() == rows.tobytes()
+
+    @staticmethod
+    def assert_reads_as_float(tmp_path, tokens):
+        path = tmp_path / "tokens.vec"
+        path.write_text(f"{len(tokens)}\n" + "\n".join(tokens) + "\n")
+        expected = np.array([float(t) for t in tokens])
+        assert _read_table(path, "dim").tobytes() == expected.tobytes()
+
+    def test_reader_edge_tokens_match_float(self, tmp_path):
+        # what the strict grammar leaves to strtod, and values at its edges: ties,
+        # subnormals, the smallest normal, the largest finite value and overflow
+        self.assert_reads_as_float(tmp_path, [
+            "+1", ".5", "1.", "1.e5", "1E5", "0012", "-0", "0e999", "-0.0000", "-0.1e+1",
+            "12345678901234567890", "99999999999999999999", "1234567890123456789012345",
+            "0.00000000000000000001234567890123456789", "1234567890123456789.1e-5",
+            "4.9e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+            "1e-400", "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+            "2e308", "1e400", "9007199254740993", "9007199254740995", "1000000000000000.25",
+        ])
+
+    def test_reader_random_tokens_match_float(self, tmp_path):
+        # 1-20 digits with the point anywhere, exponents from -350 to 350
+        rng = random.Random(14)
+        tokens = []
+        for _ in range(20_000):
+            digits = "".join(rng.choices("0123456789", k=rng.randint(1, 20)))
+            point = rng.randint(0, len(digits))
+            tokens.append(f"{rng.choice(['', '-'])}{digits[:point] or '0'}.{digits[point:]}e{rng.randint(-350, 350)}")
+        self.assert_reads_as_float(tmp_path, tokens)
+
+
 class TestReaderRejects:
     """Anything but the writer's layout, trailing whitespace and CRLF is a named error."""
 
@@ -179,6 +250,9 @@ class TestReaderRejects:
             ("2 2\n1 2\n 3 4\n", 3, "malformed value"),
             ("2 2\n1\t2\n3 4\n", 2, "malformed value"),
             ("2 2\n1 2\x003\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 2e\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 -\n3 4\n", 2, "malformed value"),
+            ("2 2\n1 1.5.3\n3 4\n", 2, "malformed value"),
             ("2 2\n1 0x10\n3 4\n", 2, "hexadecimal"),
             ("2 2\n1 2\n-0X1p3 4\n", 3, "hexadecimal"),
         ],
@@ -208,7 +282,7 @@ class TestReaderRejects:
         with pytest.raises(ValueError, match="asks for more values than the file"):
             read_matrix(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999", "1e400"])
     def test_non_finite_value(self, tmp_path, value):
         path = tmp_path / "bad.mat"
         path.write_text(f"1 2\n1 {value}\n")

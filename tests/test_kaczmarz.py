@@ -21,6 +21,7 @@ from noisyrk import (
     generate_system,
     initial_iterates,
     kaczmarz,
+    linalg,
     make_sampler,
     record_points,
     rk_step,
@@ -295,6 +296,12 @@ class TestSolve:
 class TestKernelBuild:
     def test_source_ships_as_package_data(self):
         assert (importlib.resources.files("noisyrk") / "_rk.c").is_file()
+
+    def test_source_compiles_without_warnings(self):
+        command = [linalg._COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *linalg._CFLAGS,
+                   str(linalg._KERNEL_SOURCE)]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_missing_compiler_names_the_command(self, kernel_cache, monkeypatch, tmp_path):
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
