@@ -1,4 +1,4 @@
-/* Randomized Kaczmarz chunk kernel, row sampler and text-table writer
+/* Randomized Kaczmarz solve kernel, row sampler and text-table writer
  * and reader, built and loaded by noisyrk.linalg through ctypes.
  *
  * Row draws.  Row i is drawn with probability w_i / total by inverse CDF
@@ -11,18 +11,28 @@
  * is a power of two, u * G and k / G are exact, and rounded products are
  * monotone, so the start never passes the answer.  When u * total rounds
  * up to total the walk runs past row m - 1 and the draw falls back to
- * `last`, the last row of positive weight.  rk_sample and rk_chunk share
+ * `last`, the last row of positive weight.  rk_sample and rk_solve share
  * this one resolver.
  *
- * Steps.  rk_chunk advances each of `trials` iterates (the rows of the
- * C-contiguous trials x n block `x`) through `steps` projections.  At
- * step s trial t draws row i from u[t * steps + s] of the m x n matrix
- * `a` and projects onto it:
+ * Steps.  rk_solve advances each of `trials` iterates (the rows of the
+ * C-contiguous trials x n block `x`) through ks[nks - 1] projections.
+ * Trial t draws its uniforms from its own numpy bit generator rng[t],
+ * one next_double(state) call per step.  That is the call through which
+ * numpy's Generator.random() fills its output, so the trial sees the
+ * uniforms Generator.random(ks[nks - 1]) would return and leaves its
+ * stream exactly ks[nks - 1] draws on.  At each step the uniform picks
+ * row i of the m x n matrix `a` and the trial projects onto it:
  *
  *     x_t <- x_t - (a_i . x_t - b_i) / w_i * a_i,     w_i = ||a_i||^2
  *
- * When col[s] >= 0 the squared error ||x_t - x_ls||^2 after step s goes
- * to err[t * ncols + col[s]].
+ * The record grid rises strictly from ks[0] == 0 (the caller checks it).
+ * After step ks[r], r >= 1, the squared error ||x_t - x_ls||^2 goes to
+ * err[t * nks + r]; column 0 is left to the caller.  A trial draws the
+ * row of step s + 1 before it updates x_t at step s, so one pass over
+ * x_t writes the update and sums the next row's dot product with it
+ * (project_dot); the draws keep their order and their count.  The
+ * generators are used without numpy's lock, so no other thread may draw
+ * from them while the kernel runs.
  *
  * Summation order.  The dot product and the squared error each sum into
  * four accumulators, term j into s[j mod 4], so four add chains run side
@@ -31,6 +41,17 @@
  * is written out here and built with -ffp-contract=off and without
  * -ffast-math, so it is the same on every host.  The trials are
  * independent, so a trial's result does not depend on the other trials.
+ *
+ * Lanes.  The accumulators are two vectors of two doubles, (s0, s1) and
+ * (s2, s3), in gcc's generic vector_size(16) type: SSE2 on x86-64, NEON
+ * on aarch64, both part of the base instruction set, so no -march flag
+ * is needed.  Each lane adds the same terms in the same order as the
+ * scalar s[j mod 4], so the sums are the scalar ones bit for bit.  The
+ * update x_t -= c * a_i runs in the same two lanes, entry by entry as the
+ * scalar update did, and the n mod 4 trailing entries one at a time.
+ * Vectors are loaded and stored through __builtin_memcpy, so no alignment
+ * is assumed, and none is passed to or returned from a function, which
+ * gcc would flag as an ABI change (-Wpsabi).
  *
  * Text tables.  rk_write_table writes a header line, then each row of a
  * C-contiguous rows x cols block with every value as %.17g (17
@@ -84,41 +105,84 @@ static inline int64_t resolve(double u, int64_t m, const double *cum, double tot
     return i < m ? i : last;
 }
 
+typedef double v2 __attribute__((vector_size(16)));
+
+/* numpy/random/bitgen.h, the struct behind Generator.bit_generator.ctypes.bit_generator */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 static inline double dot4(const double *p, const double *q, int64_t n)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    v2 s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, p01, p23, q01, q23;
     int64_t j = 0;
     for (; j + 4 <= n; j += 4) {
-        s0 += p[j] * q[j];
-        s1 += p[j + 1] * q[j + 1];
-        s2 += p[j + 2] * q[j + 2];
-        s3 += p[j + 3] * q[j + 3];
+        __builtin_memcpy(&p01, p + j, sizeof p01);
+        __builtin_memcpy(&p23, p + j + 2, sizeof p23);
+        __builtin_memcpy(&q01, q + j, sizeof q01);
+        __builtin_memcpy(&q23, q + j + 2, sizeof q23);
+        s01 += p01 * q01;
+        s23 += p23 * q23;
     }
+    double s0 = s01[0];
     for (; j < n; j++)
         s0 += p[j] * q[j];
-    return (s0 + s1) + (s2 + s3);
+    return (s0 + s01[1]) + (s23[0] + s23[1]);
 }
 
 /* ||p - q||^2 in the order of dot4 */
 static inline double dist4(const double *p, const double *q, int64_t n)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, d0, d1, d2, d3;
+    v2 s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, p01, p23, q01, q23;
     int64_t j = 0;
     for (; j + 4 <= n; j += 4) {
-        d0 = p[j] - q[j];
-        d1 = p[j + 1] - q[j + 1];
-        d2 = p[j + 2] - q[j + 2];
-        d3 = p[j + 3] - q[j + 3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
+        __builtin_memcpy(&p01, p + j, sizeof p01);
+        __builtin_memcpy(&p23, p + j + 2, sizeof p23);
+        __builtin_memcpy(&q01, q + j, sizeof q01);
+        __builtin_memcpy(&q23, q + j + 2, sizeof q23);
+        p01 -= q01;
+        p23 -= q23;
+        s01 += p01 * p01;
+        s23 += p23 * p23;
     }
+    double s0 = s01[0], d;
     for (; j < n; j++) {
-        d0 = p[j] - q[j];
-        s0 += d0 * d0;
+        d = p[j] - q[j];
+        s0 += d * d;
     }
-    return (s0 + s1) + (s2 + s3);
+    return (s0 + s01[1]) + (s23[0] + s23[1]);
+}
+
+/* x -= c * row, then next . x in the order of dot4 */
+static inline double project_dot(double *x, const double *row, double c, const double *next, int64_t n)
+{
+    const v2 cc = {c, c};
+    v2 s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, x01, x23, r01, r23, n01, n23;
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        __builtin_memcpy(&x01, x + j, sizeof x01);
+        __builtin_memcpy(&x23, x + j + 2, sizeof x23);
+        __builtin_memcpy(&r01, row + j, sizeof r01);
+        __builtin_memcpy(&r23, row + j + 2, sizeof r23);
+        __builtin_memcpy(&n01, next + j, sizeof n01);
+        __builtin_memcpy(&n23, next + j + 2, sizeof n23);
+        x01 -= cc * r01;
+        x23 -= cc * r23;
+        __builtin_memcpy(x + j, &x01, sizeof x01);
+        __builtin_memcpy(x + j + 2, &x23, sizeof x23);
+        s01 += n01 * x01;
+        s23 += n23 * x23;
+    }
+    double s0 = s01[0];
+    for (; j < n; j++) {
+        x[j] -= c * row[j];
+        s0 += next[j] * x[j];
+    }
+    return (s0 + s01[1]) + (s23[0] + s23[1]);
 }
 
 void rk_sample(int64_t count, const double *u, int64_t m, const double *cum, double total,
@@ -132,21 +196,30 @@ void rk_sample(int64_t count, const double *u, int64_t m, const double *cum, dou
  * size of the library's preamble: 224 bytes off it ran about 15% slower
  * (ns per step at 100 x 50, timed interleaved in one process). */
 __attribute__((aligned(64)))
-void rk_chunk(int64_t trials, int64_t n, int64_t steps,
-              const double *a, const double *b, const double *w, const double *u,
+void rk_solve(int64_t trials, int64_t n, const double *a, const double *b, const double *w,
               int64_t m, const double *cum, double total, const int64_t *guide, int64_t g, int64_t last,
-              const int64_t *col, const double *x_ls, double *x, double *err, int64_t ncols)
+              bitgen_t *const *rng, int64_t nks, const int64_t *ks, const double *x_ls, double *x, double *err)
 {
+    int64_t steps = ks[nks - 1];
     for (int64_t t = 0; t < trials; t++) {
+        bitgen_t *gen = rng[t];
         double *xt = x + t * n;
-        for (int64_t s = 0; s < steps; s++) {
-            int64_t i = resolve(u[t * steps + s], m, cum, total, guide, g, last);
-            const double *row = a + i * n;
-            double c = (dot4(row, xt, n) - b[i]) / w[i];
-            for (int64_t j = 0; j < n; j++)
-                xt[j] -= c * row[j];
-            if (col[s] >= 0)
-                err[t * ncols + col[s]] = dist4(xt, x_ls, n);
+        int64_t i = resolve(gen->next_double(gen->state), m, cum, total, guide, g, last);
+        const double *row = a + i * n;
+        double dot = dot4(row, xt, n);
+        for (int64_t r = 1, s = 0; r < nks; r++) {
+            for (; s < ks[r]; s++) {
+                int64_t k = i;
+                const double *next = row;
+                if (s + 1 < steps) {
+                    k = resolve(gen->next_double(gen->state), m, cum, total, guide, g, last);
+                    next = a + k * n;
+                }
+                dot = project_dot(xt, row, (dot - b[i]) / w[i], next, n);
+                i = k;
+                row = next;
+            }
+            err[t * nks + r] = dist4(xt, x_ls, n);
         }
     }
 }

@@ -9,29 +9,29 @@ squared norm, via inverse-CDF lookup over the prefix sums.  ``solve``
 runs multiple independent trials and records the squared error against
 the noiseless least squares solution on a fixed iteration grid.
 
-The step is one compiled C function, ``rk_chunk`` in ``_rk.c``: it
-advances every trial through a chunk of steps and writes the squared
-error at the recorded iterations, so a chunk costs one foreign call
-however densely it records.  It also turns each trial's uniforms into
-row indices, through a guide table over the prefix sums; ``rk_sample``
-in the same file runs that one resolver for :meth:`RowSampler.sample_block`,
-so there is no second index path.  Its sums run in a fixed order and it
-is built without ``-ffast-math`` or ``-march=native``, so results do not
-depend on the host's vector instructions.  The library is built and
-loaded by :func:`noisyrk.linalg._kernel`, which also serves the text
-tables (``%.17g`` values under the "C" numeric locale); there is no
-pure-numpy step, and without a compiler the first solve raises
+A solve is one call of ``rk_solve`` in the compiled ``_rk.c``: it
+advances every trial through all its steps, each trial drawing its
+uniforms in the kernel from its own generator stream through numpy's
+``bitgen_t`` interface, and writes the squared error at the recorded
+iterations.  Draws become row indices through a guide table over the
+prefix sums; ``rk_sample`` runs that one resolver for
+:meth:`RowSampler.sample_block`, so there is no second index path.  Its
+sums run in a fixed order and it is built without ``-ffast-math`` or
+``-march=native``, so results do not depend on the host's vector
+instructions.  The library is built and loaded by
+:func:`noisyrk.linalg._kernel`, which also serves the text tables
+(``%.17g`` values under the "C" numeric locale); there is no pure-numpy
+step, and without a compiler the first solve raises
 :class:`~noisyrk.errors.KernelBuildError`.
 
-Each trial draws its uniforms from its own generator stream, in fixed
-chunks of steps; a stream yields the same uniforms however its draws are
-split into blocks, and the kernel advances each trial on its own
-iterate, so a trial's result does not depend on how many trials run
-beside it.
+A trial sees the uniforms its stream's ``random()`` would return, and
+the kernel advances each trial on its own iterate, so a trial's result
+does not depend on how many trials run beside it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 import os
@@ -59,10 +59,6 @@ __all__ = [
 
 # Cap on stored records per run; the stride grows with the iteration count.
 _MAX_RECORDS = 2000
-
-# Steps per trial drawn at once and advanced by one kernel call; bounds the
-# draw buffers at O(trials * chunk).
-_CHUNK = 1024
 
 class X0Mode(str, enum.Enum):
     ZERO = "zero"
@@ -106,7 +102,7 @@ class RowSampler:
         arr = as_matrix(a, "a_tilde")
         self.weights = as_vector(np.einsum("ij,ij->i", arr, arr), "squared row norms")
         if not np.any(self.weights > 0):
-            raise ValueError("matrix has no nonzero rows to sample")
+            raise ValueError("matrix has no row of positive squared norm to sample")
         self.rng = rng
         cumulative = np.cumsum(self.weights)
         total, size = float(cumulative[-1]), 1 << (arr.shape[0] - 1).bit_length()
@@ -126,37 +122,48 @@ def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     return RowSampler(a_tilde, seeding.stream(seed, seeding.SAMPLER, trial))
 
 
-def _rk_chunk(a, b, sampler, u, col, x_ls, x, err) -> None:
-    """Advance row t of ``x`` through the rows of ``a`` that ``sampler`` draws from ``u[t]``, in place.
+def _rk_solve(a, b, sampler, rngs, ks, steps, x_ls, x, err) -> None:
+    """Advance each row t of ``x`` in place by ``steps`` projections onto rows of ``a`` drawn from ``rngs[t]``.
 
-    After step s the squared distance of row t to ``x_ls`` goes to
-    ``err[t, col[s]]`` when ``col[s] >= 0``.  Shapes are checked here,
-    before any pointer is handed to the kernel.
+    ``sampler``'s table turns the draws into rows.  After step ``ks[r]``,
+    r >= 1, the squared distance of row t to ``x_ls`` goes to ``err[t, r]``.
+    Shapes and the grid are checked here, before any pointer is handed to
+    the kernel, and ``rngs`` holds every generator until the kernel returns.
     """
-    (m, n), (trials, steps) = a.shape, u.shape
-    if (b.shape, sampler.weights.shape, x_ls.shape, x.shape, col.shape) != ((m,), (m,), (n,), (trials, n), (steps,)) \
-            or err.shape[0] != trials:
+    (m, n), trials = a.shape, len(rngs)
+    if (b.shape, sampler.weights.shape, x_ls.shape, x.shape, err.shape) \
+            != ((m,), (m,), (n,), (trials, n), (trials, ks.size)):
         raise ValueError("RK kernel arguments have inconsistent shapes")
-    _kernel().rk_chunk(trials, n, steps, a, b, sampler.weights, u, *sampler.table, col, x_ls, x, err, err.shape[1])
+    if ks.size < 2 or ks[0] != 0 or ks[-1] != steps or np.any(np.diff(ks) <= 0):
+        raise ValueError(f"record grid must rise strictly from 0 to {steps}")
+    bitgens = (ctypes.c_void_p * trials)(*(rng.bit_generator.ctypes.bit_generator.value for rng in rngs))
+    _kernel().rk_solve(trials, n, a, b, sampler.weights, *sampler.table, bitgens, ks.size, ks, x_ls, x, err)
 
 
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     """One projection onto the hyperplane row . x = rhs.
 
     After the step the selected equation holds exactly (up to rounding).
-    The row must be nonzero; zero rows are excluded by the sampler.
+    The row must have a positive squared norm and ``rhs`` must be finite;
+    a step that overflows raises ``ValueError``.
     This is the solver's kernel called for one trial and one step.
     """
     x = as_vector(x, "x")
     row = as_vector(row, "row")
     if row.size != x.size:
         raise ValueError(f"row has width {row.size}, x has {x.size}")
+    if not math.isfinite(rhs := float(rhs)):
+        raise ValueError(f"rhs must be finite, got {rhs}")
     if not np.any(row):
         raise ValueError("cannot project onto a zero row")
+    if row @ row == 0:
+        raise ValueError(f"cannot project onto row {row.tolist()}: its squared norm underflows to 0")
     a, block = np.ascontiguousarray(row)[None, :], x[None, :].copy()
-    # the one row is drawn by u = 0; no step is recorded, so the kernel reads no x_ls and writes no error
-    _rk_chunk(a, np.array([float(rhs)]), RowSampler(a, None), np.zeros((1, 1)),
-              np.array([-1], np.int64), np.zeros(x.size), block, np.empty((1, 0)))
+    # the table of one row maps every draw to it; the generator's one draw is discarded
+    _rk_solve(a, np.array([rhs]), RowSampler(a, None), [np.random.default_rng(0)],
+              np.array([0, 1], np.int64), 1, np.zeros(x.size), block, np.empty((1, 2)))
+    if not np.isfinite(block).all():
+        raise ValueError("the projection overflowed")
     return block[0]
 
 
@@ -223,7 +230,7 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
     bounds pass the stack they evaluate them from.  Each trial draws
     rows from its own sampler stream, and records the squared distance to
     the *noiseless* solution ``noisy.base.x_ls`` at the configured stride.
-    Each chunk of steps is one call of the compiled kernel for all trials.
+    The whole solve is one call of the compiled kernel.
     Bit-identical output for identical inputs and config.
     """
     a = np.ascontiguousarray(noisy.a_tilde, dtype=float)
@@ -236,19 +243,11 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
         raise ValueError(f"x0 has shape {x.shape}; one start per trial needs {(cfg.trials, a.shape[1])}")
     if not np.isfinite(x).all():
         raise ValueError("x0 contains non-finite entries")
-    samplers = [make_sampler(a, cfg.seed, trial) for trial in range(cfg.trials)]
+    rngs = [seeding.stream(cfg.seed, seeding.SAMPLER, trial) for trial in range(cfg.trials)]
     per_trial = np.empty((cfg.trials, ks.size))
     d = x - x_ls
     per_trial[:, 0] = np.vecdot(d, d)
-    for start in range(0, cfg.max_iterations, _CHUNK):
-        count = min(_CHUNK, cfg.max_iterations - start)
-        # u[t, s] draws the row trial t projects onto at iteration start + s + 1,
-        # whose error goes to column col[s] when that iteration is recorded
-        u = np.stack([s.rng.random(count) for s in samplers])
-        lo, hi = np.searchsorted(ks, [start + 1, start + count + 1])
-        col = np.full(count, -1, dtype=np.int64)
-        col[ks[lo:hi] - start - 1] = np.arange(lo, hi)
-        _rk_chunk(a, b, samplers[0], u, col, x_ls, x, per_trial)
+    _rk_solve(a, b, RowSampler(a, None), rngs, ks, cfg.max_iterations, x_ls, x, per_trial)
     if not np.isfinite(per_trial).all():
         raise HypothesisError("iteration produced non-finite errors")
     return Trajectory(

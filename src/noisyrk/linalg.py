@@ -10,7 +10,7 @@ via 17 significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
-Besides the RK chunk and the row sampler it holds the one table writer
+Besides the RK solve and the row sampler it holds the one table writer
 and the one table reader: every value is printed exactly as ``%.17g``
 prints it and read exactly as ``strtod`` reads it (a fast path for the
 values it can decide, glibc for the rest), both under the "C" numeric
@@ -263,8 +263,9 @@ def _kernel():
     n, d = ctypes.c_int64, ctypes.c_double
     table = [n, f64, d, i64, n, n]  # the resolver's arguments, as RowSampler.table holds them
     kernel.rk_sample.argtypes = [n, f64, *table, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]
-    kernel.rk_chunk.argtypes = [n, n, n, f64, f64, f64, f64, *table, i64, f64, out, out, n]
-    kernel.rk_sample.restype = kernel.rk_chunk.restype = None
+    # trials, n, a, b, weights, the table, one bitgen_t pointer per trial, the record grid, x_ls, x, err
+    kernel.rk_solve.argtypes = [n, n, f64, f64, f64, *table, ctypes.POINTER(ctypes.c_void_p), n, i64, f64, out, out]
+    kernel.rk_sample.restype = kernel.rk_solve.restype = None
     kernel.rk_write_table.argtypes = [ctypes.c_char_p, ctypes.c_char_p, f64, n, n, ctypes.c_char]
     kernel.rk_read_table.argtypes = [ctypes.c_char_p, n, n, n, out, ctypes.POINTER(n)]
     kernel.rk_write_table.restype = kernel.rk_read_table.restype = ctypes.c_int

@@ -26,6 +26,7 @@ from noisyrk import (
     record_points,
     rk_step,
     scaled_condition_number,
+    seeding,
     solve,
     svd,
     write_trajectory_csv,
@@ -93,6 +94,20 @@ class TestRkStep:
         with pytest.raises(ValueError, match="width 2"):
             rk_step(np.zeros(3), np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("rhs", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, rhs):
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            rk_step(np.zeros(2), np.array([1.0, 0.0]), rhs)
+
+    def test_row_whose_squared_norm_underflows_is_named(self):
+        with pytest.raises(ValueError, match=r"row \[1e-200, 0\.0\]: its squared norm underflows"):
+            rk_step(np.zeros(2), np.array([1e-200, 0.0]), 1.0)
+
+    def test_overflowing_step_rejected(self):
+        # c = 1e300 / 1e-300 overflows; the step must not return inf or NaN
+        with pytest.raises(ValueError, match="overflowed"):
+            rk_step(np.zeros(2), np.array([1e-150, 0.0]), 1e300)
+
 
 class TestRowSampler:
     def test_equal_weights_frequencies(self):
@@ -118,6 +133,10 @@ class TestRowSampler:
         with pytest.raises(ValueError):
             make_sampler(np.zeros((3, 2)), seed=0)
 
+    def test_matrix_whose_squared_norms_underflow_rejected(self):
+        with pytest.raises(ValueError, match="no row of positive squared norm"):
+            make_sampler(np.full((3, 2), 1e-200), seed=0)
+
     def test_deterministic_per_seed(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         one = make_sampler(a, seed=5).sample_block(1000)
@@ -127,7 +146,7 @@ class TestRowSampler:
 
     @pytest.mark.parametrize("first, second", [(1, 1), (7, 1024), (1024, 1), (300, 2200)])
     def test_blocks_concatenate_to_one_draw(self, small_system, first, second):
-        # the solver draws in fixed chunks; a split stream must give the same rows
+        # a stream split into blocks must give the rows of one draw
         split = make_sampler(small_system.a, seed=3, trial=2)
         parts = np.concatenate([split.sample_block(first), split.sample_block(second)])
         whole = make_sampler(small_system.a, seed=3, trial=2).sample_block(first + second)
@@ -192,7 +211,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("stride", [7, 1])
     def test_every_trial_matches_reference_projection(self, small_system, stride):
-        # 2500 steps cross a kernel-chunk boundary; a stride of 7 does not divide them
+        # a stride of 7 does not divide the 2500 steps
         noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
         cfg = RkConfig(max_iterations=2500, trials=3, record_stride=stride, seed=9)
         traj = solve(noisy, cfg)
@@ -210,6 +229,39 @@ class TestSolve:
         traj = solve(noisy, cfg)
         for trial in range(cfg.trials):
             assert np.array_equal(traj.per_trial_squared_error[trial, 1:], reference_errors(noisy, cfg, trial))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 9), extra_rows=st.integers(0, 5), seed=st.integers(0, 1000))
+    def test_every_width_matches_reference_projection(self, n, extra_rows, seed):
+        # widths 1-9 reach every tail of the two-lane update and of the four-accumulator sums
+        spec = SpectrumSpec(m=n + extra_rows, n=n, r=n, sigma_min=1.0, sigma_max=4.0)
+        noisy = additive_noise(generate_system(spec, seed=seed), 0.1, 0.1, seed=seed)
+        cfg = RkConfig(max_iterations=40, trials=2, record_stride=1, seed=seed)
+        traj = solve(noisy, cfg)
+        for trial in range(cfg.trials):
+            assert np.array_equal(traj.per_trial_squared_error[trial, 1:], reference_errors(noisy, cfg, trial))
+
+    def test_solve_advances_each_stream_by_its_step_count(self, small_system, monkeypatch):
+        noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
+        real_stream, streams = seeding.stream, {}
+
+        def recording_stream(seed, *key):
+            streams[key] = real_stream(seed, *key)
+            return streams[key]
+
+        monkeypatch.setattr(seeding, "stream", recording_stream)
+        solve(noisy, RkConfig(max_iterations=777, trials=3, record_stride=50, seed=9))
+        for trial in range(3):
+            # the next draw of trial t's stream is draw 778 of a fresh one
+            fresh = real_stream(9, seeding.SAMPLER, trial).random(778)
+            assert streams[(seeding.SAMPLER, trial)].random() == fresh[-1]
+
+    @pytest.mark.parametrize("ks", [[1, 5], [0, 3, 3, 5], [0, 4], [0]])
+    def test_record_grid_must_rise_from_zero_to_the_budget(self, noiseless, ks):
+        a, n = noiseless.a_tilde, noiseless.a_tilde.shape[1]
+        with pytest.raises(ValueError, match="record grid must rise strictly from 0 to 5"):
+            kaczmarz._rk_solve(a, noiseless.b_tilde, kaczmarz.RowSampler(a, None), [np.random.default_rng(0)],
+                               np.array(ks, np.int64), 5, np.zeros(n), np.zeros((1, n)), np.empty((1, len(ks))))
 
     def test_trial_independent_of_other_trials(self, small_system):
         noisy = additive_noise(small_system, 0.1, 0.1, seed=4)
