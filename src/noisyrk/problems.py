@@ -375,36 +375,26 @@ def multiplicative_noise(
     """Multiplicative corruption (I + sigma_a E) a (I + sigma_a F).
 
     Either factor can be switched off (``use_e`` / ``use_f``), in which
-    case the corresponding draw is the zero matrix.  Draws are redone up
-    to 100 times if a factor comes out numerically singular.
+    case the corresponding draw is the zero matrix.  E and F are drawn
+    once and may be singular: the squared bounds do not need invertible
+    factors, and ``multiplicative_perturbation``, which does, checks them.
     """
     if sigma_a < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
     m, n = sys.a.shape
-    for attempt in range(_MAX_REDRAWS):
-        if use_e:
-            e = seeding.stream(seed, seeding.MATRIX_NOISE, attempt).standard_normal((m, m))
-        else:
-            e = np.zeros((m, m))
-        if use_f:
-            f = seeding.stream(seed, seeding.RIGHT_FACTOR_NOISE, attempt).standard_normal((n, n))
-        else:
-            f = np.zeros((n, n))
-        left = np.eye(m) + sigma_a * e
-        right = np.eye(n) + sigma_a * f
-        if sigma_a == 0 or not (use_e or use_f):
-            break
-        # a switched-off factor is the identity
-        if (not use_e or _nonsingular(left)) and (not use_f or _nonsingular(right)):
-            break
+    # the trailing 0 of each stream key is part of the reproducibility contract
+    if use_e:
+        e = seeding.stream(seed, seeding.MATRIX_NOISE, 0).standard_normal((m, m))
     else:
-        raise HypothesisError(
-            "nonsingularity of the multiplicative factors failed after 100 redraws"
-        )
+        e = np.zeros((m, m))
+    if use_f:
+        f = seeding.stream(seed, seeding.RIGHT_FACTOR_NOISE, 0).standard_normal((n, n))
+    else:
+        f = np.zeros((n, n))
     if sigma_a == 0 or not (use_e or use_f):
         a_tilde = sys.a.copy()
     else:
-        a_tilde = left @ sys.a @ right
+        a_tilde = (np.eye(m) + sigma_a * e) @ sys.a @ (np.eye(n) + sigma_a * f)
     eps = seeding.stream(seed, seeding.RHS_NOISE).standard_normal(m)
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(

@@ -371,6 +371,15 @@ class TestBoundMultiplicativePerturbation:
             bound_multiplicative_perturbation(noisy, x0s, KS)
         assert svd_calls == []  # the factor checks were never reached
 
+    @pytest.mark.parametrize("consistent", [True, False])
+    @pytest.mark.parametrize("factor", ["E", "F"])
+    def test_squared_bounds_need_no_invertible_factor(self, small_system, x0s, factor, consistent):
+        # why multiplicative_noise checks no factor: the squared bounds hold for any perturbation
+        noisy = singular_factor_instance(small_system, factor, consistent)
+        for bound in (bound_additive, bound_multiplicative):
+            curve = bound(noisy, x0s, KS)
+            assert np.isfinite(curve.values).all() and np.isfinite(curve.horizon)
+
     @pytest.mark.parametrize(
         "m, sigma_b, match",
         [
