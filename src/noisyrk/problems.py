@@ -214,7 +214,7 @@ class LinearSystem:
 
     @cached_property
     def factors(self) -> SvdFactors:
-        """The SVD of ``a``, taken at first read; :func:`generate_system` fills it with its own."""
+        """The SVD of ``a``, taken at first read and kept."""
         return svd(self.a)
 
 
@@ -328,7 +328,8 @@ def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
 
     U and V come from entrywise standard-normal draws with the columns
     orthonormalized, b = A z for a standard-normal z, and
-    x_ls = pinv(A) b.  Deterministic given ``seed``.
+    x_ls = V Vᵀ z, equal to pinv(A) b, so no SVD is taken.  Deterministic
+    given ``seed``.
     """
     sigma = _spectrum_values(spec, seed)
     gu = seeding.stream(seed, seeding.LEFT_BASIS).standard_normal((spec.m, spec.r))
@@ -337,11 +338,7 @@ def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
     v = orthonormalize_columns(gv)
     a = (u * sigma) @ v.T
     z = seeding.stream(seed, seeding.SOLUTION).standard_normal(spec.n)
-    b = a @ z
-    factors = svd(a)
-    sys = LinearSystem(a=a, b=b, x_ls=factors.pinv_apply(b), spec=spec, seed=seed)
-    object.__setattr__(sys, "factors", factors)  # the memo of the cached property
-    return sys
+    return LinearSystem(a=a, b=a @ z, x_ls=v @ (v.T @ z), spec=spec, seed=seed)
 
 
 def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int) -> NoisySystem:

@@ -33,6 +33,20 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture()
+def svds_of(monkeypatch):
+    """How many times ``np.linalg.svd`` is called on a matrix equal to its argument during the test."""
+    inputs = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        inputs.append(np.array(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return lambda a: sum(x.shape == a.shape and np.array_equal(x, a) for x in inputs)
+
+
+@pytest.fixture()
 def kernel_cache(monkeypatch, tmp_path):
     """An empty kernel cache directory under ``tmp_path``; the kernel is loaded afresh in it."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))

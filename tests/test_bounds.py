@@ -552,6 +552,16 @@ class TestOneSignature:
 
 
 class TestNoisyAnalysisMemo:
+    def test_one_svd_of_a_for_every_bound_that_needs_it(self, svds_of):
+        sys_ = generate_system(SpectrumSpec(m=40, n=20, r=20, sigma_min=1.0, sigma_max=4.0), seed=7)
+        noisy = partial_consistent_noise(sys_, 0.4, seed=21)
+        x0s = initial_iterates(sys_.a, RkConfig(max_iterations=1, trials=1, seed=5))
+        bound_perturbation_doubly(noisy, x0s, KS)
+        bound_perturbation_partial(noisy, x0s, KS)
+        horizon_comparison(noisy)
+        perturbed_ls_distance(noisy)
+        assert svds_of(sys_.a) == 1  # partial_consistent_noise took it; the _q bounds read the memo
+
     @pytest.mark.parametrize(
         "make_noisy",
         [

@@ -146,9 +146,9 @@ class TestFigureExperiment:
         for res in results.values():
             assert set(res.bound_errors) == {BoundKind.MULTIPLICATIVE_PERTURBATION}
             assert "consistency" in res.bound_errors[BoundKind.MULTIPLICATIVE_PERTURBATION]
-        # one generate_system; per point one SVD of At shared by every kind: the noise draw
-        # checks no factor, and the failing kind stops at consistency, before its factor checks
-        assert len(svd_calls) == 1 + len(grid)
+        # per point one SVD of At shared by every kind: generate_system and the noise draw
+        # take none, and the failing kind stops at consistency, before its factor checks
+        assert len(svd_calls) == len(grid)
 
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
@@ -195,8 +195,8 @@ class TestTable2:
     def test_one_svd_of_the_noisy_matrix_per_point(self, svd_calls):
         grid = ((0.0, 0.0), (0.01, 0.01), (0.1, 0.0))
         rows = run_table2(make_config(noise_grid=grid))
-        # one generate_system, then per point one SVD of At gives kappa and r_tilde
-        assert len(svd_calls) == 1 + len(grid)
+        # generate_system takes none; per point one SVD of At gives kappa and r_tilde
+        assert len(svd_calls) == len(grid)
         assert all(r.kappa_a_tilde >= 1.0 and r.r_tilde >= SPEC.n for r in rows)
 
     def test_rhs_only_horizon_independent_of_matrix_draw(self):
@@ -250,6 +250,12 @@ class TestPreconditionerDemo:
         rk = RkConfig(max_iterations=10, trials=2, seed=1)
         demo = run_preconditioner_demo(spec, tau=0.5, rk=rk, master_seed=2, initial_sq_error=1e6)
         assert demo.k_noiseless == 269
+
+    def test_one_svd_of_a(self, svds_of):
+        spec = SpectrumSpec(m=20, n=10, r=10, sigma_min=1.0, sigma_max=4.0, spacing=Spacing.FLAT_TOP)
+        run_preconditioner_demo(spec, tau=5.0, rk=RkConfig(max_iterations=10, trials=2, seed=3), master_seed=3)
+        # the gap fill and the noiseless rate read the same LinearSystem.factors
+        assert svds_of(generate_system(spec, 3).a) == 1
 
     def test_shared_start_points(self):
         spec = SpectrumSpec(m=20, n=10, r=10, sigma_min=1.0, sigma_max=4.0, spacing=Spacing.FLAT_TOP)

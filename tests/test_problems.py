@@ -73,12 +73,29 @@ class TestGenerateSystem:
         assert np.array_equal(s1.b, s2.b)
         assert np.array_equal(s1.x_ls, s2.x_ls)
 
-    def test_factors_are_the_svd_taken_for_x_ls(self, svd_calls):
+    def test_factors_are_taken_at_first_read(self, svd_calls):
         sys_ = generate_system(SpectrumSpec(m=10, n=6, r=6, sigma_min=1.0, sigma_max=2.0), seed=4)
+        assert svd_calls == []  # x_ls comes from the construction
         factors = sys_.factors
         assert svd_calls == [(10, 6)]
         assert sys_.factors is factors
-        assert np.array_equal(factors.pinv_apply(sys_.b), sys_.x_ls)
+        assert svd_calls == [(10, 6)]
+        x = factors.pinv_apply(sys_.b)
+        assert np.linalg.norm(x - sys_.x_ls) <= 1e-13 * np.linalg.norm(sys_.x_ls)
+
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec(m=40, n=20, r=20, sigma_min=1.0, sigma_max=4.0),
+        SpectrumSpec(m=60, n=30, r=20, sigma_min=2.0, sigma_max=10.0),
+        SpectrumSpec(m=30, n=12, r=12, sigma_min=1.0, sigma_max=5.0, spacing=Spacing.FLAT_TOP),
+        SpectrumSpec(m=15, n=40, r=15, sigma_min=1.0, sigma_max=3.0),
+    ], ids=["full-rank", "rank-deficient", "flat-top", "wide"])
+    def test_x_ls_from_the_construction(self, spec):
+        sys_ = generate_system(spec, seed=11)
+        x, b = sys_.x_ls, sys_.b
+        assert np.linalg.norm(sys_.a @ x - b) <= 1e-13 * np.linalg.norm(b)
+        v = sys_.factors.v  # the row space of A, from its own SVD
+        assert np.linalg.norm(x - v @ (v.T @ x)) <= 1e-13 * np.linalg.norm(x)
+        assert np.linalg.norm(x - pseudoinverse(sys_.a) @ b) <= 1e-13 * np.linalg.norm(x)
 
     def test_solution_in_row_space(self, rank_deficient_system):
         sys_ = rank_deficient_system
@@ -246,6 +263,14 @@ class TestFactorNonsingularity:
     ], ids=["identity", "rank-deficient", "below-floor", "zero"])
     def test_full_rank_and_floor(self, factor, nonsingular):
         assert _nonsingular(factor) is nonsingular
+
+
+class TestBaseFactors:
+    def test_noise_models_share_one_svd_of_a(self, svds_of):
+        sys_ = generate_system(SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=3.0), seed=4)
+        partial_consistent_noise(sys_, 0.4, seed=6)
+        preconditioner_noise(sys_)
+        assert svds_of(sys_.a) == 1  # both read the lazy LinearSystem.factors
 
 
 class TestPreconditionerNoise:
