@@ -1,0 +1,106 @@
+"""The squared bounds against the exact expected squared error of ``oracle.py``.
+
+The oracle propagates the mean and second moment of ``x_k - x_ls`` under the
+kernel's own row probabilities, so a bound is checked at every record with
+no Monte-Carlo slack, only a relative rounding tolerance.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisyrk import (
+    LinearSystem,
+    RkConfig,
+    Spacing,
+    SpectrumSpec,
+    additive_noise,
+    evaluate_bound,
+    generate_system,
+    initial_iterates,
+    multiplicative_noise,
+    pseudoinverse,
+)
+from noisyrk.kaczmarz import record_points
+from oracle import expected_squared_error
+
+ROUNDING = 1e-12
+
+
+def test_oracle_is_the_enumerated_expectation():
+    # every row sequence of up to 4 steps, weighted by its probability; row 1 is zero, so never drawn
+    a = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [0.5, 2.0]])
+    b = a @ np.array([0.7, -1.3])
+    base = LinearSystem(a=a, b=b, x_ls=pseudoinverse(a) @ b)
+    noisy = additive_noise(base, 0.2, 0.3, seed=2)
+    a_tilde = noisy.a_tilde.copy()
+    a_tilde[1] = 0.0
+    noisy = dataclasses.replace(noisy, a_tilde=a_tilde)
+    x0s = np.array([[2.0, 1.0], [-1.0, 0.5]])
+    w = np.einsum("ij,ij->i", a_tilde, a_tilde)
+    p = w / w.sum()
+    rows = np.flatnonzero(w)
+    exact = []
+    for k in range(5):
+        total = 0.0
+        for x0 in x0s:
+            for seq in itertools.product(rows, repeat=k):
+                x, prob = x0.copy(), 1.0
+                for i in seq:
+                    x = x - (a_tilde[i] @ x - noisy.b_tilde[i]) / w[i] * a_tilde[i]
+                    prob *= p[i]
+                d = x - base.x_ls
+                total += prob * (d @ d) / len(x0s)
+        exact.append(total)
+    oracle = expected_squared_error(noisy, x0s, range(5))
+    np.testing.assert_allclose(oracle, exact, rtol=1e-13)
+
+
+@st.composite
+def instances(draw):
+    """A noisy system, its (trials, n) starts, a record grid and a squared bound kind that applies.
+
+    ``additive`` and ``multiplicative`` need ``x_0 - x_ls`` in the row space of
+    a_tilde, so they are drawn on tall systems whose a_tilde has full column rank;
+    ``noiseless`` and ``rhs_noise`` keep a_tilde = A and take any shape and rank.
+    """
+    kind = draw(st.sampled_from(["noiseless", "rhs_noise", "additive", "multiplicative"]))
+    n = draw(st.integers(1, 20))
+    if kind in ("noiseless", "rhs_noise"):
+        m = draw(st.integers(1, 40))
+        r = draw(st.integers(1, min(m, n)))
+    else:
+        m = draw(st.integers(n, 40))
+        r = n if kind == "multiplicative" else draw(st.integers(1, n))
+    lo = draw(st.floats(0.5, 2.0))
+    hi = lo * draw(st.floats(1.01, 10.0))
+    spacing = draw(st.sampled_from([Spacing.EVEN, Spacing.FLAT_TOP] if r >= 2 else [Spacing.EVEN]))
+    seed = draw(st.integers(0, 1000))
+    base = generate_system(SpectrumSpec(m=m, n=n, r=r, sigma_min=lo, sigma_max=hi, spacing=spacing), seed)
+    level = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    sigma_a = draw(level) if kind in ("additive", "multiplicative") else 0.0
+    sigma_b = draw(level) if kind != "noiseless" else 0.0
+    if kind == "multiplicative":
+        noisy = multiplicative_noise(base, sigma_a, sigma_b, draw(st.booleans()), draw(st.booleans()), seed=seed)
+    else:
+        noisy = additive_noise(base, sigma_a, sigma_b, seed=seed)
+    cfg = RkConfig(
+        max_iterations=draw(st.integers(1, 200)), trials=draw(st.integers(1, 3)),
+        record_stride=draw(st.integers(1, 40)), seed=seed, x0_mode=draw(st.sampled_from(["zero", "range"])),
+    )
+    return kind, noisy, initial_iterates(noisy.a_tilde, cfg), record_points(cfg.max_iterations, cfg.record_stride)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_squared_bounds_dominate_the_exact_expected_error(instance):
+    kind, noisy, x0s, ks = instance
+    curve = evaluate_bound(kind, noisy, x0s, ks)
+    expected = expected_squared_error(noisy, x0s, ks)
+    # relative to E||e_k||^2; where a rank-one a_tilde makes the exact value 0 (rate 0, no
+    # horizon), the oracle keeps a rounding residue of at most ~1e-16 of E||e_0||^2
+    slack = ROUNDING * np.maximum(expected, 1e-2 * expected[0])
+    assert np.all(curve.values >= expected - slack), (kind, curve.values - expected)
