@@ -8,7 +8,6 @@ spectral helpers on a tiny matrix where everything is checkable by hand.
 import numpy as np
 
 from noisyrk import (
-    frobenius_norm,
     pseudoinverse,
     scaled_condition_number,
     sigma_min_nonzero,
@@ -20,9 +19,9 @@ a = np.diag([3.0, 3.0, 1.0])
 print("A =\n", a)
 
 factors = svd(a)
-print("\nsingular values:", factors.sigma, " rank:", factors.rank)
+print("\nsingular values:", factors.sigma, " rank:", factors.sigma.size)
 print("spectral norm:   ", spectral_norm(a))
-print("frobenius norm:  ", frobenius_norm(a))
+print("frobenius norm:  ", np.linalg.norm(a, "fro"))
 print("sigma_min:       ", sigma_min_nonzero(a))
 
 # (9 + 9 + 1) / 1 = 19: the last tiny singular value dominates the count

@@ -43,7 +43,7 @@ part = partial_consistent_noise(base, 0.4, seed=7)
 q = spectral_norm(part.matrix_noise()) / sigma_min_nonzero(base.a)
 x_pnls = pseudoinverse(part.a_tilde) @ base.b
 print("||pinv(A)|| ||dA|| =", q, "(the requested q)")
-print("rank preserved:", svd(part.a_tilde).rank == base.factors.rank)
+print("rank preserved:", svd(part.a_tilde).sigma.size == base.factors.sigma.size)
 print("A~ x = b still solvable:",
       np.linalg.norm(part.a_tilde @ x_pnls - base.b) / np.linalg.norm(base.b) < 1e-9)
 

@@ -50,7 +50,6 @@ from .kaczmarz import (
     write_trajectory_csv,
 )
 from .linalg import (
-    frobenius_norm,
     orthonormalize_columns,
     pseudoinverse,
     read_matrix,
@@ -84,7 +83,7 @@ __all__ = [
     "KernelBuildError",
     # linalg
     "svd", "pseudoinverse", "scaled_condition_number",
-    "spectral_norm", "frobenius_norm", "sigma_min_nonzero",
+    "spectral_norm", "sigma_min_nonzero",
     "orthonormalize_columns", "read_matrix", "write_matrix",
     "read_vector", "write_vector",
     # problems

@@ -8,8 +8,9 @@ catalog:
 
 * ``noiseless``       squared error, horizon 0; needs a noise-free system
 * ``rhs_noise``       squared, horizon ||eps||^2 / sigma_min(A)^2; clean matrix
-* ``additive``        squared, hypothesis-free, horizon
-                      ||E x_ls - eps||^2 / sigma_min(At)^2
+* ``additive``        squared, for any matrix noise, horizon
+                      ||E x_ls - eps||^2 / sigma_min(At)^2 plus the mean
+                      ||P_null(At)(x_0 - x_ls)||^2 when rank(At) < n
 * ``multiplicative``  squared, same with dA = E A + A F + E A F
 * ``perturbation_doubly``   unsquared, routed through the noisy least
                       squares solution; needs rank preservation,
@@ -36,8 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import _write_json, _write_table, scaled_condition_number, spectral_norm
-from .problems import NoiseModel, NoisySystem, _nonsingular
+from .linalg import _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
+from .problems import NoiseModel, NoisySystem
 
 __all__ = [
     "BoundKind",
@@ -108,17 +109,19 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _curve(kind, r, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
-    """The bound at rate ``1 - 1/r`` from the mean initial error of the starts against ``target``.
-
-    ``x0s`` is a finite (trials, n) stack, checked as ``solve`` checks its starts.
-    """
+def _starts(x0s, n: int) -> np.ndarray:
+    """``x0s`` as a finite (trials, n) stack, checked as ``solve`` checks its starts."""
     starts = np.asarray(x0s, dtype=float)
-    if starts.ndim != 2 or starts.shape[0] == 0 or starts.shape[1] != target.size:
-        raise ValueError(f"x0s has shape {starts.shape}; a stack of starts needs (trials, {target.size})")
+    if starts.ndim != 2 or starts.shape[0] == 0 or starts.shape[1] != n:
+        raise ValueError(f"x0s has shape {starts.shape}; a stack of starts needs (trials, {n})")
     if not np.isfinite(starts).all():
         raise ValueError("x0s contains non-finite entries")
-    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
+    return starts
+
+
+def _curve(kind, r, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
+    """The bound at rate ``1 - 1/r`` from the mean initial error of the starts ``x0s`` against ``target``."""
+    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in _starts(x0s, target.size))]
     initial = float(np.mean(errors))
     rate = 1.0 - 1.0 / r
     exponent = np.asarray(ks, dtype=float) / (1.0 if squared else 2.0)
@@ -163,6 +166,17 @@ def _perturbation_scalars(noisy: NoisySystem) -> dict:
         "rhs_noise_norm": _norm(noisy.rhs_noise()),
         "x_ls_norm": _norm(noisy.base.x_ls),
     }
+
+
+def _mismatch(noisy: NoisySystem) -> np.ndarray:
+    """``E x_ls - eps`` with the total effective noise: ``At x_ls - bt``."""
+    return noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
+
+
+def _partial_horizon(noisy: NoisySystem, q: float) -> float:
+    """``2 ||x_ls|| q / (1 - q) + ||eps|| / sigma_min(At)``, the ``perturbation_partial`` horizon."""
+    eps_part = _norm(noisy.rhs_noise()) / float(noisy.analysis.sigma[-1])
+    return 2.0 * _norm(noisy.base.x_ls) * q / (1.0 - q) + eps_part
 
 
 def _factor_size(eff: np.ndarray, i_plus: np.ndarray) -> float:
@@ -210,25 +224,27 @@ def bound_rhs_noise(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
 
 
 def bound_additive(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Hypothesis-free squared-error bound against the noiseless solution.
+    """Squared-error bound against the noiseless solution, for any matrix perturbation.
 
-    Works for any matrix perturbation: the horizon is
-    ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total effective
-    noise terms, and the rate uses the noisy matrix's scaled condition
-    number.
+    The horizon is ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total
+    effective noise terms, and the rate uses the noisy matrix's scaled
+    condition number.  When ``At`` has rank below n, the horizon also
+    carries the trial-mean ``||P_null(At)(x0 - x_ls)||^2``, which no RK
+    step changes; the sidecar then records it as ``null_space_error``.
     """
     r_tilde = _r(noisy.analysis)
-    mismatch = noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
+    mismatch = _mismatch(noisy)
     sigma_min = float(noisy.analysis.sigma[-1])
     horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
-    return _curve(
-        BoundKind.ADDITIVE, r_tilde, x0s, noisy.base.x_ls, horizon, True, ks,
-        {
-            "scaled_condition_number_tilde": r_tilde,
-            "sigma_min_tilde": sigma_min,
-            "noise_mismatch_norm": _norm(mismatch),
-        },
-    )
+    scalars = {"scaled_condition_number_tilde": r_tilde, "sigma_min_tilde": sigma_min,
+               "noise_mismatch_norm": _norm(mismatch)}
+    v = noisy.analysis.row_basis
+    if v is not None:  # RK steps move only within the row space of At, so the rest never decays
+        d = _starts(x0s, v.shape[0]) - noisy.base.x_ls
+        null = d - (d @ v) @ v.T
+        scalars["null_space_error"] = float(np.mean(np.einsum("ij,ij->i", null, null)))
+        horizon += scalars["null_space_error"]
+    return _curve(BoundKind.ADDITIVE, r_tilde, x0s, noisy.base.x_ls, horizon, True, ks, scalars)
 
 
 def bound_multiplicative(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
@@ -295,10 +311,9 @@ def bound_perturbation_partial(noisy: NoisySystem, x0s: np.ndarray, ks) -> Bound
     q = _q(noisy)
     _require_consistent(noisy.a_tilde, tilde.x_pnls, noisy.base.b, "the partially noisy linear system")
     s = _perturbation_scalars(noisy)
-    horizon = 2.0 * s["x_ls_norm"] * q / (1.0 - q) + s["rhs_noise_norm"] / s["sigma_min_tilde"]
     return _curve(
         BoundKind.PERTURBATION_PARTIAL, s["scaled_condition_number_tilde"], x0s, tilde.x_pnls,
-        horizon, False, ks, s,
+        _partial_horizon(noisy, q), False, ks, s,
     )
 
 
@@ -371,12 +386,11 @@ def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
     q = _q(noisy)
     sigma_min = float(base.factors.sigma[-1])
     sigma_min_tilde = float(noisy.analysis.sigma[-1])
-    eps = noisy.rhs_noise()
-    eps_norm = _norm(eps)
+    eps_norm = _norm(noisy.rhs_noise())
     x_ls_norm = _norm(base.x_ls)
 
-    main = _norm(noisy.matrix_noise() @ base.x_ls - eps) / sigma_min_tilde
-    partial = 2.0 * x_ls_norm * q / (1.0 - q) + eps_norm / sigma_min_tilde
+    main = _norm(_mismatch(noisy)) / sigma_min_tilde
+    partial = _partial_horizon(noisy, q)
     condition = 2.0 * sigma_min_tilde > sigma_min - noisy.matrix_noise_norm
 
     chain = False

@@ -231,8 +231,9 @@ def build_noisy(noise: NoiseSpec, sys: LinearSystem, sigma_a: float, sigma_b: fl
     return preconditioner_noise(sys)
 
 
-def _sig(x: float) -> str:
-    return format(float(x), "g")
+def _tag(sigma_a: float, sigma_b: float) -> str:
+    """A grid point's name in file names and in ``meta.json``: ``0.1_0.01``."""
+    return f"{float(sigma_a):g}_{float(sigma_b):g}"
 
 
 def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
@@ -256,7 +257,7 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
 
 def _write_grid_point(out: Path, res: GridPointResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{_sig(res.sigma_a)}_{_sig(res.sigma_b)}"
+    tag = _tag(res.sigma_a, res.sigma_b)
     write_trajectory_csv(out / f"traj_{tag}.csv", res.trajectory)
     write_band_csv(out / f"band_{tag}.csv", res.trajectory)
     for kind, curve in res.curves.items():
@@ -310,7 +311,7 @@ def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     mapping = {(r.sigma_a, r.sigma_b): r for r in results}
     if cfg.output_dir is not None:
         errors = {
-            f"{_sig(r.sigma_a)}_{_sig(r.sigma_b)}": {k.value: v for k, v in r.bound_errors.items()}
+            _tag(r.sigma_a, r.sigma_b): {k.value: v for k, v in r.bound_errors.items()}
             for r in results
             if r.bound_errors
         }
@@ -368,9 +369,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_table2_csv(out / "table2.csv", rows)
-        budgets = {
-            f"{_sig(r.sigma_a)}_{_sig(r.sigma_b)}": its for (r, its) in outcomes
-        }
+        budgets = {_tag(r.sigma_a, r.sigma_b): its for (r, its) in outcomes}
         config = {k: v for k, v in cfg.to_dict().items() if k != "bounds"}  # so `table2` reads it back
         _write_meta(out, config, {"adaptive_iterations": budgets})
     return rows

@@ -1,12 +1,11 @@
 """Dense real linear algebra kernels shared by every other module.
 
 SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
-singular value, scaled condition number) all flow through :func:`svd`,
+singular value, scaled condition number, the nonsingularity check of a
+noise factor) all flow through :func:`svd`, the one SVD in the package,
 which truncates below a numerical-rank tolerance so rank-deficient
-inputs behave predictably; :func:`singular_values` applies the same cut
-to the values alone, for checks that need no vectors.  Every output
-file is written here; its text tables round-trip float64 values exactly
-via 17 significant digits.
+inputs behave predictably.  Every output file is written here; its text
+tables round-trip float64 values exactly via 17 significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
@@ -40,11 +39,9 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "svd",
-    "singular_values",
     "pseudoinverse",
     "scaled_condition_number",
     "spectral_norm",
-    "frobenius_norm",
     "sigma_min_nonzero",
     "orthonormalize_columns",
     "read_matrix",
@@ -56,6 +53,7 @@ __all__ = [
 # Independent columns are declared numerically dependent when a QR pivot
 # falls below this fraction of the first pivot.
 _DEPENDENT_PIVOT = 1e-12
+_MIN_FACTOR_SIGMA = 1e-8  # nonsingularity floor for the noise factors (I + E), (I + F), (I + M)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -89,17 +87,12 @@ class SvdFactors:
     ``u`` (m x rank) and ``v`` (n x rank) have orthonormal columns and
     ``sigma`` holds the strictly positive singular values kept by the
     numerical-rank cut, in nonincreasing order.  A zero matrix yields
-    the empty factor set with ``rank == 0``.
+    the empty factor set; the rank is ``sigma.size``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank: int
-
-    def pinv(self) -> np.ndarray:
-        """Pseudoinverse ``v @ diag(1/sigma) @ u.T`` over kept components."""
-        return (self.v / self.sigma) @ self.u.T
 
     def pinv_apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the pseudoinverse to a vector without forming it."""
@@ -114,25 +107,12 @@ def svd(a) -> SvdFactors:
     """
     arr = as_matrix(a)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    rank = _rank(s, arr.shape)
+    rank = int(np.count_nonzero(s > max(arr.shape) * np.finfo(float).eps * s[0]))
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :rank]),
         sigma=s[:rank].copy(),
         v=np.ascontiguousarray(vt[:rank].T),
-        rank=rank,
     )
-
-
-def singular_values(a) -> np.ndarray:
-    """The singular values :func:`svd` keeps, without the vectors (equal to ``svd(a).sigma`` up to rounding)."""
-    arr = as_matrix(a)
-    s = np.linalg.svd(arr, compute_uv=False)
-    return s[:_rank(s, arr.shape)]
-
-
-def _rank(s: np.ndarray, shape: tuple) -> int:
-    """How many of the nonincreasing values ``s`` exceed ``max(m, n) * eps * sigma_1``."""
-    return int(np.count_nonzero(s > max(shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)))
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -141,10 +121,7 @@ def pseudoinverse(a) -> np.ndarray:
     Satisfies the four Penrose identities to high relative accuracy.
     """
     factors = svd(a)
-    if factors.rank == 0:
-        arr = as_matrix(a)
-        return np.zeros((arr.shape[1], arr.shape[0]))
-    return factors.pinv()
+    return (factors.v / factors.sigma) @ factors.u.T  # all zeros for the zero matrix
 
 
 def _nonzero_factors(a, op: str):
@@ -165,9 +142,10 @@ def sigma_min_nonzero(a) -> float:
     return float(_nonzero_factors(a, "sigma_min").sigma[-1])
 
 
-def frobenius_norm(a) -> float:
-    """Frobenius norm; 0 for the zero matrix."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+def _nonsingular(factor: np.ndarray) -> bool:
+    """Whether a square noise factor I + E, I + F or I + M has full numerical rank and sigma_min >= the floor."""
+    sigma = svd(factor).sigma
+    return sigma.size == factor.shape[0] and float(sigma[-1]) >= _MIN_FACTOR_SIGMA
 
 
 def scaled_condition_number(a) -> float:

@@ -34,12 +34,12 @@ from . import seeding
 from .errors import HypothesisError
 from .linalg import (
     SvdFactors,
+    _nonsingular,
     _write_json,
     orthonormalize_columns,
     read_matrix,
     read_vector,
     sigma_min_nonzero,
-    singular_values,
     spectral_norm,
     svd,
     write_matrix,
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 100
-_MIN_FACTOR_SIGMA = 1e-8  # nonsingularity floor for (I + E), (I + F), (I + M)
 _REQUIRED = object()
 
 
@@ -220,15 +219,17 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)
 class NoisyAnalysis:
-    """What the bounds read from the one SVD of ``a_tilde``: O(m + n) numbers.
+    """What the bounds read from the one SVD of ``a_tilde``: O(m + n) numbers at full column rank.
 
     ``sigma`` holds the singular values kept by the numerical-rank cut, in
-    nonincreasing order, so its length is the rank.  No factor matrix is kept.
+    nonincreasing order, so its length is the rank.  ``row_basis`` is V
+    (n x rank) only when the rank is below n, and None otherwise.
     """
 
     sigma: np.ndarray
     x_nls: np.ndarray  # pinv(a_tilde) b_tilde, the noisy least squares solution
     x_pnls: np.ndarray  # pinv(a_tilde) b, with the noiseless right-hand side
+    row_basis: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +287,7 @@ class NoisySystem:
             sigma=factors.sigma,
             x_nls=factors.pinv_apply(self.b_tilde),
             x_pnls=factors.pinv_apply(self.base.b),
+            row_basis=factors.v if factors.sigma.size < self.a_tilde.shape[1] else None,
         )
 
     @cached_property
@@ -293,12 +295,6 @@ class NoisySystem:
         """``||a_tilde - a||_2``; 0 when the matrix carries no noise."""
         da = self.matrix_noise()
         return spectral_norm(da) if np.any(da) else 0.0
-
-
-def _nonsingular(factor: np.ndarray) -> bool:
-    """Whether a noise factor I + E, I + F or I + M has full numerical rank and sigma_min >= the floor."""
-    sigma = singular_values(factor)
-    return sigma.size == factor.shape[0] and float(sigma[-1]) >= _MIN_FACTOR_SIGMA
 
 
 def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:
@@ -438,7 +434,7 @@ def preconditioner_noise(sys: LinearSystem) -> NoisySystem:
     Requires rank >= 2 and a strict gap between the two smallest values.
     """
     factors = sys.factors
-    if factors.rank < 2:
+    if factors.sigma.size < 2:
         raise ValueError("preconditioner noise needs rank at least 2")
     gap = float(factors.sigma[-2] - factors.sigma[-1])
     if gap <= 1e-12 * float(factors.sigma[0]):

@@ -251,6 +251,25 @@ class TestBoundAdditive:
         curve = bound_additive(partial, small_system.x_ls[None], KS)
         assert curve.horizon > 0
 
+    def test_full_column_rank_keeps_no_basis_and_adds_no_key(self, small_system, x0s):
+        noisy = additive_noise(small_system, 0.1, 0.1, seed=1)
+        curve = bound_additive(noisy, x0s, KS)
+        assert noisy.analysis.row_basis is None
+        assert "null_space_error" not in curve.scalars
+
+    def test_wide_system_carries_the_null_space_part(self):
+        sys_ = generate_system(SpectrumSpec(m=5, n=12, r=3, sigma_min=1.0, sigma_max=4.0), seed=3)
+        noisy = additive_noise(sys_, 0.2, 0.1, seed=2)
+        x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=3, seed=5))
+        curve = bound_additive(noisy, x0s, KS)
+        p_null = np.eye(12) - pseudoinverse(noisy.a_tilde) @ noisy.a_tilde
+        d = (x0s - sys_.x_ls) @ p_null
+        expected = float(np.mean(np.sum(d * d, axis=1)))
+        assert noisy.analysis.row_basis.shape == (12, 5)
+        assert curve.scalars["null_space_error"] == pytest.approx(expected, rel=1e-10)
+        mismatch = curve.scalars["noise_mismatch_norm"] / curve.scalars["sigma_min_tilde"]
+        assert curve.horizon == pytest.approx(mismatch**2 + expected, rel=1e-12)
+
 
 class TestBoundMultiplicative:
     def test_zero_noise(self, small_system, x0s):

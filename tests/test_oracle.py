@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisyrk import (
@@ -23,6 +23,7 @@ from noisyrk import (
     initial_iterates,
     multiplicative_noise,
     pseudoinverse,
+    scaled_condition_number,
 )
 from noisyrk.kaczmarz import record_points
 from oracle import expected_squared_error
@@ -60,26 +61,28 @@ def test_oracle_is_the_enumerated_expectation():
 
 
 @st.composite
-def instances(draw):
-    """A noisy system, its (trials, n) starts, a record grid and a squared bound kind that applies.
-
-    ``additive`` and ``multiplicative`` need ``x_0 - x_ls`` in the row space of
-    a_tilde, so they are drawn on tall systems whose a_tilde has full column rank;
-    ``noiseless`` and ``rhs_noise`` keep a_tilde = A and take any shape and rank.
-    """
-    kind = draw(st.sampled_from(["noiseless", "rhs_noise", "additive", "multiplicative"]))
+def spectra(draw) -> SpectrumSpec:
+    """Any shape up to 40 x 20, any rank, even or flat-top spacing."""
     n = draw(st.integers(1, 20))
-    if kind in ("noiseless", "rhs_noise"):
-        m = draw(st.integers(1, 40))
-        r = draw(st.integers(1, min(m, n)))
-    else:
-        m = draw(st.integers(n, 40))
-        r = n if kind == "multiplicative" else draw(st.integers(1, n))
+    m = draw(st.integers(1, 40))
+    r = draw(st.integers(1, min(m, n)))
     lo = draw(st.floats(0.5, 2.0))
     hi = lo * draw(st.floats(1.01, 10.0))
     spacing = draw(st.sampled_from([Spacing.EVEN, Spacing.FLAT_TOP] if r >= 2 else [Spacing.EVEN]))
+    return SpectrumSpec(m=m, n=n, r=r, sigma_min=lo, sigma_max=hi, spacing=spacing)
+
+
+@st.composite
+def instances(draw):
+    """A noisy system of any shape and rank, its (trials, n) starts, a record grid and a squared bound kind that applies.
+
+    On a wide or rank-deficient a_tilde, ``x_0 - x_ls`` can leave its row space;
+    ``additive`` and ``multiplicative`` then carry that part in their horizons.
+    """
+    kind = draw(st.sampled_from(["noiseless", "rhs_noise", "additive", "multiplicative"]))
+    spec = draw(spectra())
     seed = draw(st.integers(0, 1000))
-    base = generate_system(SpectrumSpec(m=m, n=n, r=r, sigma_min=lo, sigma_max=hi, spacing=spacing), seed)
+    base = generate_system(spec, seed)
     level = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     sigma_a = draw(level) if kind in ("additive", "multiplicative") else 0.0
     sigma_b = draw(level) if kind != "noiseless" else 0.0
@@ -94,8 +97,28 @@ def instances(draw):
     return kind, noisy, initial_iterates(noisy.a_tilde, cfg), record_points(cfg.max_iterations, cfg.record_stride)
 
 
+def _fixed(kind: str, spec: SpectrumSpec, seed: int, noise):
+    """An instance of 1000 steps recorded every 100, from ten ``range`` starts of seed 4."""
+    noisy = noise(generate_system(spec, seed))
+    cfg = RkConfig(max_iterations=1000, trials=10, record_stride=100, seed=4)
+    return kind, noisy, initial_iterates(noisy.a_tilde, cfg), record_points(cfg.max_iterations, cfg.record_stride)
+
+
+# a wide system: x_ls leaves the row space of a_tilde; without its null-space part the bound
+# reads 0.0175 against the exact 0.5128 at k = 1000
+WIDE_ADDITIVE = _fixed("additive", SpectrumSpec(m=5, n=19, r=3, sigma_min=1, sigma_max=5.3049), 38,
+                       lambda base: additive_noise(base, 0.5, 0.01, seed=2))
+# rank 2 of 3 with F on: the row space of a_tilde turns away from that of A (0.0076 against 0.0201 without it)
+RANK_DEFICIENT_MULTIPLICATIVE = _fixed(
+    "multiplicative", SpectrumSpec(m=4, n=3, r=2, sigma_min=1, sigma_max=3.832), 45,
+    lambda base: multiplicative_noise(base, 0.1, 0.0, seed=2),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances())
+@example(WIDE_ADDITIVE)
+@example(RANK_DEFICIENT_MULTIPLICATIVE)
 def test_squared_bounds_dominate_the_exact_expected_error(instance):
     kind, noisy, x0s, ks = instance
     curve = evaluate_bound(kind, noisy, x0s, ks)
@@ -104,3 +127,21 @@ def test_squared_bounds_dominate_the_exact_expected_error(instance):
     # horizon), the oracle keeps a rounding residue of at most ~1e-16 of E||e_0||^2
     slack = ROUNDING * np.maximum(expected, 1e-2 * expected[0])
     assert np.all(curve.values >= expected - slack), (kind, curve.values - expected)
+
+
+def test_the_wide_additive_bound_meets_the_exact_value():
+    kind, noisy, x0s, ks = WIDE_ADDITIVE
+    curve = evaluate_bound(kind, noisy, x0s, ks)
+    assert curve.values[-1] >= max(0.5128, expected_squared_error(noisy, x0s, ks)[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(), st.integers(0, 1000), st.sampled_from(["zero", "range"]), st.integers(1, 60))
+def test_criterion_8_every_noiseless_step_contracts_by_the_rate(spec, seed, x0_mode, steps):
+    # from a start in the row space, E||e_{k+1}||^2 <= (1 - 1/R) E||e_k||^2 at every step k
+    noisy = additive_noise(generate_system(spec, seed), 0.0, 0.0, seed=seed)
+    cfg = RkConfig(max_iterations=steps, trials=3, seed=seed, x0_mode=x0_mode)
+    expected = expected_squared_error(noisy, initial_iterates(noisy.a_tilde, cfg), range(steps + 1))
+    rate = 1.0 - 1.0 / scaled_condition_number(noisy.base.factors)
+    slack = ROUNDING * np.maximum(expected[1:], 1e-2 * expected[0])
+    assert np.all(expected[1:] <= rate * expected[:-1] + slack), expected[1:] / expected[:-1]

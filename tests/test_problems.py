@@ -13,7 +13,6 @@ from noisyrk import (
     Spacing,
     SpectrumSpec,
     additive_noise,
-    frobenius_norm,
     generate_system,
     load_system,
     multiplicative_noise,
@@ -30,7 +29,7 @@ from noisyrk import (
     write_vector,
 )
 from noisyrk import seeding
-from noisyrk.problems import _nonsingular
+from noisyrk.linalg import _nonsingular
 
 
 def flat_top_system(m, n, r, lo, hi, seed=1):
@@ -46,7 +45,7 @@ class TestGenerateSystem:
         assert s[0] == pytest.approx(50.0, rel=1e-10)
         assert s[-1] == pytest.approx(5.0, rel=1e-10)
         assert s[0] / s[-1] == pytest.approx(10.0, rel=1e-10)
-        assert sys_.factors.rank == 300
+        assert sys_.factors.sigma.size == 300
 
     def test_full_size_scaled_condition_number_matches_published(self):
         # sum(linspace(50, 5, 300)^2) / 25 reproduces the reference value
@@ -241,7 +240,7 @@ class TestPartialConsistentNoise:
 
     def test_rank_preserved(self, rank_deficient_system):
         noisy = partial_consistent_noise(rank_deficient_system, 0.5, seed=6)
-        assert svd(noisy.a_tilde).rank == rank_deficient_system.factors.rank
+        assert svd(noisy.a_tilde).sigma.size == rank_deficient_system.factors.sigma.size
 
     def test_small_strength_limit(self, small_system):
         noisy = partial_consistent_noise(small_system, 1e-8, seed=6)
@@ -305,7 +304,7 @@ class TestPreconditionerNoise:
         noisy = preconditioner_noise(small_system)
         s = small_system.factors.sigma
         expected = np.sum(s[:-1] ** 2) + s[-2] ** 2
-        assert frobenius_norm(noisy.a_tilde) ** 2 == pytest.approx(expected, rel=1e-9)
+        assert np.linalg.norm(noisy.a_tilde, "fro") ** 2 == pytest.approx(expected, rel=1e-9)
 
 
 class TestSerialization:
