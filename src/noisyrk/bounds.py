@@ -3,14 +3,18 @@
 Every bound has the shape ``rate^k * initial_error + horizon`` (with the
 exponent halved for bounds on the unsquared error).  The rate is always
 ``1 - 1/Rt`` where ``Rt = ||pinv(At)||^2 ||At||_F^2`` is the scaled
-condition number of the matrix the iteration actually touches.  The
-catalog:
+condition number of the matrix the iteration actually touches.  RK steps
+move only within the row space of ``At``, so when ``rank(At) < n`` every
+horizon also carries the trial mean of the part of ``x_0 - target``
+outside that row space (squared for a squared bound), where ``target`` is
+the point the error is measured against (``x_ls`` for a squared bound).
+The catalog:
 
-* ``noiseless``       squared error, horizon 0; needs a noise-free system
-* ``rhs_noise``       squared, horizon ||eps||^2 / sigma_min(A)^2; clean matrix
+* ``noiseless``       ``additive`` on a noise-free system, so horizon 0
+* ``rhs_noise``       ``additive`` on a clean matrix, so horizon
+                      ||eps||^2 / sigma_min(A)^2
 * ``additive``        squared, for any matrix noise, horizon
-                      ||E x_ls - eps||^2 / sigma_min(At)^2 plus the mean
-                      ||P_null(At)(x_0 - x_ls)||^2 when rank(At) < n
+                      ||E x_ls - eps||^2 / sigma_min(At)^2
 * ``multiplicative``  squared, same with dA = E A + A F + E A F
 * ``perturbation_doubly``   unsquared, routed through the noisy least
                       squares solution; needs rank preservation,
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import HypothesisError
 from .linalg import _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
-from .problems import NoiseModel, NoisySystem
+from .problems import NoiseModel, NoisyAnalysis, NoisySystem
 
 __all__ = [
     "BoundKind",
@@ -119,10 +123,33 @@ def _starts(x0s, n: int) -> np.ndarray:
     return starts
 
 
-def _curve(kind, r, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
-    """The bound at rate ``1 - 1/r`` from the mean initial error of the starts ``x0s`` against ``target``."""
-    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in _starts(x0s, target.size))]
+def _tilde(noisy: NoisySystem) -> NoisyAnalysis:
+    """``noisy.analysis``, once a numerically zero ``At`` has failed the hypothesis of every bound."""
+    tilde = noisy.analysis
+    if tilde.sigma.size == 0:
+        raise HypothesisError("iteration matrix is numerically zero")
+    return tilde
+
+
+def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
+    """The bound at rate ``1 - 1/Rt`` from the mean initial error of the starts ``x0s`` against ``target``.
+
+    ``horizon`` gains the part of ``x0 - target`` that no RK step moves (see
+    the module docstring), recorded as ``null_space_error`` when ``rank(At) < n``.
+    """
+    starts = _starts(x0s, target.size)
+    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
     initial = float(np.mean(errors))
+    tilde = _tilde(noisy)
+    r = scaled_condition_number(tilde)
+    scalars = {"scaled_condition_number_tilde": r, **scalars}
+    v = tilde.row_basis
+    if v is not None:
+        d = starts - target
+        null = d - (d @ v) @ v.T
+        sq = np.einsum("ij,ij->i", null, null)
+        scalars["null_space_error"] = float(np.mean(sq if squared else np.sqrt(sq)))
+        horizon += scalars["null_space_error"]
     rate = 1.0 - 1.0 / r
     exponent = np.asarray(ks, dtype=float) / (1.0 if squared else 2.0)
     return BoundCurve(
@@ -132,16 +159,9 @@ def _curve(kind, r, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
     )
 
 
-def _r(spectrum) -> float:
-    """Scaled condition number of an iteration matrix from its ``SvdFactors`` or analysis."""
-    if spectrum.sigma.size == 0:
-        raise HypothesisError("iteration matrix is numerically zero")
-    return scaled_condition_number(spectrum)
-
-
 def _q(noisy: NoisySystem) -> float:
     """``||pinv(A)|| ||dA||``, once rank preservation, ``q < 1`` and Weyl are checked."""
-    sigma, sigma_tilde = noisy.base.factors.sigma, noisy.analysis.sigma
+    sigma, sigma_tilde = noisy.base.factors.sigma, _tilde(noisy).sigma
     if sigma_tilde.size != sigma.size:
         raise HypothesisError(
             f"rank preservation failed: rank(A) = {sigma.size}, "
@@ -160,17 +180,11 @@ def _q(noisy: NoisySystem) -> float:
 def _perturbation_scalars(noisy: NoisySystem) -> dict:
     """Scalars shared by the two bounds routed through a perturbation argument."""
     return {
-        "scaled_condition_number_tilde": _r(noisy.analysis),
         "sigma_min_tilde": float(noisy.analysis.sigma[-1]),
         "matrix_noise_norm": noisy.matrix_noise_norm,
         "rhs_noise_norm": _norm(noisy.rhs_noise()),
         "x_ls_norm": _norm(noisy.base.x_ls),
     }
-
-
-def _mismatch(noisy: NoisySystem) -> np.ndarray:
-    """``E x_ls - eps`` with the total effective noise: ``At x_ls - bt``."""
-    return noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
 
 
 def _partial_horizon(noisy: NoisySystem, q: float) -> float:
@@ -198,53 +212,33 @@ def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) 
 
 
 def bound_noiseless(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for a system that carries no noise: pure geometric decay."""
+    """Squared-error bound for a system that carries no noise: :func:`bound_additive`, whose horizon is then 0."""
     if np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()):
         raise HypothesisError("noiseless bound requested but the system carries noise")
-    base = noisy.base
-    r = _r(base.factors)
-    return _curve(
-        BoundKind.NOISELESS, r, x0s, base.x_ls, 0.0, True, ks,
-        {"scaled_condition_number": r},
-    )
+    return replace(bound_additive(noisy, x0s, ks), kind=BoundKind.NOISELESS)
 
 
 def bound_rhs_noise(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for a system whose matrix carries no noise."""
+    """Squared-error bound for a clean matrix: :func:`bound_additive`, whose horizon is then Needell's (BIT 2010)."""
     if np.any(noisy.matrix_noise()):
         raise HypothesisError("rhs-noise bound requested but the matrix carries noise")
-    base, eps = noisy.base, noisy.rhs_noise()
-    r = _r(base.factors)
-    sigma_min = float(base.factors.sigma[-1])
-    horizon = float(eps @ eps) / (sigma_min * sigma_min)
-    return _curve(
-        BoundKind.RHS_NOISE, r, x0s, base.x_ls, horizon, True, ks,
-        {"scaled_condition_number": r, "sigma_min": sigma_min, "rhs_noise_norm": _norm(eps)},
-    )
+    return replace(bound_additive(noisy, x0s, ks), kind=BoundKind.RHS_NOISE)
 
 
 def bound_additive(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
     """Squared-error bound against the noiseless solution, for any matrix perturbation.
 
     The horizon is ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total
-    effective noise terms, and the rate uses the noisy matrix's scaled
-    condition number.  When ``At`` has rank below n, the horizon also
-    carries the trial-mean ``||P_null(At)(x0 - x_ls)||^2``, which no RK
-    step changes; the sidecar then records it as ``null_space_error``.
+    effective noise terms (``E x_ls - eps = At x_ls - bt``), and the rate
+    uses the noisy matrix's scaled condition number.
     """
-    r_tilde = _r(noisy.analysis)
-    mismatch = _mismatch(noisy)
-    sigma_min = float(noisy.analysis.sigma[-1])
+    sigma_min = float(_tilde(noisy).sigma[-1])
+    mismatch = noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
     horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
-    scalars = {"scaled_condition_number_tilde": r_tilde, "sigma_min_tilde": sigma_min,
-               "noise_mismatch_norm": _norm(mismatch)}
-    v = noisy.analysis.row_basis
-    if v is not None:  # RK steps move only within the row space of At, so the rest never decays
-        d = _starts(x0s, v.shape[0]) - noisy.base.x_ls
-        null = d - (d @ v) @ v.T
-        scalars["null_space_error"] = float(np.mean(np.einsum("ij,ij->i", null, null)))
-        horizon += scalars["null_space_error"]
-    return _curve(BoundKind.ADDITIVE, r_tilde, x0s, noisy.base.x_ls, horizon, True, ks, scalars)
+    return _curve(
+        BoundKind.ADDITIVE, noisy, x0s, noisy.base.x_ls, horizon, True, ks,
+        {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": _norm(mismatch)},
+    )
 
 
 def bound_multiplicative(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
@@ -289,11 +283,9 @@ def bound_perturbation_doubly(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundC
     tilde = noisy.analysis
     _q(noisy)  # rank preservation and small noise are checked before consistency
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    horizon = perturbed_ls_distance(noisy)
-    s = _perturbation_scalars(noisy)
     return _curve(
-        BoundKind.PERTURBATION_DOUBLY, s["scaled_condition_number_tilde"], x0s, tilde.x_nls,
-        horizon, False, ks, s,
+        BoundKind.PERTURBATION_DOUBLY, noisy, x0s, tilde.x_nls, perturbed_ls_distance(noisy), False, ks,
+        _perturbation_scalars(noisy),
     )
 
 
@@ -310,10 +302,9 @@ def bound_perturbation_partial(noisy: NoisySystem, x0s: np.ndarray, ks) -> Bound
     tilde = noisy.analysis
     q = _q(noisy)
     _require_consistent(noisy.a_tilde, tilde.x_pnls, noisy.base.b, "the partially noisy linear system")
-    s = _perturbation_scalars(noisy)
     return _curve(
-        BoundKind.PERTURBATION_PARTIAL, s["scaled_condition_number_tilde"], x0s, tilde.x_pnls,
-        _partial_horizon(noisy, q), False, ks, s,
+        BoundKind.PERTURBATION_PARTIAL, noisy, x0s, tilde.x_pnls, _partial_horizon(noisy, q), False, ks,
+        _perturbation_scalars(noisy),
     )
 
 
@@ -352,11 +343,9 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
     pinv_norm = 1.0 / float(base.factors.sigma[-1])
     horizon = e1 * _norm(base.x_ls) + e2 * pinv_norm * b_norm
-    r_tilde = _r(tilde)
     return _curve(
-        BoundKind.MULTIPLICATIVE_PERTURBATION, r_tilde, x0s, tilde.x_nls, horizon, False, ks,
+        BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, tilde.x_nls, horizon, False, ks,
         {
-            "scaled_condition_number_tilde": r_tilde,
             "e1": e1,
             "e2": e2,
             "relative_rhs_noise": rho,
@@ -369,14 +358,17 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
 def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
     """Compare the direct and the perturbation horizon (unsquared forms).
 
-    Whenever ``2 sigma_min(At) > sigma_min(A) - ||E||`` the direct
-    horizon ``||E x_ls - eps|| / sigma_min(At)`` is at most the
-    perturbation horizon, via the chain
+    The direct horizon is the square root of the ``additive`` horizon from
+    a start in the row space of ``At`` (0, or any ``initial_iterates``
+    start): ``sqrt(||E x_ls - eps||^2 / s^2 + ||P_null(At) x_ls||^2)`` with
+    ``s = sigma_min(At)``.  Whenever ``2 s > sigma_min(A) - ||E||`` the
+    chain
 
-        ||E x_ls - eps|| / s  <=  (||E|| ||x_ls|| + ||eps||) / s
-                              <=  2 ||E|| ||x_ls|| / (sigma_min(A) - ||E||) + ||eps|| / s
+        direct  <=  (||E|| ||x_ls|| + ||eps||) / s
+                <=  2 ||E|| ||x_ls|| / (sigma_min(A) - ||E||) + ||eps|| / s
 
-    with ``s = sigma_min(At)``; the chain is verified numerically.
+    is verified numerically; at full column rank the null part is 0 and
+    the first link is the triangle inequality.
     """
     if noisy.model is not NoiseModel.PARTIAL_CONSISTENT:
         raise HypothesisError(
@@ -389,7 +381,7 @@ def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
     eps_norm = _norm(noisy.rhs_noise())
     x_ls_norm = _norm(base.x_ls)
 
-    main = _norm(_mismatch(noisy)) / sigma_min_tilde
+    main = math.sqrt(bound_additive(noisy, np.zeros((1, noisy.a_tilde.shape[1])), [0]).horizon)
     partial = _partial_horizon(noisy, q)
     condition = 2.0 * sigma_min_tilde > sigma_min - noisy.matrix_noise_norm
 

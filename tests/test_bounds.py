@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import noisyrk
@@ -125,6 +127,19 @@ class TestBoundRhsNoise:
         assert np.max(np.abs(via_additive.values - via_rhs.values)) <= 1e-12 * via_rhs.values[0]
         assert via_additive.rate == via_rhs.rate
         assert via_additive.horizon == pytest.approx(via_rhs.horizon, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind, sigma_b", [("noiseless", 0.0), ("rhs_noise", 0.7)])
+@pytest.mark.parametrize("system", ["small_system", "rank_deficient_system"])
+def test_noiseless_and_rhs_noise_are_the_additive_bound(request, kind, sigma_b, system):
+    sys_ = request.getfixturevalue(system)
+    noisy = additive_noise(sys_, 0.0, sigma_b, seed=3)
+    x0s = np.random.default_rng(4).standard_normal((3, sys_.a.shape[1]))
+    curve, additive = evaluate_bound(kind, noisy, x0s, KS), bound_additive(noisy, x0s, KS)
+    assert curve.kind.value == kind
+    assert np.array_equal(curve.values, additive.values)
+    assert curve.scalars == additive.scalars
+    assert ("null_space_error" in curve.scalars) == (system == "rank_deficient_system")
 
 
 class TestPerturbedLsDistance:
@@ -447,6 +462,53 @@ class TestHorizonComparison:
         noisy = additive_noise(small_system, 0.1, 0.0, seed=2)
         with pytest.raises(HypothesisError):
             horizon_comparison(noisy)
+
+    def test_rank_deficient_main_horizon_is_the_additive_horizon(self, rank_deficient_system):
+        # the row space of A(I + M) turns away from that of A, so x_ls leaves it: the additive horizon
+        # of a start in the row space of At carries ||P_null(At) x_ls||^2 (0.0367 of 0.9744 here)
+        noisy = partial_consistent_noise(rank_deficient_system, 0.5, seed=6)
+        x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=10, seed=0))
+        cmp_ = horizon_comparison(noisy)
+        assert cmp_.main_horizon**2 == pytest.approx(bound_additive(noisy, x0s, [0]).horizon, rel=1e-12)
+        assert cmp_.main_horizon**2 == pytest.approx(0.97442, rel=1e-5)
+        assert cmp_.chain_verified
+
+
+@st.composite
+def unsquared_instances(draw):
+    """An unsquared kind whose hypotheses hold on a rank-deficient A, and free standard-normal starts."""
+    kind = draw(st.sampled_from(
+        ["perturbation_doubly", "perturbation_partial", "multiplicative_perturbation"]))
+    n = draw(st.integers(2, 20))
+    r = draw(st.integers(1, n - 1))
+    spec = SpectrumSpec(m=draw(st.integers(r, 40)), n=n, r=r, sigma_min=1.0, sigma_max=draw(st.floats(1.01, 10.0)))
+    seed = draw(st.integers(0, 1000))
+    sys_ = generate_system(spec, seed)
+    if kind == "multiplicative_perturbation":
+        noisy = consistent_multiplicative_instance(sys_, draw(st.floats(1e-3, 0.1)), draw(st.booleans()), seed)
+    else:
+        noisy = partial_consistent_noise(sys_, draw(st.floats(0.05, 0.9)), seed=seed)
+    return kind, noisy, np.random.default_rng(seed).standard_normal((draw(st.integers(1, 5)), n))
+
+
+def _found_partial_instance():
+    spec = SpectrumSpec(m=60, n=30, r=20, sigma_min=2.0, sigma_max=10.0)
+    noisy = partial_consistent_noise(generate_system(spec, seed=19), 0.5, seed=6)
+    return "perturbation_partial", noisy, np.random.default_rng(0).standard_normal((10, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unsquared_instances())
+@example(_found_partial_instance())
+def test_unsquared_bounds_keep_the_part_rk_never_moves(instance):
+    # RK never moves P_null(At) x_k, so the mean error of every trial stays at least
+    # ||P_null(At)(x0 - x_ls)||, however large k grows
+    kind, noisy, x0s = instance
+    n = x0s.shape[1]
+    curve = evaluate_bound(kind, noisy, x0s, [0, 10, 100, 10**3, 10**4, 10**6])
+    p_null = np.eye(n) - pseudoinverse(noisy.a_tilde) @ noisy.a_tilde
+    floor = float(np.mean(np.linalg.norm((x0s - noisy.base.x_ls) @ p_null, axis=1)))
+    assert np.all(curve.values >= floor * (1.0 - 1e-12)), (kind, curve.values, floor)
 
 
 class TestIterationsToTolerance:

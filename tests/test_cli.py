@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system, seeding
+from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system, seeding, write_matrix
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
 
@@ -228,6 +228,29 @@ class TestMalformedSystem:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "atilde.mat: shape (20, 15) does not match (30, 15)" in err
+
+    @pytest.mark.parametrize(
+        "kind, noise",
+        [("noiseless", {"model": "additive"}),
+         ("rhs_noise", {"model": "additive"}),
+         ("additive", {"model": "additive"}),
+         ("perturbation_doubly", {"model": "additive"}),
+         ("multiplicative", {"model": "multiplicative", "sigma_a": 0.05}),
+         ("multiplicative_perturbation", {"model": "multiplicative", "sigma_a": 0.05}),
+         ("perturbation_partial", {"model": "partial_consistent", "sigma_a": 0.3})],
+        ids=lambda v: v if isinstance(v, str) else v["model"],
+    )
+    def test_zero_atilde_exit_2(self, tmp_path, capsys, kind, noise):
+        # each kind on a model whose gate it passes, so the zero iteration matrix is what fails
+        gen = write_config(tmp_path / "gen.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
+        system = tmp_path / "system"
+        assert main(["gen", "--config", gen, "--out", str(system)]) == 0
+        write_matrix(system / "atilde.mat", np.zeros((SPECTRUM["m"], SPECTRUM["n"])))
+        cfg = write_config(tmp_path / "bounds.json", config_for("bounds", system, bounds=[kind]))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis failed:")
+        assert "Traceback" not in err
 
 
 class TestTable2:

@@ -76,8 +76,9 @@ def spectra(draw) -> SpectrumSpec:
 def instances(draw):
     """A noisy system of any shape and rank, its (trials, n) starts, a record grid and a squared bound kind that applies.
 
-    On a wide or rank-deficient a_tilde, ``x_0 - x_ls`` can leave its row space;
-    ``additive`` and ``multiplicative`` then carry that part in their horizons.
+    The starts are zero, in the range of a_tilde^T, or free standard-normal
+    draws.  On a wide or rank-deficient a_tilde, ``x_0 - x_ls`` can leave its
+    row space, and every kind then carries that part in its horizon.
     """
     kind = draw(st.sampled_from(["noiseless", "rhs_noise", "additive", "multiplicative"]))
     spec = draw(spectra())
@@ -92,9 +93,14 @@ def instances(draw):
         noisy = additive_noise(base, sigma_a, sigma_b, seed=seed)
     cfg = RkConfig(
         max_iterations=draw(st.integers(1, 200)), trials=draw(st.integers(1, 3)),
-        record_stride=draw(st.integers(1, 40)), seed=seed, x0_mode=draw(st.sampled_from(["zero", "range"])),
+        record_stride=draw(st.integers(1, 40)), seed=seed,
     )
-    return kind, noisy, initial_iterates(noisy.a_tilde, cfg), record_points(cfg.max_iterations, cfg.record_stride)
+    x0_mode = draw(st.sampled_from(["zero", "range", "free"]))
+    if x0_mode == "free":
+        x0s = np.random.default_rng(draw(st.integers(0, 1000))).standard_normal((cfg.trials, spec.n))
+    else:
+        x0s = initial_iterates(noisy.a_tilde, dataclasses.replace(cfg, x0_mode=x0_mode))
+    return kind, noisy, x0s, record_points(cfg.max_iterations, cfg.record_stride)
 
 
 def _fixed(kind: str, spec: SpectrumSpec, seed: int, noise):
@@ -113,12 +119,21 @@ RANK_DEFICIENT_MULTIPLICATIVE = _fixed(
     "multiplicative", SpectrumSpec(m=4, n=3, r=2, sigma_min=1, sigma_max=3.832), 45,
     lambda base: multiplicative_noise(base, 0.1, 0.0, seed=2),
 )
+# rank 10 of 20, noise-free, twenty free starts: without the null-space part the bound reads
+# 2.8e-29 against the exact 8.667 at k = 3000
+FREE_NOISELESS = (
+    "noiseless",
+    additive_noise(generate_system(SpectrumSpec(m=30, n=20, r=10, sigma_min=1, sigma_max=3), 3), 0.0, 0.0, seed=3),
+    np.random.default_rng(5).standard_normal((20, 20)),
+    record_points(3000, 300),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(instances())
 @example(WIDE_ADDITIVE)
 @example(RANK_DEFICIENT_MULTIPLICATIVE)
+@example(FREE_NOISELESS)
 def test_squared_bounds_dominate_the_exact_expected_error(instance):
     kind, noisy, x0s, ks = instance
     curve = evaluate_bound(kind, noisy, x0s, ks)
