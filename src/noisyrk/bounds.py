@@ -318,8 +318,9 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
         e2 = (1 + e1) * (rho + (1 + rho) * sqrt(||E||^2 + ||inv(I+E) E||^2))
         horizon = e1 ||x_ls|| + e2 ||pinv(A)|| ||b||
 
-    Requires a consistent noisy system, a nonzero ``b`` and nonsingular
-    factors, checked in that order: the factor checks take an SVD each.
+    Requires a consistent noisy system, a nonzero ``b``, nonsingular
+    factors and a nonzero ``A``, checked in that order: the factor checks
+    take an SVD each.
     """
     if noisy.model is not NoiseModel.MULTIPLICATIVE:
         raise HypothesisError(
@@ -341,6 +342,8 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
     rho = _norm(noisy.rhs_noise()) / b_norm
     e_part = _factor_size(e_eff, i_e)
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
+    if base.factors.sigma.size == 0:
+        raise HypothesisError("||pinv(A)|| is undefined: the noiseless matrix is numerically zero")
     pinv_norm = 1.0 / float(base.factors.sigma[-1])
     horizon = e1 * _norm(base.x_ls) + e2 * pinv_norm * b_norm
     return _curve(

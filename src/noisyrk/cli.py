@@ -10,7 +10,12 @@ Configs are JSON (see the README for the schema per subcommand).
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
 Exit codes: 0 success, 1 configuration error or failed kernel build, 2
 failed numerical hypothesis (the failing condition is printed).
-``main`` first runs numpy's BLAS on one thread, so the bytes do not depend on the host.
+
+numpy's BLAS runs on one thread, so the bytes do not depend on the host.
+A fresh process that imports this module before numpy sets
+``OPENBLAS_NUM_THREADS=1`` first, so OpenBLAS loads with one thread and
+never starts its pool; a process that already loaded numpy keeps its
+environment, and ``main`` pins the thread count in process instead.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # read once, when numpy loads OpenBLAS: its worker threads then never start and spin
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -188,7 +197,12 @@ _COMMANDS = {
 
 
 def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread (forked pool workers inherit it); another BLAS keeps its count."""
+    """Run numpy's bundled OpenBLAS on one thread (forked pool workers inherit it); another BLAS keeps its count.
+
+    A fresh CLI process already loaded OpenBLAS with one thread; this pin is
+    for callers that loaded numpy before importing this module (tests, the
+    in-process benchmark passes), whose environment the import leaves alone.
+    """
     for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
         with contextlib.suppress(OSError, AttributeError):
             ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)

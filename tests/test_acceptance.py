@@ -36,6 +36,7 @@ from noisyrk import (
 )
 
 from conftest import make_matrix_with_rank
+from oracle import expected_squared_error
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -139,6 +140,19 @@ def test_criterion_6_preconditioner_crossover():
     ok = noisy_mse[i_early] < clean_mse[i_early] and noisy_mse[i_late] > clean_mse[i_late]
     report(6, ok, f"at k=100 noisy {noisy_mse[i_early]:.1f} < clean {clean_mse[i_early]:.1f}; "
                   f"at k=5000 noisy {noisy_mse[i_late]:.3g} > clean {clean_mse[i_late]:.3g}")
+
+
+def test_criterion_6_preconditioner_crossover_exact():
+    # the Monte-Carlo check's system and starts, through the exact expectation in place of 10 trials
+    spec = SpectrumSpec(m=100, n=50, r=50, sigma_min=1.0, sigma_max=4.0, spacing=Spacing.FLAT_TOP)
+    sys = generate_system(spec, 1)
+    noisy = preconditioner_noise(sys)
+    x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=5000, trials=10, record_stride=50, seed=5))
+    noisy_mse = expected_squared_error(noisy, x0s, [100, 5000])
+    clean_mse = expected_squared_error(additive_noise(sys, 0.0, 0.0, seed=1), x0s, [100, 5000])
+    ok = noisy_mse[0] < clean_mse[0] and noisy_mse[1] > clean_mse[1]
+    report(6, ok, f"exactly, at k=100 noisy {noisy_mse[0]:.2f} < clean {clean_mse[0]:.2f}; "
+                  f"at k=5000 noisy {noisy_mse[1]:.4g} > clean {clean_mse[1]:.4g}")
 
 
 class TestCriterion7Properties:

@@ -252,6 +252,48 @@ class TestMalformedSystem:
         assert err.startswith("hypothesis failed:")
         assert "Traceback" not in err
 
+    def test_zero_a_multiplicative_perturbation_exit_2(self, tmp_path, capsys):
+        # At stays nonzero and consistent, so only ||pinv(A)|| is undefined
+        spectrum = {**SPECTRUM, "m": 15}
+        noise = {"model": "multiplicative", "sigma_a": 0.05, "sigma_b": 0.0}
+        gen = write_config(tmp_path / "gen.json", {"spectrum": spectrum, "noise": noise, "seed": 3})
+        system = tmp_path / "system"
+        assert main(["gen", "--config", gen, "--out", str(system)]) == 0
+        write_matrix(system / "A.mat", np.zeros((15, 15)))
+        cfg = write_config(tmp_path / "bounds.json",
+                           config_for("bounds", system, bounds=["multiplicative_perturbation"]))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis failed:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bounds").exists()
+
+
+def fresh_python(code: str) -> str:
+    """What ``code`` prints in a new interpreter whose environment sets no thread count."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestFreshProcess:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_cli_import_starts_no_blas_thread(self):
+        assert fresh_python("import os, noisyrk.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+
+    def test_numpy_loaded_first_keeps_the_environment(self):
+        code = "import os, numpy, noisyrk.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert fresh_python(code) == "None"
+
+    def test_package_import_loads_no_numpy(self):
+        assert fresh_python("import sys, noisyrk; print('numpy' in sys.modules)") == "False"
+
+    def test_library_names_keep_the_environment(self):
+        code = "import os, noisyrk; noisyrk.solve; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert fresh_python(code) == "None"
+
 
 class TestTable2:
     def test_happy_path_and_determinism(self, tmp_path):
@@ -319,9 +361,11 @@ class TestFigure:
         })
         out = tmp_path / "fig"  # one path for both runs, as meta.json records it
         runs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", None):  # None: no OPENBLAS_NUM_THREADS, as the benchmark runs it
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            if threads is None:
+                del env["OPENBLAS_NUM_THREADS"]
             done = subprocess.run(
                 [sys.executable, "-m", "noisyrk.cli", "figure", "--config", cfg, "--out", str(out), "--threads", "1"],
                 env=env, capture_output=True, text=True, timeout=300,
@@ -331,6 +375,7 @@ class TestFigure:
             out.rename(tmp_path / f"blas{threads}")
         assert len(runs[0]) == 7
         assert runs[0] == runs[1]
+        assert runs[0] == runs[2]
 
 
 class TestPrecondition:
