@@ -34,9 +34,7 @@ _EXPORTS = {
             "record_points", "solve", "empirical_horizon", "write_trajectory_csv",
         ),
         "bounds": (
-            "BoundKind", "BoundCurve", "HorizonComparison", "bound_noiseless", "bound_rhs_noise",
-            "bound_additive", "bound_multiplicative", "bound_perturbation_doubly",
-            "bound_perturbation_partial", "bound_multiplicative_perturbation", "perturbed_ls_distance",
+            "BoundKind", "BoundCurve", "HorizonComparison", "bound_additive", "perturbed_ls_distance",
             "horizon_comparison", "iterations_to_tolerance", "evaluate_bound", "write_bound_csv",
         ),
         "experiments": (

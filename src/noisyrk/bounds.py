@@ -24,9 +24,11 @@ The catalog:
 * ``multiplicative_perturbation``  unsquared, valid for perturbations of
                       any size but needs a consistent noisy system
 
-Every bound is ``bound_<kind>(noisy, x0s, ks)``: it reads the noiseless
-system as ``noisy.base``, carries the trial-mean initial error of the
-(trials, n) stack ``x0s``, and checks its own hypothesis.
+``evaluate_bound(kind, noisy, x0s, ks)`` is the one entry: it checks the
+kind's hypothesis, reads the noiseless system as ``noisy.base``, and
+carries the trial-mean initial error of the (trials, n) stack ``x0s``.
+``bound_additive`` is kept as the name of the squared bound that
+``noiseless``, ``rhs_noise`` and ``multiplicative`` share.
 
 Pure functions throughout; safe to evaluate concurrently.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +50,7 @@ __all__ = [
     "BoundKind",
     "BoundCurve",
     "HorizonComparison",
-    "bound_noiseless",
-    "bound_rhs_noise",
     "bound_additive",
-    "bound_multiplicative",
-    "bound_perturbation_doubly",
-    "bound_perturbation_partial",
-    "bound_multiplicative_perturbation",
     "perturbed_ls_distance",
     "horizon_comparison",
     "iterations_to_tolerance",
@@ -211,47 +207,18 @@ def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) 
         )
 
 
-def bound_noiseless(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for a system that carries no noise: :func:`bound_additive`, whose horizon is then 0."""
-    if np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()):
-        raise HypothesisError("noiseless bound requested but the system carries noise")
-    return replace(bound_additive(noisy, x0s, ks), kind=BoundKind.NOISELESS)
-
-
-def bound_rhs_noise(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for a clean matrix: :func:`bound_additive`, whose horizon is then Needell's (BIT 2010)."""
-    if np.any(noisy.matrix_noise()):
-        raise HypothesisError("rhs-noise bound requested but the matrix carries noise")
-    return replace(bound_additive(noisy, x0s, ks), kind=BoundKind.RHS_NOISE)
-
-
-def bound_additive(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound against the noiseless solution, for any matrix perturbation.
+def _additive(noisy: NoisySystem):
+    """The squared bound against the noiseless solution, for any matrix perturbation.
 
     The horizon is ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total
-    effective noise terms (``E x_ls - eps = At x_ls - bt``), and the rate
-    uses the noisy matrix's scaled condition number.
+    effective noise terms (``E x_ls - eps = At x_ls - bt``), so 0 with no
+    noise and Needell's (BIT 2010) with a clean matrix.
     """
     sigma_min = float(_tilde(noisy).sigma[-1])
     mismatch = noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
     horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
-    return _curve(
-        BoundKind.ADDITIVE, noisy, x0s, noisy.base.x_ls, horizon, True, ks,
-        {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": _norm(mismatch)},
-    )
-
-
-def bound_multiplicative(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Squared-error bound for two-sided multiplicative corruption.
-
-    Identical in shape to :func:`bound_additive` but with the effective
-    perturbation formed explicitly as ``E A + A F + E A F`` from the
-    scaled factors.
-    """
-    if noisy.model is not NoiseModel.MULTIPLICATIVE:
-        raise HypothesisError("multiplicative bound requested for a non-multiplicative model")
-    curve = bound_additive(noisy, x0s, ks)
-    return replace(curve, kind=BoundKind.MULTIPLICATIVE)
+    scalars = {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": _norm(mismatch)}
+    return noisy.base.x_ls, horizon, True, scalars
 
 
 def perturbed_ls_distance(noisy: NoisySystem) -> float:
@@ -274,8 +241,8 @@ def perturbed_ls_distance(noisy: NoisySystem) -> float:
     return float(value)
 
 
-def bound_perturbation_doubly(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Unsquared bound routed through the noisy least squares solution.
+def _perturbation_doubly(noisy: NoisySystem):
+    """The unsquared bound routed through the noisy least squares solution.
 
     Needs rank preservation, small noise, and consistency of the noisy
     system itself; the horizon is :func:`perturbed_ls_distance`.
@@ -283,33 +250,23 @@ def bound_perturbation_doubly(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundC
     tilde = noisy.analysis
     _q(noisy)  # rank preservation and small noise are checked before consistency
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    return _curve(
-        BoundKind.PERTURBATION_DOUBLY, noisy, x0s, tilde.x_nls, perturbed_ls_distance(noisy), False, ks,
-        _perturbation_scalars(noisy),
-    )
+    return tilde.x_nls, perturbed_ls_distance(noisy), False, _perturbation_scalars(noisy)
 
 
-def bound_perturbation_partial(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Unsquared bound for matrix noise with the original right-hand side.
+def _perturbation_partial(noisy: NoisySystem):
+    """The unsquared bound for matrix noise with the original right-hand side.
 
     The horizon is ``2 ||x_ls|| q / (1 - q) + ||eps|| / sigma_min(At)``,
     the initial error is measured against ``pinv(At) b``.
     """
-    if noisy.model is not NoiseModel.PARTIAL_CONSISTENT:
-        raise HypothesisError(
-            "partial perturbation bound requested for a model other than partial_consistent"
-        )
     tilde = noisy.analysis
     q = _q(noisy)
     _require_consistent(noisy.a_tilde, tilde.x_pnls, noisy.base.b, "the partially noisy linear system")
-    return _curve(
-        BoundKind.PERTURBATION_PARTIAL, noisy, x0s, tilde.x_pnls, _partial_horizon(noisy, q), False, ks,
-        _perturbation_scalars(noisy),
-    )
+    return tilde.x_pnls, _partial_horizon(noisy, q), False, _perturbation_scalars(noisy)
 
 
-def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """Unsquared bound for multiplicative noise of arbitrary size.
+def _multiplicative_perturbation(noisy: NoisySystem):
+    """The unsquared bound for multiplicative noise of arbitrary size.
 
     With scaled factors E, F and relative right-hand noise
     ``rho = ||eps|| / ||b||``::
@@ -322,10 +279,6 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
     factors and a nonzero ``A``, checked in that order: the factor checks
     take an SVD each.
     """
-    if noisy.model is not NoiseModel.MULTIPLICATIVE:
-        raise HypothesisError(
-            "multiplicative perturbation bound requested for a non-multiplicative model"
-        )
     base, tilde = noisy.base, noisy.analysis
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
     b_norm = _norm(base.b)
@@ -346,16 +299,47 @@ def bound_multiplicative_perturbation(noisy: NoisySystem, x0s: np.ndarray, ks) -
         raise HypothesisError("||pinv(A)|| is undefined: the noiseless matrix is numerically zero")
     pinv_norm = 1.0 / float(base.factors.sigma[-1])
     horizon = e1 * _norm(base.x_ls) + e2 * pinv_norm * b_norm
-    return _curve(
-        BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, tilde.x_nls, horizon, False, ks,
-        {
-            "e1": e1,
-            "e2": e2,
-            "relative_rhs_noise": rho,
-            "x_ls_norm": _norm(base.x_ls),
-            "b_norm": b_norm,
-        },
-    )
+    scalars = {"e1": e1, "e2": e2, "relative_rhs_noise": rho, "x_ls_norm": _norm(base.x_ls), "b_norm": b_norm}
+    return tilde.x_nls, horizon, False, scalars
+
+
+# kind -> (its (target, horizon, squared, scalars), the message when its noise hypothesis fails, that
+# hypothesis); the first entry checks the rest of the kind's hypotheses itself
+_KINDS = {
+    BoundKind.NOISELESS: (_additive, "noiseless bound requested but the system carries noise",
+                          lambda noisy: not (np.any(noisy.matrix_noise()) or np.any(noisy.rhs_noise()))),
+    BoundKind.RHS_NOISE: (_additive, "rhs-noise bound requested but the matrix carries noise",
+                          lambda noisy: not np.any(noisy.matrix_noise())),
+    BoundKind.ADDITIVE: (_additive, None, lambda noisy: True),
+    BoundKind.MULTIPLICATIVE: (_additive, "multiplicative bound requested for a non-multiplicative model",
+                               lambda noisy: noisy.model is NoiseModel.MULTIPLICATIVE),
+    BoundKind.PERTURBATION_DOUBLY: (_perturbation_doubly, None, lambda noisy: True),
+    BoundKind.PERTURBATION_PARTIAL: (
+        _perturbation_partial, "partial perturbation bound requested for a model other than partial_consistent",
+        lambda noisy: noisy.model is NoiseModel.PARTIAL_CONSISTENT),
+    BoundKind.MULTIPLICATIVE_PERTURBATION: (
+        _multiplicative_perturbation, "multiplicative perturbation bound requested for a non-multiplicative model",
+        lambda noisy: noisy.model is NoiseModel.MULTIPLICATIVE),
+}
+
+
+def evaluate_bound(kind: BoundKind, noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
+    """The ``kind`` bound on ``noisy`` from the starts ``x0s``, on the grid ``ks``.
+
+    Raises ``HypothesisError`` naming the first hypothesis of the kind
+    that ``noisy`` fails.
+    """
+    kind = BoundKind(kind)
+    terms, failure, holds = _KINDS[kind]
+    if not holds(noisy):
+        raise HypothesisError(failure)
+    target, horizon, squared, scalars = terms(noisy)
+    return _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars)
+
+
+def bound_additive(noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
+    """``evaluate_bound(BoundKind.ADDITIVE, noisy, x0s, ks)``: the squared bound, valid for any perturbation."""
+    return evaluate_bound(BoundKind.ADDITIVE, noisy, x0s, ks)
 
 
 def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
@@ -405,10 +389,11 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     """Smallest K with ``(1 - 1/r)^K * initial_sq_error <= tau - tau0``.
 
     ``tau0`` is the convergence horizon; a tolerance at or below it is
-    unreachable and raises.
+    unreachable and raises.  At ``r = 1`` (a rank-one matrix) the rate is
+    0, so one step reaches any reachable tolerance.
     """
-    if r <= 1.0:
-        raise ValueError("scaled condition number must exceed 1")
+    if r < 1.0:
+        raise ValueError("scaled condition number must be at least 1")
     if tau0 < 0.0:
         raise ValueError("horizon must be nonnegative")
     if tau <= tau0:
@@ -418,6 +403,8 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     target = tau - tau0
     if initial_sq_error <= target:
         return 0
+    if r == 1.0:
+        return 1
     log_rate = math.log1p(-1.0 / r)
     log_init = math.log(initial_sq_error)
     log_target = math.log(target)
@@ -427,22 +414,6 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     while k > 0 and (k - 1) * log_rate + log_init <= log_target:
         k -= 1
     return k
-
-
-_BOUNDS = {
-    BoundKind.NOISELESS: bound_noiseless,
-    BoundKind.RHS_NOISE: bound_rhs_noise,
-    BoundKind.ADDITIVE: bound_additive,
-    BoundKind.MULTIPLICATIVE: bound_multiplicative,
-    BoundKind.PERTURBATION_DOUBLY: bound_perturbation_doubly,
-    BoundKind.PERTURBATION_PARTIAL: bound_perturbation_partial,
-    BoundKind.MULTIPLICATIVE_PERTURBATION: bound_multiplicative_perturbation,
-}
-
-
-def evaluate_bound(kind: BoundKind, noisy: NoisySystem, x0s: np.ndarray, ks) -> BoundCurve:
-    """``bound_<kind>(noisy, x0s, ks)``; the bound checks its own hypothesis."""
-    return _BOUNDS[BoundKind(kind)](noisy, x0s, ks)
 
 
 def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:

@@ -147,7 +147,14 @@ class ExperimentConfig:
 
 
 def _noise_grid(pairs) -> tuple:
-    return tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
+    """The grid as float pairs, once no two unequal pairs share a file tag (see ``_tag``)."""
+    grid = tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
+    first = {}
+    for pair in grid:
+        tag = _tag(*pair)
+        if first.setdefault(tag, pair) != pair:
+            raise ValueError(f"grid points {list(first[tag])} and {list(pair)} share the tag {tag!r}")
+    return grid
 
 
 def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:

@@ -15,8 +15,7 @@ from noisyrk import (
     SpectrumSpec,
     additive_noise,
     bound_additive,
-    bound_multiplicative,
-    bound_rhs_noise,
+    evaluate_bound,
     generate_system,
     horizon_comparison,
     initial_iterates,
@@ -82,10 +81,10 @@ def test_criterion_3_zero_noise_sweep_row():
                   f"empirical {row.empirical_horizon:.3e} (both <= 1e-10)")
 
 
-def _domination_fraction(noisy, cfg, bound_fn):
+def _domination_fraction(noisy, cfg, kind):
     traj = solve(noisy, cfg)
     x0s = initial_iterates(noisy.a_tilde, cfg)
-    values = bound_fn(noisy, x0s, traj.recorded_iterations).values
+    values = evaluate_bound(kind, noisy, x0s, traj.recorded_iterations).values
     return float(np.mean(traj.mean_squared_error <= values + 1e-12))
 
 
@@ -96,14 +95,14 @@ def test_criterion_4_bound_domination():
     cfg_add = RkConfig(max_iterations=80_000, trials=50, record_stride=400, seed=18)
     for sa, sb in ((0.0, 0.01), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5)):
         noisy = additive_noise(sys_add, sa, sb, 17)
-        fractions.append(_domination_fraction(noisy, cfg_add, bound_additive))
+        fractions.append(_domination_fraction(noisy, cfg_add, BoundKind.ADDITIVE))
 
     spec_m = SpectrumSpec(m=200, n=100, r=100, sigma_min=1.0, sigma_max=10.0)
     sys_mult = generate_system(spec_m, 19)
     cfg_mult = RkConfig(max_iterations=40_000, trials=50, record_stride=200, seed=20)
     for use_e, use_f in ((True, False), (False, True), (True, True)):
         noisy = multiplicative_noise(sys_mult, 0.05, 0.05, use_e=use_e, use_f=use_f, seed=19)
-        fractions.append(_domination_fraction(noisy, cfg_mult, bound_multiplicative))
+        fractions.append(_domination_fraction(noisy, cfg_mult, BoundKind.MULTIPLICATIVE))
 
     ok = all(f >= 0.95 for f in fractions)
     detail = "mean squared error under the bound at " + ", ".join(f"{f:.0%}" for f in fractions)
@@ -225,7 +224,7 @@ class TestCriterion7Properties:
         x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=1, seed=4))
         ks = np.arange(0, 2001, 100)
         via_additive = bound_additive(noisy, x0s, ks)
-        via_rhs = bound_rhs_noise(noisy, x0s, ks)
+        via_rhs = evaluate_bound(BoundKind.RHS_NOISE, noisy, x0s, ks)
         gap = float(np.max(np.abs(via_additive.values - via_rhs.values)))
         ok = gap <= 1e-12 * float(via_rhs.values[0])
         report(7, ok, f"zero-matrix-noise reduction matches pointwise (gap {gap:.3e})")

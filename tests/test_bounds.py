@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import noisyrk
 from noisyrk import (
     BoundKind,
     HypothesisError,
@@ -18,12 +17,6 @@ from noisyrk import (
     SpectrumSpec,
     additive_noise,
     bound_additive,
-    bound_multiplicative,
-    bound_multiplicative_perturbation,
-    bound_noiseless,
-    bound_perturbation_doubly,
-    bound_perturbation_partial,
-    bound_rhs_noise,
     evaluate_bound,
     generate_system,
     horizon_comparison,
@@ -81,7 +74,7 @@ def toy_system_aligned_with_last_direction():
 
 class TestBoundNoiseless:
     def test_value_at_zero_is_initial_error(self, small_system, clean, x0s):
-        curve = bound_noiseless(clean, x0s, KS)
+        curve = evaluate_bound(BoundKind.NOISELESS, clean, x0s, KS)
         d = x0s[0] - small_system.x_ls
         assert curve.values[0] == pytest.approx(float(d @ d), rel=1e-14)
         assert curve.horizon == 0.0
@@ -90,26 +83,26 @@ class TestBoundNoiseless:
     def test_identity_rate(self):
         a = np.eye(6)
         base = LinearSystem(a=a, b=np.ones(6), x_ls=np.ones(6))
-        curve = bound_noiseless(noise_free(base), np.zeros((1, 6)), [0, 1])
+        curve = evaluate_bound(BoundKind.NOISELESS, noise_free(base), np.zeros((1, 6)), [0, 1])
         assert curve.rate == pytest.approx(1 - 1 / 6, rel=1e-14)
 
     def test_toy_reaches_half_at_269(self):
         sys_ = toy_system_aligned_with_last_direction()  # R = 19
         start = sys_.x_ls + 1000.0 * sys_.factors.v[:, 0]  # squared distance 1e6
-        curve = bound_noiseless(noise_free(sys_), start[None], [269])
+        curve = evaluate_bound(BoundKind.NOISELESS, noise_free(sys_), start[None], [269])
         assert curve.initial_error == pytest.approx(1e6, rel=1e-9)
         assert curve.values[0] <= 0.5
 
     def test_values_nonincreasing_and_above_horizon(self, clean, x0s):
-        curve = bound_noiseless(clean, x0s, KS)
+        curve = evaluate_bound(BoundKind.NOISELESS, clean, x0s, KS)
         assert np.all(np.diff(curve.values) <= 0)
         assert np.all(curve.values >= curve.horizon)
 
 
 class TestBoundRhsNoise:
     def test_zero_noise_reduces_to_noiseless(self, clean, x0s):
-        c1 = bound_rhs_noise(clean, x0s, KS)
-        c0 = bound_noiseless(clean, x0s, KS)
+        c1 = evaluate_bound(BoundKind.RHS_NOISE, clean, x0s, KS)
+        c0 = evaluate_bound(BoundKind.NOISELESS, clean, x0s, KS)
         assert_allclose(c1.values, c0.values, rtol=1e-14)
 
     def test_identity_horizon(self):
@@ -117,13 +110,13 @@ class TestBoundRhsNoise:
         base = LinearSystem(a=a, b=np.ones(4), x_ls=np.ones(4))
         eps = np.array([2.0, 0.0, 0.0, 0.0])
         noisy = dataclasses.replace(noise_free(base), eps=eps, sigma_b=1.0, b_tilde=base.b + eps)
-        curve = bound_rhs_noise(noisy, np.zeros((1, 4)), [0])
+        curve = evaluate_bound(BoundKind.RHS_NOISE, noisy, np.zeros((1, 4)), [0])
         assert curve.horizon == pytest.approx(4.0, rel=1e-14)
 
     def test_matches_additive_bound_when_matrix_noise_off(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.0, 0.7, seed=3)
         via_additive = bound_additive(noisy, x0s, KS)
-        via_rhs = bound_rhs_noise(noisy, x0s, KS)
+        via_rhs = evaluate_bound(BoundKind.RHS_NOISE, noisy, x0s, KS)
         assert np.max(np.abs(via_additive.values - via_rhs.values)) <= 1e-12 * via_rhs.values[0]
         assert via_additive.rate == via_rhs.rate
         assert via_additive.horizon == pytest.approx(via_rhs.horizon, abs=1e-15)
@@ -186,14 +179,14 @@ class TestPerturbedLsDistance:
 class TestBoundPerturbationDoubly:
     def test_zero_noise_collapse_to_unsquared_decay(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
-        curve = bound_perturbation_doubly(noisy, x0s, KS)
-        squared = bound_noiseless(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, x0s, KS)
+        squared = evaluate_bound(BoundKind.NOISELESS, noisy, x0s, KS)
         assert not curve.squared
         assert curve.horizon == pytest.approx(0.0, abs=1e-15)
         assert_allclose(curve.values**2, squared.values, rtol=1e-10)
 
     def test_partial_instance_horizon_formula(self, small_system, partial):
-        curve = bound_perturbation_doubly(partial, small_system.x_ls[None], KS)
+        curve = evaluate_bound(BoundKind.PERTURBATION_DOUBLY, partial, small_system.x_ls[None], KS)
         q = 0.4
         expected = 2 * np.linalg.norm(small_system.x_ls) * q / (1 - q)
         assert curve.horizon == pytest.approx(expected, rel=1e-9)
@@ -202,45 +195,45 @@ class TestBoundPerturbationDoubly:
         cfg = RkConfig(max_iterations=2000, trials=20, record_stride=100, seed=6)
         traj = solve(partial, cfg)
         x0s = initial_iterates(partial.a_tilde, cfg)
-        curve = bound_perturbation_doubly(partial, x0s, traj.recorded_iterations)
+        curve = evaluate_bound(BoundKind.PERTURBATION_DOUBLY, partial, x0s, traj.recorded_iterations)
         assert np.all(traj.mean_error() <= curve.values + 1e-9)
 
     def test_inconsistent_system_rejected(self, small_system):
         noisy = additive_noise(small_system, 0.01, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="consistency"):
-            bound_perturbation_doubly(noisy, small_system.x_ls[None], KS)
+            evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, small_system.x_ls[None], KS)
 
     def test_zero_rhs_rejected(self):
         sys_ = zero_rhs_system(30)
         noisy = additive_noise(sys_, 0.0, 0.0, seed=1)
         with pytest.raises(HypothesisError, match="right-hand side is zero"):
-            bound_perturbation_doubly(noisy, np.ones((1, 15)), KS)
+            evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, np.ones((1, 15)), KS)
 
 
 class TestBoundPerturbationPartial:
     def test_model_mismatch_rejected(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.01, 0.0, seed=2)
         with pytest.raises(HypothesisError, match="partial"):
-            bound_perturbation_partial(noisy, x0s, KS)
+            evaluate_bound(BoundKind.PERTURBATION_PARTIAL, noisy, x0s, KS)
 
     def test_zero_noise_horizon_zero(self, small_system, partial, x0s):
         clean = dataclasses.replace(
             partial, a_tilde=small_system.a.copy(), e=np.zeros_like(small_system.a)
         )
-        curve = bound_perturbation_partial(clean, x0s, KS)
+        curve = evaluate_bound(BoundKind.PERTURBATION_PARTIAL, clean, x0s, KS)
         assert curve.horizon == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_only_horizon(self, small_system, partial, x0s):
-        curve = bound_perturbation_partial(partial, x0s, KS)
+        curve = evaluate_bound(BoundKind.PERTURBATION_PARTIAL, partial, x0s, KS)
         q = 0.4
         expected = 2 * np.linalg.norm(small_system.x_ls) * q / (1 - q)
         assert curve.horizon == pytest.approx(expected, rel=1e-9)
         # with no right-hand side noise this equals the doubly-noisy horizon
-        doubly = bound_perturbation_doubly(partial, x0s, KS)
+        doubly = evaluate_bound(BoundKind.PERTURBATION_DOUBLY, partial, x0s, KS)
         assert curve.horizon == pytest.approx(doubly.horizon, rel=1e-12)
 
     def test_initial_error_uses_partial_solution(self, small_system, partial, x0s):
-        curve = bound_perturbation_partial(partial, x0s, KS)
+        curve = evaluate_bound(BoundKind.PERTURBATION_PARTIAL, partial, x0s, KS)
         x_pnls = pseudoinverse(partial.a_tilde) @ small_system.b
         assert curve.initial_error == pytest.approx(np.linalg.norm(x0s[0] - x_pnls), rel=1e-12)
 
@@ -250,7 +243,7 @@ class TestBoundAdditive:
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
         curve = bound_additive(noisy, x0s, KS)
         assert curve.horizon == 0.0
-        clean = bound_noiseless(noisy, x0s, KS)
+        clean = evaluate_bound(BoundKind.NOISELESS, noisy, x0s, KS)
         assert curve.rate == pytest.approx(clean.rate, rel=1e-14)
 
     def test_preconditioner_toy_horizon(self):
@@ -289,14 +282,14 @@ class TestBoundAdditive:
 class TestBoundMultiplicative:
     def test_zero_noise(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.0, 0.0, seed=4)
-        curve = bound_multiplicative(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.MULTIPLICATIVE, noisy, x0s, KS)
         assert curve.horizon == 0.0
 
     def test_left_only_effective_noise(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.05, 0.0, use_f=False, seed=4)
         expected = 0.05 * noisy.e @ small_system.a
         assert np.max(np.abs(noisy.matrix_noise() - expected)) <= 1e-12
-        curve = bound_multiplicative(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.MULTIPLICATIVE, noisy, x0s, KS)
         mism = expected @ small_system.x_ls
         sigma_min = sigma_min_nonzero(noisy.a_tilde)
         assert curve.horizon == pytest.approx(float(mism @ mism) / sigma_min**2, rel=1e-10)
@@ -310,7 +303,7 @@ class TestBoundMultiplicative:
     def test_model_mismatch_rejected(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.1, 0.0, seed=4)
         with pytest.raises(HypothesisError, match="multiplicative"):
-            bound_multiplicative(noisy, x0s, KS)
+            evaluate_bound(BoundKind.MULTIPLICATIVE, noisy, x0s, KS)
 
 
 def consistent_multiplicative_instance(sys_, sigma_a, use_f, seed):
@@ -347,7 +340,7 @@ def singular_factor_instance(sys_, factor, consistent):
 class TestBoundMultiplicativePerturbation:
     def test_zero_noise_horizon_zero(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.0, 0.0, seed=5)
-        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
         assert curve.horizon == pytest.approx(0.0, abs=1e-12)
         assert curve.scalars["e1"] == 0.0
         assert curve.scalars["e2"] == 0.0
@@ -365,7 +358,7 @@ class TestBoundMultiplicativePerturbation:
             base_mult, e=e, f=np.zeros((20, 20)), sigma_a=sigma_a,
             a_tilde=left @ small_system.a,
         )
-        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
         assert curve.scalars["e1"] == 0.0
         e_eff = sigma_a * e
         e2_direct = (
@@ -381,20 +374,20 @@ class TestBoundMultiplicativePerturbation:
 
     def test_horizon_dominates_direct_distance(self, small_system, x0s):
         noisy = consistent_multiplicative_instance(small_system, 0.02, use_f=True, seed=16)
-        curve = bound_multiplicative_perturbation(noisy, x0s, KS)
+        curve = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert curve.horizon >= np.linalg.norm(x_nls - small_system.x_ls)
 
     def test_inconsistent_rejected(self, small_system, x0s):
         noisy = multiplicative_noise(small_system, 0.05, 0.3, seed=5)
         with pytest.raises(HypothesisError, match="consistency"):
-            bound_multiplicative_perturbation(noisy, x0s, KS)
+            evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
 
     @pytest.mark.parametrize("factor", ["E", "F"])
     def test_singular_factor_rejected(self, small_system, x0s, factor):
         noisy = singular_factor_instance(small_system, factor, consistent=True)
         with pytest.raises(HypothesisError, match=rf"invertibility of \(I \+ {factor}\) failed"):
-            bound_multiplicative_perturbation(noisy, x0s, KS)
+            evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
 
     @pytest.mark.parametrize("factor", ["E", "F"])
     def test_consistency_is_named_before_a_singular_factor(self, small_system, x0s, factor, svd_calls):
@@ -402,7 +395,7 @@ class TestBoundMultiplicativePerturbation:
         _ = noisy.analysis  # factor At before counting
         del svd_calls[:]
         with pytest.raises(HypothesisError, match="consistency of the noisy linear system failed"):
-            bound_multiplicative_perturbation(noisy, x0s, KS)
+            evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
         assert svd_calls == []  # the factor checks were never reached
 
     @pytest.mark.parametrize("consistent", [True, False])
@@ -410,8 +403,8 @@ class TestBoundMultiplicativePerturbation:
     def test_squared_bounds_need_no_invertible_factor(self, small_system, x0s, factor, consistent):
         # why multiplicative_noise checks no factor: the squared bounds hold for any perturbation
         noisy = singular_factor_instance(small_system, factor, consistent)
-        for bound in (bound_additive, bound_multiplicative):
-            curve = bound(noisy, x0s, KS)
+        for kind in (BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE):
+            curve = evaluate_bound(kind, noisy, x0s, KS)
             assert np.isfinite(curve.values).all() and np.isfinite(curve.horizon)
 
     @pytest.mark.parametrize(
@@ -425,7 +418,7 @@ class TestBoundMultiplicativePerturbation:
         sys_ = zero_rhs_system(m)
         noisy = multiplicative_noise(sys_, 0.01, sigma_b, seed=3)
         with pytest.raises(HypothesisError, match=match):
-            bound_multiplicative_perturbation(noisy, np.ones((1, 15)), KS)
+            evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, np.ones((1, 15)), KS)
 
 
 class TestHorizonComparison:
@@ -522,6 +515,16 @@ class TestIterationsToTolerance:
     def test_already_satisfied(self):
         assert iterations_to_tolerance(5, 1.0, 2.0, 1.0) == 0
 
+    @pytest.mark.parametrize("initial, expected", [(1e6, 1), (0.5, 1), (0.4, 0)])
+    def test_rank_one_rate_zero(self, initial, expected):
+        # r = 1 gives rate 0: one step reaches any tolerance the start does not already meet
+        assert iterations_to_tolerance(1.0, initial, 0.5, 0.1) == expected
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0 - 1e-12])
+    def test_condition_number_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match="scaled condition number must be at least 1"):
+            iterations_to_tolerance(r, 1.0, 0.5)
+
     def test_unreachable_tolerance(self):
         with pytest.raises(ValueError, match="unreachable"):
             iterations_to_tolerance(5, 1.0, 0.1, 0.2)
@@ -600,29 +603,48 @@ SYSTEMS = {
 }
 
 
+# kind -> (the SYSTEMS that meet its noise hypothesis, the message for one that does not)
+GATES = {
+    BoundKind.NOISELESS: ({"clean"}, "noiseless bound requested but the system carries noise"),
+    BoundKind.RHS_NOISE: ({"clean", "rhs_only"}, "rhs-noise bound requested but the matrix carries noise"),
+    BoundKind.MULTIPLICATIVE: (
+        {"multiplicative"}, "multiplicative bound requested for a non-multiplicative model"),
+    BoundKind.PERTURBATION_PARTIAL: (
+        {"partial_consistent"},
+        "partial perturbation bound requested for a model other than partial_consistent"),
+    BoundKind.MULTIPLICATIVE_PERTURBATION: (
+        {"multiplicative"}, "multiplicative perturbation bound requested for a non-multiplicative model"),
+}
+
+
 class TestOneSignature:
     @pytest.mark.parametrize("kind", list(BoundKind), ids=lambda kind: kind.value)
-    @pytest.mark.parametrize("make_noisy", SYSTEMS.values(), ids=SYSTEMS.keys())
-    def test_dispatch_is_the_direct_call(self, small_system, x0s, make_noisy, kind):
-        noisy = make_noisy(small_system)
-        direct = getattr(noisyrk, f"bound_{kind.value}")
-        try:
-            expected = direct(noisy, x0s, KS)
-        except HypothesisError as exc:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_kind_gives_its_curve_or_a_failed_hypothesis(self, small_system, x0s, system, kind):
+        noisy = SYSTEMS[system](small_system)
+        meets, failure = GATES.get(kind, (set(SYSTEMS), None))
+        if system not in meets:
             with pytest.raises(HypothesisError) as info:
                 evaluate_bound(kind, noisy, x0s, KS)
-            assert str(info.value) == str(exc)
+            assert str(info.value) == failure
             return
-        curve = evaluate_bound(kind, noisy, x0s, KS)
+        try:
+            curve = evaluate_bound(kind, noisy, x0s, KS)
+        except HypothesisError as exc:  # a hypothesis the kind checks past its noise hypothesis
+            assert str(exc) not in {message for _, message in GATES.values()}
+            return
         assert curve.kind is kind
-        assert np.array_equal(curve.values, expected.values)
-        assert curve.scalars == expected.scalars
+        if kind in (BoundKind.NOISELESS, BoundKind.RHS_NOISE, BoundKind.MULTIPLICATIVE):
+            additive = bound_additive(noisy, x0s, KS)
+            assert np.array_equal(curve.values, additive.values)
+            assert curve.scalars == additive.scalars
 
     @pytest.mark.parametrize(
         "evaluate",
-        [bound_additive, bound_perturbation_doubly,
+        [bound_additive,
+         lambda *args: evaluate_bound(BoundKind.PERTURBATION_DOUBLY, *args),
          lambda *args: evaluate_bound(BoundKind.PERTURBATION_PARTIAL, *args)],
-        ids=["bound_additive", "bound_perturbation_doubly", "evaluate_bound"],
+        ids=["bound_additive", "perturbation_doubly", "perturbation_partial"],
     )
     @pytest.mark.parametrize("shape", [(20,), (3, 1), (3, 21)], ids=["1-D", "width-1", "width-n+1"])
     def test_start_that_is_not_a_trials_by_n_stack_raises(self, small_system, partial, evaluate, shape):
@@ -637,8 +659,8 @@ class TestNoisyAnalysisMemo:
         sys_ = generate_system(SpectrumSpec(m=40, n=20, r=20, sigma_min=1.0, sigma_max=4.0), seed=7)
         noisy = partial_consistent_noise(sys_, 0.4, seed=21)
         x0s = initial_iterates(sys_.a, RkConfig(max_iterations=1, trials=1, seed=5))
-        bound_perturbation_doubly(noisy, x0s, KS)
-        bound_perturbation_partial(noisy, x0s, KS)
+        evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, x0s, KS)
+        evaluate_bound(BoundKind.PERTURBATION_PARTIAL, noisy, x0s, KS)
         horizon_comparison(noisy)
         perturbed_ls_distance(noisy)
         assert svds_of(sys_.a) == 1  # partial_consistent_noise took it; the _q bounds read the memo

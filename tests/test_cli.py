@@ -313,6 +313,18 @@ class TestTable2:
         assert main(["table2", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         assert snapshot(out) == first
 
+    def test_rank_one_system(self, tmp_path):
+        # at (0, 0) the scaled condition number is sigma^2 / sigma^2 = 1 exactly, so the rate is 0
+        cfg = write_config(tmp_path / "t2.json", {
+            "spectrum": {"m": 20, "n": 10, "r": 1, "sigma_min": 2.0, "sigma_max": 2.0},
+            "grid": [[0.0, 0.0], [0.1, 0.1]], "rk": {"max_iterations": 1, "trials": 3}, "master_seed": 0,
+        })
+        out = tmp_path / "t2"
+        assert main(["table2", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        header, first = [line.split(",") for line in (out / "table2.csv").read_text().splitlines()[:2]]
+        row = dict(zip(header, first))
+        assert (row["sigma_a"], row["sigma_b"], row["kappa"], row["r_tilde"]) == ("0", "0", "1", "1")
+
 
 @pytest.mark.parametrize("subcommand", ["table2", "figure"])
 def test_recorded_config_reads_back(tmp_path, subcommand):
@@ -531,13 +543,16 @@ class TestConfigErrors:
          ("figure", {"grid": [[True, 0.0]]}, "grid"),
          ("table2", {"grid": [[0.0, "0.1"]]}, "grid"),
          ("figure", {"grid": [[float("nan"), 0.0]]}, "grid"),
+         ("figure", {"grid": [[0.1234561, 0.0], [0.1234562, 0.0]]}, "grid"),  # both tagged 0.123456_0
+         ("table2", {"grid": [[0.1234561, 0.0], [0.1234562, 0.0]]}, "grid"),
          ("bounds", {"bounds": "additive", "system_dir": "no/system"}, "bounds"),
          ("figure", {"bounds": "additive"}, "bounds"),
          ("solve", {"rk": {**RK, "x0_mode": "rowspace"}}, "x0_mode"),
          ("bounds", {"rk": {**RK, "x0_mode": "given"}}, "x0_mode")],
         ids=["grid", "record_stride", "output_dir", "initial_sq_error",
              "sigma_a-true", "sigma_b-string", "sigma_a-nan", "tau-string", "tau-true", "initial_sq_error-inf",
-             "grid-true", "grid-string", "grid-nan", "bounds-string", "figure-bounds-string",
+             "grid-true", "grid-string", "grid-nan", "figure-grid-shared-tag", "table2-grid-shared-tag",
+             "bounds-string", "figure-bounds-string",
              "x0_mode-rowspace", "x0_mode-given"],
     )
     def test_wrong_value_type_names_key(self, tmp_path, system_dir, capsys, subcommand, change, key):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,14 @@ class TestFigureExperiment:
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
             run_figure_experiment(make_config(noise_grid=None))
+
+    def test_grid_points_sharing_a_tag_rejected(self):
+        # both would write traj_0.123456_0.csv and share one meta.json key
+        grid = ((0.1234561, 0.0), (0.1, 0.1), (0.1234562, 0.0))
+        message = "grid points [0.1234561, 0.0] and [0.1234562, 0.0] share the tag '0.123456_0'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_config(noise_grid=grid)
+        assert make_config(noise_grid=((0.1, 0.1), (0.1, 0.1))).noise_grid == ((0.1, 0.1), (0.1, 0.1))
 
     def test_pool_has_no_more_workers_than_points(self, monkeypatch):
         # fork starts every worker at once: a pool must never outnumber the grid

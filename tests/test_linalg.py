@@ -259,3 +259,14 @@ def test_deleted_spectral_helpers_are_gone():
         assert [name for name in ("singular_values", "_rank", "frobenius_norm") if hasattr(mod, name)] == []
     factors = svd(np.eye(2))
     assert not hasattr(factors, "rank") and not hasattr(factors, "pinv")
+
+
+def test_deleted_bound_functions_are_gone():
+    # evaluate_bound is the one way to evaluate a kind; bound_additive names the squared bound
+    deleted = ["bound_noiseless", "bound_rhs_noise", "bound_multiplicative", "bound_perturbation_doubly",
+               "bound_perturbation_partial", "bound_multiplicative_perturbation"]
+    for module in ("noisyrk", "noisyrk.bounds"):
+        mod = importlib.import_module(module)
+        assert [name for name in deleted if hasattr(mod, name) or name in mod.__all__] == []
+        assert {"bound_additive", "evaluate_bound"} <= set(mod.__all__)
+        assert callable(mod.bound_additive) and callable(mod.evaluate_bound)
