@@ -15,7 +15,7 @@ The catalog:
                       ||eps||^2 / sigma_min(A)^2
 * ``additive``        squared, for any matrix noise, horizon
                       ||E x_ls - eps||^2 / sigma_min(At)^2
-* ``multiplicative``  squared, same with dA = E A + A F + E A F
+* ``multiplicative``  squared, same with dA x_ls = E A x_ls + A F x_ls + E A F x_ls
 * ``perturbation_doubly``   unsquared, routed through the noisy least
                       squares solution; needs rank preservation,
                       ||pinv(A)|| ||E|| < 1 and a consistent noisy system
@@ -28,7 +28,8 @@ The catalog:
 kind's hypothesis, reads the noiseless system as ``noisy.base``, and
 carries the trial-mean initial error of the (trials, n) stack ``x0s``.
 ``bound_additive`` is kept as the name of the squared bound that
-``noiseless``, ``rhs_noise`` and ``multiplicative`` share.
+``noiseless``, ``rhs_noise`` and ``multiplicative`` share.  Every kind
+reads ``noisy.analysis``, the one factorization of ``At``.
 
 Pure functions throughout; safe to evaluate concurrently.
 """
@@ -211,11 +212,11 @@ def _additive(noisy: NoisySystem):
     """The squared bound against the noiseless solution, for any matrix perturbation.
 
     The horizon is ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total
-    effective noise terms (``E x_ls - eps = At x_ls - bt``), so 0 with no
+    effective noise terms (``E x_ls - eps = At x_ls - bt``, ``matrix_noise_apply``), so 0 with no
     noise and Needell's (BIT 2010) with a clean matrix.
     """
     sigma_min = float(_tilde(noisy).sigma[-1])
-    mismatch = noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise()
+    mismatch = noisy.matrix_noise_apply(noisy.base.x_ls) - noisy.rhs_noise()
     horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
     scalars = {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": _norm(mismatch)}
     return noisy.base.x_ls, horizon, True, scalars

@@ -2,9 +2,9 @@
 
 SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
 singular value, scaled condition number, the nonsingularity check of a
-noise factor) all flow through :func:`svd`, the one SVD in the package,
-which truncates below a numerical-rank tolerance so rank-deficient
-inputs behave predictably.  Every output file is written here; its text
+noise factor) flow through :func:`svd`, the one SVD in the package, which
+cuts below a numerical-rank tolerance; :func:`least_squares` makes the
+same cut without U or V.  Every output file is written here; its text
 tables round-trip float64 values exactly via 17 significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
@@ -39,6 +39,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "svd",
+    "least_squares",
     "pseudoinverse",
     "scaled_condition_number",
     "spectral_norm",
@@ -113,6 +114,12 @@ def svd(a) -> SvdFactors:
         sigma=s[:rank].copy(),
         v=np.ascontiguousarray(vt[:rank].T),
     )
+
+
+def least_squares(a, b1: np.ndarray, b2: np.ndarray) -> tuple:
+    """The singular values :func:`svd` keeps, ``pinv(a) b1`` and ``pinv(a) b2``, from one ``gelsd`` call (no U, no V)."""
+    x, _, rank, s = np.linalg.lstsq(as_matrix(a), np.column_stack((b1, b2)), rcond=None)
+    return s[:rank], np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(x[:, 1])
 
 
 def pseudoinverse(a) -> np.ndarray:

@@ -14,7 +14,8 @@ noiseless system is consistent.  Four noise models then corrupt it:
                              deliberate rank-gap fill that shrinks the scaled
                              condition number
 
-All constructors are pure and deterministic per ``(inputs, seed)``.
+All constructors are pure and deterministic per ``(inputs, seed)``; the
+unit draws E, F and eps are drawn once and shared read-only by a grid.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .linalg import (
     SvdFactors,
     _nonsingular,
     _write_json,
+    least_squares,
     orthonormalize_columns,
     read_matrix,
     read_vector,
@@ -219,7 +221,7 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)
 class NoisyAnalysis:
-    """What the bounds read from the one SVD of ``a_tilde``: O(m + n) numbers at full column rank.
+    """What the bounds read from the one factorization of ``a_tilde``: O(m + n) numbers at full column rank.
 
     ``sigma`` holds the singular values kept by the numerical-rank cut, in
     nonincreasing order, so its length is the rank.  ``row_basis`` is V
@@ -260,6 +262,14 @@ class NoisySystem:
         """
         return self._matrix_noise
 
+    def matrix_noise_apply(self, x: np.ndarray) -> np.ndarray:
+        """``matrix_noise() @ x``; ``E(Ax) + A(Fx) + E(A(Fx))`` with scaled factors, forming no m x n matrix."""
+        if self.model is not NoiseModel.MULTIPLICATIVE:
+            return self.matrix_noise() @ x
+        a, s = self.base.a, self.sigma_a
+        afx = a @ (s * (self.f @ x))
+        return s * (self.e @ (a @ x)) + afx + s * (self.e @ afx)
+
     def rhs_noise(self) -> np.ndarray:
         """Total effective perturbation of the right-hand side."""
         return self.sigma_b * self.eps
@@ -281,7 +291,12 @@ class NoisySystem:
 
     @cached_property
     def analysis(self) -> NoisyAnalysis:
-        """The single factorization of ``a_tilde``, reduced to what the bounds use."""
+        """One ``gelsd`` call on ``a_tilde`` at full column rank; below it also the SVD, for V (wide: the SVD only)."""
+        m, n = self.a_tilde.shape
+        if m >= n:
+            sigma, x_nls, x_pnls = least_squares(self.a_tilde, self.b_tilde, self.base.b)
+            if sigma.size == n:
+                return NoisyAnalysis(sigma=sigma, x_nls=x_nls, x_pnls=x_pnls, row_basis=None)
         factors = svd(self.a_tilde)
         return NoisyAnalysis(
             sigma=factors.sigma,
@@ -319,6 +334,15 @@ def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:
     raise HypothesisError("could not draw distinct singular values after 100 attempts")
 
 
+# one grid draws at most three: E, F and eps of its one seed
+@lru_cache(maxsize=3)
+def _unit_draw(seed: int, key: tuple, shape: tuple) -> np.ndarray:
+    """The standard-normal ``shape`` draw of stream ``(seed, *key)``, drawn once and read-only."""
+    draw = seeding.stream(seed, *key).standard_normal(shape)
+    draw.flags.writeable = False
+    return draw
+
+
 def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
     """Generate a consistent system with the prescribed spectrum.
 
@@ -347,8 +371,8 @@ def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int)
     if sigma_a < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
     m, n = sys.a.shape
-    e = seeding.stream(seed, seeding.MATRIX_NOISE).standard_normal((m, n))
-    eps = seeding.stream(seed, seeding.RHS_NOISE).standard_normal(m)
+    e = _unit_draw(seed, (seeding.MATRIX_NOISE,), (m, n))
+    eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
     a_tilde = sys.a + sigma_a * e if sigma_a else sys.a.copy()
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(
@@ -376,19 +400,11 @@ def multiplicative_noise(
         raise ValueError("noise magnitudes must be nonnegative")
     m, n = sys.a.shape
     # the trailing 0 of each stream key is part of the reproducibility contract
-    if use_e:
-        e = seeding.stream(seed, seeding.MATRIX_NOISE, 0).standard_normal((m, m))
-    else:
-        e = np.zeros((m, m))
-    if use_f:
-        f = seeding.stream(seed, seeding.RIGHT_FACTOR_NOISE, 0).standard_normal((n, n))
-    else:
-        f = np.zeros((n, n))
-    if sigma_a == 0 or not (use_e or use_f):
-        a_tilde = sys.a.copy()
-    else:
-        a_tilde = (np.eye(m) + sigma_a * e) @ sys.a @ (np.eye(n) + sigma_a * f)
-    eps = seeding.stream(seed, seeding.RHS_NOISE).standard_normal(m)
+    e = _unit_draw(seed, (seeding.MATRIX_NOISE, 0), (m, m)) if use_e else np.zeros((m, m))
+    f = _unit_draw(seed, (seeding.RIGHT_FACTOR_NOISE, 0), (n, n)) if use_f else np.zeros((n, n))
+    unchanged = sigma_a == 0 or not (use_e or use_f)
+    a_tilde = sys.a.copy() if unchanged else (np.eye(m) + sigma_a * e) @ sys.a @ (np.eye(n) + sigma_a * f)
+    eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(
         base=sys, a_tilde=a_tilde, b_tilde=b_tilde, e=e, f=f, eps=eps,

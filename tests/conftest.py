@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisyrk import SpectrumSpec, generate_system, kaczmarz
+from noisyrk import SpectrumSpec, generate_system, kaczmarz, problems
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +44,24 @@ def svds_of(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     return lambda a: sum(x.shape == a.shape and np.array_equal(x, a) for x in inputs)
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """``("svd" | "lstsq", shape)`` for every ``np.linalg.svd`` and ``np.linalg.lstsq`` call during the test.
+
+    The process-wide cache of the unit noise draws starts empty, so the
+    draws are made during the test too.
+    """
+    calls = []
+    for name in ("svd", "lstsq"):
+        def recording(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, args[0].shape))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    problems._unit_draw.cache_clear()
+    return calls
 
 
 @pytest.fixture()

@@ -201,21 +201,21 @@ class TestBounds:
         meta = json.loads((tmp_path / "bounds" / "bound_additive.meta.json").read_text())
         assert meta["initial_error"] == pytest.approx(traj[0, 1], rel=1e-12)
 
-    def test_one_svd_per_matrix_for_two_kinds(self, tmp_path, svd_calls):
+    def test_one_factorization_of_the_noisy_matrix_for_two_kinds(self, tmp_path, factorizations):
         gen = write_config(
             tmp_path / "gen.json",
             {"spectrum": SPECTRUM, "noise": {"model": "multiplicative", "sigma_a": 0.01}, "seed": 3},
         )
         system = tmp_path / "system"
         assert main(["gen", "--config", gen, "--out", str(system)]) == 0
+        assert factorizations == []  # generating the system and its noise factors nothing
         cfg = write_config(
             tmp_path / "bounds.json",
             {"system_dir": str(system), "rk": RK, "bounds": ["additive", "multiplicative"]},
         )
-        del svd_calls[:]
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 0
-        # load_system takes no SVD of A; both kinds share the one factorization of At
-        assert svd_calls == [(30, 15)]
+        # load_system factors nothing; both kinds share the one least-squares call on At
+        assert factorizations == [("lstsq", (30, 15))]
 
 
 class TestMalformedSystem:

@@ -23,6 +23,7 @@ from noisyrk import (
     run_preconditioner_demo,
     run_table2,
 )
+from noisyrk import problems, seeding
 from noisyrk.experiments import build_noisy
 
 SPEC = SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=4.0)
@@ -134,7 +135,7 @@ class TestFigureExperiment:
         again = {p.name: p.read_bytes() for p in out.iterdir()}
         assert snapshot == again
 
-    def test_one_system_and_one_analysis_per_bound_call(self, svd_calls):
+    def test_one_factorization_of_the_noisy_matrix_per_point(self, factorizations):
         grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05))
         kinds = (
             BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE, BoundKind.MULTIPLICATIVE_PERTURBATION,
@@ -147,9 +148,28 @@ class TestFigureExperiment:
         for res in results.values():
             assert set(res.bound_errors) == {BoundKind.MULTIPLICATIVE_PERTURBATION}
             assert "consistency" in res.bound_errors[BoundKind.MULTIPLICATIVE_PERTURBATION]
-        # per point one SVD of At shared by every kind: generate_system and the noise draw
-        # take none, and the failing kind stops at consistency, before its factor checks
-        assert len(svd_calls) == len(grid)
+        # per point one least-squares call on At shared by every kind: generate_system and the
+        # noise draw factor nothing, and the failing kind stops at consistency, before its factor checks
+        assert factorizations == [("lstsq", (SPEC.m, SPEC.n))] * len(grid)
+
+    def test_the_grid_shares_one_draw_of_each_factor(self, monkeypatch):
+        problems._unit_draw.cache_clear()
+        real_stream, keys = seeding.stream, []
+
+        def recording_stream(seed, *key):
+            keys.append(key)
+            return real_stream(seed, *key)
+
+        monkeypatch.setattr(seeding, "stream", recording_stream)
+        grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05), (0.1, 0.1))
+        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=grid)
+        run_figure_experiment(cfg)
+        assert keys.count((seeding.MATRIX_NOISE, 0)) == 1
+        assert keys.count((seeding.RIGHT_FACTOR_NOISE, 0)) == 1
+        e = build_noisy(cfg.noise, generate_system(SPEC, 42), 0.1, 0.1, 42).e
+        assert np.array_equal(e, real_stream(42, seeding.MATRIX_NOISE, 0).standard_normal((SPEC.m, SPEC.m)))
+        with pytest.raises(ValueError, match="read-only"):
+            e[0, 0] = 0.0
 
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
@@ -201,11 +221,11 @@ class TestTable2:
         assert lines[0] == "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon"
         assert len(lines) == 3
 
-    def test_one_svd_of_the_noisy_matrix_per_point(self, svd_calls):
+    def test_one_factorization_of_the_noisy_matrix_per_point(self, factorizations):
         grid = ((0.0, 0.0), (0.01, 0.01), (0.1, 0.0))
         rows = run_table2(make_config(noise_grid=grid))
-        # generate_system takes none; per point one SVD of At gives kappa and r_tilde
-        assert len(svd_calls) == len(grid)
+        # generate_system factors nothing; per point one least-squares call on At gives kappa and r_tilde
+        assert factorizations == [("lstsq", (SPEC.m, SPEC.n))] * len(grid)
         assert all(r.kappa_a_tilde >= 1.0 and r.r_tilde >= SPEC.n for r in rows)
 
     def test_rhs_only_horizon_independent_of_matrix_draw(self):

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisyrk import (
@@ -30,6 +32,7 @@ from noisyrk import (
 )
 from noisyrk import seeding
 from noisyrk.linalg import _nonsingular
+from test_oracle import instances, spectra
 
 
 def flat_top_system(m, n, r, lo, hi, seed=1):
@@ -383,3 +386,62 @@ class TestSerialization:
         (tmp_path / "f.mat").unlink()
         with pytest.raises(FileNotFoundError, match="f.mat"):
             load_system(tmp_path)
+
+
+@pytest.mark.parametrize("sigma_a, expected", [
+    (0.1, ["lstsq"]),  # the noise fills the rank gap: full column rank
+    (0.0, ["lstsq", "svd"]),  # rank 20 < n: the least-squares call finds it, then V needs the SVD
+])
+def test_factorizations_of_a_tall_noisy_matrix(rank_deficient_system, factorizations, sigma_a, expected):
+    noisy = additive_noise(rank_deficient_system, sigma_a, 0.1, seed=4)
+    assert noisy.analysis.sigma.size == (30 if sigma_a else 20)
+    assert factorizations == [(name, (60, 30)) for name in expected]
+
+
+def test_a_wide_noisy_matrix_takes_only_the_svd(factorizations):
+    base = generate_system(SpectrumSpec(m=20, n=30, r=20, sigma_min=1.0, sigma_max=4.0), seed=2)
+    assert additive_noise(base, 0.1, 0.1, seed=4).analysis.row_basis.shape == (30, 20)
+    assert factorizations == [("svd", (20, 30))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_analysis_matches_the_svd_of_the_noisy_matrix(instance):
+    # least_squares at full column rank, the SVD below it: one analysis either way
+    _, noisy, _, _ = instance
+    factors, tilde = svd(noisy.a_tilde), noisy.analysis
+    assert tilde.sigma.size == factors.sigma.size
+    assert np.max(np.abs(tilde.sigma - factors.sigma)) <= 1e-12 * factors.sigma[0]
+    for x, y in ((tilde.x_nls, noisy.b_tilde), (tilde.x_pnls, noisy.base.b)):
+        exact = factors.pinv_apply(y)
+        assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+@st.composite
+def noisy_systems(draw):
+    """A noisy system of every model on any shape and rank of the oracle test, and an x to apply its noise to."""
+    spec, seed = draw(spectra()), draw(st.integers(0, 1000))
+    base = generate_system(spec, seed)
+    model = draw(st.sampled_from(NoiseModel))
+    level = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    if model is NoiseModel.ADDITIVE:
+        noisy = additive_noise(base, draw(level), draw(level), seed)
+    elif model is NoiseModel.MULTIPLICATIVE:
+        noisy = multiplicative_noise(base, draw(level), draw(level), draw(st.booleans()), draw(st.booleans()), seed)
+    elif model is NoiseModel.PARTIAL_CONSISTENT:
+        noisy = partial_consistent_noise(base, draw(st.floats(0.01, 0.99)), seed)
+    else:
+        assume(spec.r >= 2)
+        noisy = preconditioner_noise(base)
+    return noisy, np.random.default_rng(draw(st.integers(0, 1000))).standard_normal(spec.n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_systems())
+def test_matrix_noise_apply_is_the_product_with_the_matrix_noise(instance):
+    noisy, x = instance
+    applied = noisy.matrix_noise_apply(x)
+    scale = spectral_norm(noisy.base.a) * np.linalg.norm(x)
+    assert np.linalg.norm(applied - noisy.matrix_noise() @ x) <= 1e-12 * scale
+    if noisy.sigma_a == 0.0:
+        assert not np.any(applied)
