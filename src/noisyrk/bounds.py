@@ -8,14 +8,16 @@ move only within the row space of ``At``, so when ``rank(At) < n`` every
 horizon also carries the trial mean of the part of ``x_0 - target``
 outside that row space (squared for a squared bound), where ``target`` is
 the point the error is measured against (``x_ls`` for a squared bound).
-The catalog:
+``E = At - A`` and ``eps = bt - b`` are read from the two systems, whatever
+model built them; only ``multiplicative_perturbation`` reads a model's
+factors.  The catalog:
 
-* ``noiseless``       ``additive`` on a noise-free system, so horizon 0
-* ``rhs_noise``       ``additive`` on a clean matrix, so horizon
-                      ||eps||^2 / sigma_min(A)^2
+* ``noiseless``       ``additive`` where At = A and bt = b, so horizon 0
+* ``rhs_noise``       ``additive`` where At = A, so horizon
+                      (||eps|| / sigma_min(A))^2
 * ``additive``        squared, for any matrix noise, horizon
-                      ||E x_ls - eps||^2 / sigma_min(At)^2
-* ``multiplicative``  squared, same with dA x_ls = E A x_ls + A F x_ls + E A F x_ls
+                      (||E x_ls - eps|| / sigma_min(At))^2
+* ``multiplicative``  the same bound, asked of a multiplicative system
 * ``perturbation_doubly``   unsquared, routed through the noisy least
                       squares solution; needs rank preservation,
                       ||pinv(A)|| ||E|| < 1 and a consistent noisy system
@@ -137,6 +139,8 @@ def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurv
     starts = _starts(x0s, target.size)
     errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
     initial = float(np.mean(errors))
+    if not math.isfinite(initial):
+        raise HypothesisError(f"the trial-mean initial error is not finite ({initial}): the system is out of scale")
     tilde = _tilde(noisy)
     r = scaled_condition_number(tilde)
     scalars = {"scaled_condition_number_tilde": r, **scalars}
@@ -211,15 +215,13 @@ def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) 
 def _additive(noisy: NoisySystem):
     """The squared bound against the noiseless solution, for any matrix perturbation.
 
-    The horizon is ``||E x_ls - eps||^2 / sigma_min(At)^2`` with the total
-    effective noise terms (``E x_ls - eps = At x_ls - bt``, ``matrix_noise_apply``), so 0 with no
-    noise and Needell's (BIT 2010) with a clean matrix.
+    The horizon is ``(||E x_ls - eps|| / sigma_min(At))^2``, squared last so
+    no ``sigma_min^2`` underflows: 0 with no noise, Needell's (BIT 2010) with a clean matrix.
     """
     sigma_min = float(_tilde(noisy).sigma[-1])
-    mismatch = noisy.matrix_noise_apply(noisy.base.x_ls) - noisy.rhs_noise()
-    horizon = float(mismatch @ mismatch) / (sigma_min * sigma_min)
-    scalars = {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": _norm(mismatch)}
-    return noisy.base.x_ls, horizon, True, scalars
+    mismatch = _norm(noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise())
+    scalars = {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": mismatch}
+    return noisy.base.x_ls, (mismatch / sigma_min) ** 2, True, scalars
 
 
 def perturbed_ls_distance(noisy: NoisySystem) -> float:

@@ -100,12 +100,22 @@ def _build_parser() -> _Parser:
 
 
 def _config(args, schema: dict) -> dict:
-    """The ``--config`` object read through ``schema``; ``--out`` overrides ``output_dir``, and one is required."""
+    """The ``--config`` object read through ``schema``; ``--out`` overrides ``output_dir``, and one is required.
+
+    ``rk`` becomes an ``RkConfig`` seeded by default from ``master_seed`` (or 0); ``--seed`` then overrides
+    whichever of ``seed``, ``master_seed`` and the ``rk`` seed the command has, here and nowhere else.
+    """
     with open(args.config) as fh:
         cfg = _read(json.load(fh), "config", {**schema, "output_dir": (_or_none(os.fspath), None)})
     cfg["output_dir"] = args.out or cfg["output_dir"]
     if cfg["output_dir"] is None:
         raise ValueError("an output directory is required (--out or output_dir)")
+    if "rk" in cfg:
+        cfg["rk"] = _rk_from(cfg["rk"], cfg.get("master_seed", 0))
+    if args.seed is not None:
+        cfg.update({key: args.seed for key in ("seed", "master_seed") if key in cfg})
+        if "rk" in cfg:
+            cfg["rk"] = replace(cfg["rk"], seed=args.seed)
     return cfg
 
 
@@ -116,16 +126,14 @@ def _cmd_gen(args) -> int:
     # gen's noise block carries the magnitudes that a grid point supplies elsewhere
     noise = _read(cfg["noise"], "noise", {**_NOISE_KEYS, "sigma_a": (_number, 0.0), "sigma_b": (_number, 0.0)})
     sigma_a, sigma_b = noise.pop("sigma_a"), noise.pop("sigma_b")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sys_ = generate_system(cfg["spectrum"], seed)
-    save_system(build_noisy(NoiseSpec(**noise), sys_, sigma_a, sigma_b, seed), cfg["output_dir"])
+    sys_ = generate_system(cfg["spectrum"], cfg["seed"])
+    save_system(build_noisy(NoiseSpec(**noise), sys_, sigma_a, sigma_b, cfg["seed"]), cfg["output_dir"])
     return 0
 
 
 def _cmd_solve(args) -> int:
     cfg = _config(args, {"system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {})})
-    rk = _rk_from(cfg["rk"], 0, args.seed)  # every key is read before the system is loaded
-    traj = solve(load_system(cfg["system_dir"]), rk)
+    traj = solve(load_system(cfg["system_dir"]), cfg["rk"])  # every key is read before the system is loaded
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "traj.csv", traj)
@@ -137,8 +145,7 @@ def _cmd_bounds(args) -> int:
     cfg = _config(args, {
         "system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), _REQUIRED),
     })
-    rk = _rk_from(cfg["rk"], 0, args.seed)
-    noisy = load_system(cfg["system_dir"])
+    rk, noisy = cfg["rk"], load_system(cfg["system_dir"])
     ks = record_points(rk.max_iterations, rk.record_stride)
     # the starts solve uses by default: the curves carry the trial-mean initial error
     x0s = initial_iterates(noisy.a_tilde, rk)
@@ -153,8 +160,6 @@ def _cmd_bounds(args) -> int:
 
 def _experiment_config(args, schema: dict) -> ExperimentConfig:
     exp = ExperimentConfig._from_fields(_config(args, schema))
-    if args.seed is not None:
-        exp = replace(exp, master_seed=args.seed, rk=replace(exp.rk, seed=args.seed))
     return apply_paper_scale(exp) if args.scale == "paper" else exp
 
 
@@ -178,8 +183,8 @@ def _cmd_precondition(args) -> int:
     run_preconditioner_demo(
         cfg["spectrum"],
         tau=cfg["tau"],
-        rk=_rk_from(cfg["rk"], cfg["master_seed"], args.seed),
-        master_seed=args.seed if args.seed is not None else cfg["master_seed"],
+        rk=cfg["rk"],
+        master_seed=cfg["master_seed"],
         output_dir=Path(cfg["output_dir"]),
         initial_sq_error=cfg["initial_sq_error"],
     )

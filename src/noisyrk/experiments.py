@@ -135,14 +135,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls._from_fields(_read(data, "config", _EXPERIMENT_KEYS))
+        f = _read(data, "config", _EXPERIMENT_KEYS)
+        return cls._from_fields({**f, "rk": _rk_from(f["rk"], f["master_seed"])})
 
     @classmethod
     def _from_fields(cls, f: dict) -> "ExperimentConfig":
-        """The config of the keys read through ``_EXPERIMENT_KEYS``; ``table2`` reads no ``bounds``."""
+        """The config of the keys read through ``_EXPERIMENT_KEYS``, ``rk`` read; ``table2`` reads no ``bounds``."""
         return cls(
-            f["spectrum"], _rk_from(f["rk"], f["master_seed"]), f["master_seed"],
-            f["noise"], f["grid"], f.get("bounds", ()), f["output_dir"],
+            f["spectrum"], f["rk"], f["master_seed"], f["noise"], f["grid"], f.get("bounds", ()), f["output_dir"],
         )
 
 
@@ -157,14 +157,13 @@ def _noise_grid(pairs) -> tuple:
     return grid
 
 
-def _rk_from(data: dict, default_seed: int, seed: int | None = None) -> RkConfig:
-    """Parse an ``rk`` config block; ``seed``, when given, overrides the block's seed."""
-    rk = RkConfig(**_read(data, "rk", {
+def _rk_from(data: dict, default_seed: int) -> RkConfig:
+    """Parse an ``rk`` config block whose seed defaults to ``default_seed``."""
+    return RkConfig(**_read(data, "rk", {
         "max_iterations": (_exact(int), 10_000), "trials": (_exact(int), 10),
         "record_stride": (_or_none(_exact(int)), None), "seed": (_exact(int), default_seed),
         "x0_mode": (X0Mode, "range"),
     }))
-    return rk if seed is None else replace(rk, seed=seed)
 
 
 # An experiment's config keys; ``rk`` is read by ``_rk_from`` once ``master_seed``, its default seed, is known.

@@ -156,14 +156,15 @@ def _nonsingular(factor: np.ndarray) -> bool:
 
 
 def scaled_condition_number(a) -> float:
-    """``||pinv(a)||^2 * ||a||_F^2``, i.e. sum(sigma^2) / sigma_min^2.
+    """``||pinv(a)||^2 * ||a||_F^2``, computed as sum((sigma_i / sigma_min)^2).
 
     Governs the per-iteration contraction of randomized row projection;
-    scale invariant and at least the numerical rank.
+    at least the numerical rank, and scale invariant also where sigma^2
+    would underflow or overflow, since each ratio is taken before it is squared.
     """
-    factors = _nonzero_factors(a, "scaled condition number")
-    s = factors.sigma
-    return float(np.sum(s * s) / (s[-1] * s[-1]))
+    s = _nonzero_factors(a, "scaled condition number").sigma
+    ratios = s / s[-1]
+    return float(np.sum(ratios * ratios))
 
 
 def orthonormalize_columns(a) -> np.ndarray:

@@ -238,10 +238,10 @@ class NoisyAnalysis:
 class NoisySystem:
     """A base system plus its corrupted counterpart and the noise pieces.
 
-    ``e``/``f``/``eps`` hold the unit-variance draws for the additive and
-    multiplicative models (scaled by ``sigma_a``/``sigma_b`` when applied);
-    for the partial-consistent and preconditioner models ``e`` is the
-    effective matrix perturbation itself and ``sigma_a == 1``.
+    The perturbation is ``a_tilde - a`` and ``b_tilde - b``, whatever model
+    built it.  ``e``/``f``/``eps`` are saved with the system: the unit draws
+    of the additive and multiplicative models (scaled by ``sigma_a``/``sigma_b``),
+    or for the other two models ``e`` is the matrix perturbation and ``sigma_a == 1``.
     """
 
     base: LinearSystem
@@ -255,39 +255,15 @@ class NoisySystem:
     model: NoiseModel
 
     def matrix_noise(self) -> np.ndarray:
-        """Total effective perturbation of the matrix, a_tilde - a, read-only.
-
-        Formed once from the scaled noise factors (E A + A F + E A F for
-        the multiplicative model) rather than by subtraction.
-        """
-        return self._matrix_noise
-
-    def matrix_noise_apply(self, x: np.ndarray) -> np.ndarray:
-        """``matrix_noise() @ x``; ``E(Ax) + A(Fx) + E(A(Fx))`` with scaled factors, forming no m x n matrix."""
-        if self.model is not NoiseModel.MULTIPLICATIVE:
-            return self.matrix_noise() @ x
-        a, s = self.base.a, self.sigma_a
-        afx = a @ (s * (self.f @ x))
-        return s * (self.e @ (a @ x)) + afx + s * (self.e @ afx)
+        """``a_tilde - a``, formed at each call and not kept; exactly 0 at zero noise."""
+        return self.a_tilde - self.base.a
 
     def rhs_noise(self) -> np.ndarray:
-        """Total effective perturbation of the right-hand side."""
-        return self.sigma_b * self.eps
+        """``b_tilde - b``; exactly 0 at zero noise."""
+        return self.b_tilde - self.base.b
 
     # The system's only cached state: each value is a deterministic function of
     # the frozen fields, so two threads filling it store equal values.
-
-    @cached_property
-    def _matrix_noise(self) -> np.ndarray:
-        if self.model is NoiseModel.MULTIPLICATIVE:
-            a = self.base.a
-            sf = self.sigma_a * self.f
-            ea = (self.sigma_a * self.e) @ a
-            da = ea + a @ sf + ea @ sf
-        else:
-            da = self.sigma_a * self.e
-        da.flags.writeable = False
-        return da
 
     @cached_property
     def analysis(self) -> NoisyAnalysis:

@@ -4,6 +4,16 @@ import pytest
 from noisyrk import SpectrumSpec, generate_system, kaczmarz, problems
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_kernel_cache(tmp_path_factory):
+    """The kernel is built into a temporary cache of this run, not the user's; subprocesses inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+        kaczmarz._kernel.cache_clear()
+        yield
+    kaczmarz._kernel.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def small_system():
     """40x20 full-column-rank consistent system, condition number 4."""

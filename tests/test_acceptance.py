@@ -10,6 +10,7 @@ import scipy.stats
 from noisyrk import (
     BoundKind,
     ExperimentConfig,
+    LinearSystem,
     RkConfig,
     Spacing,
     SpectrumSpec,
@@ -20,7 +21,6 @@ from noisyrk import (
     horizon_comparison,
     initial_iterates,
     iterations_to_tolerance,
-    make_sampler,
     multiplicative_noise,
     partial_consistent_noise,
     preconditioner_noise,
@@ -208,16 +208,23 @@ class TestCriterion7Properties:
         report(7, ok, "selected equation holds to 1e-12 (scaled) after each step")
 
     def test_sampler_chi_square(self):
+        # the draws of a solve, read back: on a one-column system with b_i / a_i = i + 1 the
+        # iterate after each step is i + 1 for the row i just drawn, so its squared distance
+        # to 0 names that row
         rng = np.random.default_rng(40)
-        a = rng.standard_normal((20, 5)) * rng.uniform(0.2, 3.0, size=(20, 1))
-        sampler = make_sampler(a, seed=41)
+        a = rng.choice([-1.0, 1.0], size=20) * rng.uniform(0.2, 3.0, size=20)
+        ratios = np.arange(1.0, 21.0)
+        noisy = additive_noise(LinearSystem(a=a[:, None], b=a * ratios, x_ls=np.zeros(1)), 0.0, 0.0, seed=0)
         n_draws = 1_000_000
-        counts = np.bincount(sampler.sample_block(n_draws), minlength=20)
-        expected = n_draws * sampler.weights / sampler.weights.sum()
+        traj = solve(noisy, RkConfig(max_iterations=n_draws, trials=1, record_stride=1, seed=41))
+        rows = np.rint(np.sqrt(traj.per_trial_squared_error[0, 1:])).astype(np.int64) - 1
+        assert np.allclose(ratios[rows] ** 2, traj.per_trial_squared_error[0, 1:], rtol=1e-12)
+        counts = np.bincount(rows, minlength=20)
+        expected = n_draws * a * a / np.sum(a * a)
         stat = float(np.sum((counts - expected) ** 2 / expected))
         threshold = float(scipy.stats.chi2.ppf(1 - 0.001, df=19))
         report(7, stat <= threshold,
-               f"chi-square {stat:.1f} <= {threshold:.1f} at significance 0.001, N=1e6")
+               f"chi-square {stat:.1f} <= {threshold:.1f} at significance 0.001, N=1e6 draws of one solve")
 
     def test_rhs_bound_equals_additive_with_zero_matrix_noise(self, small_system):
         noisy = additive_noise(small_system, 0.0, 0.8, seed=3)

@@ -294,11 +294,11 @@ class TestBoundMultiplicative:
         sigma_min = sigma_min_nonzero(noisy.a_tilde)
         assert curve.horizon == pytest.approx(float(mism @ mism) / sigma_min**2, rel=1e-10)
 
-    def test_expansion_matches_subtraction(self, small_system):
+    def test_matrix_noise_matches_the_expansion(self, small_system):
         noisy = multiplicative_noise(small_system, 0.03, 0.0, seed=4)
-        direct = noisy.a_tilde - small_system.a
-        scale = spectral_norm(small_system.a)
-        assert np.max(np.abs(noisy.matrix_noise() - direct)) <= 1e-10 * scale
+        a, e, f = small_system.a, 0.03 * noisy.e, 0.03 * noisy.f
+        expansion = e @ a + a @ f + e @ a @ f
+        assert np.max(np.abs(noisy.matrix_noise() - expansion)) <= 1e-10 * spectral_norm(a)
 
     def test_model_mismatch_rejected(self, small_system, x0s):
         noisy = additive_noise(small_system, 0.1, 0.0, seed=4)
@@ -685,11 +685,47 @@ class TestNoisyAnalysisMemo:
             perturbed_ls_distance(noisy)
         own = {f.name for f in dataclasses.fields(noisy)}
         memo = {k: v for k, v in vars(noisy).items() if k not in own}
-        assert set(memo) == {"analysis", "matrix_noise_norm", "_matrix_noise"}
-        # the one matrix kept is a_tilde - a, shared read-only by every matrix_noise() call
-        assert memo["_matrix_noise"] is noisy.matrix_noise() and not memo["_matrix_noise"].flags.writeable
+        assert set(memo) == {"analysis", "matrix_noise_norm"}  # a_tilde - a is formed at each call, not kept
         values = [getattr(memo["analysis"], f.name) for f in dataclasses.fields(memo["analysis"])]
         arrays = [v for v in values if isinstance(v, np.ndarray)]
         assert len(arrays) == 3
         assert max(a.size for a in arrays) <= max(noisy.a_tilde.shape)
         assert isinstance(memo["matrix_noise_norm"], float)
+
+
+def _outcome(evaluate):
+    """What ``evaluate()`` gives: its curve's fields, or the message of the hypothesis it fails."""
+    try:
+        result = evaluate()
+    except HypothesisError as exc:
+        return str(exc)
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
+def _same(first, second) -> bool:
+    if isinstance(first, np.ndarray):
+        return np.array_equal(first, second)
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(_same(first[k], second[k]) for k in first)
+    return first == second
+
+
+@pytest.mark.parametrize(
+    "make_noisy",
+    [
+        lambda sys_: additive_noise(sys_, 0.05, 0.05, seed=4),
+        lambda sys_: partial_consistent_noise(sys_, 0.4, seed=21),
+    ],
+    ids=["additive", "partial_consistent"],
+)
+def test_the_bounds_read_the_noise_from_the_two_systems(small_system, x0s, make_noisy):
+    # with the model's noise pieces all NaN, every bound that reads only A, b, At and bt is unchanged
+    noisy = make_noisy(small_system)
+    m, n = small_system.a.shape
+    blind = dataclasses.replace(
+        noisy, e=np.full(noisy.e.shape, np.nan), f=np.full((n, n), np.nan), eps=np.full(m, np.nan),
+    )
+    for kind in set(BoundKind) - {BoundKind.MULTIPLICATIVE_PERTURBATION}:
+        expected = _outcome(lambda: evaluate_bound(kind, noisy, x0s, KS))
+        assert _same(_outcome(lambda: evaluate_bound(kind, blind, x0s, KS)), expected), kind
+    assert _same(_outcome(lambda: horizon_comparison(blind)), _outcome(lambda: horizon_comparison(noisy)))

@@ -269,6 +269,21 @@ class TestMalformedSystem:
         assert not (tmp_path / "bounds").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, change",
+    [("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-200, "sigma_max": 1e-199}}),  # sigma_min^2 underflows
+     ("table2", {"grid": [[1e300, 0.0]]}),  # the initial error overflows
+     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-170, "sigma_max": 4e-170}})],
+    ids=["table2-tiny", "table2-huge-noise", "figure-tiny"],
+)
+def test_extreme_scales_end_in_a_named_error(tmp_path, capsys, subcommand, change):
+    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, **change))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "hypothesis failed:"))
+    assert "Traceback" not in err and "NaN" not in err
+
+
 def fresh_python(code: str) -> str:
     """What ``code`` prints in a new interpreter whose environment sets no thread count."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}

@@ -147,6 +147,10 @@ class TestScaledConditionNumber:
                 scaled_condition_number(a), rel=1e-10
             )
 
+    def test_scale_invariance_where_sigma_squared_underflows(self):
+        a = np.random.default_rng(11).standard_normal((6, 4))
+        assert scaled_condition_number(1e-200 * a) == pytest.approx(scaled_condition_number(a), rel=1e-12)
+
     def test_at_least_rank(self):
         rng = np.random.default_rng(12)
         a = make_matrix_with_rank(rng, 9, 7, 4)
