@@ -9,8 +9,8 @@ horizon also carries the trial mean of the part of ``x_0 - target``
 outside that row space (squared for a squared bound), where ``target`` is
 the point the error is measured against (``x_ls`` for a squared bound).
 ``E = At - A`` and ``eps = bt - b`` are read from the two systems, whatever
-model built them; only ``multiplicative_perturbation`` reads a model's
-factors.  The catalog:
+model built them; only ``multiplicative_perturbation`` reads a model's factors,
+I + E and I + F each formed by ``_identity_plus`` in one buffer.  The catalog:
 
 * ``noiseless``       ``additive`` where At = A and bt = b, so horizon 0
 * ``rhs_noise``       ``additive`` where At = A, so horizon
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
+from .linalg import _identity_plus, _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
 from .problems import NoiseModel, NoisyAnalysis, NoisySystem
 
 __all__ = [
@@ -133,12 +133,12 @@ def _tilde(noisy: NoisySystem) -> NoisyAnalysis:
 def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
     """The bound at rate ``1 - 1/Rt`` from the mean initial error of the starts ``x0s`` against ``target``.
 
-    ``horizon`` gains the part of ``x0 - target`` that no RK step moves (see
-    the module docstring), recorded as ``null_space_error`` when ``rank(At) < n``.
+    ``horizon`` gains the part of ``x0 - target`` that no RK step moves (see the module docstring), recorded
+    as ``null_space_error`` when ``rank(At) < n``.  A non-finite initial error or horizon is out of scale.
     """
     starts = _starts(x0s, target.size)
-    errors = [float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]
-    initial = float(np.mean(errors))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named right below
+        initial = float(np.mean([float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]))
     if not math.isfinite(initial):
         raise HypothesisError(f"the trial-mean initial error is not finite ({initial}): the system is out of scale")
     tilde = _tilde(noisy)
@@ -151,6 +151,8 @@ def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurv
         sq = np.einsum("ij,ij->i", null, null)
         scalars["null_space_error"] = float(np.mean(sq if squared else np.sqrt(sq)))
         horizon += scalars["null_space_error"]
+    if not math.isfinite(horizon):
+        raise HypothesisError(f"the horizon is not finite ({horizon}): the system is out of scale")
     rate = 1.0 - 1.0 / r
     exponent = np.asarray(ks, dtype=float) / (1.0 if squared else 2.0)
     return BoundCurve(
@@ -219,9 +221,11 @@ def _additive(noisy: NoisySystem):
     no ``sigma_min^2`` underflows: 0 with no noise, Needell's (BIT 2010) with a clean matrix.
     """
     sigma_min = float(_tilde(noisy).sigma[-1])
-    mismatch = _norm(noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise())
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite horizon is named by _curve
+        mismatch = _norm(noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise())
+        horizon = float(np.float64(mismatch / sigma_min) ** 2)  # Python's ** would raise OverflowError
     scalars = {"sigma_min_tilde": sigma_min, "noise_mismatch_norm": mismatch}
-    return noisy.base.x_ls, (mismatch / sigma_min) ** 2, True, scalars
+    return noisy.base.x_ls, horizon, True, scalars
 
 
 def perturbed_ls_distance(noisy: NoisySystem) -> float:
@@ -289,8 +293,8 @@ def _multiplicative_perturbation(noisy: NoisySystem):
         raise HypothesisError("relative right-hand side noise is undefined: b is zero")
     e_eff = noisy.sigma_a * noisy.e
     f_eff = noisy.sigma_a * noisy.f
-    i_e = np.eye(len(e_eff)) + e_eff
-    i_f = np.eye(len(f_eff)) + f_eff
+    i_e = _identity_plus(noisy.sigma_a, noisy.e)
+    i_f = _identity_plus(noisy.sigma_a, noisy.f)
     for label, mat in (("I + E", i_e), ("I + F", i_f)):
         if not _nonsingular(mat):
             raise HypothesisError(f"invertibility of ({label}) failed")

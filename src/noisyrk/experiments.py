@@ -221,20 +221,26 @@ def build_noisy(noise: NoiseSpec, sys: LinearSystem, sigma_a: float, sigma_b: fl
     """The noisy system of one magnitude pair under ``noise``: the only noise-model dispatch.
 
     For ``partial_consistent`` ``sigma_a`` is q = ||pinv(A)|| ||dA||; ``sigma_b`` must be 0.
+    A pair whose ``b_tilde`` or sum of squared row norms overflows is a ``HypothesisError`` naming it.
     """
-    if noise.model is NoiseModel.ADDITIVE:
-        return additive_noise(sys, sigma_a, sigma_b, seed)
-    if noise.model is NoiseModel.MULTIPLICATIVE:
-        return multiplicative_noise(
-            sys, sigma_a, sigma_b, use_e=noise.use_e, use_f=noise.use_f, seed=seed
-        )
-    if sigma_b != 0.0:
-        raise ValueError(f"the {noise.model.value} model takes no sigma_b")
-    if noise.model is NoiseModel.PARTIAL_CONSISTENT:
-        return partial_consistent_noise(sys, sigma_a, seed)
-    if sigma_a != 0.0:
-        raise ValueError("the preconditioner model takes no sigma_a")
-    return preconditioner_noise(sys)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
+        if noise.model is NoiseModel.ADDITIVE:
+            noisy = additive_noise(sys, sigma_a, sigma_b, seed)
+        elif noise.model is NoiseModel.MULTIPLICATIVE:
+            noisy = multiplicative_noise(sys, sigma_a, sigma_b, use_e=noise.use_e, use_f=noise.use_f, seed=seed)
+        elif sigma_b != 0.0:
+            raise ValueError(f"the {noise.model.value} model takes no sigma_b")
+        elif noise.model is NoiseModel.PARTIAL_CONSISTENT:
+            noisy = partial_consistent_noise(sys, sigma_a, seed)
+        elif sigma_a != 0.0:
+            raise ValueError("the preconditioner model takes no sigma_a")
+        else:
+            noisy = preconditioner_noise(sys)
+        total = np.vdot(noisy.a_tilde, noisy.a_tilde)  # one dot: no m x n temporary, no iterator buffer
+    if not (np.isfinite(total) and np.isfinite(noisy.b_tilde).all()):
+        raise HypothesisError(f"the sum of squared row norms or the right-hand side at (sigma_a, sigma_b) = "
+                              f"({sigma_a:g}, {sigma_b:g}) is not finite: the noisy system is out of scale")
+    return noisy
 
 
 def _tag(sigma_a: float, sigma_b: float) -> str:

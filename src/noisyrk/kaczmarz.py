@@ -104,7 +104,7 @@ class RowSampler:
         if not np.any(self.weights > 0):
             raise ValueError("matrix has no row of positive squared norm to sample")
         self.rng = rng
-        cumulative = np.cumsum(self.weights)
+        cumulative = as_vector(np.cumsum(self.weights), "cumulative squared row norms")
         total, size = float(cumulative[-1]), 1 << (arr.shape[0] - 1).bit_length()
         guide = np.searchsorted(cumulative, np.arange(size) / size * total, side="right")
         # the resolver's arguments after the uniforms, in _rk.c's order
@@ -246,15 +246,17 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
     rngs = [seeding.stream(cfg.seed, seeding.SAMPLER, trial) for trial in range(cfg.trials)]
     per_trial = np.empty((cfg.trials, ks.size))
     d = x - x_ls
-    per_trial[:, 0] = np.vecdot(d, d)
-    _rk_solve(a, b, RowSampler(a, None), rngs, ks, cfg.max_iterations, x_ls, x, per_trial)
-    if not np.isfinite(per_trial).all():
-        raise HypothesisError("iteration produced non-finite errors")
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
+        per_trial[:, 0] = np.vecdot(d, d)
+        _rk_solve(a, b, RowSampler(a, None), rngs, ks, cfg.max_iterations, x_ls, x, per_trial)
+        mean, std = per_trial.mean(axis=0), per_trial.std(axis=0)  # a mean that overflows leaves std non-finite
+    if not (np.isfinite(per_trial).all() and np.isfinite(std).all()):
+        raise HypothesisError("iteration produced non-finite errors or spread: the system is out of scale")
     return Trajectory(
         recorded_iterations=ks,
         per_trial_squared_error=per_trial,
-        mean_squared_error=per_trial.mean(axis=0),
-        std_squared_error=per_trial.std(axis=0),
+        mean_squared_error=mean,
+        std_squared_error=std,
     )
 
 

@@ -4,8 +4,10 @@ SVD-backed quantities (pseudoinverse, spectral norm, smallest nonzero
 singular value, scaled condition number, the nonsingularity check of a
 noise factor) flow through :func:`svd`, the one SVD in the package, which
 cuts below a numerical-rank tolerance; :func:`least_squares` makes the
-same cut without U or V.  Every output file is written here; its text
-tables round-trip float64 values exactly via 17 significant digits.
+same cut without U or V.  :func:`_identity_plus` builds a noise factor
+I + sE in one buffer, with no identity matrix.  Every output file is
+written here; its text tables round-trip float64 values exactly via 17
+significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
@@ -147,6 +149,13 @@ def spectral_norm(a) -> float:
 def sigma_min_nonzero(a) -> float:
     """Smallest nonzero singular value.  Errors on the zero matrix."""
     return float(_nonzero_factors(a, "sigma_min").sigma[-1])
+
+
+def _identity_plus(scale: float, m: np.ndarray) -> np.ndarray:
+    """``I + scale * m`` in one new buffer, bit-identical to adding an identity; ``m`` (maybe read-only) is kept."""
+    out = scale * m
+    out.flat[:: out.shape[0] + 1] += 1.0  # off the diagonal 0.0 + x == x, and on it the sum commutes
+    return out
 
 
 def _nonsingular(factor: np.ndarray) -> bool:

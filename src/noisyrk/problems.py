@@ -16,6 +16,7 @@ noiseless system is consistent.  Four noise models then corrupt it:
 
 All constructors are pure and deterministic per ``(inputs, seed)``; the
 unit draws E, F and eps are drawn once and shared read-only by a grid.
+Each product is one buffer; ``_identity_plus`` forms I + sigma_a E with no identity matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from . import seeding
 from .errors import HypothesisError
 from .linalg import (
     SvdFactors,
+    _identity_plus,
     _nonsingular,
     _write_json,
     least_squares,
@@ -328,11 +330,11 @@ def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
     given ``seed``.
     """
     sigma = _spectrum_values(spec, seed)
-    gu = seeding.stream(seed, seeding.LEFT_BASIS).standard_normal((spec.m, spec.r))
-    gv = seeding.stream(seed, seeding.RIGHT_BASIS).standard_normal((spec.n, spec.r))
-    u = orthonormalize_columns(gu)
-    v = orthonormalize_columns(gv)
-    a = (u * sigma) @ v.T
+    # each Gaussian draw dies with its QR
+    u = orthonormalize_columns(seeding.stream(seed, seeding.LEFT_BASIS).standard_normal((spec.m, spec.r)))
+    v = orthonormalize_columns(seeding.stream(seed, seeding.RIGHT_BASIS).standard_normal((spec.n, spec.r)))
+    u *= sigma
+    a = u @ v.T
     z = seeding.stream(seed, seeding.SOLUTION).standard_normal(spec.n)
     return LinearSystem(a=a, b=a @ z, x_ls=v @ (v.T @ z), spec=spec, seed=seed)
 
@@ -349,7 +351,9 @@ def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int)
     m, n = sys.a.shape
     e = _unit_draw(seed, (seeding.MATRIX_NOISE,), (m, n))
     eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
-    a_tilde = sys.a + sigma_a * e if sigma_a else sys.a.copy()
+    a_tilde = sigma_a * e if sigma_a else sys.a.copy()
+    if sigma_a:
+        a_tilde += sys.a  # sys.a + sigma_a * e bit for bit, as the sum commutes, in one buffer
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(
         base=sys, a_tilde=a_tilde, b_tilde=b_tilde, e=e, f=None, eps=eps,
@@ -379,7 +383,7 @@ def multiplicative_noise(
     e = _unit_draw(seed, (seeding.MATRIX_NOISE, 0), (m, m)) if use_e else np.zeros((m, m))
     f = _unit_draw(seed, (seeding.RIGHT_FACTOR_NOISE, 0), (n, n)) if use_f else np.zeros((n, n))
     unchanged = sigma_a == 0 or not (use_e or use_f)
-    a_tilde = sys.a.copy() if unchanged else (np.eye(m) + sigma_a * e) @ sys.a @ (np.eye(n) + sigma_a * f)
+    a_tilde = sys.a.copy() if unchanged else (_identity_plus(sigma_a, e) @ sys.a) @ _identity_plus(sigma_a, f)
     eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(
@@ -404,7 +408,7 @@ def partial_consistent_noise(sys: LinearSystem, q: float, seed: int) -> NoisySys
         m0 = seeding.stream(seed, seeding.MATRIX_NOISE, attempt).standard_normal((n, n))
         am = sys.a @ m0
         scale = q / (pinv_norm * spectral_norm(am))
-        if _nonsingular(np.eye(n) + scale * m0):
+        if _nonsingular(_identity_plus(scale, m0)):
             break
     else:
         raise HypothesisError("nonsingularity of (I + M) failed after 100 redraws")

@@ -270,18 +270,28 @@ class TestMalformedSystem:
 
 
 @pytest.mark.parametrize(
-    "subcommand, change",
-    [("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-200, "sigma_max": 1e-199}}),  # sigma_min^2 underflows
-     ("table2", {"grid": [[1e300, 0.0]]}),  # the initial error overflows
-     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-170, "sigma_max": 4e-170}})],
-    ids=["table2-tiny", "table2-huge-noise", "figure-tiny"],
+    "subcommand, change, code",
+    [("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-200, "sigma_max": 1e-199}}, 1),  # sigma_min^2 underflows
+     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-170, "sigma_max": 4e-170}}, 1),
+     # the sum of squared row norms of the noisy matrix overflows, whatever the start mode
+     ("table2", {"grid": [[1e300, 0.0]]}, 2),
+     ("table2", {"grid": [[1e300, 0.0]], "rk": {**RK, "x0_mode": "zero"}}, 2),
+     ("figure", {"grid": [[1e200, 0.0]], "noise": {"model": "multiplicative"}}, 2),
+     # a finite noisy system whose horizon (||eps|| / sigma_min)^2 overflows, as does the spread of its RK errors
+     ("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-3}, "grid": [[0.0, 1e152]]}, 2),
+     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-3}, "grid": [[0.0, 1e152]]}, 2)],
+    ids=["table2-tiny", "figure-tiny", "table2-huge-noise", "table2-huge-noise-zero-start", "figure-huge-factors",
+         "table2-huge-horizon", "figure-huge-spread"],
 )
-def test_extreme_scales_end_in_a_named_error(tmp_path, capsys, subcommand, change):
+def test_extreme_scales_end_in_a_named_error(tmp_path, capsys, recwarn, subcommand, change, code):
     cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, **change))
-    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) in (1, 2)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == code
     err = capsys.readouterr().err
-    assert err.startswith(("config error:", "hypothesis failed:"))
+    assert err.count("\n") == 1 and err.startswith(("config error:", "hypothesis failed:")[code - 1])
     assert "Traceback" not in err and "NaN" not in err
+    if code == 2:
+        assert err.rstrip().endswith("out of scale")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def fresh_python(code: str) -> str:

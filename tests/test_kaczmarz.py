@@ -137,6 +137,11 @@ class TestRowSampler:
         with pytest.raises(ValueError, match="no row of positive squared norm"):
             make_sampler(np.full((3, 2), 1e-200), seed=0)
 
+    def test_matrix_whose_total_squared_norm_overflows_rejected(self):
+        # each squared row norm is 1e308, their sum is not finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="cumulative squared row norms"):
+            make_sampler(np.full((3, 1), 1e154), seed=0)
+
     def test_deterministic_per_seed(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         one = make_sampler(a, seed=5).sample_block(1000)

@@ -16,6 +16,7 @@ from noisyrk import (
     write_matrix,
     write_vector,
 )
+from noisyrk.linalg import _identity_plus
 
 from conftest import make_matrix_with_rank
 
@@ -221,6 +222,17 @@ class TestOrthonormalize:
         a = np.ones((5, 2))
         with pytest.raises(ValueError, match="dependent"):
             orthonormalize_columns(a)
+
+
+class TestIdentityPlus:
+    @pytest.mark.parametrize("k, scale", [(1, 0.3), (1, 0.0), (4, 0.0), (7, 0.05), (30, 2.5)])
+    def test_bit_identical_to_adding_the_identity(self, k, scale):
+        m = np.random.default_rng(k).standard_normal((k, k))
+        m.flags.writeable = False  # as the cached unit draws are
+        before = m.copy()
+        out = _identity_plus(scale, m)
+        assert np.array_equal(out, np.eye(k) + scale * m)
+        assert np.array_equal(m, before) and out.flags.writeable and not np.shares_memory(out, m)
 
 
 class TestTextFormats:

@@ -31,7 +31,8 @@ from noisyrk import (
     write_vector,
 )
 from noisyrk import seeding
-from noisyrk.linalg import _nonsingular
+from noisyrk.linalg import _nonsingular, orthonormalize_columns
+from noisyrk.problems import _spectrum_values
 from test_oracle import instances, spectra
 
 
@@ -99,6 +100,13 @@ class TestGenerateSystem:
         assert np.linalg.norm(x - v @ (v.T @ x)) <= 1e-13 * np.linalg.norm(x)
         assert np.linalg.norm(x - pseudoinverse(sys_.a) @ b) <= 1e-13 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("spacing", list(Spacing))
+    def test_a_is_the_product_of_the_scaled_bases(self, spacing):
+        spec = SpectrumSpec(m=40, n=25, r=12, sigma_min=0.5, sigma_max=7.0, spacing=spacing)
+        u = orthonormalize_columns(seeding.stream(6, seeding.LEFT_BASIS).standard_normal((40, 12)))
+        v = orthonormalize_columns(seeding.stream(6, seeding.RIGHT_BASIS).standard_normal((25, 12)))
+        assert np.array_equal(generate_system(spec, 6).a, (u * _spectrum_values(spec, 6)) @ v.T)
+
     def test_solution_in_row_space(self, rank_deficient_system):
         sys_ = rank_deficient_system
         p = pseudoinverse(sys_.a)
@@ -144,6 +152,8 @@ class TestAdditiveNoise:
         noisy = additive_noise(small_system, 0.3, 0.7, seed=3)
         assert np.max(np.abs(noisy.a_tilde - (small_system.a + 0.3 * noisy.e))) <= 1e-12
         assert np.max(np.abs(noisy.b_tilde - (small_system.b + 0.7 * noisy.eps))) <= 1e-12
+        # summed onto 0.3 * E in place, bit for bit the same
+        assert np.array_equal(noisy.a_tilde, small_system.a + 0.3 * noisy.e)
 
     def test_same_seed_bit_identical(self, small_system):
         n1 = additive_noise(small_system, 0.1, 0.2, seed=9)
@@ -185,6 +195,13 @@ class TestMultiplicativeNoise:
         assert sigma_min_nonzero(np.eye(m) + 0.05 * noisy.e) >= 1e-8
         assert sigma_min_nonzero(np.eye(n) + 0.05 * noisy.f) >= 1e-8
         assert noisy.model is NoiseModel.MULTIPLICATIVE
+
+    @pytest.mark.parametrize("use_e, use_f", [(True, True), (True, False), (False, True), (False, False)])
+    def test_bit_identical_to_the_literal_product(self, small_system, use_e, use_f):
+        noisy = multiplicative_noise(small_system, 0.05, 0.0, use_e=use_e, use_f=use_f, seed=2)
+        m, n = small_system.a.shape
+        literal = (np.eye(m) + 0.05 * noisy.e) @ small_system.a @ (np.eye(n) + 0.05 * noisy.f)
+        assert np.array_equal(noisy.a_tilde, literal)
 
     def test_matrix_noise_matches_the_expansion(self, small_system):
         noisy = multiplicative_noise(small_system, 0.05, 0.0, seed=2)
