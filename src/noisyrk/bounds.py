@@ -9,8 +9,8 @@ horizon also carries the trial mean of the part of ``x_0 - target``
 outside that row space (squared for a squared bound), where ``target`` is
 the point the error is measured against (``x_ls`` for a squared bound).
 ``E = At - A`` and ``eps = bt - b`` are read from the two systems, whatever
-model built them; only ``multiplicative_perturbation`` reads a model's factors,
-I + E and I + F each formed by ``_identity_plus`` in one buffer.  The catalog:
+model built them; only ``multiplicative_perturbation`` reads a model's own
+factors, those that are on.  The catalog:
 
 * ``noiseless``       ``additive`` where At = A and bt = b, so horizon 0
 * ``rhs_noise``       ``additive`` where At = A, so horizon
@@ -196,10 +196,18 @@ def _partial_horizon(noisy: NoisySystem, q: float) -> float:
     return 2.0 * _norm(noisy.base.x_ls) * q / (1.0 - q) + eps_part
 
 
+def _factor(sigma_a: float, unit: np.ndarray | None, label: str) -> tuple | None:
+    """``(M, I + M)``, ``M = sigma_a unit``, once ``I + M`` is nonsingular; None, with no SVD, if M is off or 0."""
+    if unit is None or not np.any(eff := sigma_a * unit):
+        return None
+    i_plus = _identity_plus(sigma_a, unit)
+    if not _nonsingular(i_plus):
+        raise HypothesisError(f"invertibility of ({label}) failed")
+    return eff, i_plus
+
+
 def _factor_size(eff: np.ndarray, i_plus: np.ndarray) -> float:
-    """``sqrt(||M||^2 + ||inv(I + M) M||^2)``; 0 for a switched-off factor ``M``."""
-    if not np.any(eff):
-        return 0.0
+    """``sqrt(||M||^2 + ||inv(I + M) M||^2)`` of a :func:`_factor` ``(M, I + M)``."""
     return math.hypot(spectral_norm(eff), spectral_norm(np.linalg.solve(i_plus, eff)))
 
 
@@ -283,24 +291,17 @@ def _multiplicative_perturbation(noisy: NoisySystem):
         horizon = e1 ||x_ls|| + e2 ||pinv(A)|| ||b||
 
     Requires a consistent noisy system, a nonzero ``b``, nonsingular
-    factors and a nonzero ``A``, checked in that order: the factor checks
-    take an SVD each.
+    factors and a nonzero ``A``, checked in that order: the check of a
+    factor that is on and nonzero takes an SVD; any other adds 0.
     """
     base, tilde = noisy.base, noisy.analysis
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
     b_norm = _norm(base.b)
     if b_norm == 0.0:
         raise HypothesisError("relative right-hand side noise is undefined: b is zero")
-    e_eff = noisy.sigma_a * noisy.e
-    f_eff = noisy.sigma_a * noisy.f
-    i_e = _identity_plus(noisy.sigma_a, noisy.e)
-    i_f = _identity_plus(noisy.sigma_a, noisy.f)
-    for label, mat in (("I + E", i_e), ("I + F", i_f)):
-        if not _nonsingular(mat):
-            raise HypothesisError(f"invertibility of ({label}) failed")
-    e1 = _factor_size(f_eff, i_f)
+    factors = [_factor(noisy.sigma_a, unit, label) for label, unit in (("I + E", noisy.e), ("I + F", noisy.f))]
+    e_part, e1 = (_factor_size(*factor) if factor else 0.0 for factor in factors)
     rho = _norm(noisy.rhs_noise()) / b_norm
-    e_part = _factor_size(e_eff, i_e)
     e2 = (1.0 + e1) * (rho + (1.0 + rho) * e_part)
     if base.factors.sigma.size == 0:
         raise HypothesisError("||pinv(A)|| is undefined: the noiseless matrix is numerically zero")

@@ -14,9 +14,8 @@ noiseless system is consistent.  Four noise models then corrupt it:
                              deliberate rank-gap fill that shrinks the scaled
                              condition number
 
-All constructors are pure and deterministic per ``(inputs, seed)``; the
-unit draws E, F and eps are drawn once and shared read-only by a grid.
-Each product is one buffer; ``_identity_plus`` forms I + sigma_a E with no identity matrix.
+All constructors are pure and deterministic per ``(inputs, seed)``.  A unit draw (E, F, eps) is made only where it
+moves the system, once, shared read-only by a grid, and kept only by a multiplicative system.
 """
 
 from __future__ import annotations
@@ -187,6 +186,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", NoiseModel(self.model))
+        if self.model is not NoiseModel.MULTIPLICATIVE and not (self.use_e and self.use_f):
+            key = "use_f" if self.use_e else "use_e"
+            raise ValueError(f"noise: bad value for '{key}': only the multiplicative model switches a factor off")
 
     def to_dict(self) -> dict:
         return {"model": self.model.value, "use_e": self.use_e, "use_f": self.use_f}
@@ -238,23 +240,22 @@ class NoisyAnalysis:
 
 @dataclass(frozen=True, eq=False)
 class NoisySystem:
-    """A base system plus its corrupted counterpart and the noise pieces.
+    """A base system, its corrupted counterpart, and the model and magnitudes that built it.
 
-    The perturbation is ``a_tilde - a`` and ``b_tilde - b``, whatever model
-    built it.  ``e``/``f``/``eps`` are saved with the system: the unit draws
-    of the additive and multiplicative models (scaled by ``sigma_a``/``sigma_b``),
-    or for the other two models ``e`` is the matrix perturbation and ``sigma_a == 1``.
+    The perturbation is ``a_tilde - a`` and ``b_tilde - b``, whatever model built it.  ``sigma_a``/``sigma_b``
+    are the model's own magnitudes: q and 0 for ``partial_consistent``, 0 and 0 for ``preconditioner``.
+    Only a multiplicative system keeps its unit draws ``e``, ``f`` and ``eps``; a switched-off factor is None.
     """
 
     base: LinearSystem
     a_tilde: np.ndarray
     b_tilde: np.ndarray
-    e: np.ndarray
-    f: np.ndarray | None
-    eps: np.ndarray
     sigma_a: float
     sigma_b: float
     model: NoiseModel
+    e: np.ndarray | None = None
+    f: np.ndarray | None = None
+    eps: np.ndarray | None = None
 
     def matrix_noise(self) -> np.ndarray:
         """``a_tilde - a``, formed at each call and not kept; exactly 0 at zero noise."""
@@ -344,19 +345,17 @@ def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int)
 
     E and eps have standard-normal entries drawn from named streams, so
     the same seed yields the same unit draws for every magnitude pair.
-    Zero magnitudes reproduce the base system bit-exactly.
+    A zero magnitude draws nothing and reproduces the base piece bit-exactly.
     """
     if sigma_a < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
     m, n = sys.a.shape
-    e = _unit_draw(seed, (seeding.MATRIX_NOISE,), (m, n))
-    eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
-    a_tilde = sigma_a * e if sigma_a else sys.a.copy()
+    a_tilde = sigma_a * _unit_draw(seed, (seeding.MATRIX_NOISE,), (m, n)) if sigma_a else sys.a.copy()
     if sigma_a:
-        a_tilde += sys.a  # sys.a + sigma_a * e bit for bit, as the sum commutes, in one buffer
-    b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
+        a_tilde += sys.a  # sys.a + sigma_a * E bit for bit, as the sum commutes, in one buffer
+    b_tilde = sys.b + sigma_b * _unit_draw(seed, (seeding.RHS_NOISE,), (m,)) if sigma_b else sys.b.copy()
     return NoisySystem(
-        base=sys, a_tilde=a_tilde, b_tilde=b_tilde, e=e, f=None, eps=eps,
+        base=sys, a_tilde=a_tilde, b_tilde=b_tilde,
         sigma_a=float(sigma_a), sigma_b=float(sigma_b), model=NoiseModel.ADDITIVE,
     )
 
@@ -371,19 +370,20 @@ def multiplicative_noise(
 ) -> NoisySystem:
     """Multiplicative corruption (I + sigma_a E) a (I + sigma_a F).
 
-    Either factor can be switched off (``use_e`` / ``use_f``), in which
-    case the corresponding draw is the zero matrix.  E and F are drawn
-    once and may be singular: the squared bounds do not need invertible
-    factors, and ``multiplicative_perturbation``, which does, checks them.
+    Either factor can be switched off (``use_e`` / ``use_f``): it is then
+    None, neither drawn nor multiplied in.  E and F are drawn once and may
+    be singular: the squared bounds do not need invertible factors, and
+    ``multiplicative_perturbation``, which does, checks them.
     """
     if sigma_a < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
     m, n = sys.a.shape
     # the trailing 0 of each stream key is part of the reproducibility contract
-    e = _unit_draw(seed, (seeding.MATRIX_NOISE, 0), (m, m)) if use_e else np.zeros((m, m))
-    f = _unit_draw(seed, (seeding.RIGHT_FACTOR_NOISE, 0), (n, n)) if use_f else np.zeros((n, n))
-    unchanged = sigma_a == 0 or not (use_e or use_f)
-    a_tilde = sys.a.copy() if unchanged else (_identity_plus(sigma_a, e) @ sys.a) @ _identity_plus(sigma_a, f)
+    e = _unit_draw(seed, (seeding.MATRIX_NOISE, 0), (m, m)) if use_e else None
+    f = _unit_draw(seed, (seeding.RIGHT_FACTOR_NOISE, 0), (n, n)) if use_f else None
+    a_tilde = _identity_plus(sigma_a, e) @ sys.a if sigma_a and use_e else sys.a.copy()
+    if sigma_a and use_f:
+        a_tilde = a_tilde @ _identity_plus(sigma_a, f)
     eps = _unit_draw(seed, (seeding.RHS_NOISE,), (m,))
     b_tilde = sys.b + sigma_b * eps if sigma_b else sys.b.copy()
     return NoisySystem(
@@ -412,12 +412,9 @@ def partial_consistent_noise(sys: LinearSystem, q: float, seed: int) -> NoisySys
             break
     else:
         raise HypothesisError("nonsingularity of (I + M) failed after 100 redraws")
-    delta = scale * am
-    a_tilde = sys.a + delta
     return NoisySystem(
-        base=sys, a_tilde=a_tilde, b_tilde=sys.b.copy(), e=delta, f=None,
-        eps=np.zeros(sys.a.shape[0]), sigma_a=1.0, sigma_b=0.0,
-        model=NoiseModel.PARTIAL_CONSISTENT,
+        base=sys, a_tilde=sys.a + scale * am, b_tilde=sys.b.copy(),
+        sigma_a=float(q), sigma_b=0.0, model=NoiseModel.PARTIAL_CONSISTENT,
     )
 
 
@@ -435,18 +432,16 @@ def preconditioner_noise(sys: LinearSystem) -> NoisySystem:
     gap = float(factors.sigma[-2] - factors.sigma[-1])
     if gap <= 1e-12 * float(factors.sigma[0]):
         raise ValueError("the two smallest singular values must be distinct")
-    e = gap * np.outer(factors.u[:, -1], factors.v[:, -1])
     return NoisySystem(
-        base=sys, a_tilde=sys.a + e, b_tilde=sys.b.copy(), e=e, f=None,
-        eps=np.zeros(sys.a.shape[0]), sigma_a=1.0, sigma_b=0.0,
-        model=NoiseModel.PRECONDITIONER,
+        base=sys, a_tilde=sys.a + gap * np.outer(factors.u[:, -1], factors.v[:, -1]), b_tilde=sys.b.copy(),
+        sigma_a=0.0, sigma_b=0.0, model=NoiseModel.PRECONDITIONER,
     )
 
 
 # ---------------------------------------------------------------------------
-# Directory serialization: A.mat, b.vec, xls.vec, atilde.mat, btilde.vec,
-# meta.json, plus the noise pieces (e.mat, f.mat, eps.vec) so a system
-# round-trips without regenerating draws.
+# Directory serialization: A.mat, b.vec, xls.vec, atilde.mat, btilde.vec and
+# meta.json; a multiplicative system adds eps.vec and e.mat / f.mat for each
+# factor that is on, which meta.json names as use_e / use_f.
 # ---------------------------------------------------------------------------
 
 
@@ -454,22 +449,15 @@ def save_system(noisy: NoisySystem, directory: str | os.PathLike) -> None:
     """Serialize a noisy system (and its base) into a directory."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    write_matrix(path / "A.mat", noisy.base.a)
-    write_vector(path / "b.vec", noisy.base.b)
-    write_vector(path / "xls.vec", noisy.base.x_ls)
-    write_matrix(path / "atilde.mat", noisy.a_tilde)
-    write_vector(path / "btilde.vec", noisy.b_tilde)
-    write_matrix(path / "e.mat", noisy.e)
-    if noisy.f is not None:
-        write_matrix(path / "f.mat", noisy.f)
-    write_vector(path / "eps.vec", noisy.eps)
-    meta = {
-        "model": noisy.model.value,
-        "sigma_a": noisy.sigma_a,
-        "sigma_b": noisy.sigma_b,
-        "spec": noisy.base.spec.to_dict() if noisy.base.spec else None,
-        "seed": noisy.base.seed,
-    }
+    arrays = {"A.mat": noisy.base.a, "b.vec": noisy.base.b, "xls.vec": noisy.base.x_ls, "atilde.mat": noisy.a_tilde,
+              "btilde.vec": noisy.b_tilde, "e.mat": noisy.e, "f.mat": noisy.f, "eps.vec": noisy.eps}
+    for name, array in arrays.items():
+        if array is not None:  # None: a piece the model does not keep
+            (write_matrix if name.endswith(".mat") else write_vector)(path / name, array)
+    meta = {"model": noisy.model.value, "sigma_a": noisy.sigma_a, "sigma_b": noisy.sigma_b, "seed": noisy.base.seed,
+            "spec": noisy.base.spec.to_dict() if noisy.base.spec else None}
+    if noisy.model is NoiseModel.MULTIPLICATIVE:
+        meta.update(use_e=noisy.e is not None, use_f=noisy.f is not None)
     _write_json(path / "meta.json", meta)
 
 
@@ -483,37 +471,36 @@ def _read_shaped(file: Path, shape: tuple) -> np.ndarray:
 def load_system(directory: str | os.PathLike) -> NoisySystem:
     """Reconstruct a noisy system written by :func:`save_system`.
 
-    Every file must agree with the ``(m, n)`` of ``A.mat``; a ``ValueError``
-    names the first file that does not and both shapes.
+    Every file must agree with the ``(m, n)`` of ``A.mat``; a ``ValueError`` names the first file that does not and
+    both shapes.  Only a multiplicative system reads noise files: ``eps.vec`` and each factor ``meta.json`` switches on.
     """
     path = Path(directory)
     where = str(path / "meta.json")
     with open(where) as fh:
         meta = _read(json.load(fh), where, {
-            "model": (NoiseModel, _REQUIRED), "sigma_a": (_number, _REQUIRED), "sigma_b": (_number, _REQUIRED),
-            "spec": (_or_none(SpectrumSpec.from_dict), None), "seed": (_or_none(_exact(int)), None),
+            **_NOISE_KEYS, "model": (NoiseModel, _REQUIRED), "spec": (_or_none(SpectrumSpec.from_dict), None),
+            "sigma_a": (_number, _REQUIRED), "sigma_b": (_number, _REQUIRED), "seed": (_or_none(_exact(int)), None),
         })
-    model, spec = meta["model"], meta["spec"]
+    try:
+        noise = NoiseSpec(meta["model"], meta["use_e"], meta["use_f"])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    spec = meta["spec"]
     a = read_matrix(path / "A.mat")
     m, n = a.shape
     if spec is not None and (spec.m, spec.n) != (m, n):
         raise ValueError(f"{where}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}")
-    base = LinearSystem(
-        a=a,
-        b=_read_shaped(path / "b.vec", (m,)),
-        x_ls=_read_shaped(path / "xls.vec", (n,)),
-        spec=spec,
-        seed=meta["seed"],
-    )
-    f_path = path / "f.mat"
+    b, x_ls = _read_shaped(path / "b.vec", (m,)), _read_shaped(path / "xls.vec", (n,))
+    base = LinearSystem(a=a, b=b, x_ls=x_ls, spec=spec, seed=meta["seed"])
+    mult = noise.model is NoiseModel.MULTIPLICATIVE
     return NoisySystem(
         base=base,
         a_tilde=_read_shaped(path / "atilde.mat", (m, n)),
         b_tilde=_read_shaped(path / "btilde.vec", (m,)),
-        e=_read_shaped(path / "e.mat", (m, m) if model is NoiseModel.MULTIPLICATIVE else (m, n)),
-        f=_read_shaped(f_path, (n, n)) if f_path.exists() or model is NoiseModel.MULTIPLICATIVE else None,
-        eps=_read_shaped(path / "eps.vec", (m,)),
         sigma_a=float(meta["sigma_a"]),
         sigma_b=float(meta["sigma_b"]),
-        model=model,
+        model=noise.model,
+        e=_read_shaped(path / "e.mat", (m, m)) if mult and noise.use_e else None,
+        f=_read_shaped(path / "f.mat", (n, n)) if mult and noise.use_f else None,
+        eps=_read_shaped(path / "eps.vec", (m,)) if mult else None,
     )

@@ -109,7 +109,7 @@ class TestBoundRhsNoise:
         a = np.eye(4)
         base = LinearSystem(a=a, b=np.ones(4), x_ls=np.ones(4))
         eps = np.array([2.0, 0.0, 0.0, 0.0])
-        noisy = dataclasses.replace(noise_free(base), eps=eps, sigma_b=1.0, b_tilde=base.b + eps)
+        noisy = dataclasses.replace(noise_free(base), sigma_b=1.0, b_tilde=base.b + eps)
         curve = evaluate_bound(BoundKind.RHS_NOISE, noisy, np.zeros((1, 4)), [0])
         assert curve.horizon == pytest.approx(4.0, rel=1e-14)
 
@@ -161,9 +161,7 @@ class TestPerturbedLsDistance:
         from noisyrk import perturbed_ls_distance
 
         eps = np.sin(np.arange(40.0))  # fixed small perturbation
-        noisy = dataclasses.replace(
-            partial, eps=eps, sigma_b=0.01, b_tilde=small_system.b + 0.01 * eps
-        )
+        noisy = dataclasses.replace(partial, sigma_b=0.01, b_tilde=small_system.b + 0.01 * eps)
         bound = perturbed_ls_distance(noisy)
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert bound >= np.linalg.norm(x_nls - small_system.x_ls)
@@ -217,9 +215,7 @@ class TestBoundPerturbationPartial:
             evaluate_bound(BoundKind.PERTURBATION_PARTIAL, noisy, x0s, KS)
 
     def test_zero_noise_horizon_zero(self, small_system, partial, x0s):
-        clean = dataclasses.replace(
-            partial, a_tilde=small_system.a.copy(), e=np.zeros_like(small_system.a)
-        )
+        clean = dataclasses.replace(partial, a_tilde=small_system.a.copy())
         curve = evaluate_bound(BoundKind.PERTURBATION_PARTIAL, clean, x0s, KS)
         assert curve.horizon == pytest.approx(0.0, abs=1e-15)
 
@@ -328,8 +324,10 @@ def singular_factor_instance(sys_, factor, consistent):
     m, n = sys_.a.shape
     u = np.random.default_rng(3).standard_normal(m if factor == "E" else n)
     drop = -np.outer(u, u) / (sigma_a * (u @ u))
-    e, f = (drop, np.zeros((n, n))) if factor == "E" else (np.zeros((m, m)), drop)
-    a_tilde = (np.eye(m) + sigma_a * e) @ sys_.a @ (np.eye(n) + sigma_a * f)
+    if factor == "E":
+        e, f, a_tilde = drop, None, (np.eye(m) + sigma_a * drop) @ sys_.a
+    else:
+        e, f, a_tilde = None, drop, sys_.a @ (np.eye(n) + sigma_a * drop)
     b_tilde = a_tilde @ sys_.x_ls if consistent else noisy.b_tilde
     return dataclasses.replace(
         noisy, e=e, f=f, sigma_a=sigma_a, a_tilde=a_tilde,
@@ -355,7 +353,7 @@ class TestBoundMultiplicativePerturbation:
         left = np.eye(40) + sigma_a * e
         base_mult = multiplicative_noise(small_system, 0.0, 0.0, seed=5)
         noisy = dataclasses.replace(
-            base_mult, e=e, f=np.zeros((20, 20)), sigma_a=sigma_a,
+            base_mult, e=e, f=None, sigma_a=sigma_a,
             a_tilde=left @ small_system.a,
         )
         curve = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, KS)
@@ -423,9 +421,7 @@ class TestBoundMultiplicativePerturbation:
 
 class TestHorizonComparison:
     def test_zero_noise_chain(self, small_system, partial):
-        clean = dataclasses.replace(
-            partial, a_tilde=small_system.a.copy(), e=np.zeros_like(small_system.a)
-        )
+        clean = dataclasses.replace(partial, a_tilde=small_system.a.copy())
         cmp_ = horizon_comparison(clean)
         assert cmp_.condition_holds
         assert cmp_.main_horizon == pytest.approx(0.0, abs=1e-15)
@@ -719,11 +715,13 @@ def _same(first, second) -> bool:
     ids=["additive", "partial_consistent"],
 )
 def test_the_bounds_read_the_noise_from_the_two_systems(small_system, x0s, make_noisy):
-    # with the model's noise pieces all NaN, every bound that reads only A, b, At and bt is unchanged
+    # the system keeps no noise piece; given all-NaN ones, every bound that reads only A, b, At and bt
+    # is unchanged
     noisy = make_noisy(small_system)
+    assert noisy.e is None and noisy.f is None and noisy.eps is None
     m, n = small_system.a.shape
     blind = dataclasses.replace(
-        noisy, e=np.full(noisy.e.shape, np.nan), f=np.full((n, n), np.nan), eps=np.full(m, np.nan),
+        noisy, e=np.full((m, m), np.nan), f=np.full((n, n), np.nan), eps=np.full(m, np.nan),
     )
     for kind in set(BoundKind) - {BoundKind.MULTIPLICATIVE_PERTURBATION}:
         expected = _outcome(lambda: evaluate_bound(kind, noisy, x0s, KS))

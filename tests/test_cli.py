@@ -1,14 +1,23 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from noisyrk import NoiseSpec, SpectrumSpec, cli, generate_system, load_system, seeding, write_matrix
+from noisyrk import (
+    BoundKind, NoiseSpec, SpectrumSpec, cli, generate_system, load_system, read_matrix, read_vector, seeding,
+    write_matrix, write_vector,
+)
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
 
@@ -267,6 +276,102 @@ class TestMalformedSystem:
         assert err.startswith("hypothesis failed:")
         assert "Traceback" not in err
         assert not (tmp_path / "bounds").exists()
+
+
+@pytest.fixture(scope="module")
+def generated_systems(tmp_path_factory):
+    """30x15 ``gen`` directories of the additive and the multiplicative model."""
+    root = tmp_path_factory.mktemp("generated")
+    systems = {}
+    for model in ("additive", "multiplicative"):
+        noise = {"model": model, "sigma_a": 0.05, "sigma_b": 0.05}
+        cfg = write_config(root / f"{model}.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
+        assert main(["gen", "--config", cfg, "--out", str(root / model)]) == 0
+        systems[model] = root / model
+    return systems
+
+
+@st.composite
+def directory_mutations(draw):
+    """(model, mutation, its arguments, command): one change to a ``gen`` directory, and what reads it."""
+    model = draw(st.sampled_from(["additive", "multiplicative"]))
+    files = ["A.mat", "b.vec", "xls.vec", "atilde.mat", "btilde.vec"]
+    files += ["e.mat", "f.mat", "eps.vec"] if model == "multiplicative" else []
+    mutation = draw(st.sampled_from(["scale", "zero_row", "nan", "drop_row", "spec", "delete"]))
+    if mutation == "scale":
+        args = (draw(st.sampled_from(files)), draw(st.sampled_from([0.0, 1e-300, 1e300])))
+    elif mutation in ("nan", "drop_row"):
+        args = (draw(st.sampled_from(files)), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6)))
+    elif mutation == "zero_row":
+        args = (draw(st.integers(0, SPECTRUM["m"] - 1)),)
+    elif mutation == "spec":
+        args = (draw(st.sampled_from(["m", "n"])), draw(st.sampled_from([-1, 1])))
+    else:
+        args = (draw(st.sampled_from([*files, "meta.json"])),)
+    command = draw(st.sampled_from(["solve", *(kind.value for kind in BoundKind)]))
+    return model, mutation, args, command
+
+
+def mutate(system, mutation, args):
+    """Apply ``mutation`` to the directory ``system`` in place."""
+    if mutation == "scale":
+        name, factor = args
+        table = (read_matrix if name.endswith(".mat") else read_vector)(system / name)
+        with np.errstate(over="ignore"):  # 1e300 overflows to inf, which the reader must reject
+            (write_matrix if name.endswith(".mat") else write_vector)(system / name, table * factor)
+    elif mutation == "zero_row":
+        a_tilde = read_matrix(system / "atilde.mat")
+        a_tilde[args[0]] = 0.0
+        write_matrix(system / "atilde.mat", a_tilde)
+    elif mutation in ("nan", "drop_row"):
+        name, row, column = args
+        lines = (system / name).read_text().splitlines()
+        row = 1 + row % (len(lines) - 1)  # a body line: the first line is the dims header
+        if mutation == "drop_row":
+            del lines[row]
+        else:
+            tokens = lines[row].split()
+            tokens[column % len(tokens)] = "nan"
+            lines[row] = " ".join(tokens)
+        (system / name).write_text("\n".join(lines) + "\n")
+    elif mutation == "spec":
+        key, step = args
+        meta = json.loads((system / "meta.json").read_text())
+        meta["spec"][key] += step
+        (system / "meta.json").write_text(json.dumps(meta))
+    else:
+        (system / args[0]).unlink()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=directory_mutations())
+@example(case=("additive", "scale", ("atilde.mat", 0.0), "additive"))  # a saved zero At once exited 0
+@example(case=("multiplicative", "scale", ("A.mat", 0.0), "multiplicative_perturbation"))  # once an IndexError
+def test_a_mutated_directory_ends_in_its_exit_code(generated_systems, case):
+    # solve and every bound kind on a gen directory with one change: exit 0 with finite numbers, or
+    # 1 or 2, never a traceback or a numpy warning; on exit 2 one line and no bound file
+    model, mutation, args, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        system, out = Path(tmp) / "system", Path(tmp) / "out"
+        shutil.copytree(generated_systems[model], system)
+        mutate(system, mutation, args)
+        subcommand = "solve" if command == "solve" else "bounds"
+        change = {"rk": {"max_iterations": 300, "trials": 2, "record_stride": 100, "seed": 5}}
+        if subcommand == "bounds":
+            change["bounds"] = [command]
+        cfg = write_config(Path(tmp) / "cfg.json", config_for(subcommand, system, **change))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", cfg, "--out", str(out)])
+        err = err.getvalue()
+        written = [np.loadtxt(f, delimiter=",", skiprows=1) for f in out.glob("*.csv")] if code == 0 else []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert written or code != 0
+    assert all(np.isfinite(values).all() for values in written)
+    if code == 2:
+        assert err.startswith("hypothesis failed:") and err.count("\n") == 1
+        assert not out.exists() or not list(out.glob("bound_*"))
 
 
 @pytest.mark.parametrize(
@@ -603,6 +708,21 @@ class TestConfigErrors:
         assert err.startswith("config error:")
         assert f"noise: unknown key '{key}'" in err or f"noise: bad value for '{key}'" in err
 
+    @pytest.mark.parametrize("noise", [{"model": "additive", "use_e": False, "sigma_a": 0.1},
+                                       {"model": "partial_consistent", "use_f": False}], ids=["use_e", "use_f"])
+    @pytest.mark.parametrize("subcommand", ["gen", "figure", "table2"])
+    def test_switch_outside_the_multiplicative_model_exit_1(self, tmp_path, capsys, subcommand, noise):
+        # only the multiplicative model has factors to switch off; elsewhere a switch was ignored
+        if subcommand != "gen":
+            noise = {k: v for k, v in noise.items() if k != "sigma_a"}  # the grid carries the magnitudes
+        cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, noise=noise))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        key = "use_e" if "use_e" in noise else "use_f"
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"noise: bad value for '{key}': only the multiplicative model switches a factor off" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "subcommand, change, key",
         [("solve", {"rk": {**RK, "max_iterations": 100.9}}, "max_iterations"),
@@ -665,16 +785,22 @@ class TestRkParsing:
             assert fields == (40, 3, 8, seed, "zero"), sub
 
 
+def bench_workloads(monkeypatch):
+    """The benchmark's ``bench/workloads.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkLookups:
     def test_every_benchmark_config_parses(self, tmp_path, monkeypatch):
         # each command stops at its first step after reading the config, so
         # reaching it means the whole config parsed; a stricter reader must
         # never turn a benchmark operation into a config error
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("workloads", path)
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses look it up
-        spec.loader.exec_module(module)
+        module = bench_workloads(monkeypatch)
 
         def capture(*args, **kwargs):
             raise _Captured()
@@ -688,6 +814,16 @@ class TestBenchmarkLookups:
                     main(argv)
                 commands.add(argv[0])
         assert commands == {"gen", "solve", "bounds", "table2", "figure"}
+
+    @pytest.mark.parametrize("name", ["table2-sweep", "figure-multiplicative", "system-roundtrip"])
+    def test_every_benchmark_operation_passes_its_check(self, tmp_path, monkeypatch, name):
+        # the benchmark's own output checks, on one in-process rep at seed 1 with one worker:
+        # a changed file set or format must not fail an operation of the benchmark
+        workload = bench_workloads(monkeypatch).WORKLOADS[name]
+        for argv in workload.commands(tmp_path, 1, 1 if workload.threads else None):
+            assert main(argv) == 0, argv
+        ops = workload.check(tmp_path)
+        assert ops and [(op.name, op.reasons) for op in ops if op.reasons] == []
 
     def test_every_traced_name_exists(self):
         # the benchmark's tracer patches these names where the CLI and the

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisyrk import (
+    BoundKind,
     LinearSystem,
     NoiseModel,
     RkConfig,
     Spacing,
     SpectrumSpec,
     additive_noise,
+    evaluate_bound,
     generate_system,
     load_system,
     multiplicative_noise,
@@ -30,10 +32,27 @@ from noisyrk import (
     write_matrix,
     write_vector,
 )
-from noisyrk import seeding
+from noisyrk import problems, seeding
 from noisyrk.linalg import _nonsingular, orthonormalize_columns
 from noisyrk.problems import _spectrum_values
 from test_oracle import instances, spectra
+
+
+def additive_draw(seed, shape):
+    """The unit matrix draw E of ``additive_noise``."""
+    return seeding.stream(seed, seeding.MATRIX_NOISE).standard_normal(shape)
+
+
+def rhs_draw(seed, m):
+    """The unit right-hand side draw eps of ``additive_noise`` and ``multiplicative_noise``."""
+    return seeding.stream(seed, seeding.RHS_NOISE).standard_normal(m)
+
+
+def factor_draws(seed, m, n, use_e=True, use_f=True):
+    """The unit factors E and F of ``multiplicative_noise``, a switched-off one as zeros."""
+    e = seeding.stream(seed, seeding.MATRIX_NOISE, 0).standard_normal((m, m))
+    f = seeding.stream(seed, seeding.RIGHT_FACTOR_NOISE, 0).standard_normal((n, n))
+    return e * use_e, f * use_f
 
 
 def flat_top_system(m, n, r, lo, hi, seed=1):
@@ -146,28 +165,38 @@ class TestAdditiveNoise:
     def test_rhs_only_configuration(self, small_system):
         noisy = additive_noise(small_system, 0.0, 1.0, seed=3)
         assert np.array_equal(noisy.a_tilde, small_system.a)
-        assert_allclose(noisy.b_tilde, small_system.b + noisy.eps, atol=1e-12)
+        assert_allclose(noisy.b_tilde, small_system.b + rhs_draw(3, 40), atol=1e-12)
 
     def test_entrywise_construction(self, small_system):
         noisy = additive_noise(small_system, 0.3, 0.7, seed=3)
-        assert np.max(np.abs(noisy.a_tilde - (small_system.a + 0.3 * noisy.e))) <= 1e-12
-        assert np.max(np.abs(noisy.b_tilde - (small_system.b + 0.7 * noisy.eps))) <= 1e-12
+        e, eps = additive_draw(3, (40, 20)), rhs_draw(3, 40)
+        assert np.max(np.abs(noisy.a_tilde - (small_system.a + 0.3 * e))) <= 1e-12
+        assert np.max(np.abs(noisy.b_tilde - (small_system.b + 0.7 * eps))) <= 1e-12
         # summed onto 0.3 * E in place, bit for bit the same
-        assert np.array_equal(noisy.a_tilde, small_system.a + 0.3 * noisy.e)
+        assert np.array_equal(noisy.a_tilde, small_system.a + 0.3 * e)
 
     def test_same_seed_bit_identical(self, small_system):
         n1 = additive_noise(small_system, 0.1, 0.2, seed=9)
         n2 = additive_noise(small_system, 0.1, 0.2, seed=9)
         assert np.array_equal(n1.a_tilde, n2.a_tilde)
         assert np.array_equal(n1.b_tilde, n2.b_tilde)
-        assert np.array_equal(n1.e, n2.e)
-        assert np.array_equal(n1.eps, n2.eps)
 
     def test_unit_draws_shared_across_magnitudes(self, small_system):
-        n1 = additive_noise(small_system, 0.01, 0.01, seed=9)
-        n2 = additive_noise(small_system, 0.5, 0.5, seed=9)
-        assert np.array_equal(n1.e, n2.e)
-        assert np.array_equal(n1.eps, n2.eps)
+        e, eps = additive_draw(9, (40, 20)), rhs_draw(9, 40)
+        for s in (0.01, 0.5):
+            noisy = additive_noise(small_system, s, s, seed=9)
+            assert np.array_equal(noisy.a_tilde, small_system.a + s * e)
+            assert np.array_equal(noisy.b_tilde, small_system.b + s * eps)
+
+    @pytest.mark.parametrize("sigma_a, sigma_b, drawn", [
+        (0.0, 0.0, []), (0.1, 0.0, [(seeding.MATRIX_NOISE,)]), (0.0, 0.1, [(seeding.RHS_NOISE,)]),
+    ])
+    def test_a_zero_magnitude_draws_nothing(self, small_system, monkeypatch, sigma_a, sigma_b, drawn):
+        problems._unit_draw.cache_clear()
+        real_stream, keys = seeding.stream, []
+        monkeypatch.setattr(seeding, "stream", lambda seed, *key: keys.append(key) or real_stream(seed, *key))
+        additive_noise(small_system, sigma_a, sigma_b, seed=9)
+        assert keys == drawn
 
     def test_negative_magnitude_rejected(self, small_system):
         with pytest.raises(ValueError):
@@ -182,7 +211,7 @@ class TestMultiplicativeNoise:
 
     def test_left_only_perturbation(self, small_system):
         noisy = multiplicative_noise(small_system, 0.05, 0.0, use_e=True, use_f=False, seed=2)
-        assert not np.any(noisy.f)
+        assert noisy.f is None
         delta = noisy.a_tilde - small_system.a
         expected = 0.05 * noisy.e @ small_system.a
         assert np.max(np.abs(delta - expected)) <= 1e-10 * spectral_norm(small_system.a)
@@ -198,9 +227,11 @@ class TestMultiplicativeNoise:
 
     @pytest.mark.parametrize("use_e, use_f", [(True, True), (True, False), (False, True), (False, False)])
     def test_bit_identical_to_the_literal_product(self, small_system, use_e, use_f):
+        # a switched-off factor is a zero draw in the literal product: I + 0 multiplied through,
+        # equal to skipping it up to the sign of a zero entry, which array_equal does not see
         noisy = multiplicative_noise(small_system, 0.05, 0.0, use_e=use_e, use_f=use_f, seed=2)
-        m, n = small_system.a.shape
-        literal = (np.eye(m) + 0.05 * noisy.e) @ small_system.a @ (np.eye(n) + 0.05 * noisy.f)
+        e, f = factor_draws(2, 40, 20, use_e, use_f)
+        literal = (np.eye(40) + 0.05 * e) @ small_system.a @ (np.eye(20) + 0.05 * f)
         assert np.array_equal(noisy.a_tilde, literal)
 
     def test_matrix_noise_matches_the_expansion(self, small_system):
@@ -222,12 +253,12 @@ class TestMultiplicativeNoise:
         svd_calls.clear()
         noisy = multiplicative_noise(sys_, 0.2, 0.1, use_e=use_e, use_f=use_f, seed=5)
         assert svd_calls == []  # no factor is checked at draw time
-        # the first draw, unchanged: the switched-off factor is the identity
-        left, right = np.eye(30) + 0.2 * noisy.e, np.eye(15) + 0.2 * noisy.f
-        assert np.any(noisy.e) == use_e and np.any(noisy.f) == use_f
-        assert np.array_equal(noisy.e, seeding.stream(5, seeding.MATRIX_NOISE, 0).standard_normal((30, 30)) * use_e)
-        assert np.array_equal(noisy.f, seeding.stream(5, seeding.RIGHT_FACTOR_NOISE, 0).standard_normal((15, 15)) * use_f)
-        assert np.array_equal(noisy.a_tilde, left @ sys_.a @ right)
+        # the factor that is on is the first draw, unchanged; the one that is off is None
+        e, f = factor_draws(5, 30, 15, use_e, use_f)
+        assert (noisy.e is None) != use_e and (noisy.f is None) != use_f
+        on, draw = (noisy.e, e) if use_e else (noisy.f, f)
+        assert np.array_equal(on, draw)
+        assert np.array_equal(noisy.a_tilde, (np.eye(30) + 0.2 * e) @ sys_.a @ (np.eye(15) + 0.2 * f))
 
 
 class TestPartialConsistentNoise:
@@ -235,6 +266,7 @@ class TestPartialConsistentNoise:
         noisy = partial_consistent_noise(small_system, 0.4, seed=6)
         q = spectral_norm(noisy.a_tilde - small_system.a) / sigma_min_nonzero(small_system.a)
         assert q == pytest.approx(0.4, abs=1e-9)
+        assert (noisy.sigma_a, noisy.sigma_b) == (0.4, 0.0)  # the magnitudes it was built with
 
     def test_consistency_of_noisy_system(self, small_system):
         noisy = partial_consistent_noise(small_system, 0.4, seed=6)
@@ -281,14 +313,15 @@ class TestPreconditionerNoise:
     def test_toy_3_3_1(self):
         sys_ = flat_top_system(3, 3, 3, 1.0, 3.0)
         noisy = preconditioner_noise(sys_)
-        assert spectral_norm(noisy.e) == pytest.approx(2.0, rel=1e-9)
+        assert spectral_norm(noisy.matrix_noise()) == pytest.approx(2.0, rel=1e-9)
+        assert (noisy.sigma_a, noisy.sigma_b) == (0.0, 0.0)  # the model takes no magnitude
         assert_allclose(svd(noisy.a_tilde).sigma, [3.0, 3.0, 3.0], rtol=1e-9)
         assert scaled_condition_number(noisy.a_tilde) == pytest.approx(3.0, rel=1e-9)
 
     def test_two_by_two_gap(self):
         sys_ = flat_top_system(2, 2, 2, 4.0, 5.0)
         noisy = preconditioner_noise(sys_)
-        assert spectral_norm(noisy.e) == pytest.approx(1.0, rel=1e-9)
+        assert spectral_norm(noisy.matrix_noise()) == pytest.approx(1.0, rel=1e-9)
         assert_allclose(svd(noisy.a_tilde).sigma, [5.0, 5.0], rtol=1e-9)
 
     def test_degenerate_spectrum_errors(self):
@@ -312,29 +345,53 @@ class TestPreconditionerNoise:
         assert np.linalg.norm(noisy.a_tilde, "fro") ** 2 == pytest.approx(expected, rel=1e-9)
 
 
-class TestSerialization:
-    def test_roundtrip(self, small_system, tmp_path):
-        noisy = additive_noise(small_system, 0.2, 0.3, seed=13)
-        save_system(noisy, tmp_path / "sys")
-        back = load_system(tmp_path / "sys")
-        assert np.array_equal(back.base.a, noisy.base.a)
-        assert np.array_equal(back.base.b, noisy.base.b)
-        assert np.array_equal(back.base.x_ls, noisy.base.x_ls)
-        assert np.array_equal(back.a_tilde, noisy.a_tilde)
-        assert np.array_equal(back.b_tilde, noisy.b_tilde)
-        assert np.array_equal(back.e, noisy.e)
-        assert np.array_equal(back.eps, noisy.eps)
-        assert back.f is None
-        assert back.sigma_a == noisy.sigma_a
-        assert back.model is NoiseModel.ADDITIVE
-        assert back.base.spec == noisy.base.spec
+# the files of a saved system: the base and noisy system, and a multiplicative system's unit draws
+SYSTEM_FILES = {"A.mat", "b.vec", "xls.vec", "atilde.mat", "btilde.vec", "meta.json"}
+MODELS = {
+    "additive": lambda sys_: additive_noise(sys_, 0.2, 0.3, seed=13),
+    "multiplicative": lambda sys_: multiplicative_noise(sys_, 0.05, 0.1, seed=13),
+    "partial_consistent": lambda sys_: partial_consistent_noise(sys_, 0.4, seed=13),
+    "preconditioner": preconditioner_noise,
+}
 
-    def test_roundtrip_multiplicative(self, small_system, tmp_path):
-        noisy = multiplicative_noise(small_system, 0.05, 0.1, seed=13)
+
+def assert_same_system(back, noisy):
+    """``back`` holds every array of ``noisy`` bit for bit, each absent piece as None, and its scalars."""
+    for name in ("a", "b", "x_ls"):
+        assert np.array_equal(getattr(back.base, name), getattr(noisy.base, name))
+    for name in ("a_tilde", "b_tilde", "e", "f", "eps"):
+        mine, theirs = getattr(back, name), getattr(noisy, name)
+        assert (mine is None and theirs is None) or np.array_equal(mine, theirs), name
+    assert (back.sigma_a, back.sigma_b, back.model) == (noisy.sigma_a, noisy.sigma_b, noisy.model)
+    assert (back.base.spec, back.base.seed) == (noisy.base.spec, noisy.base.seed)
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_roundtrip(self, small_system, tmp_path, model):
+        noisy = MODELS[model](small_system)
         save_system(noisy, tmp_path / "sys")
-        back = load_system(tmp_path / "sys")
-        assert np.array_equal(back.f, noisy.f)
-        assert back.model is NoiseModel.MULTIPLICATIVE
+        assert_same_system(load_system(tmp_path / "sys"), noisy)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_each_model_writes_exactly_its_files(self, small_system, tmp_path, model):
+        save_system(MODELS[model](small_system), tmp_path)
+        pieces = {"e.mat", "f.mat", "eps.vec"} if model == "multiplicative" else set()
+        assert {p.name for p in tmp_path.iterdir()} == SYSTEM_FILES | pieces
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert ("use_e" in meta, "use_f" in meta) == (bool(pieces), bool(pieces))
+
+    @pytest.mark.parametrize("use_e, use_f", [(True, True), (True, False), (False, True), (False, False)])
+    def test_every_switch_setting_roundtrips(self, small_system, tmp_path, use_e, use_f):
+        noisy = multiplicative_noise(small_system, 0.05, 0.1, use_e=use_e, use_f=use_f, seed=13)
+        save_system(noisy, tmp_path)
+        on = {name for name, used in (("e.mat", use_e), ("f.mat", use_f)) if used}
+        assert {p.name for p in tmp_path.iterdir()} == SYSTEM_FILES | on | {"eps.vec"}
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert (meta["use_e"], meta["use_f"]) == (use_e, use_f)
+        back = load_system(tmp_path)
+        assert_same_system(back, noisy)
+        assert (back.e is None) != use_e and (back.f is None) != use_f
 
     # (model, file, replacement): a shape that disagrees with the 40x20 A.mat,
     # or for meta.json a rewrite of the saved object
@@ -346,7 +403,7 @@ class TestSerialization:
         ("multiplicative", "eps.vec", (41,), "eps.vec: shape (41,) does not match (40,)"),
         ("multiplicative", "e.mat", (40, 20), "e.mat: shape (40, 20) does not match (40, 40)"),
         ("multiplicative", "f.mat", (20, 19), "f.mat: shape (20, 19) does not match (20, 20)"),
-        ("additive", "e.mat", (40, 40), "e.mat: shape (40, 40) does not match (40, 20)"),
+        ("multiplicative", "meta.json", lambda meta: {**meta, "use_f": 0}, "meta.json: bad value for 'use_f'"),
         ("additive", "meta.json", lambda meta: [1, 2], "meta.json: expected a JSON object, got list"),
         ("additive", "meta.json", lambda meta: {**meta, "spec": {**meta["spec"], "m": 30}},
          "meta.json: spec shape (30, 20) does not match A.mat (40, 20)"),
@@ -356,13 +413,10 @@ class TestSerialization:
          "meta.json: bad value for 'sigma_a'"),
         ("additive", "meta.json", lambda meta: {**meta, "seed": 13.0}, "meta.json: bad value for 'seed'"),
         ("additive", "meta.json", lambda meta: {**meta, "bogus": 1}, "meta.json: unknown key 'bogus'"),
+        ("additive", "meta.json", lambda meta: {**meta, "use_e": False}, "meta.json: noise: bad value for 'use_e'"),
     ])
     def test_rejects_misshaped_directory(self, small_system, tmp_path, model, name, bad, message):
-        if model == "multiplicative":
-            noisy = multiplicative_noise(small_system, 0.05, 0.1, seed=13)
-        else:
-            noisy = additive_noise(small_system, 0.2, 0.3, seed=13)
-        save_system(noisy, tmp_path)
+        save_system(MODELS[model](small_system), tmp_path)
         target = tmp_path / name
         if name == "meta.json":
             target.write_text(json.dumps(bad(json.loads(target.read_text()))))
@@ -388,6 +442,41 @@ class TestSerialization:
         (tmp_path / "f.mat").unlink()
         with pytest.raises(FileNotFoundError, match="f.mat"):
             load_system(tmp_path)
+
+    @pytest.mark.parametrize("use_e, use_f, name", [(True, False, "e.mat"), (False, True, "f.mat")])
+    def test_a_factor_that_meta_names_is_required(self, small_system, tmp_path, use_e, use_f, name):
+        save_system(multiplicative_noise(small_system, 0.05, 0.1, use_e=use_e, use_f=use_f, seed=13), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(name)):
+            load_system(tmp_path)
+
+    def test_an_older_directory_loads_as_before(self, small_system, tmp_path):
+        # saved before the switches: a zero f.mat for the switched-off factor and no use_e/use_f,
+        # read as both factors on; the zero one adds 0 to the bound, as the switched-off one does
+        noisy = multiplicative_noise(small_system, 0.05, 0.0, use_f=False, seed=13)
+        noisy = dataclasses.replace(noisy, b_tilde=noisy.a_tilde @ small_system.x_ls)  # consistent
+        save_system(noisy, tmp_path)
+        write_matrix(tmp_path / "f.mat", np.zeros((20, 20)))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if k not in ("use_e", "use_f")}))
+        back = load_system(tmp_path)
+        assert not np.any(back.f)
+        x0s = np.ones((2, 20))
+        old = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, back, x0s, [0, 100])
+        new = evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, x0s, [0, 100])
+        assert np.array_equal(old.values, new.values) and old.scalars == new.scalars
+        assert old.scalars["e1"] == 0.0 and old.scalars["e2"] > 0.0
+
+    @pytest.mark.parametrize("use_e, use_f", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("sigma_a", [0.0, 0.05])
+    def test_the_bound_takes_no_svd_of_an_identity(self, small_system, svds_of, use_e, use_f, sigma_a):
+        noisy = multiplicative_noise(small_system, sigma_a, 0.0, use_e=use_e, use_f=use_f, seed=13)
+        noisy = dataclasses.replace(noisy, b_tilde=noisy.a_tilde @ small_system.x_ls)  # consistent
+        evaluate_bound(BoundKind.MULTIPLICATIVE_PERTURBATION, noisy, np.ones((1, 20)), [0, 100])
+        assert svds_of(np.eye(40)) == 0 and svds_of(np.eye(20)) == 0
+        # each factor that is on and scaled by a nonzero sigma_a takes its one nonsingularity SVD
+        assert svds_of(np.eye(40) + sigma_a * factor_draws(13, 40, 20)[0]) == (use_e and sigma_a > 0)
+        assert svds_of(np.eye(20) + sigma_a * factor_draws(13, 40, 20)[1]) == (use_f and sigma_a > 0)
 
 
 @pytest.mark.parametrize("sigma_a, expected", [
@@ -439,19 +528,31 @@ def noisy_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(noisy_systems())
 def test_the_noise_read_from_the_systems_is_each_models_recipe(noisy):
-    a, s = noisy.base.a, noisy.sigma_a
+    a, s, seed = noisy.base.a, noisy.sigma_a, noisy.base.seed
+    m, n = a.shape
+    rhs = np.zeros(m)
     if noisy.model is NoiseModel.ADDITIVE:
-        recipe = s * noisy.e
+        e = additive_draw(seed, (m, n))
+        recipe, scale = s * e, 1.0 + s * np.linalg.norm(e)
+        rhs = noisy.sigma_b * rhs_draw(seed, m)
     elif noisy.model is NoiseModel.MULTIPLICATIVE:
-        recipe = s * noisy.e @ a + s * a @ noisy.f + s * s * noisy.e @ a @ noisy.f
+        e, f = factor_draws(seed, m, n, noisy.e is not None, noisy.f is not None)
+        recipe = s * e @ a + s * a @ f + s * s * e @ a @ f
+        scale = (1.0 + s * np.linalg.norm(e)) * np.linalg.norm(a) * (1.0 + s * np.linalg.norm(f))
+        rhs = noisy.sigma_b * rhs_draw(seed, m)
+    elif noisy.model is NoiseModel.PARTIAL_CONSISTENT:
+        # A M for a square M, so range(A) holds every column; q = ||pinv(A)|| ||dA|| is sigma_a
+        recipe = noisy.base.factors.u @ (noisy.base.factors.u.T @ noisy.matrix_noise())
+        scale = np.linalg.norm(a)
+        assert spectral_norm(noisy.matrix_noise()) / noisy.base.factors.sigma[-1] == pytest.approx(s, rel=1e-9)
     else:
-        recipe = noisy.e
-    left = 1.0 + s * np.linalg.norm(noisy.e)
-    right = 1.0 + s * np.linalg.norm(noisy.f) if noisy.model is NoiseModel.MULTIPLICATIVE else 1.0
-    assert np.linalg.norm(noisy.matrix_noise() - recipe) <= 1e-12 * left * np.linalg.norm(a) * right
-    rhs = noisy.sigma_b * noisy.eps
+        sigma, u, v = noisy.base.factors.sigma, noisy.base.factors.u, noisy.base.factors.v
+        recipe, scale = (sigma[-2] - sigma[-1]) * np.outer(u[:, -1], v[:, -1]), np.linalg.norm(a)
+    assert np.linalg.norm(noisy.matrix_noise() - recipe) <= 1e-12 * scale
     assert np.linalg.norm(noisy.rhs_noise() - rhs) <= 1e-12 * (np.linalg.norm(noisy.base.b) + np.linalg.norm(rhs))
-    if noisy.sigma_a == 0.0:
+    if noisy.model in (NoiseModel.ADDITIVE, NoiseModel.MULTIPLICATIVE) and s == 0.0:
         assert not np.any(noisy.matrix_noise())
     if noisy.sigma_b == 0.0:
         assert not np.any(noisy.rhs_noise())
+    # a non-multiplicative system keeps no noise array
+    assert (noisy.eps is None) == (noisy.model is not NoiseModel.MULTIPLICATIVE)
