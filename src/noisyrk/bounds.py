@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import HypothesisError
 from .linalg import _identity_plus, _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
-from .problems import NoiseModel, NoisyAnalysis, NoisySystem
+from .kaczmarz import _start_stack
+from .problems import NoiseModel, NoisySystem
 
 __all__ = [
     "BoundKind",
@@ -109,25 +110,9 @@ class HorizonComparison:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
-def _starts(x0s, n: int) -> np.ndarray:
-    """``x0s`` as a finite (trials, n) stack, checked as ``solve`` checks its starts."""
-    starts = np.asarray(x0s, dtype=float)
-    if starts.ndim != 2 or starts.shape[0] == 0 or starts.shape[1] != n:
-        raise ValueError(f"x0s has shape {starts.shape}; a stack of starts needs (trials, {n})")
-    if not np.isfinite(starts).all():
-        raise ValueError("x0s contains non-finite entries")
-    return starts
-
-
-def _tilde(noisy: NoisySystem) -> NoisyAnalysis:
-    """``noisy.analysis``, once a numerically zero ``At`` has failed the hypothesis of every bound."""
-    tilde = noisy.analysis
-    if tilde.sigma.size == 0:
-        raise HypothesisError("iteration matrix is numerically zero")
-    return tilde
+    """``||v||``: inf, with no warning, when its square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(v))
 
 
 def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurve:
@@ -136,15 +121,14 @@ def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurv
     ``horizon`` gains the part of ``x0 - target`` that no RK step moves (see the module docstring), recorded
     as ``null_space_error`` when ``rank(At) < n``.  A non-finite initial error or horizon is out of scale.
     """
-    starts = _starts(x0s, target.size)
+    starts = _start_stack(x0s, target.size)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named right below
         initial = float(np.mean([float(d @ d) if squared else _norm(d) for d in (x - target for x in starts)]))
     if not math.isfinite(initial):
         raise HypothesisError(f"the trial-mean initial error is not finite ({initial}): the system is out of scale")
-    tilde = _tilde(noisy)
-    r = scaled_condition_number(tilde)
+    r = scaled_condition_number(noisy.analysis)
     scalars = {"scaled_condition_number_tilde": r, **scalars}
-    v = tilde.row_basis
+    v = noisy.analysis.row_basis
     if v is not None:
         d = starts - target
         null = d - (d @ v) @ v.T
@@ -164,7 +148,7 @@ def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurv
 
 def _q(noisy: NoisySystem) -> float:
     """``||pinv(A)|| ||dA||``, once rank preservation, ``q < 1`` and Weyl are checked."""
-    sigma, sigma_tilde = noisy.base.factors.sigma, _tilde(noisy).sigma
+    sigma, sigma_tilde = noisy.base.factors.sigma, noisy.analysis.sigma
     if sigma_tilde.size != sigma.size:
         raise HypothesisError(
             f"rank preservation failed: rank(A) = {sigma.size}, "
@@ -212,10 +196,13 @@ def _factor_size(eff: np.ndarray, i_plus: np.ndarray) -> float:
 
 
 def _require_consistent(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) -> None:
-    b_norm = _norm(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is named below
+        b_norm, residual = _norm(b), _norm(a @ x - b)
+    if not (math.isfinite(b_norm) and math.isfinite(residual)):
+        raise HypothesisError(f"a norm that consistency of {what} reads is not finite: the system is out of scale")
     if b_norm == 0.0:
         raise HypothesisError(f"consistency of {what} is undefined: its right-hand side is zero")
-    rel = _norm(a @ x - b) / b_norm
+    rel = residual / b_norm
     if rel > _CONSISTENCY_RTOL:
         raise HypothesisError(
             f"consistency of {what} failed: relative residual {rel:.3e} exceeds {_CONSISTENCY_RTOL:g}"
@@ -228,7 +215,7 @@ def _additive(noisy: NoisySystem):
     The horizon is ``(||E x_ls - eps|| / sigma_min(At))^2``, squared last so
     no ``sigma_min^2`` underflows: 0 with no noise, Needell's (BIT 2010) with a clean matrix.
     """
-    sigma_min = float(_tilde(noisy).sigma[-1])
+    sigma_min = float(noisy.analysis.sigma[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite horizon is named by _curve
         mismatch = _norm(noisy.matrix_noise() @ noisy.base.x_ls - noisy.rhs_noise())
         horizon = float(np.float64(mismatch / sigma_min) ** 2)  # Python's ** would raise OverflowError
@@ -405,9 +392,9 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     if tau0 < 0.0:
         raise ValueError("horizon must be nonnegative")
     if tau <= tau0:
-        raise ValueError("tolerance below horizon, unreachable")
+        raise ValueError(f"tau = {tau:g} is at or below the horizon {tau0:g}: the tolerance is unreachable")
     if initial_sq_error <= 0.0:
-        raise ValueError("initial squared error must be positive")
+        raise ValueError(f"initial_sq_error must be positive, got {initial_sq_error:g}")
     target = tau - tau0
     if initial_sq_error <= target:
         return 0

@@ -114,6 +114,8 @@ class ExperimentConfig:
             grid = _noise_grid(self.noise_grid)
             if not grid:
                 raise ValueError("noise grid must be nonempty")
+            for sigma_a, sigma_b in grid:  # a point the model does not take fails here, before anything runs
+                self.noise.check(sigma_a, sigma_b, f"grid point [{sigma_a:g}, {sigma_b:g}]")
             object.__setattr__(self, "noise_grid", grid)
 
     def to_dict(self) -> dict:
@@ -220,27 +222,17 @@ class PreconditionerDemo:
 def build_noisy(noise: NoiseSpec, sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int) -> NoisySystem:
     """The noisy system of one magnitude pair under ``noise``: the only noise-model dispatch.
 
-    For ``partial_consistent`` ``sigma_a`` is q = ||pinv(A)|| ||dA||; ``sigma_b`` must be 0.
-    A pair whose ``b_tilde`` or sum of squared row norms overflows is a ``HypothesisError`` naming it.
+    A pair the model does not take is a ``ValueError``; one that overflows fails :class:`NoisySystem`'s admission.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
+    noise.check(sigma_a, sigma_b, "noise")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the system's admission
         if noise.model is NoiseModel.ADDITIVE:
-            noisy = additive_noise(sys, sigma_a, sigma_b, seed)
-        elif noise.model is NoiseModel.MULTIPLICATIVE:
-            noisy = multiplicative_noise(sys, sigma_a, sigma_b, use_e=noise.use_e, use_f=noise.use_f, seed=seed)
-        elif sigma_b != 0.0:
-            raise ValueError(f"the {noise.model.value} model takes no sigma_b")
-        elif noise.model is NoiseModel.PARTIAL_CONSISTENT:
-            noisy = partial_consistent_noise(sys, sigma_a, seed)
-        elif sigma_a != 0.0:
-            raise ValueError("the preconditioner model takes no sigma_a")
-        else:
-            noisy = preconditioner_noise(sys)
-        total = np.vdot(noisy.a_tilde, noisy.a_tilde)  # one dot: no m x n temporary, no iterator buffer
-    if not (np.isfinite(total) and np.isfinite(noisy.b_tilde).all()):
-        raise HypothesisError(f"the sum of squared row norms or the right-hand side at (sigma_a, sigma_b) = "
-                              f"({sigma_a:g}, {sigma_b:g}) is not finite: the noisy system is out of scale")
-    return noisy
+            return additive_noise(sys, sigma_a, sigma_b, seed)
+        if noise.model is NoiseModel.MULTIPLICATIVE:
+            return multiplicative_noise(sys, sigma_a, sigma_b, use_e=noise.use_e, use_f=noise.use_f, seed=seed)
+        if noise.model is NoiseModel.PARTIAL_CONSISTENT:
+            return partial_consistent_noise(sys, sigma_a, seed)
+        return preconditioner_noise(sys)
 
 
 def _tag(sigma_a: float, sigma_b: float) -> str:
@@ -373,7 +365,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     standard ten-point grid when the config does not override it.
     """
     if cfg.noise.model is not NoiseModel.ADDITIVE:
-        raise ValueError("the sweep is defined for the additive noise model")
+        raise ValueError("noise: bad value for 'model': the sweep is defined for the additive noise model")
     grid = cfg.noise_grid if cfg.noise_grid is not None else TABLE2_GRID
     outcomes = _map_grid(_run_table2_point, cfg, grid, threads)
     rows = [row for row, _ in outcomes]

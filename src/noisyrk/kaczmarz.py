@@ -140,6 +140,17 @@ def _rk_solve(a, b, sampler, rngs, ks, steps, x_ls, x, err) -> None:
     _kernel().rk_solve(trials, n, a, b, sampler.weights, *sampler.table, bitgens, ks.size, ks, x_ls, x, err)
 
 
+def _start_stack(x0s, n: int, trials: int | None = None) -> np.ndarray:
+    """A C-ordered float copy of ``x0s``, once it is a finite stack of ``trials`` (default: any >= 1) starts in R^n."""
+    starts = np.array(x0s, dtype=float, order="C")
+    count = starts.shape[0] if trials is None and starts.ndim == 2 else trials
+    if starts.shape != (count, n) or count == 0:
+        raise ValueError(f"x0s has shape {starts.shape}; one start per trial needs ({trials or 'trials'}, {n})")
+    if not np.isfinite(starts).all():
+        raise ValueError("x0s contains non-finite entries")
+    return starts
+
+
 def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     """One projection onto the hyperplane row . x = rhs.
 
@@ -238,11 +249,7 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
     x_ls = np.ascontiguousarray(noisy.base.x_ls, dtype=float)
     ks = record_points(cfg.max_iterations, cfg.record_stride)
     # a copy: the kernel advances it in place
-    x = np.array(initial_iterates(a, cfg) if x0 is None else x0, dtype=float, order="C")
-    if x.shape != (cfg.trials, a.shape[1]):
-        raise ValueError(f"x0 has shape {x.shape}; one start per trial needs {(cfg.trials, a.shape[1])}")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 contains non-finite entries")
+    x = _start_stack(initial_iterates(a, cfg) if x0 is None else x0, a.shape[1], cfg.trials)
     rngs = [seeding.stream(cfg.seed, seeding.SAMPLER, trial) for trial in range(cfg.trials)]
     per_trial = np.empty((cfg.trials, ks.size))
     d = x - x_ls

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 100
+_MIN_GAP = 1e-6  # the least gap between random_distinct singular values, relative to sigma_max
 _REQUIRED = object()
 
 
@@ -158,6 +159,11 @@ class SpectrumSpec:
             raise ValueError("need 0 < sigma_min <= sigma_max")
         if self.spacing is Spacing.FLAT_TOP and (self.r < 2 or self.sigma_min >= self.sigma_max):
             raise ValueError("flat_top spacing needs r >= 2 and sigma_min < sigma_max")
+        if self.spacing is Spacing.EVEN and self.r > 1 and self.sigma_min == self.sigma_max:
+            raise ValueError("even spacing with r > 1 needs distinct endpoints, sigma_min < sigma_max")
+        if self.spacing is Spacing.RANDOM_DISTINCT and self.r > 1 \
+                and (self.sigma_max - self.sigma_min) < _MIN_GAP * self.sigma_max * (self.r - 1):
+            raise ValueError("interval sigma_max - sigma_min too narrow for r distinct singular values")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -192,6 +198,20 @@ class NoiseSpec:
 
     def to_dict(self) -> dict:
         return {"model": self.model.value, "use_e": self.use_e, "use_f": self.use_f}
+
+    def check(self, sigma_a: float, sigma_b: float, where: str) -> None:
+        """A ``ValueError`` naming ``where`` and the first magnitude this model does not take at its value."""
+        if self.model is NoiseModel.PARTIAL_CONSISTENT and not 0 < sigma_a < 1:
+            key, why = "sigma_a", f"q = ||pinv(A)|| ||dA|| must lie strictly between 0 and 1, got {sigma_a:g}"
+        elif self.model is NoiseModel.PRECONDITIONER and sigma_a != 0:
+            key, why = "sigma_a", "the preconditioner model takes no sigma_a"
+        elif self.model in (NoiseModel.PARTIAL_CONSISTENT, NoiseModel.PRECONDITIONER) and sigma_b != 0:
+            key, why = "sigma_b", f"the {self.model.value} model takes no sigma_b"
+        elif sigma_a < 0 or sigma_b < 0:
+            key, why = "sigma_a" if sigma_a < 0 else "sigma_b", "noise magnitudes must be nonnegative"
+        else:
+            return
+        raise ValueError(f"{where}: bad value for '{key}': {why}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
@@ -245,6 +265,8 @@ class NoisySystem:
     The perturbation is ``a_tilde - a`` and ``b_tilde - b``, whatever model built it.  ``sigma_a``/``sigma_b``
     are the model's own magnitudes: q and 0 for ``partial_consistent``, 0 and 0 for ``preconditioner``.
     Only a multiplicative system keeps its unit draws ``e``, ``f`` and ``eps``; a switched-off factor is None.
+    Built, loaded or copied, a system is admitted only if RK can sample it (row i with probability
+    ``||a_i||^2 / ||At||_F^2``): ``||At||_F^2`` positive and finite and ``b_tilde`` finite, or a ``HypothesisError``.
     """
 
     base: LinearSystem
@@ -256,6 +278,13 @@ class NoisySystem:
     e: np.ndarray | None = None
     f: np.ndarray | None = None
     eps: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
+            total = np.vdot(self.a_tilde, self.a_tilde)  # one dot: no m x n temporary, no iterator buffer
+        if not (0.0 < total < np.inf and np.isfinite(self.b_tilde).all()):
+            raise HypothesisError(f"at (sigma_a, sigma_b) = ({self.sigma_a:g}, {self.sigma_b:g}) the sum of squared "
+                                  f"row norms is {total:g} or bt is not finite: the noisy system is out of scale")
 
     def matrix_noise(self) -> np.ndarray:
         """``a_tilde - a``, formed at each call and not kept; exactly 0 at zero noise."""
@@ -294,21 +323,16 @@ class NoisySystem:
 def _spectrum_values(spec: SpectrumSpec, seed: int) -> np.ndarray:
     """Nonincreasing singular values per the spacing rule."""
     if spec.spacing is Spacing.EVEN:
-        if spec.r > 1 and spec.sigma_min == spec.sigma_max:
-            raise ValueError("even spacing with r > 1 needs distinct endpoints")
         return np.linspace(spec.sigma_max, spec.sigma_min, spec.r)
     if spec.spacing is Spacing.FLAT_TOP:
         values = np.full(spec.r, spec.sigma_max)
         values[-1] = spec.sigma_min
         return values
     # random distinct: sorted uniforms, minimum pairwise gap enforced by redraw
-    min_gap = 1e-6 * spec.sigma_max
-    if spec.r > 1 and (spec.sigma_max - spec.sigma_min) < min_gap * (spec.r - 1):
-        raise ValueError("interval too narrow for r distinct singular values")
     for attempt in range(_MAX_REDRAWS):
         rng = seeding.stream(seed, seeding.SPECTRUM, attempt)
         values = np.sort(rng.uniform(spec.sigma_min, spec.sigma_max, spec.r))[::-1]
-        if spec.r == 1 or np.min(-np.diff(values)) >= min_gap:
+        if spec.r == 1 or np.min(-np.diff(values)) >= _MIN_GAP * spec.sigma_max:
             return values
     raise HypothesisError("could not draw distinct singular values after 100 attempts")
 
@@ -347,8 +371,7 @@ def additive_noise(sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int)
     the same seed yields the same unit draws for every magnitude pair.
     A zero magnitude draws nothing and reproduces the base piece bit-exactly.
     """
-    if sigma_a < 0 or sigma_b < 0:
-        raise ValueError("noise magnitudes must be nonnegative")
+    NoiseSpec().check(sigma_a, sigma_b, "additive noise")
     m, n = sys.a.shape
     a_tilde = sigma_a * _unit_draw(seed, (seeding.MATRIX_NOISE,), (m, n)) if sigma_a else sys.a.copy()
     if sigma_a:
@@ -375,8 +398,7 @@ def multiplicative_noise(
     be singular: the squared bounds do not need invertible factors, and
     ``multiplicative_perturbation``, which does, checks them.
     """
-    if sigma_a < 0 or sigma_b < 0:
-        raise ValueError("noise magnitudes must be nonnegative")
+    NoiseSpec(NoiseModel.MULTIPLICATIVE).check(sigma_a, sigma_b, "multiplicative noise")
     m, n = sys.a.shape
     # the trailing 0 of each stream key is part of the reproducibility contract
     e = _unit_draw(seed, (seeding.MATRIX_NOISE, 0), (m, m)) if use_e else None
@@ -400,8 +422,7 @@ def partial_consistent_noise(sys: LinearSystem, q: float, seed: int) -> NoisySys
     a_tilde = a (I + M) with I + M nonsingular, the rank and the range
     of the matrix are unchanged and b stays in range(a_tilde).
     """
-    if not 0 < q < 1:
-        raise ValueError(f"q = ||pinv(A)|| ||dA|| must lie strictly between 0 and 1, got {q:g}")
+    NoiseSpec(NoiseModel.PARTIAL_CONSISTENT).check(q, 0.0, "partial_consistent noise")
     n = sys.a.shape[1]
     pinv_norm = 1.0 / sigma_min_nonzero(sys.factors)
     for attempt in range(_MAX_REDRAWS):

@@ -347,9 +347,12 @@ def mutate(system, mutation, args):
 @given(case=directory_mutations())
 @example(case=("additive", "scale", ("atilde.mat", 0.0), "additive"))  # a saved zero At once exited 0
 @example(case=("multiplicative", "scale", ("A.mat", 0.0), "multiplicative_perturbation"))  # once an IndexError
+@example(case=("multiplicative", "scale", ("btilde.vec", 1e300), "multiplicative_perturbation"))  # ||bt|| overflowed
+@example(case=("additive", "scale", ("atilde.mat", 0.0), "solve"))  # once a config error naming no file
 def test_a_mutated_directory_ends_in_its_exit_code(generated_systems, case):
     # solve and every bound kind on a gen directory with one change: exit 0 with finite numbers, or
-    # 1 or 2, never a traceback or a numpy warning; on exit 2 one line and no bound file
+    # 1 naming a file of the directory, or 2, never a traceback or a numpy warning; on exit 2 one line
+    # and no bound file
     model, mutation, args, command = case
     with tempfile.TemporaryDirectory() as tmp:
         system, out = Path(tmp) / "system", Path(tmp) / "out"
@@ -369,15 +372,143 @@ def test_a_mutated_directory_ends_in_its_exit_code(generated_systems, case):
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert written or code != 0
     assert all(np.isfinite(values).all() for values in written)
+    if code == 1:
+        assert f"{system}{os.sep}" in err
     if code == 2:
         assert err.startswith("hypothesis failed:") and err.count("\n") == 1
         assert not out.exists() or not list(out.glob("bound_*"))
 
 
+_DROP = object()
+# one value of each JSON type; a swap puts in one whose type differs from the value it replaces
+_SWAPS = ["7", True, None, [7], {}, 7, 7.5]
+# (subcommand, block, its replacement, the block and keys an exit-1 message names)
+_OUT_OF_RANGE = [
+    (subcommand, "spectrum", {**SPECTRUM, **values}, ("spectrum", (key,)))
+    for subcommand in ("gen", "precondition", "table2", "figure")
+    for values, key in [({"sigma_min": 5.0}, "sigma_min"), ({"r": 16}, "r"),
+                        ({"sigma_min": 2.0, "sigma_max": 2.0}, "sigma_min"),
+                        ({"spacing": "random_distinct", "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7}, "sigma_max")]
+]
+_MODELS = ["additive", "multiplicative", "partial_consistent", "preconditioner"]
+# dropped, or the grid made null, these run their defaults: 10000 iterations, 10 trials, table2's ten points
+_OVER_BUDGET = {("rk",), ("rk", "max_iterations"), ("rk", "trials"), ("grid",)}
+
+
+def _paths(data, prefix=()):
+    """The key path of every value in ``data``, nested objects included."""
+    for key, value in data.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+def _with(data, path, value):
+    """A copy of ``data`` with the value at ``path`` replaced by ``value``, or dropped for ``_DROP``."""
+    data = dict(data)
+    if len(path) > 1:
+        data[path[0]] = _with(data[path[0]], path[1:], value)
+    elif value is _DROP:
+        del data[path[0]]
+    else:
+        data[path[0]] = value
+    return data
+
+
+@st.composite
+def config_mutations(draw):
+    """(subcommand, config, the block and keys an exit-1 message names): a valid config with one change."""
+    subcommand = draw(st.sampled_from(sorted(CONFIGS)))
+    data = config_for(subcommand, "system")
+    kind = draw(st.sampled_from(["drop", "swap", "range"]))
+    if kind in ("drop", "swap"):
+        path = draw(st.sampled_from([p for p in _paths(data) if kind == "swap" or p not in _OVER_BUDGET]))
+        old = data
+        for key in path:
+            old = old[key]
+        swaps = [v for v in _SWAPS if type(v) is not type(old) and not (v is None and path in _OVER_BUDGET)]
+        value = _DROP if kind == "drop" else draw(st.sampled_from(swaps))
+        return subcommand, _with(data, path, value), (path[-2] if len(path) > 1 else "config", (path[-1],))
+    # out of range: a spectrum rule, or magnitudes up to 1e300, q >= 1 among them, under any model
+    magnitude = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e300]), st.floats(0.0, 1e300))
+    cases = [case for case in _OUT_OF_RANGE if case[0] == subcommand]
+    pair = [draw(magnitude), draw(magnitude)]
+    model = draw(st.sampled_from(_MODELS))
+    if subcommand == "gen":
+        cases.append(("gen", "noise", {"model": model, "sigma_a": pair[0], "sigma_b": pair[1]},
+                      ("noise", ("sigma_a", "sigma_b"))))
+    elif subcommand in ("figure", "table2"):  # table2 takes only the additive model
+        cases.append((subcommand, "grid", [pair], ("grid", ("sigma_a", "sigma_b"))))
+    elif subcommand == "precondition":  # a tolerance at or below the horizon is unreachable
+        cases.append(("precondition", "tau", pair[0], ("config", ("tau",))))
+        cases.append(("precondition", "initial_sq_error", pair[1] - 1.0, ("config", ("initial_sq_error",))))
+    if not cases:  # solve and bounds read no spectrum and no magnitude
+        return subcommand, data, None
+    _, block, value, names = draw(st.sampled_from(cases))
+    if subcommand == "figure" and block == "grid":
+        data = {**data, "noise": {"model": model}}
+    return subcommand, {**data, block: value}, names
+
+
+def _finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=config_mutations())
+# each once a config error naming neither the block nor the key, the spectrum rules from inside a run
+@example(case=("gen", config_for("gen", None, spectrum={**SPECTRUM, "sigma_min": 2.0, "sigma_max": 2.0}),
+               ("spectrum", ("sigma_min",))))
+@example(case=("table2", config_for("table2", None, spectrum={
+    **SPECTRUM, "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7, "spacing": "random_distinct"}), ("spectrum", ("sigma_max",))))
+@example(case=("figure", config_for("figure", None, noise={"model": "partial_consistent"}),  # q = 0 at [0, 0]
+               ("grid", ("sigma_a",))))
+@example(case=("gen", config_for("gen", None, noise={"model": "preconditioner", "sigma_b": 1e-300}),
+               ("noise", ("sigma_b",))))
+@example(case=("precondition", config_for("precondition", None, tau=1e-300), ("config", ("tau",))))
+@example(case=("precondition", config_for("precondition", None, initial_sq_error=0.0),
+               ("config", ("initial_sq_error",))))
+def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
+    # each subcommand's valid config with one change: exit 0 with finite numbers, 1 naming the block and
+    # the key, or 2 with one line; never a traceback or a numpy warning
+    subcommand, data, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if data.get("system_dir") == "system":
+            data = {**data, "system_dir": str(generated_systems["additive"])}
+        cfg = write_config(Path(tmp) / "cfg.json", data)
+        threads = ["--threads", "1"] if subcommand in ("table2", "figure") else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", cfg, "--out", str(out), *threads])
+        err = err.getvalue()
+        written = []
+        if code == 0:
+            for file in sorted(out.rglob("*.*")):
+                if file.suffix == ".json":
+                    written.append(_finite(json.loads(file.read_text(), parse_constant=float)))
+                else:
+                    values = np.loadtxt(file, delimiter="," if file.suffix == ".csv" else None, skiprows=1)
+                    written.append(bool(np.isfinite(values).all()))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert all(written) and (written or code != 0)
+    if code == 1:
+        block, keys = names
+        assert err.startswith("config error:") and block in err and any(key in err for key in keys), err
+    if code == 2:
+        assert err.startswith("hypothesis failed:") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "subcommand, change, code",
-    [("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-200, "sigma_max": 1e-199}}, 1),  # sigma_min^2 underflows
-     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-170, "sigma_max": 4e-170}}, 1),
+    # every squared entry underflows, so the sum of squared row norms is 0
+    [("table2", {"spectrum": {**SPECTRUM, "sigma_min": 1e-200, "sigma_max": 1e-199}}, 2),
+     ("figure", {"spectrum": {**SPECTRUM, "sigma_min": 1e-170, "sigma_max": 4e-170}}, 2),
      # the sum of squared row norms of the noisy matrix overflows, whatever the start mode
      ("table2", {"grid": [[1e300, 0.0]]}, 2),
      ("table2", {"grid": [[1e300, 0.0]], "rk": {**RK, "x0_mode": "zero"}}, 2),
@@ -397,6 +528,42 @@ def test_extreme_scales_end_in_a_named_error(tmp_path, capsys, recwarn, subcomma
     if code == 2:
         assert err.rstrip().endswith("out of scale")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def assert_out_of_scale(err, recwarn):
+    """``err`` is one ``hypothesis failed:`` line ending ``out of scale``, and no numpy warning was raised."""
+    assert err.startswith("hypothesis failed:") and err.count("\n") == 1
+    assert err.rstrip().endswith("out of scale")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("factor", [0.0, 1e-300, 1e300])
+@pytest.mark.parametrize("command", ["solve", "additive", "multiplicative_perturbation"])
+@pytest.mark.parametrize("model", ["additive", "multiplicative"])
+def test_a_loaded_system_out_of_scale_fails_as_a_built_one(generated_systems, tmp_path, capsys, recwarn, model,
+                                                           command, factor):
+    # the admission of every noisy system: a loaded At whose squared row norms sum to 0 or overflow fails
+    # the same hypothesis, in the same words, as one built at such magnitudes
+    system = tmp_path / "system"
+    shutil.copytree(generated_systems[model], system)
+    mutate(system, "scale", ("atilde.mat", factor))
+    subcommand = "solve" if command == "solve" else "bounds"
+    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, system, **(
+        {"bounds": [command]} if subcommand == "bounds" else {})))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert_out_of_scale(capsys.readouterr().err, recwarn)
+
+
+def test_a_right_hand_side_whose_norm_overflows_is_out_of_scale(tmp_path, capsys, recwarn):
+    # gen admits bt near 1e301, whose norm overflows: the bound names it, where a warning once came first
+    noise = {"model": "multiplicative", "sigma_a": 0.05, "sigma_b": 1e300}
+    gen = write_config(tmp_path / "gen.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
+    system = tmp_path / "system"
+    assert main(["gen", "--config", gen, "--out", str(system)]) == 0
+    cfg = write_config(tmp_path / "bounds.json",
+                       config_for("bounds", system, bounds=["multiplicative_perturbation"]))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert_out_of_scale(capsys.readouterr().err, recwarn)
 
 
 def fresh_python(code: str) -> str:

@@ -2,6 +2,8 @@
 
 Demo 04 (the noise sweep) is left out: it is the slowest by far, and it
 drives the ``table2`` path that the CLI and experiment tests already cover.
+Each runs with ``-W error::RuntimeWarning``, the suite's own warning policy,
+so a numpy overflow warning fails it there too.
 """
 
 import os
@@ -25,7 +27,7 @@ def run_python(args, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
 
 

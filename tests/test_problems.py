@@ -83,9 +83,8 @@ class TestGenerateSystem:
         assert rel <= 1e-9 * np.linalg.norm(small_system.b)
 
     def test_equal_endpoints_distinctness_error(self):
-        spec = SpectrumSpec(m=3, n=3, r=3, sigma_min=1.0, sigma_max=1.0)
         with pytest.raises(ValueError, match="distinct"):
-            generate_system(spec, seed=0)
+            SpectrumSpec(m=3, n=3, r=3, sigma_min=1.0, sigma_max=1.0)
 
     def test_deterministic(self):
         spec = SpectrumSpec(m=10, n=6, r=6, sigma_min=1.0, sigma_max=2.0)
