@@ -8,8 +8,12 @@ dataset over a grid), ``precondition`` (gap-fill speedup demo).
 Configs are JSON (see the README for the schema per subcommand).
 ``--seed`` overrides every seed in the config, so it fully determines
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
-Exit codes: 0 success, 1 configuration error or failed kernel build, 2
-failed numerical hypothesis (the failing condition is printed).
+This module names every output file but a system directory's, which
+``save_system`` lays out: each command computes first and writes its
+files and ``meta.json`` only once that has succeeded, so a failed run
+leaves no partial dataset.  Exit codes: 0 success, 1 configuration error
+or failed kernel build, 2 failed numerical hypothesis (the failing
+condition is printed).
 
 numpy's BLAS runs on one thread, so the bytes do not depend on the host.
 A fresh process that imports this module before numpy sets
@@ -35,22 +39,26 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
+from ._version import __version__
 from .bounds import BoundKind, evaluate_bound, write_bound_csv
 from .errors import HypothesisError, KernelBuildError
 from .experiments import (
     _EXPERIMENT_KEYS,
     ExperimentConfig,
     _rk_from,
+    _tag,
     apply_paper_scale,
     build_noisy,
     run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
     write_band_csv,
+    write_table2_csv,
 )
 from .kaczmarz import initial_iterates, record_points, solve, write_trajectory_csv
+from .linalg import _write_json
 from .problems import (
-    _NOISE_KEYS, _REQUIRED, _exact, _list_of, _number, _or_none, _read,  # the config reader
+    _NOISE_KEYS, _REQUIRED, _at_least, _exact, _list_of, _number, _or_none, _read,  # the config reader
     NoiseSpec,
     SpectrumSpec,
     generate_system,
@@ -71,11 +79,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _threads(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _integer(low: int):
+    """The argparse type of an integer flag of at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> _Parser:
@@ -91,11 +102,11 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override every seed")
+        p.add_argument("--seed", type=_integer(0), default=None, help="override every seed")
         p.add_argument("--out", default=None, help="output directory")
         if name in ("table2", "figure"):
             p.add_argument("--scale", choices=("desk", "paper"), default="desk", help="'paper': full-size run")
-            p.add_argument("--threads", type=_threads, default=os.cpu_count(), help="pool size over grid points")
+            p.add_argument("--threads", type=_integer(1), default=os.cpu_count(), help="pool size over grid points")
     return parser
 
 
@@ -108,7 +119,7 @@ def _config(args, schema: dict) -> dict:
     with open(args.config) as fh:
         cfg = _read(json.load(fh), "config", {**schema, "output_dir": (_or_none(os.fspath), None)})
     cfg["output_dir"] = args.out or cfg["output_dir"]
-    if cfg["output_dir"] is None:
+    if not cfg["output_dir"]:
         raise ValueError("an output directory is required (--out or output_dir)")
     if "rk" in cfg:
         cfg["rk"] = _rk_from(cfg["rk"], cfg.get("master_seed", 0))
@@ -119,9 +130,22 @@ def _config(args, schema: dict) -> dict:
     return cfg
 
 
+def _out(cfg: dict) -> Path:
+    """The command's output directory, made just before its first write."""
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_meta(out: Path, cfg: dict, config: dict, **extra) -> None:
+    """An experiment's ``meta.json``: ``config``, which the command reads back, with the output directory."""
+    meta = {"config": {**config, "output_dir": cfg["output_dir"]}, "library_version": __version__, **extra}
+    _write_json(out / "meta.json", meta)
+
+
 def _cmd_gen(args) -> int:
     cfg = _config(args, {
-        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (_exact(dict), {}), "seed": (_exact(int), 0),
+        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (_exact(dict), {}), "seed": (_at_least(0), 0),
     })
     # gen's noise block carries the magnitudes that a grid point supplies elsewhere
     noise = _read(cfg["noise"], "noise", {**_NOISE_KEYS, "sigma_a": (_number, 0.0), "sigma_b": (_number, 0.0)})
@@ -134,8 +158,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _config(args, {"system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {})})
     traj = solve(load_system(cfg["system_dir"]), cfg["rk"])  # every key is read before the system is loaded
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(cfg)
     write_trajectory_csv(out / "traj.csv", traj)
     write_band_csv(out / "band.csv", traj)
     return 0
@@ -149,45 +172,66 @@ def _cmd_bounds(args) -> int:
     ks = record_points(rk.max_iterations, rk.record_stride)
     # the starts solve uses by default: the curves carry the trial-mean initial error
     x0s = initial_iterates(noisy.a_tilde, rk)
-    # every kind is evaluated before any file is written: a failing kind leaves no output
     curves = [evaluate_bound(kind, noisy, x0s, ks) for kind in cfg["bounds"]]
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(cfg)
     for curve in curves:
         write_bound_csv(out / f"bound_{curve.kind.value}.csv", curve)
     return 0
 
 
-def _experiment_config(args, schema: dict) -> ExperimentConfig:
-    exp = ExperimentConfig._from_fields(_config(args, schema))
-    return apply_paper_scale(exp) if args.scale == "paper" else exp
+def _experiment(args, schema: dict) -> tuple:
+    """The command's config and its ``ExperimentConfig`` at the ``--scale`` asked for."""
+    cfg = _config(args, schema)
+    exp = ExperimentConfig._from_fields(cfg)
+    return cfg, apply_paper_scale(exp) if args.scale == "paper" else exp
 
 
 def _cmd_table2(args) -> int:
     # the sweep evaluates no bound curves, so a bounds list is an unknown key
-    schema = {k: v for k, v in _EXPERIMENT_KEYS.items() if k != "bounds"}
-    run_table2(_experiment_config(args, schema), threads=args.threads)
+    cfg, exp = _experiment(args, {k: v for k, v in _EXPERIMENT_KEYS.items() if k != "bounds"})
+    rows = run_table2(exp, threads=args.threads)
+    out = _out(cfg)
+    write_table2_csv(out / "table2.csv", rows)
+    config = {k: v for k, v in exp.to_dict().items() if k != "bounds"}  # so `table2` reads it back
+    _write_meta(out, cfg, config, adaptive_iterations={_tag(r.sigma_a, r.sigma_b): r.iterations for r in rows})
     return 0
 
 
 def _cmd_figure(args) -> int:
-    run_figure_experiment(_experiment_config(args, _EXPERIMENT_KEYS), threads=args.threads)
+    cfg, exp = _experiment(args, _EXPERIMENT_KEYS)
+    results = run_figure_experiment(exp, threads=args.threads).values()
+    out = _out(cfg)
+    for res in results:
+        tag = _tag(res.sigma_a, res.sigma_b)
+        write_trajectory_csv(out / f"traj_{tag}.csv", res.trajectory)
+        write_band_csv(out / f"band_{tag}.csv", res.trajectory)
+        for kind, curve in res.curves.items():
+            write_bound_csv(out / f"bound_{kind.value}_{tag}.csv", curve)
+    errors = {_tag(r.sigma_a, r.sigma_b): {k.value: v for k, v in r.bound_errors.items()}
+              for r in results if r.bound_errors}
+    _write_meta(out, cfg, exp.to_dict(), bound_errors=errors)
     return 0
 
 
 def _cmd_precondition(args) -> int:
     cfg = _config(args, {
         "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "tau": (_number, _REQUIRED), "rk": (_exact(dict), {}),
-        "master_seed": (_exact(int), 0), "initial_sq_error": (_or_none(_number), None),
+        "master_seed": (_at_least(0), 0), "initial_sq_error": (_or_none(_number), None),
     })
-    run_preconditioner_demo(
+    demo = run_preconditioner_demo(
         cfg["spectrum"],
         tau=cfg["tau"],
         rk=cfg["rk"],
         master_seed=cfg["master_seed"],
-        output_dir=Path(cfg["output_dir"]),
         initial_sq_error=cfg["initial_sq_error"],
     )
+    out = _out(cfg)
+    write_trajectory_csv(out / "traj_noiseless.csv", demo.traj_noiseless)
+    write_trajectory_csv(out / "traj_noisy.csv", demo.traj_noisy)
+    _write_json(out / "preconditioner.json", {
+        "k_noiseless": demo.k_noiseless, "k_noisy": demo.k_noisy, "r": demo.r, "r_tilde": demo.r_tilde,
+        "horizon": demo.horizon, "tau": float(cfg["tau"]), "initial_sq_error": demo.initial_sq_error,
+    })
     return 0
 
 

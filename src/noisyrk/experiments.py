@@ -1,10 +1,10 @@
-"""Seeded experiment suites emitting CSV datasets.
+"""Seeded experiment suites: each computes its records and writes no file.
 
 Three entry points:
 
 * :func:`run_figure_experiment` -- for each noise magnitude pair on a
-  grid, run the solver over trials, evaluate the requested bounds at the
-  recorded iterations, and write trajectory / bound / band files.
+  grid, run the solver over trials and evaluate the requested bounds at
+  the recorded iterations.
 * :func:`run_table2` -- the noise-magnitude sweep: condition numbers,
   theoretical horizons, and empirical horizons per grid point, with the
   iteration budget chosen adaptively so the geometric term has decayed.
@@ -15,29 +15,21 @@ Three entry points:
 One unit-variance noise draw is shared by the whole grid (scaled by the
 magnitudes per point), so trends across a grid are not confounded by
 draw variance.  Identical configs, including the master seed, produce
-byte-identical output files.  Grid points are independent and may be
-evaluated by a process pool (``threads``); outputs do not depend on the
-execution order.
+identical records.  Grid points are independent and may be evaluated by
+a process pool (``threads``); the records do not depend on the execution
+order.  The command-line front end writes the records; two of its
+formats are :func:`write_band_csv` and :func:`write_table2_csv`.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from ._version import __version__
-from .bounds import (
-    BoundKind,
-    bound_additive,
-    evaluate_bound,
-    iterations_to_tolerance,
-    write_bound_csv,
-)
+from .bounds import BoundKind, bound_additive, evaluate_bound, iterations_to_tolerance
 from .errors import HypothesisError
 from .kaczmarz import (
     RkConfig,
@@ -46,16 +38,15 @@ from .kaczmarz import (
     empirical_horizon,
     initial_iterates,
     solve,
-    write_trajectory_csv,
 )
-from .linalg import _write_json, _write_table, scaled_condition_number
+from .linalg import _write_table, scaled_condition_number
 from .problems import (
     LinearSystem,
     NoiseModel,
     NoiseSpec,
     NoisySystem,
     SpectrumSpec,
-    _REQUIRED, _exact, _list_of, _number, _or_none, _read,  # the config reader
+    _REQUIRED, _at_least, _exact, _list_of, _number, _or_none, _read,  # the config reader
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -104,7 +95,6 @@ class ExperimentConfig:
     noise: NoiseSpec = NoiseSpec()
     noise_grid: tuple | None = None
     bound_kinds: tuple = ()
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -131,21 +121,13 @@ class ExperimentConfig:
                 "x0_mode": self.rk.x0_mode.value,
             },
             "bounds": [k.value for k in self.bound_kinds],
-            "output_dir": str(self.output_dir) if self.output_dir else None,
             "master_seed": self.master_seed,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        f = _read(data, "config", _EXPERIMENT_KEYS)
-        return cls._from_fields({**f, "rk": _rk_from(f["rk"], f["master_seed"])})
-
-    @classmethod
     def _from_fields(cls, f: dict) -> "ExperimentConfig":
         """The config of the keys read through ``_EXPERIMENT_KEYS``, ``rk`` read; ``table2`` reads no ``bounds``."""
-        return cls(
-            f["spectrum"], f["rk"], f["master_seed"], f["noise"], f["grid"], f.get("bounds", ()), f["output_dir"],
-        )
+        return cls(f["spectrum"], f["rk"], f["master_seed"], f["noise"], f["grid"], f.get("bounds", ()))
 
 
 def _noise_grid(pairs) -> tuple:
@@ -162,8 +144,8 @@ def _noise_grid(pairs) -> tuple:
 def _rk_from(data: dict, default_seed: int) -> RkConfig:
     """Parse an ``rk`` config block whose seed defaults to ``default_seed``."""
     return RkConfig(**_read(data, "rk", {
-        "max_iterations": (_exact(int), 10_000), "trials": (_exact(int), 10),
-        "record_stride": (_or_none(_exact(int)), None), "seed": (_exact(int), default_seed),
+        "max_iterations": (_at_least(1), 10_000), "trials": (_at_least(1), 10),
+        "record_stride": (_or_none(_at_least(1)), None), "seed": (_at_least(0), default_seed),
         "x0_mode": (X0Mode, "range"),
     }))
 
@@ -172,7 +154,7 @@ def _rk_from(data: dict, default_seed: int) -> RkConfig:
 _EXPERIMENT_KEYS = {
     "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (NoiseSpec.from_dict, {}),
     "grid": (_or_none(_noise_grid), None), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), []),
-    "output_dir": (_or_none(os.fspath), None), "master_seed": (_exact(int), _REQUIRED),
+    "master_seed": (_at_least(0), _REQUIRED),
 }
 
 
@@ -204,6 +186,7 @@ class Table2Row:
     r_tilde: float
     theoretical_horizon: float
     empirical_horizon: float
+    iterations: int  # the adaptive budget of the point's solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +200,7 @@ class PreconditionerDemo:
     r: float
     r_tilde: float
     horizon: float
+    initial_sq_error: float  # the one the counts used: the measured trial mean or the override
 
 
 def build_noisy(noise: NoiseSpec, sys: LinearSystem, sigma_a: float, sigma_b: float, seed: int) -> NoisySystem:
@@ -253,19 +237,7 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
             curves[kind] = evaluate_bound(kind, noisy, x0s, traj.recorded_iterations)
         except HypothesisError as exc:
             errors[kind] = str(exc)
-    result = GridPointResult(sigma_a, sigma_b, traj, curves, errors)
-    if cfg.output_dir is not None:
-        _write_grid_point(Path(cfg.output_dir), result)
-    return result
-
-
-def _write_grid_point(out: Path, res: GridPointResult) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    tag = _tag(res.sigma_a, res.sigma_b)
-    write_trajectory_csv(out / f"traj_{tag}.csv", res.trajectory)
-    write_band_csv(out / f"band_{tag}.csv", res.trajectory)
-    for kind, curve in res.curves.items():
-        write_bound_csv(out / f"bound_{kind.value}_{tag}.csv", curve)
+    return GridPointResult(sigma_a, sigma_b, traj, curves, errors)
 
 
 def write_band_csv(path, traj: Trajectory) -> None:
@@ -305,22 +277,13 @@ def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
 def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Trajectories and bound curves over the configured noise grid.
 
-    Returns ``{(sigma_a, sigma_b): GridPointResult}``.  Bound kinds whose
-    hypotheses fail at a grid point are recorded in the result (and in
-    ``meta.json``) without aborting the rest of the run.
+    Returns ``{(sigma_a, sigma_b): GridPointResult}`` in grid order.  Bound
+    kinds whose hypotheses fail at a grid point are recorded in the result
+    without aborting the rest of the run.
     """
     if cfg.noise_grid is None:
         raise ValueError("figure experiments need an explicit noise grid")
-    results = _map_grid(_run_grid_point, cfg, cfg.noise_grid, threads)
-    mapping = {(r.sigma_a, r.sigma_b): r for r in results}
-    if cfg.output_dir is not None:
-        errors = {
-            _tag(r.sigma_a, r.sigma_b): {k.value: v for k, v in r.bound_errors.items()}
-            for r in results
-            if r.bound_errors
-        }
-        _write_meta(Path(cfg.output_dir), cfg.to_dict(), {"bound_errors": errors})
-    return mapping
+    return {(r.sigma_a, r.sigma_b): r for r in _map_grid(_run_grid_point, cfg, cfg.noise_grid, threads)}
 
 
 def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
@@ -330,7 +293,7 @@ def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
     return max(1, iterations_to_tolerance(r_tilde, initial_sq_error, _DECAY_TARGET))
 
 
-def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
+def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> Table2Row:
     noisy = build_noisy(cfg.noise, sys, sigma_a, sigma_b, cfg.master_seed)
     x0s = initial_iterates(noisy.a_tilde, cfg.rk)
     curve = bound_additive(noisy, x0s, [0])  # its initial error is the trial mean
@@ -350,11 +313,10 @@ def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> tuple:
             "empirical horizon %.6g exceeds the theoretical horizon %.6g at (%g, %g)",
             empirical, curve.horizon, sigma_a, sigma_b,
         )
-    row = Table2Row(
+    return Table2Row(
         sigma_a=sigma_a, sigma_b=sigma_b, kappa_a_tilde=kappa, r_tilde=float(r_tilde),
-        theoretical_horizon=float(curve.horizon), empirical_horizon=empirical,
+        theoretical_horizon=float(curve.horizon), empirical_horizon=empirical, iterations=iterations,
     )
-    return row, iterations
 
 
 def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
@@ -367,16 +329,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     if cfg.noise.model is not NoiseModel.ADDITIVE:
         raise ValueError("noise: bad value for 'model': the sweep is defined for the additive noise model")
     grid = cfg.noise_grid if cfg.noise_grid is not None else TABLE2_GRID
-    outcomes = _map_grid(_run_table2_point, cfg, grid, threads)
-    rows = [row for row, _ in outcomes]
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_table2_csv(out / "table2.csv", rows)
-        budgets = {_tag(r.sigma_a, r.sigma_b): its for (r, its) in outcomes}
-        config = {k: v for k, v in cfg.to_dict().items() if k != "bounds"}  # so `table2` reads it back
-        _write_meta(out, config, {"adaptive_iterations": budgets})
-    return rows
+    return _map_grid(_run_table2_point, cfg, grid, threads)
 
 
 def write_table2_csv(path, rows) -> None:
@@ -390,7 +343,6 @@ def run_preconditioner_demo(
     tau: float,
     rk: RkConfig,
     master_seed: int = 0,
-    output_dir: str | os.PathLike | None = None,
     initial_sq_error: float | None = None,
 ) -> PreconditionerDemo:
     """Race the original system against its gap-filled perturbation.
@@ -413,7 +365,7 @@ def run_preconditioner_demo(
     r_tilde = float(curve.scalars["scaled_condition_number_tilde"])
     if initial_sq_error is None:
         initial_sq_error = curve.initial_error
-    demo = PreconditionerDemo(
+    return PreconditionerDemo(
         k_noiseless=iterations_to_tolerance(r, initial_sq_error, tau),
         k_noisy=iterations_to_tolerance(r_tilde, initial_sq_error, tau, curve.horizon),
         traj_noiseless=traj_noiseless,
@@ -421,27 +373,5 @@ def run_preconditioner_demo(
         r=r,
         r_tilde=r_tilde,
         horizon=float(curve.horizon),
+        initial_sq_error=float(initial_sq_error),
     )
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / "traj_noiseless.csv", traj_noiseless)
-        write_trajectory_csv(out / "traj_noisy.csv", traj_noisy)
-        summary = {
-            "k_noiseless": demo.k_noiseless,
-            "k_noisy": demo.k_noisy,
-            "r": demo.r,
-            "r_tilde": demo.r_tilde,
-            "horizon": demo.horizon,
-            "tau": float(tau),
-            "initial_sq_error": float(initial_sq_error),
-        }
-        _write_json(out / "preconditioner.json", summary)
-    return demo
-
-
-def _write_meta(out: Path, config: dict, extra: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {"config": config, "library_version": __version__}
-    meta.update(extra)
-    _write_json(out / "meta.json", meta)

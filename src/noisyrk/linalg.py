@@ -17,8 +17,10 @@ prints it and read exactly as ``strtod`` reads it (a fast path for the
 values it can decide, glibc for the rest), both under the "C" numeric
 locale, so the bytes do not follow the host's locale.
 
-Everything here is a pure function of immutable inputs; results are
-safe to share across threads.
+The linear algebra here is pure functions of immutable inputs, whose
+results are safe to share across threads.  The rest is not: ``_kernel``
+builds and loads the library once per process, and the table and JSON
+functions read and write files.
 """
 
 from __future__ import annotations

@@ -107,6 +107,15 @@ def _exact(kind: type):
     return convert
 
 
+def _at_least(low: int):
+    """Converter for a JSON integer of at least ``low``: a count, or a seed at ``low`` 0."""
+    def convert(value):
+        if _exact(int)(value) < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
 def _number(value):
     """Converter for a finite JSON number, not a bool or a string; kept as written, so ``to_dict`` echoes it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):

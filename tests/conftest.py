@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from noisyrk import SpectrumSpec, generate_system, kaczmarz, problems
+from noisyrk import SpectrumSpec, cli, generate_system, kaczmarz, problems
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -86,3 +88,17 @@ def kernel_cache(monkeypatch, tmp_path):
 def make_matrix_with_rank(rng: np.random.Generator, m: int, n: int, r: int) -> np.ndarray:
     """Exact-rank-r matrix from a product of Gaussian factors."""
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+def run_command(subcommand: str, cfg, out, threads: int = 1) -> dict:
+    """Run the experiment ``cfg`` as ``noisyrk <subcommand>`` into ``out``; return its files' bytes by name.
+
+    The config goes to ``out`` with ``.json`` appended, beside the output directory.
+    """
+    data = cfg.to_dict()
+    if subcommand == "table2":
+        del data["bounds"]  # the sweep evaluates no bounds and rejects the key
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps(data))
+    assert cli.main([subcommand, "--config", str(config), "--out", str(out), "--threads", str(threads)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -26,7 +26,6 @@ from noisyrk import (
     preconditioner_noise,
     pseudoinverse,
     rk_step,
-    run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
     scaled_condition_number,
@@ -34,7 +33,7 @@ from noisyrk import (
     spectral_norm,
 )
 
-from conftest import make_matrix_with_rank
+from conftest import make_matrix_with_rank, run_command
 from oracle import expected_squared_error
 
 
@@ -244,12 +243,9 @@ class TestCriterion7Properties:
             master_seed=42,
             noise_grid=((0.0, 0.0), (0.1, 0.1)),
             bound_kinds=(BoundKind.ADDITIVE,),
-            output_dir=str(tmp_path),
         )
-        run_figure_experiment(cfg)
-        snapshot = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        run_figure_experiment(cfg)
-        again = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        snapshot = run_command("figure", cfg, tmp_path / "out")
+        again = run_command("figure", cfg, tmp_path / "out")
         report(7, snapshot == again, f"{len(snapshot)} output files byte-identical across reruns")
 
 

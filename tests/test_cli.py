@@ -391,6 +391,8 @@ _OUT_OF_RANGE = [
                         ({"spacing": "random_distinct", "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7}, "sigma_max")]
 ]
 _MODELS = ["additive", "multiplicative", "partial_consistent", "preconditioner"]
+# (key, value) of an rk block: a count below 1, a negative seed
+_RK_OUT_OF_RANGE = [("max_iterations", 0), ("trials", 0), ("record_stride", 0), ("seed", -1)]
 # dropped, or the grid made null, these run their defaults: 10000 iterations, 10 trials, table2's ten points
 _OVER_BUDGET = {("rk",), ("rk", "max_iterations"), ("rk", "trials"), ("grid",)}
 
@@ -417,10 +419,15 @@ def _with(data, path, value):
 
 @st.composite
 def config_mutations(draw):
-    """(subcommand, config, the block and keys an exit-1 message names): a valid config with one change."""
+    """(subcommand, config, the block and keys an exit-1 message names, *extra flags): one change to a valid run.
+
+    The change is to the config, or a negative ``--seed`` flag, a usage error named by the flag.
+    """
     subcommand = draw(st.sampled_from(sorted(CONFIGS)))
     data = config_for(subcommand, "system")
-    kind = draw(st.sampled_from(["drop", "swap", "range"]))
+    kind = draw(st.sampled_from(["drop", "swap", "range", "flag"]))
+    if kind == "flag":
+        return subcommand, data, ("--seed", ("must be at least 0",)), "--seed", "-1"
     if kind in ("drop", "swap"):
         path = draw(st.sampled_from([p for p in _paths(data) if kind == "swap" or p not in _OVER_BUDGET]))
         old = data
@@ -429,7 +436,8 @@ def config_mutations(draw):
         swaps = [v for v in _SWAPS if type(v) is not type(old) and not (v is None and path in _OVER_BUDGET)]
         value = _DROP if kind == "drop" else draw(st.sampled_from(swaps))
         return subcommand, _with(data, path, value), (path[-2] if len(path) > 1 else "config", (path[-1],))
-    # out of range: a spectrum rule, or magnitudes up to 1e300, q >= 1 among them, under any model
+    # out of range: a spectrum rule, an rk value or a seed, or magnitudes up to 1e300, q >= 1 among them,
+    # under any model
     magnitude = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e300]), st.floats(0.0, 1e300))
     cases = [case for case in _OUT_OF_RANGE if case[0] == subcommand]
     pair = [draw(magnitude), draw(magnitude)]
@@ -442,12 +450,45 @@ def config_mutations(draw):
     elif subcommand == "precondition":  # a tolerance at or below the horizon is unreachable
         cases.append(("precondition", "tau", pair[0], ("config", ("tau",))))
         cases.append(("precondition", "initial_sq_error", pair[1] - 1.0, ("config", ("initial_sq_error",))))
-    if not cases:  # solve and bounds read no spectrum and no magnitude
-        return subcommand, data, None
+    if subcommand == "table2" and model != "additive":  # the sweep is defined for the additive model alone
+        cases.append(("table2", "noise", {"model": model}, ("noise", ("model",))))
+    if "rk" in data:
+        cases += [(subcommand, "rk", {**RK, key: value}, ("rk", (key,))) for key, value in _RK_OUT_OF_RANGE]
+    cases += [(subcommand, key, -1, ("config", (key,))) for key in ("seed", "master_seed") if key in data]
     _, block, value, names = draw(st.sampled_from(cases))
     if subcommand == "figure" and block == "grid":
         data = {**data, "noise": {"model": model}}
+    if subcommand == "table2" and block == "noise" and model == "partial_consistent":
+        data = {**data, "grid": [[0.5, 0.0]]}  # a point the model takes, so that the model is the one fault
     return subcommand, {**data, block: value}, names
+
+
+def _expected_files(subcommand, data, meta) -> set:
+    """The names of the files ``subcommand`` writes for the config ``data`` on exit 0.
+
+    ``meta`` is the run's ``meta.json``, whose ``bound_errors`` name the kinds a figure point wrote no file for.
+    """
+    def bound_files(kinds, suffix=""):
+        return {f"bound_{kind}{suffix}{ext}" for kind in kinds for ext in (".csv", ".meta.json")}
+
+    if subcommand == "gen":
+        noise = data.get("noise", {})
+        names = {"A.mat", "b.vec", "xls.vec", "atilde.mat", "btilde.vec", "meta.json"}
+        if noise.get("model") == "multiplicative":
+            names |= {"eps.vec"} | {f"{key[-1]}.mat" for key in ("use_e", "use_f") if noise.get(key, True)}
+        return names
+    if subcommand == "bounds":
+        return bound_files(data["bounds"])
+    if subcommand == "figure":
+        names = {"meta.json"}
+        for sigma_a, sigma_b in data["grid"]:
+            tag = f"{float(sigma_a):g}_{float(sigma_b):g}"
+            failed = meta["bound_errors"].get(tag, {})
+            names |= {f"traj_{tag}.csv", f"band_{tag}.csv"}
+            names |= bound_files([kind for kind in data.get("bounds", []) if kind not in failed], f"_{tag}")
+        return names
+    return {"solve": {"traj.csv", "band.csv"}, "table2": {"table2.csv", "meta.json"},
+            "precondition": {"traj_noiseless.csv", "traj_noisy.csv", "preconditioner.json"}}[subcommand]
 
 
 def _finite(value) -> bool:
@@ -472,10 +513,18 @@ def _finite(value) -> bool:
 @example(case=("precondition", config_for("precondition", None, tau=1e-300), ("config", ("tau",))))
 @example(case=("precondition", config_for("precondition", None, initial_sq_error=0.0),
                ("config", ("initial_sq_error",))))
+# each once a config error naming no block, raised by RkConfig or, for a seed, at the first draw
+@example(case=("solve", config_for("solve", "system", rk={**RK, "max_iterations": 0}), ("rk", ("max_iterations",))))
+@example(case=("bounds", config_for("bounds", "system", rk={**RK, "trials": 0}), ("rk", ("trials",))))
+@example(case=("figure", config_for("figure", None, rk={**RK, "record_stride": 0}), ("rk", ("record_stride",))))
+@example(case=("table2", config_for("table2", None, rk={**RK, "seed": -1}), ("rk", ("seed",))))
+@example(case=("gen", config_for("gen", None, seed=-1), ("config", ("seed",))))
+@example(case=("precondition", config_for("precondition", None, master_seed=-1), ("config", ("master_seed",))))
+@example(case=("figure", config_for("figure", None), ("--seed", ("must be at least 0",)), "--seed", "-1"))
 def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
-    # each subcommand's valid config with one change: exit 0 with finite numbers, 1 naming the block and
-    # the key, or 2 with one line; never a traceback or a numpy warning
-    subcommand, data, names = case
+    # each subcommand's valid config with one change: exit 0 with finite numbers and exactly the requested
+    # files, 1 naming the block and the key, or 2 with one line; never a traceback or a numpy warning
+    subcommand, data, names, *flags = case
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         if data.get("system_dir") == "system":
@@ -484,10 +533,12 @@ def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
         threads = ["--threads", "1"] if subcommand in ("table2", "figure") else []
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([subcommand, "--config", cfg, "--out", str(out), *threads])
+            code = main([subcommand, "--config", cfg, "--out", str(out), *threads, *flags])
         err = err.getvalue()
         written = []
         if code == 0:
+            meta = json.loads((out / "meta.json").read_text()) if subcommand == "figure" else None
+            assert {p.name for p in out.iterdir()} == _expected_files(subcommand, data, meta)
             for file in sorted(out.rglob("*.*")):
                 if file.suffix == ".json":
                     written.append(_finite(json.loads(file.read_text(), parse_constant=float)))
@@ -499,7 +550,8 @@ def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
     assert all(written) and (written or code != 0)
     if code == 1:
         block, keys = names
-        assert err.startswith("config error:") and block in err and any(key in err for key in keys), err
+        assert err.startswith("usage:" if flags else "config error:"), err
+        assert block in err and any(key in err for key in keys), err
     if code == 2:
         assert err.startswith("hypothesis failed:") and err.count("\n") == 1, err
 
@@ -623,11 +675,16 @@ class TestTable2:
         assert (row["sigma_a"], row["sigma_b"], row["kappa"], row["r_tilde"]) == ("0", "0", "1", "1")
 
 
-@pytest.mark.parametrize("subcommand", ["table2", "figure"])
-def test_recorded_config_reads_back(tmp_path, subcommand):
+@pytest.mark.parametrize(
+    "subcommand, change",
+    [("table2", {}), ("figure", {}),
+     ("figure", {"noise": {"model": "multiplicative", "use_e": False}, "bounds": ["additive", "rhs_noise"]})],
+    ids=["table2", "figure", "figure-multiplicative"],
+)
+def test_recorded_config_reads_back(tmp_path, subcommand, change):
     # meta.json's config, fed back unchanged, reruns the same experiment
     grid = [[0.0, 0.0], [0.1, 0.1]]
-    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, grid=grid))
+    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, None, grid=grid, **change))
     first, again = tmp_path / "first", tmp_path / "again"
     assert main([subcommand, "--config", cfg, "--out", str(first), "--threads", "1"]) == 0
     recorded = json.loads((first / "meta.json").read_text())["config"]
@@ -640,6 +697,17 @@ def test_recorded_config_reads_back(tmp_path, subcommand):
 
 
 class TestFigure:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_failed_run_writes_nothing(self, tmp_path, capsys, threads):
+        # the second point is out of scale: the first point's files must not be left behind
+        cfg = write_config(tmp_path / "fig.json", config_for("figure", None, grid=[[0.1, 0.1], [1e300, 0.0]]))
+        out = tmp_path / "fig"
+        assert main(["figure", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis failed:") and err.count("\n") == 1
+        assert err.rstrip().endswith("out of scale")
+        assert not out.exists()
+
     def test_happy_path(self, tmp_path):
         cfg = write_config(
             tmp_path / "fig.json",

@@ -23,20 +23,21 @@ from noisyrk import (
     run_preconditioner_demo,
     run_table2,
 )
-from noisyrk import problems, seeding
+from noisyrk import cli, problems, seeding
 from noisyrk.experiments import build_noisy
+
+from conftest import run_command
 
 SPEC = SpectrumSpec(m=30, n=15, r=15, sigma_min=1.0, sigma_max=4.0)
 
 
-def make_config(tmp_path=None, **overrides):
+def make_config(**overrides):
     defaults = dict(
         spectrum=SPEC,
         rk=RkConfig(max_iterations=3000, trials=5, record_stride=150, seed=42),
         master_seed=42,
         noise_grid=((0.0, 0.0),),
         bound_kinds=(BoundKind.ADDITIVE,),
-        output_dir=str(tmp_path) if tmp_path is not None else None,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -44,28 +45,25 @@ def make_config(tmp_path=None, **overrides):
 
 class TestFigureExperiment:
     def test_noiseless_point_decays_and_is_dominated(self, tmp_path):
-        cfg = make_config(tmp_path, bound_kinds=(BoundKind.NOISELESS, BoundKind.ADDITIVE))
+        cfg = make_config(bound_kinds=(BoundKind.NOISELESS, BoundKind.ADDITIVE))
         results = run_figure_experiment(cfg)
         res = results[(0.0, 0.0)]
         mse = res.trajectory.mean_squared_error
         assert mse[-1] <= 1e-6 * mse[0]
         for curve in res.curves.values():
             assert np.all(mse <= curve.values + 1e-12)
-        assert (tmp_path / "traj_0_0.csv").exists()
-        assert (tmp_path / "band_0_0.csv").exists()
-        assert (tmp_path / "bound_noiseless_0_0.csv").exists()
-        assert (tmp_path / "meta.json").exists()
+        files = run_command("figure", cfg, tmp_path / "out")
+        assert {"traj_0_0.csv", "band_0_0.csv", "bound_noiseless_0_0.csv", "meta.json"} <= set(files)
 
-    def test_larger_noise_larger_final_error(self, tmp_path):
+    def test_larger_noise_larger_final_error(self):
         grid = ((0.01, 0.01), (0.1, 0.1), (0.5, 0.5))
-        cfg = make_config(tmp_path, noise_grid=grid)
+        cfg = make_config(noise_grid=grid)
         results = run_figure_experiment(cfg)
         finals = [results[g].trajectory.mean_squared_error[-1] for g in grid]
         assert finals[0] < finals[1] < finals[2]
 
     def test_multiplicative_regime_emits_bound(self, tmp_path):
         cfg = make_config(
-            tmp_path,
             noise=NoiseSpec(NoiseModel.MULTIPLICATIVE, use_f=False),
             noise_grid=((0.05, 0.05),),
             bound_kinds=(BoundKind.MULTIPLICATIVE,),
@@ -73,13 +71,12 @@ class TestFigureExperiment:
         results = run_figure_experiment(cfg)
         res = results[(0.05, 0.05)]
         assert BoundKind.MULTIPLICATIVE in res.curves
-        assert (tmp_path / "bound_multiplicative_0.05_0.05.csv").exists()
+        assert "bound_multiplicative_0.05_0.05.csv" in run_command("figure", cfg, tmp_path / "out")
 
     def test_partial_regime_emits_both_horizon_bounds(self, tmp_path):
         # matrix-noise-only grid point comparing the perturbation-route
         # bound against the hypothesis-free one on the same dataset
         cfg = make_config(
-            tmp_path,
             noise=NoiseSpec(NoiseModel.PARTIAL_CONSISTENT),
             noise_grid=((0.4, 0.0),),
             bound_kinds=(BoundKind.PERTURBATION_PARTIAL, BoundKind.ADDITIVE),
@@ -92,11 +89,10 @@ class TestFigureExperiment:
         assert not partial_curve.squared and direct_curve.squared
         # the direct route gives the smaller horizon here (unsquared comparison)
         assert np.sqrt(direct_curve.horizon) <= partial_curve.horizon + 1e-12
-        assert (tmp_path / "bound_perturbation_partial_0.4_0.csv").exists()
+        assert "bound_perturbation_partial_0.4_0.csv" in run_command("figure", cfg, tmp_path / "out")
 
     def test_invalid_bound_recorded_not_fatal(self, tmp_path):
         cfg = make_config(
-            tmp_path,
             noise_grid=((0.1, 0.1),),
             bound_kinds=(BoundKind.NOISELESS, BoundKind.ADDITIVE),
         )
@@ -104,7 +100,7 @@ class TestFigureExperiment:
         res = results[(0.1, 0.1)]
         assert BoundKind.ADDITIVE in res.curves
         assert BoundKind.NOISELESS in res.bound_errors
-        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta = json.loads(run_command("figure", cfg, tmp_path / "out")["meta.json"])
         assert "noiseless" in meta["bound_errors"]["0.1_0.1"]
 
     def test_noise_draw_shared_across_grid(self):
@@ -118,22 +114,14 @@ class TestFigureExperiment:
             assert not np.array_equal(low.a_tilde, high.a_tilde)
 
     def test_byte_identical_under_same_config(self, tmp_path):
-        out = tmp_path / "runs"
-        cfg = make_config(out, noise_grid=((0.0, 0.0), (0.1, 0.1)))
-        run_figure_experiment(cfg)
-        snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
-        run_figure_experiment(cfg)
-        again = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert snapshot == again
+        cfg = make_config(noise_grid=((0.0, 0.0), (0.1, 0.1)))
+        snapshot = run_command("figure", cfg, tmp_path / "runs")
+        assert run_command("figure", cfg, tmp_path / "runs") == snapshot
 
     def test_threads_do_not_change_results(self, tmp_path):
-        out = tmp_path / "runs"
-        cfg = make_config(out, noise_grid=((0.0, 0.0), (0.05, 0.05), (0.2, 0.2)))
-        run_figure_experiment(cfg, threads=1)
-        snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
-        run_figure_experiment(cfg, threads=2)
-        again = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert snapshot == again
+        cfg = make_config(noise_grid=((0.0, 0.0), (0.05, 0.05), (0.2, 0.2)))
+        snapshot = run_command("figure", cfg, tmp_path / "runs", threads=1)
+        assert run_command("figure", cfg, tmp_path / "runs", threads=2) == snapshot
 
     def test_one_factorization_of_the_noisy_matrix_per_point(self, factorizations):
         grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05))
@@ -208,7 +196,7 @@ class TestFigureExperiment:
 
 class TestTable2:
     def test_rows_and_csv(self, tmp_path):
-        cfg = make_config(tmp_path, noise_grid=((0.0, 0.0), (0.0, 1.0)))
+        cfg = make_config(noise_grid=((0.0, 0.0), (0.0, 1.0)))
         rows = run_table2(cfg)
         assert [(r.sigma_a, r.sigma_b) for r in rows] == [(0.0, 0.0), (0.0, 1.0)]
         clean = rows[0]
@@ -217,7 +205,7 @@ class TestTable2:
         noisy = rows[1]
         assert noisy.theoretical_horizon > 0
         assert noisy.empirical_horizon <= noisy.theoretical_horizon
-        lines = (tmp_path / "table2.csv").read_text().splitlines()
+        lines = run_command("table2", cfg, tmp_path / "out")["table2.csv"].decode().splitlines()
         assert lines[0] == "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon"
         assert len(lines) == 3
 
@@ -265,20 +253,27 @@ class TestPreconditionerDemo:
     def test_small_flat_top_constants(self, tmp_path):
         spec = SpectrumSpec(m=20, n=10, r=10, sigma_min=1.0, sigma_max=4.0, spacing=Spacing.FLAT_TOP)
         rk = RkConfig(max_iterations=2000, trials=4, record_stride=100, seed=3)
-        demo = run_preconditioner_demo(spec, tau=5.0, rk=rk, master_seed=3, output_dir=tmp_path)
+        demo = run_preconditioner_demo(spec, tau=5.0, rk=rk, master_seed=3)
         assert demo.r == pytest.approx(9 * 16 + 1, rel=1e-9)
         assert demo.r_tilde == pytest.approx(10.0, rel=1e-9)
         assert demo.k_noisy < demo.k_noiseless
-        assert (tmp_path / "traj_noiseless.csv").exists()
-        assert (tmp_path / "traj_noisy.csv").exists()
-        summary = json.loads((tmp_path / "preconditioner.json").read_text())
+        assert demo.initial_sq_error == pytest.approx(demo.traj_noisy.mean_squared_error[0], rel=1e-12)
+        config = tmp_path / "pre.json"
+        config.write_text(json.dumps({"spectrum": spec.to_dict(), "tau": 5.0, "master_seed": 3, "rk": {
+            "max_iterations": 2000, "trials": 4, "record_stride": 100, "seed": 3}}))
+        assert cli.main(["precondition", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "traj_noiseless.csv", "traj_noisy.csv", "preconditioner.json"}
+        summary = json.loads((tmp_path / "out" / "preconditioner.json").read_text())
         assert summary["k_noiseless"] == demo.k_noiseless
+        assert summary["initial_sq_error"] == demo.initial_sq_error
 
     def test_toy_override_count(self):
         spec = SpectrumSpec(m=3, n=3, r=3, sigma_min=1.0, sigma_max=3.0, spacing=Spacing.FLAT_TOP)
         rk = RkConfig(max_iterations=10, trials=2, seed=1)
         demo = run_preconditioner_demo(spec, tau=0.5, rk=rk, master_seed=2, initial_sq_error=1e6)
         assert demo.k_noiseless == 269
+        assert demo.initial_sq_error == 1e6
 
     def test_one_svd_of_a(self, svds_of):
         spec = SpectrumSpec(m=20, n=10, r=10, sigma_min=1.0, sigma_max=4.0, spacing=Spacing.FLAT_TOP)
@@ -296,22 +291,6 @@ class TestPreconditionerDemo:
 
 
 class TestConfigSerialization:
-    def test_roundtrip(self, tmp_path):
-        cfg = make_config(
-            tmp_path,
-            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE, use_e=False),
-            noise_grid=((0.0, 0.0), (0.1, 0.2)),
-            bound_kinds=(BoundKind.ADDITIVE, BoundKind.RHS_NOISE),
-        )
-        back = ExperimentConfig.from_dict(cfg.to_dict())
-        assert back.spectrum == cfg.spectrum
-        assert back.noise == cfg.noise
-        assert back.noise_grid == cfg.noise_grid
-        assert back.bound_kinds == cfg.bound_kinds
-        assert back.rk.max_iterations == cfg.rk.max_iterations
-        assert back.rk.seed == cfg.rk.seed
-        assert back.master_seed == cfg.master_seed
-
     def test_paper_scale_swaps_dimensions(self):
         cfg = make_config()
         big = apply_paper_scale(cfg)

@@ -1,0 +1,55 @@
+"""Checks on the package source that a linter would make: no module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "noisyrk"
+
+
+def unused_imports(source: str) -> list:
+    """``(line, name)`` of each name ``source`` imports and never reads.
+
+    A name listed in ``__all__`` is read by ``from ... import *``, and one on a line
+    marked ``# noqa: F401`` is imported for a reader elsewhere; neither is reported.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = {
+        node.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read | exported and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+    return unused
+
+
+def test_the_guard_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np, json\n"
+        "from .a import (b,\n"
+        "    c,  # noqa: F401\n"
+        "    d)\n"
+        "__all__ = ['d']\n"
+        "def f():\n"
+        "    import sys\n"
+        "    return np.zeros(1)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "json"), (4, "b"), (9, "sys")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path.read_text()) == []
