@@ -11,7 +11,7 @@ cfg = ExperimentConfig(
     spectrum=SpectrumSpec(m=100, n=50, r=50, sigma_min=5.0, sigma_max=50.0),
     rk=RkConfig(max_iterations=1, trials=10, seed=11),  # budget is chosen adaptively
     master_seed=11,
-    noise_grid=((0.0, 0.0), (0.0, 1.0), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5), (1.0, 1.0)),
+    grid=((0.0, 0.0), (0.0, 1.0), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5), (1.0, 1.0)),
 )
 
 rows = run_table2(cfg)

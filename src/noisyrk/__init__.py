@@ -31,11 +31,11 @@ _EXPORTS = {
         ),
         "kaczmarz": (
             "X0Mode", "RkConfig", "Trajectory", "rk_step", "make_sampler", "initial_iterates",
-            "record_points", "solve", "empirical_horizon", "write_trajectory_csv",
+            "record_points", "solve", "empirical_horizon",
         ),
         "bounds": (
             "BoundKind", "BoundCurve", "HorizonComparison", "bound_additive", "perturbed_ls_distance",
-            "horizon_comparison", "iterations_to_tolerance", "evaluate_bound", "write_bound_csv",
+            "horizon_comparison", "iterations_to_tolerance", "evaluate_bound",
         ),
         "experiments": (
             "ExperimentConfig", "GridPointResult", "Table2Row", "PreconditionerDemo", "TABLE2_GRID",

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError
-from .linalg import _identity_plus, _nonsingular, _write_json, _write_table, scaled_condition_number, spectral_norm
+from .linalg import _identity_plus, _nonsingular, scaled_condition_number, spectral_norm
 from .kaczmarz import _start_stack
 from .problems import NoiseModel, NoisySystem
 
@@ -59,7 +58,6 @@ __all__ = [
     "horizon_comparison",
     "iterations_to_tolerance",
     "evaluate_bound",
-    "write_bound_csv",
 ]
 
 _CONSISTENCY_RTOL = 1e-8
@@ -409,19 +407,3 @@ def iterations_to_tolerance(r: float, initial_sq_error: float, tau: float, tau0:
     while k > 0 and (k - 1) * log_rate + log_init <= log_target:
         k -= 1
     return k
-
-
-def write_bound_csv(path: str | os.PathLike, curve: BoundCurve) -> None:
-    """CSV of iteration/bound pairs plus a JSON sidecar with the scalars."""
-    path = str(path)
-    _write_table(path, "iteration,bound_value", np.column_stack([curve.iterations, curve.values]))
-    meta = {
-        "kind": curve.kind.value,
-        "rate_per_iteration": curve.rate,
-        "horizon": curve.horizon,
-        "initial_error": curve.initial_error,
-        "squared": curve.squared,
-        "scalars": curve.scalars,
-    }
-    sidecar = path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"
-    _write_json(sidecar, meta)

@@ -8,10 +8,10 @@ dataset over a grid), ``precondition`` (gap-fill speedup demo).
 Configs are JSON (see the README for the schema per subcommand).
 ``--seed`` overrides every seed in the config, so it fully determines
 all stochastic behavior.  Diagnostics go to stderr; data goes to files.
-This module names every output file but a system directory's, which
-``save_system`` lays out: each command computes first and writes its
-files and ``meta.json`` only once that has succeeded, so a failed run
-leaves no partial dataset.  Exit codes: 0 success, 1 configuration error
+This module names and formats every dataset file, and a system
+directory's files are laid out by ``save_system``: each command computes
+first and writes its files and ``meta.json`` only once that has
+succeeded, so a failed run leaves no partial dataset.  Exit codes: 0 success, 1 configuration error
 or failed kernel build, 2 failed numerical hypothesis (the failing
 condition is printed).
 
@@ -30,7 +30,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 if "numpy" not in sys.modules:
@@ -40,7 +40,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundKind, evaluate_bound, write_bound_csv
+from .bounds import BoundKind, evaluate_bound
 from .errors import HypothesisError, KernelBuildError
 from .experiments import (
     _EXPERIMENT_KEYS,
@@ -52,11 +52,9 @@ from .experiments import (
     run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
-    write_band_csv,
-    write_table2_csv,
 )
-from .kaczmarz import initial_iterates, record_points, solve, write_trajectory_csv
-from .linalg import _write_json
+from .kaczmarz import initial_iterates, record_points, solve
+from .linalg import _write_json, _write_table
 from .problems import (
     _NOISE_KEYS, _REQUIRED, _at_least, _exact, _list_of, _number, _or_none, _read,  # the config reader
     NoiseSpec,
@@ -143,6 +141,40 @@ def _write_meta(out: Path, cfg: dict, config: dict, **extra) -> None:
     _write_json(out / "meta.json", meta)
 
 
+# The dataset formats: CSV tables of %.17g values under a header of column names, JSON as ``_write_json`` writes it.
+
+
+def write_trajectory_csv(path: Path, traj) -> None:
+    """Iteration, mean and std of the squared error, then one column per trial."""
+    header = ",".join(["iteration", "mean_sq_err", "std_sq_err", *(f"trial_{k}" for k in range(traj.trials))])
+    columns = [traj.recorded_iterations, traj.mean_squared_error, traj.std_squared_error]
+    _write_table(path, header, np.column_stack([*columns, traj.per_trial_squared_error.T]))
+
+
+def write_band_csv(path: Path, traj) -> None:
+    """Mean plus/minus half a standard deviation, squared and unsquared."""
+    mean_sq, std_sq = traj.mean_squared_error, traj.std_squared_error
+    mean_abs, std_abs = traj.mean_error(), traj.std_error()
+    columns = [traj.recorded_iterations, mean_sq, mean_sq - 0.5 * std_sq, mean_sq + 0.5 * std_sq,
+               mean_abs, mean_abs - 0.5 * std_abs, mean_abs + 0.5 * std_abs]
+    _write_table(path, "iteration,mean_sq,lo_sq,hi_sq,mean_abs,lo_abs,hi_abs", np.column_stack(columns))
+
+
+def write_bound_csv(path: Path, curve) -> None:
+    """Iteration/bound pairs, and the curve's scalars in a sidecar named for ``path`` with ``.meta.json``."""
+    _write_table(path, "iteration,bound_value", np.column_stack([curve.iterations, curve.values]))
+    _write_json(Path(path).with_suffix(".meta.json"), {
+        "kind": curve.kind.value, "rate_per_iteration": curve.rate, "horizon": curve.horizon,
+        "initial_error": curve.initial_error, "squared": curve.squared, "scalars": curve.scalars,
+    })
+
+
+def write_table2_csv(path: Path, rows) -> None:
+    values = [(r.sigma_a, r.sigma_b, r.kappa_a_tilde, r.r_tilde, r.theoretical_horizon, r.empirical_horizon)
+              for r in rows]
+    _write_table(path, "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon", values)
+
+
 def _cmd_gen(args) -> int:
     cfg = _config(args, {
         "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (_exact(dict), {}), "seed": (_at_least(0), 0),
@@ -182,7 +214,7 @@ def _cmd_bounds(args) -> int:
 def _experiment(args, schema: dict) -> tuple:
     """The command's config and its ``ExperimentConfig`` at the ``--scale`` asked for."""
     cfg = _config(args, schema)
-    exp = ExperimentConfig._from_fields(cfg)
+    exp = ExperimentConfig(**{key: value for key, value in cfg.items() if key != "output_dir"})
     return cfg, apply_paper_scale(exp) if args.scale == "paper" else exp
 
 
@@ -192,7 +224,7 @@ def _cmd_table2(args) -> int:
     rows = run_table2(exp, threads=args.threads)
     out = _out(cfg)
     write_table2_csv(out / "table2.csv", rows)
-    config = {k: v for k, v in exp.to_dict().items() if k != "bounds"}  # so `table2` reads it back
+    config = {k: v for k, v in asdict(exp).items() if k != "bounds"}  # so `table2` reads it back
     _write_meta(out, cfg, config, adaptive_iterations={_tag(r.sigma_a, r.sigma_b): r.iterations for r in rows})
     return 0
 
@@ -209,7 +241,7 @@ def _cmd_figure(args) -> int:
             write_bound_csv(out / f"bound_{kind.value}_{tag}.csv", curve)
     errors = {_tag(r.sigma_a, r.sigma_b): {k.value: v for k, v in r.bound_errors.items()}
               for r in results if r.bound_errors}
-    _write_meta(out, cfg, exp.to_dict(), bound_errors=errors)
+    _write_meta(out, cfg, asdict(exp), bound_errors=errors)
     return 0
 
 

@@ -17,8 +17,8 @@ magnitudes per point), so trends across a grid are not confounded by
 draw variance.  Identical configs, including the master seed, produce
 identical records.  Grid points are independent and may be evaluated by
 a process pool (``threads``); the records do not depend on the execution
-order.  The command-line front end writes the records; two of its
-formats are :func:`write_band_csv` and :func:`write_table2_csv`.
+order.  The command-line front end names and formats every file
+written from the records.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .kaczmarz import (
     initial_iterates,
     solve,
 )
-from .linalg import _write_table, scaled_condition_number
+from .linalg import scaled_condition_number
 from .problems import (
     LinearSystem,
     NoiseModel,
@@ -65,7 +65,6 @@ __all__ = [
     "run_preconditioner_demo",
     "apply_paper_scale",
     "build_noisy",
-    "write_band_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,57 +86,35 @@ _DECAY_TARGET = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything a suite needs: system, noise model, grid, solver, bounds."""
+    """Everything a suite needs: system, noise model, grid, solver, bounds; its fields are its config's keys."""
 
     spectrum: SpectrumSpec
     rk: RkConfig
     master_seed: int
     noise: NoiseSpec = NoiseSpec()
-    noise_grid: tuple | None = None
-    bound_kinds: tuple = ()
+    grid: tuple | None = None
+    bounds: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "bound_kinds", tuple(BoundKind(k) for k in self.bound_kinds)
-        )
-        if self.noise_grid is not None:
-            grid = _noise_grid(self.noise_grid)
-            if not grid:
-                raise ValueError("noise grid must be nonempty")
+        object.__setattr__(self, "bounds", tuple(_list_of(BoundKind)(list(self.bounds))))
+        if self.grid is not None:
+            grid = _noise_grid(self.grid)
             for sigma_a, sigma_b in grid:  # a point the model does not take fails here, before anything runs
                 self.noise.check(sigma_a, sigma_b, f"grid point [{sigma_a:g}, {sigma_b:g}]")
-            object.__setattr__(self, "noise_grid", grid)
-
-    def to_dict(self) -> dict:
-        return {
-            "spectrum": self.spectrum.to_dict(),
-            "noise": self.noise.to_dict(),
-            "grid": [list(p) for p in self.noise_grid] if self.noise_grid else None,
-            "rk": {
-                "max_iterations": self.rk.max_iterations,
-                "trials": self.rk.trials,
-                "record_stride": self.rk.record_stride,
-                "seed": self.rk.seed,
-                "x0_mode": self.rk.x0_mode.value,
-            },
-            "bounds": [k.value for k in self.bound_kinds],
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def _from_fields(cls, f: dict) -> "ExperimentConfig":
-        """The config of the keys read through ``_EXPERIMENT_KEYS``, ``rk`` read; ``table2`` reads no ``bounds``."""
-        return cls(f["spectrum"], f["rk"], f["master_seed"], f["noise"], f["grid"], f.get("bounds", ()))
+            object.__setattr__(self, "grid", grid)
 
 
 def _noise_grid(pairs) -> tuple:
-    """The grid as float pairs, once no two unequal pairs share a file tag (see ``_tag``)."""
+    """The grid as float pairs, once it is nonempty and no two of its pairs share a file tag (see ``_tag``)."""
     grid = tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
+    if not grid:
+        raise ValueError("the grid has no point")
     first = {}
     for pair in grid:
         tag = _tag(*pair)
-        if first.setdefault(tag, pair) != pair:
+        if tag in first:
             raise ValueError(f"grid points {list(first[tag])} and {list(pair)} share the tag {tag!r}")
+        first[tag] = pair
     return grid
 
 
@@ -232,24 +209,12 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
     errors: dict = {}
     # bounds are affine in the initial error, so one curve from the trial-mean
     # initial error is the pointwise mean of the per-trial curves
-    for kind in cfg.bound_kinds:
+    for kind in cfg.bounds:
         try:
             curves[kind] = evaluate_bound(kind, noisy, x0s, traj.recorded_iterations)
         except HypothesisError as exc:
             errors[kind] = str(exc)
     return GridPointResult(sigma_a, sigma_b, traj, curves, errors)
-
-
-def write_band_csv(path, traj: Trajectory) -> None:
-    """Mean plus/minus half a standard deviation, squared and unsquared."""
-    mean_sq, std_sq = traj.mean_squared_error, traj.std_squared_error
-    mean_abs, std_abs = traj.mean_error(), traj.std_error()
-    columns = np.column_stack([
-        traj.recorded_iterations,
-        mean_sq, mean_sq - 0.5 * std_sq, mean_sq + 0.5 * std_sq,
-        mean_abs, mean_abs - 0.5 * std_abs, mean_abs + 0.5 * std_abs,
-    ])
-    _write_table(path, "iteration,mean_sq,lo_sq,hi_sq,mean_abs,lo_abs,hi_abs", columns)
 
 
 def _generate_and_run(worker, cfg: ExperimentConfig, sigma_a: float, sigma_b: float):
@@ -281,9 +246,9 @@ def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     kinds whose hypotheses fail at a grid point are recorded in the result
     without aborting the rest of the run.
     """
-    if cfg.noise_grid is None:
+    if cfg.grid is None:
         raise ValueError("figure experiments need an explicit noise grid")
-    return {(r.sigma_a, r.sigma_b): r for r in _map_grid(_run_grid_point, cfg, cfg.noise_grid, threads)}
+    return {(r.sigma_a, r.sigma_b): r for r in _map_grid(_run_grid_point, cfg, cfg.grid, threads)}
 
 
 def _adaptive_iterations(r_tilde: float, initial_sq_error: float) -> int:
@@ -328,14 +293,8 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     """
     if cfg.noise.model is not NoiseModel.ADDITIVE:
         raise ValueError("noise: bad value for 'model': the sweep is defined for the additive noise model")
-    grid = cfg.noise_grid if cfg.noise_grid is not None else TABLE2_GRID
+    grid = cfg.grid if cfg.grid is not None else TABLE2_GRID
     return _map_grid(_run_table2_point, cfg, grid, threads)
-
-
-def write_table2_csv(path, rows) -> None:
-    values = [(r.sigma_a, r.sigma_b, r.kappa_a_tilde, r.r_tilde,
-               r.theoretical_horizon, r.empirical_horizon) for r in rows]
-    _write_table(path, "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon", values)
 
 
 def run_preconditioner_demo(

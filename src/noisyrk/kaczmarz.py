@@ -34,14 +34,13 @@ from __future__ import annotations
 import ctypes
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .errors import HypothesisError
-from .linalg import _kernel, _write_table, as_matrix, as_vector
+from .linalg import _kernel, as_matrix, as_vector
 from .problems import NoisySystem
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "record_points",
     "solve",
     "empirical_horizon",
-    "write_trajectory_csv",
 ]
 
 # Cap on stored records per run; the stride grows with the iteration count.
@@ -275,14 +273,3 @@ def empirical_horizon(traj: Trajectory) -> float:
     this is the caller's job.
     """
     return float(traj.mean_squared_error[-1])
-
-
-def write_trajectory_csv(path: str | os.PathLike, traj: Trajectory) -> None:
-    """CSV: iteration, mean/std of squared error, then one column per trial."""
-    header = ["iteration", "mean_sq_err", "std_sq_err"]
-    header.extend(f"trial_{k}" for k in range(traj.trials))
-    columns = np.column_stack([
-        traj.recorded_iterations, traj.mean_squared_error, traj.std_squared_error,
-        traj.per_trial_squared_error.T,
-    ])
-    _write_table(path, ",".join(header), columns)

@@ -5,9 +5,10 @@ singular value, scaled condition number, the nonsingularity check of a
 noise factor) flow through :func:`svd`, the one SVD in the package, which
 cuts below a numerical-rank tolerance; :func:`least_squares` makes the
 same cut without U or V.  :func:`_identity_plus` builds a noise factor
-I + sE in one buffer, with no identity matrix.  Every output file is
-written here; its text tables round-trip float64 values exactly via 17
-significant digits.
+I + sE in one buffer, with no identity matrix.  The table and JSON
+writers here write bytes, not datasets: which records go in which file
+is the command-line front end's choice.  The text tables round-trip
+float64 values exactly via 17 significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
@@ -270,7 +271,7 @@ def _kernel():
 
 
 # ---------------------------------------------------------------------------
-# Plain-text file formats, all written here.
+# Plain-text file formats, all written through the writers here.
 #
 # _write_table: one header line, then one line per row of an array, every
 # value as %.17g (float64 round-trips exactly; integers below 2**53 print

@@ -117,15 +117,20 @@ def _at_least(low: int):
 
 
 def _number(value):
-    """Converter for a finite JSON number, not a bool or a string; kept as written, so ``to_dict`` echoes it."""
+    """Converter for a finite JSON number, not a bool or a string; kept as written, so ``asdict`` echoes it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return value
 
 
 def _list_of(convert):
-    """Converter for a JSON list, reading each item with ``convert``."""
-    return lambda value: [convert(item) for item in _exact(list)(value)]
+    """Converter for a JSON list of distinct items, reading each with ``convert``."""
+    def read(value):
+        items = [convert(item) for item in _exact(list)(value)]
+        if len(set(items)) < len(items):
+            raise ValueError(f"an item is listed twice in {value!r}")
+        return items
+    return read
 
 
 class Spacing(str, enum.Enum):
@@ -174,14 +179,9 @@ class SpectrumSpec:
                 and (self.sigma_max - self.sigma_min) < _MIN_GAP * self.sigma_max * (self.r - 1):
             raise ValueError("interval sigma_max - sigma_min too narrow for r distinct singular values")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["spacing"] = self.spacing.value
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "SpectrumSpec":
-        """Inverse of :meth:`to_dict`, read by :func:`_read`."""
+        """Inverse of ``asdict``, read by :func:`_read`."""
         return cls(**_read(data, "spectrum", {
             "m": (_exact(int), _REQUIRED), "n": (_exact(int), _REQUIRED), "r": (_exact(int), _REQUIRED),
             "sigma_min": (_number, _REQUIRED), "sigma_max": (_number, _REQUIRED), "spacing": (Spacing, "even"),
@@ -205,9 +205,6 @@ class NoiseSpec:
             key = "use_f" if self.use_e else "use_e"
             raise ValueError(f"noise: bad value for '{key}': only the multiplicative model switches a factor off")
 
-    def to_dict(self) -> dict:
-        return {"model": self.model.value, "use_e": self.use_e, "use_f": self.use_f}
-
     def check(self, sigma_a: float, sigma_b: float, where: str) -> None:
         """A ``ValueError`` naming ``where`` and the first magnitude this model does not take at its value."""
         if self.model is NoiseModel.PARTIAL_CONSISTENT and not 0 < sigma_a < 1:
@@ -224,7 +221,7 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
-        """Inverse of :meth:`to_dict`, read by :func:`_read`."""
+        """Inverse of ``asdict``, read by :func:`_read`."""
         return cls(**_read(data, "noise", _NOISE_KEYS))
 
 
@@ -454,14 +451,14 @@ def preconditioner_noise(sys: LinearSystem) -> NoisySystem:
     The corrupted matrix has singular values
     (sigma_1, ..., sigma_{r-1}, sigma_{r-1}), which lowers the scaled
     condition number while leaving the right-hand side untouched.
-    Requires rank >= 2 and a strict gap between the two smallest values.
+    Requires rank >= 2 and a strict gap between the two smallest values, or a ``HypothesisError``.
     """
     factors = sys.factors
     if factors.sigma.size < 2:
-        raise ValueError("preconditioner noise needs rank at least 2")
+        raise HypothesisError("preconditioner noise needs rank at least 2")
     gap = float(factors.sigma[-2] - factors.sigma[-1])
     if gap <= 1e-12 * float(factors.sigma[0]):
-        raise ValueError("the two smallest singular values must be distinct")
+        raise HypothesisError("the two smallest singular values must be distinct")
     return NoisySystem(
         base=sys, a_tilde=sys.a + gap * np.outer(factors.u[:, -1], factors.v[:, -1]), b_tilde=sys.b.copy(),
         sigma_a=0.0, sigma_b=0.0, model=NoiseModel.PRECONDITIONER,
@@ -485,7 +482,7 @@ def save_system(noisy: NoisySystem, directory: str | os.PathLike) -> None:
         if array is not None:  # None: a piece the model does not keep
             (write_matrix if name.endswith(".mat") else write_vector)(path / name, array)
     meta = {"model": noisy.model.value, "sigma_a": noisy.sigma_a, "sigma_b": noisy.sigma_b, "seed": noisy.base.seed,
-            "spec": noisy.base.spec.to_dict() if noisy.base.spec else None}
+            "spec": asdict(noisy.base.spec) if noisy.base.spec else None}
     if noisy.model is NoiseModel.MULTIPLICATIVE:
         meta.update(use_e=noisy.e is not None, use_f=noisy.f is not None)
     _write_json(path / "meta.json", meta)

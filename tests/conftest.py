@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -95,7 +96,7 @@ def run_command(subcommand: str, cfg, out, threads: int = 1) -> dict:
 
     The config goes to ``out`` with ``.json`` appended, beside the output directory.
     """
-    data = cfg.to_dict()
+    data = dataclasses.asdict(cfg)
     if subcommand == "table2":
         del data["bounds"]  # the sweep evaluates no bounds and rejects the key
     config = out.parent / f"{out.name}.json"

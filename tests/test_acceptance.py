@@ -72,7 +72,7 @@ def test_criterion_3_zero_noise_sweep_row():
         spectrum=spec,
         rk=RkConfig(max_iterations=1, trials=10, seed=11),
         master_seed=11,
-        noise_grid=((0.0, 0.0),),
+        grid=((0.0, 0.0),),
     )
     row = run_table2(cfg)[0]
     ok = row.theoretical_horizon <= 1e-10 and row.empirical_horizon <= 1e-10
@@ -241,8 +241,8 @@ class TestCriterion7Properties:
             spectrum=spec,
             rk=RkConfig(max_iterations=2000, trials=5, record_stride=100, seed=42),
             master_seed=42,
-            noise_grid=((0.0, 0.0), (0.1, 0.1)),
-            bound_kinds=(BoundKind.ADDITIVE,),
+            grid=((0.0, 0.0), (0.1, 0.1)),
+            bounds=(BoundKind.ADDITIVE,),
         )
         snapshot = run_command("figure", cfg, tmp_path / "out")
         again = run_command("figure", cfg, tmp_path / "out")

@@ -30,8 +30,8 @@ from noisyrk import (
     sigma_min_nonzero,
     solve,
     spectral_norm,
-    write_bound_csv,
 )
+from noisyrk.cli import write_bound_csv
 
 KS = np.arange(0, 201, 20)
 

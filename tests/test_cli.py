@@ -521,6 +521,17 @@ def _finite(value) -> bool:
 @example(case=("gen", config_for("gen", None, seed=-1), ("config", ("seed",))))
 @example(case=("precondition", config_for("precondition", None, master_seed=-1), ("config", ("master_seed",))))
 @example(case=("figure", config_for("figure", None), ("--seed", ("must be at least 0",)), "--seed", "-1"))
+# each once exit 0 running a point or a kind twice, or a config error naming no key
+@example(case=("table2", config_for("table2", None, grid=[[0.1, 0.1], [0.1, 0.1]]), ("config", ("'grid'",))))
+@example(case=("figure", config_for("figure", None, grid=[]), ("config", ("'grid'",))))
+@example(case=("bounds", config_for("bounds", "system", bounds=["additive", "additive"]),
+               ("config", ("'bounds'",))))
+# each once a config error naming no block: the preconditioner's rank hypothesis, now exit 2
+@example(case=("gen", config_for("gen", None, spectrum={**SPECTRUM, "r": 1}, noise={"model": "preconditioner"}),
+               ("spectrum", ("r",))))
+@example(case=("figure", config_for("figure", None, spectrum={**SPECTRUM, "r": 1}, noise={"model": "preconditioner"}),
+               ("spectrum", ("r",))))
+@example(case=("precondition", config_for("precondition", None, spectrum={**SPECTRUM, "r": 1}), ("spectrum", ("r",))))
 def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
     # each subcommand's valid config with one change: exit 0 with finite numbers and exactly the requested
     # files, 1 naming the block and the key, or 2 with one line; never a traceback or a numpy warning
@@ -580,6 +591,28 @@ def test_extreme_scales_end_in_a_named_error(tmp_path, capsys, recwarn, subcomma
     if code == 2:
         assert err.rstrip().endswith("out of scale")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "subcommand, change, code, named",
+    [("table2", {"grid": [[0.1, 0.1], [0.1, 0.1]]}, 1, "'grid'"),
+     ("figure", {"grid": [[0.1, 0.1], [0.1, 0.1]]}, 1, "'grid'"),
+     ("table2", {"grid": []}, 1, "'grid'"),
+     ("figure", {"bounds": ["additive", "additive"]}, 1, "'bounds'"),
+     ("bounds", {"bounds": ["additive", "additive"]}, 1, "'bounds'"),
+     ("gen", {"spectrum": {**SPECTRUM, "r": 1}, "noise": {"model": "preconditioner"}}, 2, "rank at least 2"),
+     ("figure", {"spectrum": {**SPECTRUM, "r": 1}, "noise": {"model": "preconditioner"}}, 2, "rank at least 2"),
+     ("precondition", {"spectrum": {**SPECTRUM, "r": 1}}, 2, "rank at least 2")],
+)
+def test_repeats_and_the_preconditioner_rank_end_in_their_codes(tmp_path, capsys, subcommand, change, code, named):
+    # a repeated grid point or bound kind, or an empty grid, is a config error naming its key; the
+    # preconditioner's rank is a hypothesis of the model, like the other construction checks
+    cfg = write_config(tmp_path / "cfg.json", config_for(subcommand, tmp_path / "system", **change))
+    threads = ["--threads", "1"] if subcommand in ("table2", "figure") else []
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), *threads]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "hypothesis failed:")[code - 1]) and err.count("\n") == 1, err
+    assert named in err and not (tmp_path / "out").exists()
 
 
 def assert_out_of_scale(err, recwarn):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import re
 
@@ -36,8 +37,8 @@ def make_config(**overrides):
         spectrum=SPEC,
         rk=RkConfig(max_iterations=3000, trials=5, record_stride=150, seed=42),
         master_seed=42,
-        noise_grid=((0.0, 0.0),),
-        bound_kinds=(BoundKind.ADDITIVE,),
+        grid=((0.0, 0.0),),
+        bounds=(BoundKind.ADDITIVE,),
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -45,7 +46,7 @@ def make_config(**overrides):
 
 class TestFigureExperiment:
     def test_noiseless_point_decays_and_is_dominated(self, tmp_path):
-        cfg = make_config(bound_kinds=(BoundKind.NOISELESS, BoundKind.ADDITIVE))
+        cfg = make_config(bounds=(BoundKind.NOISELESS, BoundKind.ADDITIVE))
         results = run_figure_experiment(cfg)
         res = results[(0.0, 0.0)]
         mse = res.trajectory.mean_squared_error
@@ -57,7 +58,7 @@ class TestFigureExperiment:
 
     def test_larger_noise_larger_final_error(self):
         grid = ((0.01, 0.01), (0.1, 0.1), (0.5, 0.5))
-        cfg = make_config(noise_grid=grid)
+        cfg = make_config(grid=grid)
         results = run_figure_experiment(cfg)
         finals = [results[g].trajectory.mean_squared_error[-1] for g in grid]
         assert finals[0] < finals[1] < finals[2]
@@ -65,8 +66,8 @@ class TestFigureExperiment:
     def test_multiplicative_regime_emits_bound(self, tmp_path):
         cfg = make_config(
             noise=NoiseSpec(NoiseModel.MULTIPLICATIVE, use_f=False),
-            noise_grid=((0.05, 0.05),),
-            bound_kinds=(BoundKind.MULTIPLICATIVE,),
+            grid=((0.05, 0.05),),
+            bounds=(BoundKind.MULTIPLICATIVE,),
         )
         results = run_figure_experiment(cfg)
         res = results[(0.05, 0.05)]
@@ -78,8 +79,8 @@ class TestFigureExperiment:
         # bound against the hypothesis-free one on the same dataset
         cfg = make_config(
             noise=NoiseSpec(NoiseModel.PARTIAL_CONSISTENT),
-            noise_grid=((0.4, 0.0),),
-            bound_kinds=(BoundKind.PERTURBATION_PARTIAL, BoundKind.ADDITIVE),
+            grid=((0.4, 0.0),),
+            bounds=(BoundKind.PERTURBATION_PARTIAL, BoundKind.ADDITIVE),
         )
         results = run_figure_experiment(cfg)
         res = results[(0.4, 0.0)]
@@ -93,8 +94,8 @@ class TestFigureExperiment:
 
     def test_invalid_bound_recorded_not_fatal(self, tmp_path):
         cfg = make_config(
-            noise_grid=((0.1, 0.1),),
-            bound_kinds=(BoundKind.NOISELESS, BoundKind.ADDITIVE),
+            grid=((0.1, 0.1),),
+            bounds=(BoundKind.NOISELESS, BoundKind.ADDITIVE),
         )
         results = run_figure_experiment(cfg)
         res = results[(0.1, 0.1)]
@@ -114,12 +115,12 @@ class TestFigureExperiment:
             assert not np.array_equal(low.a_tilde, high.a_tilde)
 
     def test_byte_identical_under_same_config(self, tmp_path):
-        cfg = make_config(noise_grid=((0.0, 0.0), (0.1, 0.1)))
+        cfg = make_config(grid=((0.0, 0.0), (0.1, 0.1)))
         snapshot = run_command("figure", cfg, tmp_path / "runs")
         assert run_command("figure", cfg, tmp_path / "runs") == snapshot
 
     def test_threads_do_not_change_results(self, tmp_path):
-        cfg = make_config(noise_grid=((0.0, 0.0), (0.05, 0.05), (0.2, 0.2)))
+        cfg = make_config(grid=((0.0, 0.0), (0.05, 0.05), (0.2, 0.2)))
         snapshot = run_command("figure", cfg, tmp_path / "runs", threads=1)
         assert run_command("figure", cfg, tmp_path / "runs", threads=2) == snapshot
 
@@ -129,7 +130,7 @@ class TestFigureExperiment:
             BoundKind.ADDITIVE, BoundKind.MULTIPLICATIVE, BoundKind.MULTIPLICATIVE_PERTURBATION,
         )
         cfg = make_config(
-            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=grid, bound_kinds=kinds,
+            noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), grid=grid, bounds=kinds,
             rk=RkConfig(max_iterations=200, trials=10, seed=42),
         )
         results = run_figure_experiment(cfg)
@@ -150,7 +151,7 @@ class TestFigureExperiment:
 
         monkeypatch.setattr(seeding, "stream", recording_stream)
         grid = ((0.01, 0.0), (0.02, 0.01), (0.05, 0.05), (0.1, 0.1))
-        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=grid)
+        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), grid=grid)
         run_figure_experiment(cfg)
         assert keys.count((seeding.MATRIX_NOISE, 0)) == 1
         assert keys.count((seeding.RIGHT_FACTOR_NOISE, 0)) == 1
@@ -161,15 +162,18 @@ class TestFigureExperiment:
 
     def test_grid_required(self):
         with pytest.raises(ValueError, match="grid"):
-            run_figure_experiment(make_config(noise_grid=None))
+            run_figure_experiment(make_config(grid=None))
 
     def test_grid_points_sharing_a_tag_rejected(self):
         # both would write traj_0.123456_0.csv and share one meta.json key
         grid = ((0.1234561, 0.0), (0.1, 0.1), (0.1234562, 0.0))
         message = "grid points [0.1234561, 0.0] and [0.1234562, 0.0] share the tag '0.123456_0'"
         with pytest.raises(ValueError, match=re.escape(message)):
-            make_config(noise_grid=grid)
-        assert make_config(noise_grid=((0.1, 0.1), (0.1, 0.1))).noise_grid == ((0.1, 0.1), (0.1, 0.1))
+            make_config(grid=grid)
+        # a repeated point would be solved twice and, in table2, repeat its row
+        message = "grid points [0.1, 0.1] and [0.1, 0.1] share the tag '0.1_0.1'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_config(grid=((0.1, 0.1), (0.1, 0.1)))
 
     def test_pool_has_no_more_workers_than_points(self, monkeypatch):
         # fork starts every worker at once: a pool must never outnumber the grid
@@ -189,14 +193,14 @@ class TestFigureExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1))), threads=5000)
-        run_figure_experiment(make_config(noise_grid=((0.0, 0.0), (0.1, 0.1), (0.2, 0.2))), threads=2)
+        run_figure_experiment(make_config(grid=((0.0, 0.0), (0.1, 0.1))), threads=5000)
+        run_figure_experiment(make_config(grid=((0.0, 0.0), (0.1, 0.1), (0.2, 0.2))), threads=2)
         assert sizes == [2, 2]
 
 
 class TestTable2:
     def test_rows_and_csv(self, tmp_path):
-        cfg = make_config(noise_grid=((0.0, 0.0), (0.0, 1.0)))
+        cfg = make_config(grid=((0.0, 0.0), (0.0, 1.0)))
         rows = run_table2(cfg)
         assert [(r.sigma_a, r.sigma_b) for r in rows] == [(0.0, 0.0), (0.0, 1.0)]
         clean = rows[0]
@@ -211,13 +215,13 @@ class TestTable2:
 
     def test_one_factorization_of_the_noisy_matrix_per_point(self, factorizations):
         grid = ((0.0, 0.0), (0.01, 0.01), (0.1, 0.0))
-        rows = run_table2(make_config(noise_grid=grid))
+        rows = run_table2(make_config(grid=grid))
         # generate_system factors nothing; per point one least-squares call on At gives kappa and r_tilde
         assert factorizations == [("lstsq", (SPEC.m, SPEC.n))] * len(grid)
         assert all(r.kappa_a_tilde >= 1.0 and r.r_tilde >= SPEC.n for r in rows)
 
     def test_rhs_only_horizon_independent_of_matrix_draw(self):
-        cfg = make_config(noise_grid=((1.0, 0.0),))
+        cfg = make_config(grid=((1.0, 0.0),))
         rows = run_table2(cfg)
         # with sigma_b = 0 the horizon only carries the matrix term
         sys_ = generate_system(SPEC, cfg.master_seed)
@@ -229,12 +233,12 @@ class TestTable2:
         assert rows[0].theoretical_horizon == pytest.approx(expected, rel=1e-12)
 
     def test_default_grid_is_standard(self):
-        cfg = make_config(noise_grid=None)
-        assert cfg.noise_grid is None
+        cfg = make_config(grid=None)
+        assert cfg.grid is None
         assert len(TABLE2_GRID) == 10
 
     def test_non_additive_rejected(self):
-        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), noise_grid=((0.0, 0.0),))
+        cfg = make_config(noise=NoiseSpec(NoiseModel.MULTIPLICATIVE), grid=((0.0, 0.0),))
         with pytest.raises(ValueError, match="additive"):
             run_table2(cfg)
 
@@ -259,7 +263,7 @@ class TestPreconditionerDemo:
         assert demo.k_noisy < demo.k_noiseless
         assert demo.initial_sq_error == pytest.approx(demo.traj_noisy.mean_squared_error[0], rel=1e-12)
         config = tmp_path / "pre.json"
-        config.write_text(json.dumps({"spectrum": spec.to_dict(), "tau": 5.0, "master_seed": 3, "rk": {
+        config.write_text(json.dumps({"spectrum": dataclasses.asdict(spec), "tau": 5.0, "master_seed": 3, "rk": {
             "max_iterations": 2000, "trials": 4, "record_stride": 100, "seed": 3}}))
         assert cli.main(["precondition", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert {p.name for p in (tmp_path / "out").iterdir()} == {

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from noisyrk.bounds import BoundCurve, BoundKind, write_bound_csv
-from noisyrk.experiments import Table2Row, write_band_csv, write_table2_csv
-from noisyrk.kaczmarz import Trajectory, write_trajectory_csv
+from noisyrk.bounds import BoundCurve, BoundKind
+from noisyrk.cli import write_band_csv, write_bound_csv, write_table2_csv, write_trajectory_csv
+from noisyrk.experiments import Table2Row
+from noisyrk.kaczmarz import Trajectory
 from noisyrk.linalg import _read_table, _write_table, read_matrix, read_vector, write_matrix, write_vector
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308

@@ -29,8 +29,8 @@ from noisyrk import (
     seeding,
     solve,
     svd,
-    write_trajectory_csv,
 )
+from noisyrk.cli import write_trajectory_csv
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 
 The oracle propagates the mean and second moment of ``x_k - x_ls`` under the
 kernel's own row probabilities, so a bound is checked at every record with
-no Monte-Carlo slack, only a relative rounding tolerance.
+no Monte-Carlo slack, only a relative rounding tolerance.  Its fixed point,
+the exact limit as k grows, checks every horizon at k = infinity.
 """
 
 import dataclasses
@@ -17,16 +18,20 @@ from noisyrk import (
     RkConfig,
     Spacing,
     SpectrumSpec,
+    ExperimentConfig,
     additive_noise,
+    bound_additive,
     evaluate_bound,
     generate_system,
     initial_iterates,
     multiplicative_noise,
     pseudoinverse,
+    run_table2,
     scaled_condition_number,
 )
+from noisyrk.experiments import build_noisy
 from noisyrk.kaczmarz import record_points
-from oracle import expected_squared_error
+from oracle import expected_squared_error, stationary_squared_error
 
 ROUNDING = 1e-12
 
@@ -160,3 +165,86 @@ def test_criterion_8_every_noiseless_step_contracts_by_the_rate(spec, seed, x0_m
     rate = 1.0 - 1.0 / scaled_condition_number(noisy.base.factors)
     slack = ROUNDING * np.maximum(expected[1:], 1e-2 * expected[0])
     assert np.all(expected[1:] <= rate * expected[:-1] + slack), expected[1:] / expected[:-1]
+
+
+@st.composite
+def well_conditioned(draw):
+    """A noisy system up to 8 x 4 of any shape and rank whose Rt stays below about 100, and its starts.
+
+    The starts are zero, in the range of a_tilde^T, or free standard-normal draws, as in ``instances``.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(m, n)))
+    lo = draw(st.floats(1.0, 2.0))
+    spec = SpectrumSpec(m=m, n=n, r=r, sigma_min=lo, sigma_max=lo * draw(st.floats(1.01, 1.5)))
+    seed = draw(st.integers(0, 1000))
+    base = generate_system(spec, seed)
+    multiplicative = draw(st.booleans())
+    # additive matrix noise on a rank-deficient A would give a_tilde singular values near 0
+    level = st.one_of(st.just(0.0), st.floats(1e-3, 0.05))
+    sigma_a = draw(level) if multiplicative or r == min(m, n) else 0.0
+    sigma_b = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+    if multiplicative:
+        noisy = multiplicative_noise(base, sigma_a, sigma_b, draw(st.booleans()), draw(st.booleans()), seed=seed)
+    else:
+        noisy = additive_noise(base, sigma_a, sigma_b, seed=seed)
+    trials, x0_mode = draw(st.integers(1, 3)), draw(st.sampled_from(["zero", "range", "free"]))
+    if x0_mode == "free":
+        return noisy, np.random.default_rng(seed).standard_normal((trials, n))
+    return noisy, initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=trials, seed=seed, x0_mode=x0_mode))
+
+
+@settings(max_examples=30, deadline=None)
+@given(well_conditioned())
+@example(FREE_NOISELESS[1:3])
+def test_the_stationary_error_is_the_recursion_at_large_k(instance):
+    # at k with (1 - 1/Rt)^k below 1e-11 the recursion has reached its limit to that relative part of E||e_0||^2
+    noisy, x0s = instance
+    rate = 1.0 - 1.0 / scaled_condition_number(noisy.a_tilde)
+    k = 1 if rate == 0.0 else int(np.ceil(np.log(1e-11) / np.log(rate)))
+    first, last = expected_squared_error(noisy, x0s, [0, k])
+    np.testing.assert_allclose(stationary_squared_error(noisy, x0s), last, rtol=1e-9, atol=1e-10 * first)
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances())
+@example(WIDE_ADDITIVE)
+@example(RANK_DEFICIENT_MULTIPLICATIVE)
+@example(FREE_NOISELESS)
+def test_every_squared_horizon_holds_at_k_infinity(instance):
+    # the limit of a noise-free system is 0 up to a rounding residue of E||e_0||^2
+    kind, noisy, x0s, _ = instance
+    curve = evaluate_bound(kind, noisy, x0s, [0])
+    limit = stationary_squared_error(noisy, x0s)
+    assert curve.horizon >= limit - 1e-9 * limit - ROUNDING * curve.initial_error, (kind, curve.horizon, limit)
+
+
+def test_theo_horizon_holds_at_k_infinity_on_the_sweep():
+    # the table2-sweep benchmark workload's system, grid and starts at seed 1
+    cfg = ExperimentConfig(
+        spectrum=SpectrumSpec(m=100, n=50, r=50, sigma_min=5.0, sigma_max=50.0),
+        rk=RkConfig(max_iterations=1, trials=10, seed=1), master_seed=1,
+        grid=((0.0, 0.0), (0.0, 1.0), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5), (1.0, 1.0)),
+    )
+    base = generate_system(cfg.spectrum, cfg.master_seed)
+    for row in run_table2(cfg):
+        noisy = build_noisy(cfg.noise, base, row.sigma_a, row.sigma_b, cfg.master_seed)
+        x0s = initial_iterates(noisy.a_tilde, cfg.rk)
+        curve, limit = bound_additive(noisy, x0s, [0]), stationary_squared_error(noisy, x0s)
+        assert row.theoretical_horizon == curve.horizon
+        assert curve.horizon >= limit - 1e-9 * limit - ROUNDING * curve.initial_error, (row, limit)
+
+
+def test_criterion_4_horizons_hold_at_k_infinity():
+    # criterion 4's seven systems and starts: there the horizons are checked against 95% of Monte-Carlo records
+    add = generate_system(SpectrumSpec(m=200, n=100, r=100, sigma_min=5.0, sigma_max=50.0), 17)
+    mult = generate_system(SpectrumSpec(m=200, n=100, r=100, sigma_min=1.0, sigma_max=10.0), 19)
+    cases = [("additive", additive_noise(add, sa, sb, 17), 18)
+             for sa, sb in ((0.0, 0.01), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5))]
+    cases += [("multiplicative", multiplicative_noise(mult, 0.05, 0.05, use_e=e, use_f=f, seed=19), 20)
+              for e, f in ((True, False), (False, True), (True, True))]
+    for kind, noisy, seed in cases:
+        x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=50, seed=seed))
+        curve, limit = evaluate_bound(kind, noisy, x0s, [0]), stationary_squared_error(noisy, x0s)
+        assert curve.horizon >= limit - 1e-9 * limit - ROUNDING * curve.initial_error, (kind, curve.horizon, limit)

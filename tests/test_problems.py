@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from noisyrk import (
     BoundKind,
+    HypothesisError,
     LinearSystem,
     NoiseModel,
     RkConfig,
@@ -327,14 +328,14 @@ class TestPreconditionerNoise:
         a = np.diag([3.0, 3.0])
         b = a @ np.array([1.0, 1.0])
         sys_ = LinearSystem(a=a, b=b, x_ls=svd(a).pinv_apply(b))
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(HypothesisError, match="distinct"):
             preconditioner_noise(sys_)
 
     def test_rank_one_errors(self):
         a = np.outer([1.0, 2.0], [3.0, 4.0])
         b = a @ np.ones(2)
         sys_ = LinearSystem(a=a, b=b, x_ls=svd(a).pinv_apply(b))
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(HypothesisError, match="rank"):
             preconditioner_noise(sys_)
 
     def test_frobenius_identity(self, small_system):

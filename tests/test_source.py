@@ -1,4 +1,7 @@
-"""Checks on the package source that a linter would make: no module imports a name it never reads."""
+"""Checks on the package source that a linter would make.
+
+No module imports a name it never reads, and only ``cli`` and ``problems`` reach the file writers of ``linalg``.
+"""
 
 import ast
 from pathlib import Path
@@ -53,3 +56,26 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text()) == []
+
+
+def writer_users(source: str) -> set:
+    """The file writers ``_write_table`` and ``_write_json`` that ``source`` imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & {"_write_table", "_write_json"}
+
+
+def test_the_guard_sees_a_writer():
+    assert writer_users("from .linalg import _kernel, _write_table\nfrom . import linalg\nlinalg._write_json") == {
+        "_write_table", "_write_json"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_cli_and_problems_write_files(path):
+    # the CLI names and formats every dataset file and save_system lays out a system directory; the
+    # solver, the bounds and the experiments compute and write nothing
+    assert path.stem in ("cli", "problems", "linalg") or writer_users(path.read_text()) == set()
