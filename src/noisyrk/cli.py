@@ -30,7 +30,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, replace
 from pathlib import Path
 
 if "numpy" not in sys.modules:
@@ -40,12 +40,10 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundKind, evaluate_bound
+from .bounds import evaluate_bound
 from .errors import HypothesisError, KernelBuildError
 from .experiments import (
-    _EXPERIMENT_KEYS,
     ExperimentConfig,
-    _rk_from,
     _tag,
     apply_paper_scale,
     build_noisy,
@@ -56,9 +54,8 @@ from .experiments import (
 from .kaczmarz import initial_iterates, record_points, solve
 from .linalg import _write_json, _write_table
 from .problems import (
-    _NOISE_KEYS, _REQUIRED, _at_least, _exact, _list_of, _number, _or_none, _read,  # the config reader
+    _SEED, _exact, _keys, _number, _or_none, _read,  # the config reader
     NoiseSpec,
-    SpectrumSpec,
     generate_system,
     load_system,
     save_system,
@@ -108,19 +105,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# An experiment's config keys, as its record's fields state them; the other commands share some of them.
+_EXPERIMENT = _keys(ExperimentConfig)
+
+
 def _config(args, schema: dict) -> dict:
     """The ``--config`` object read through ``schema``; ``--out`` overrides ``output_dir``, and one is required.
 
-    ``rk`` becomes an ``RkConfig`` seeded by default from ``master_seed`` (or 0); ``--seed`` then overrides
+    An ``rk`` block without a ``seed`` takes ``master_seed`` (or 0); ``--seed`` then overrides
     whichever of ``seed``, ``master_seed`` and the ``rk`` seed the command has, here and nowhere else.
     """
     with open(args.config) as fh:
-        cfg = _read(json.load(fh), "config", {**schema, "output_dir": (_or_none(os.fspath), None)})
+        data = json.load(fh)
+    cfg = _read(data, "config", {**schema, "output_dir": (_or_none(os.fspath), None)})
     cfg["output_dir"] = args.out or cfg["output_dir"]
     if not cfg["output_dir"]:
         raise ValueError("an output directory is required (--out or output_dir)")
-    if "rk" in cfg:
-        cfg["rk"] = _rk_from(cfg["rk"], cfg.get("master_seed", 0))
+    if "rk" in cfg and "seed" not in data.get("rk", {}):
+        cfg["rk"] = replace(cfg["rk"], seed=cfg.get("master_seed", 0))
     if args.seed is not None:
         cfg.update({key: args.seed for key in ("seed", "master_seed") if key in cfg})
         if "rk" in cfg:
@@ -176,11 +178,9 @@ def write_table2_csv(path: Path, rows) -> None:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _config(args, {
-        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (_exact(dict), {}), "seed": (_at_least(0), 0),
-    })
+    cfg = _config(args, {"spectrum": _EXPERIMENT["spectrum"], "noise": (_exact(dict), {}), "seed": (_SEED, 0)})
     # gen's noise block carries the magnitudes that a grid point supplies elsewhere
-    noise = _read(cfg["noise"], "noise", {**_NOISE_KEYS, "sigma_a": (_number, 0.0), "sigma_b": (_number, 0.0)})
+    noise = _read(cfg["noise"], "noise", {**_keys(NoiseSpec), "sigma_a": (_number, 0.0), "sigma_b": (_number, 0.0)})
     sigma_a, sigma_b = noise.pop("sigma_a"), noise.pop("sigma_b")
     sys_ = generate_system(cfg["spectrum"], cfg["seed"])
     save_system(build_noisy(NoiseSpec(**noise), sys_, sigma_a, sigma_b, cfg["seed"]), cfg["output_dir"])
@@ -188,7 +188,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args, {"system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {})})
+    cfg = _config(args, {"system_dir": (os.fspath, MISSING), "rk": _EXPERIMENT["rk"]})
     traj = solve(load_system(cfg["system_dir"]), cfg["rk"])  # every key is read before the system is loaded
     out = _out(cfg)
     write_trajectory_csv(out / "traj.csv", traj)
@@ -198,7 +198,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _config(args, {
-        "system_dir": (os.fspath, _REQUIRED), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), _REQUIRED),
+        "system_dir": (os.fspath, MISSING), "rk": _EXPERIMENT["rk"], "bounds": (_EXPERIMENT["bounds"][0], MISSING),
     })
     rk, noisy = cfg["rk"], load_system(cfg["system_dir"])
     ks = record_points(rk.max_iterations, rk.record_stride)
@@ -220,7 +220,7 @@ def _experiment(args, schema: dict) -> tuple:
 
 def _cmd_table2(args) -> int:
     # the sweep evaluates no bound curves, so a bounds list is an unknown key
-    cfg, exp = _experiment(args, {k: v for k, v in _EXPERIMENT_KEYS.items() if k != "bounds"})
+    cfg, exp = _experiment(args, {k: v for k, v in _EXPERIMENT.items() if k != "bounds"})
     rows = run_table2(exp, threads=args.threads)
     out = _out(cfg)
     write_table2_csv(out / "table2.csv", rows)
@@ -230,7 +230,7 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    cfg, exp = _experiment(args, _EXPERIMENT_KEYS)
+    cfg, exp = _experiment(args, _EXPERIMENT)
     results = run_figure_experiment(exp, threads=args.threads).values()
     out = _out(cfg)
     for res in results:
@@ -247,8 +247,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_precondition(args) -> int:
     cfg = _config(args, {
-        "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "tau": (_number, _REQUIRED), "rk": (_exact(dict), {}),
-        "master_seed": (_at_least(0), 0), "initial_sq_error": (_or_none(_number), None),
+        "spectrum": _EXPERIMENT["spectrum"], "tau": (_number, MISSING), "rk": _EXPERIMENT["rk"],
+        "master_seed": (_SEED, 0), "initial_sq_error": (_or_none(_number), None),
     })
     demo = run_preconditioner_demo(
         cfg["spectrum"],

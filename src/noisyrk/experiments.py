@@ -19,6 +19,9 @@ identical records.  Grid points are independent and may be evaluated by
 a process pool (``threads``); the records do not depend on the execution
 order.  The command-line front end names and formats every file
 written from the records.
+
+:class:`ExperimentConfig` is the config of ``figure`` and ``table2``, read
+from JSON through its fields, its nested records included.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import HypothesisError
 from .kaczmarz import (
     RkConfig,
     Trajectory,
-    X0Mode,
     empirical_horizon,
     initial_iterates,
     solve,
@@ -46,7 +48,7 @@ from .problems import (
     NoiseSpec,
     NoisySystem,
     SpectrumSpec,
-    _REQUIRED, _at_least, _exact, _list_of, _number, _or_none, _read,  # the config reader
+    _SEED, _check, _list_of, _number, _or_none, _record, _rule,  # the config rules
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -84,26 +86,6 @@ PAPER_TRIALS = 10
 _DECAY_TARGET = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Everything a suite needs: system, noise model, grid, solver, bounds; its fields are its config's keys."""
-
-    spectrum: SpectrumSpec
-    rk: RkConfig
-    master_seed: int
-    noise: NoiseSpec = NoiseSpec()
-    grid: tuple | None = None
-    bounds: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple(_list_of(BoundKind)(list(self.bounds))))
-        if self.grid is not None:
-            grid = _noise_grid(self.grid)
-            for sigma_a, sigma_b in grid:  # a point the model does not take fails here, before anything runs
-                self.noise.check(sigma_a, sigma_b, f"grid point [{sigma_a:g}, {sigma_b:g}]")
-            object.__setattr__(self, "grid", grid)
-
-
 def _noise_grid(pairs) -> tuple:
     """The grid as float pairs, once it is nonempty and no two of its pairs share a file tag (see ``_tag``)."""
     grid = tuple((float(_number(a)), float(_number(b))) for a, b in pairs)
@@ -118,21 +100,24 @@ def _noise_grid(pairs) -> tuple:
     return grid
 
 
-def _rk_from(data: dict, default_seed: int) -> RkConfig:
-    """Parse an ``rk`` config block whose seed defaults to ``default_seed``."""
-    return RkConfig(**_read(data, "rk", {
-        "max_iterations": (_at_least(1), 10_000), "trials": (_at_least(1), 10),
-        "record_stride": (_or_none(_at_least(1)), None), "seed": (_at_least(0), default_seed),
-        "x0_mode": (X0Mode, "range"),
-    }))
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """Everything a suite needs: system, noise model, grid, solver, bounds; its fields are its config's keys.
 
+    A ``spectrum``, ``rk`` or ``noise`` is a record or its JSON object; every grid point must be one the model takes.
+    """
 
-# An experiment's config keys; ``rk`` is read by ``_rk_from`` once ``master_seed``, its default seed, is known.
-_EXPERIMENT_KEYS = {
-    "spectrum": (SpectrumSpec.from_dict, _REQUIRED), "noise": (NoiseSpec.from_dict, {}),
-    "grid": (_or_none(_noise_grid), None), "rk": (_exact(dict), {}), "bounds": (_list_of(BoundKind), []),
-    "master_seed": (_at_least(0), _REQUIRED),
-}
+    spectrum: SpectrumSpec = _rule(_record(SpectrumSpec, "spectrum"))
+    rk: RkConfig = _rule(_record(RkConfig, "rk"), RkConfig())
+    master_seed: int = _rule(_SEED)
+    noise: NoiseSpec = _rule(_record(NoiseSpec, "noise"), NoiseSpec())
+    grid: tuple | None = _rule(_or_none(_noise_grid), None)
+    bounds: tuple = _rule(_list_of(BoundKind), ())
+
+    def __post_init__(self) -> None:
+        _check(self, "config")
+        for sigma_a, sigma_b in self.grid or ():  # a point the model does not take fails here, before anything runs
+            self.noise.check(sigma_a, sigma_b, f"grid point [{sigma_a:g}, {sigma_b:g}]")
 
 
 def apply_paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:

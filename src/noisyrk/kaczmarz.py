@@ -27,6 +27,8 @@ step, and without a compiler the first solve raises
 A trial sees the uniforms its stream's ``random()`` would return, and
 the kernel advances each trial on its own iterate, so a trial's result
 does not depend on how many trials run beside it.
+
+:class:`RkConfig` is a config's ``rk`` block; ``RkConfig()`` is the empty one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from . import seeding
 from .errors import HypothesisError
 from .linalg import _kernel, as_matrix, as_vector
-from .problems import NoisySystem
+from .problems import _COUNT, _SEED, NoisySystem, _check, _or_none, _rule  # the config rules
 
 __all__ = [
     "X0Mode",
@@ -65,24 +67,18 @@ class X0Mode(str, enum.Enum):
     RANGE_ROWSPACE = "range"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RkConfig:
-    """Iteration budget, recording grid, trial layout and start mode for a solve."""
+    """Iteration budget, recording grid, trial layout and start mode for a solve: a config's ``rk`` block."""
 
-    max_iterations: int
-    trials: int = 10
-    record_stride: int | None = None
-    seed: int = 0
-    x0_mode: X0Mode = X0Mode.RANGE_ROWSPACE
+    max_iterations: int = _rule(_COUNT, 10_000)
+    trials: int = _rule(_COUNT, 10)
+    record_stride: int | None = _rule(_or_none(_COUNT), None)
+    seed: int = _rule(_SEED, 0)
+    x0_mode: X0Mode = _rule(X0Mode, X0Mode.RANGE_ROWSPACE)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0_mode", X0Mode(self.x0_mode))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        _check(self, "rk")
 
 
 class RowSampler:

@@ -16,6 +16,9 @@ noiseless system is consistent.  Four noise models then corrupt it:
 
 All constructors are pure and deterministic per ``(inputs, seed)``.  A unit draw (E, F, eps) is made only where it
 moves the system, once, shared read-only by a grid, and kept only by a multiplicative system.
+
+A config record (``SpectrumSpec``, ``NoiseSpec``, ``RkConfig``, ``ExperimentConfig``) states each key's rule and default
+once, on its field; its ``__post_init__`` and :func:`_read`, the one JSON reader, both apply them from there.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -68,65 +71,93 @@ __all__ = [
 
 _MAX_REDRAWS = 100
 _MIN_GAP = 1e-6  # the least gap between random_distinct singular values, relative to sigma_max
-_REQUIRED = object()
+
+
+def _rule(rule, default=MISSING):
+    """A config record's field: ``rule(value)`` is what it stores, or raises; both hold alike in Python and JSON."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _keys(record) -> dict:
+    """``{key: (rule, default)}`` of a config record's fields: the schema :func:`_read` reads its JSON object by."""
+    return {f.name: (f.metadata["rule"], f.default) for f in fields(record)}
+
+
+def _check(record, block: str) -> None:
+    """Store on ``record`` what each field's rule returns, read by :func:`_read` as the JSON ``block`` would be."""
+    schema = _keys(type(record))
+    for key, value in _read({key: getattr(record, key) for key in schema}, block, schema).items():
+        object.__setattr__(record, key, value)
 
 
 def _read(data, where: str, schema: dict) -> dict:
-    """The JSON object ``data`` read through ``schema``: ``{key: (convert, JSON default or _REQUIRED)}``.
+    """The JSON object ``data`` read through ``schema``: ``{key: (rule, default)}``, ``MISSING`` if it has none.
 
     A block that is not an object, a key the schema does not name, a missing
-    required key or a value ``convert`` rejects is a ``ValueError`` naming ``where`` and the key.
+    required key or a value its rule rejects is a ``ValueError`` naming ``where`` and the key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(schema)
     if unknown:
         raise ValueError(f"{where}: unknown key '{min(unknown)}'")
-    fields = {}
-    for key, (convert, default) in schema.items():
-        if key not in data and default is _REQUIRED:
+    values = {}
+    for key, (rule, default) in schema.items():
+        if key not in data and default is MISSING:
             raise ValueError(f"{where}: missing required key '{key}'")
         try:
-            fields[key] = convert(data.get(key, default))
+            values[key] = rule(data.get(key, default))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
-    return fields
+    return values
 
 
-def _or_none(convert):
-    """``convert`` for a key whose JSON null means "not set"."""
-    return lambda value: None if value is None else convert(value)
+def _record(cls, block: str):
+    """Rule of a nested config record: an instance of ``cls``, or its JSON object, read under ``block``."""
+    return lambda value: value if isinstance(value, cls) else cls(**_read(value, block, _keys(cls)))
+
+
+def _or_none(rule):
+    """``rule`` for a key whose JSON null means "not set"."""
+    return lambda value: None if value is None else rule(value)
 
 
 def _exact(kind: type):
-    """Converter taking only JSON values of type ``kind``: no truncated ``100.9``, no true ``"false"``."""
-    def convert(value):
+    """Rule taking only values of type ``kind``: no true ``"false"``, no ``1`` for ``true``."""
+    def rule(value):
         if type(value) is not kind:
             raise ValueError(f"expected {kind.__name__}, got {value!r}")
         return value
-    return convert
+    return rule
 
 
 def _at_least(low: int):
-    """Converter for a JSON integer of at least ``low``: a count, or a seed at ``low`` 0."""
-    def convert(value):
-        if _exact(int)(value) < low:
+    """Rule of an integer of at least ``low``: never a bool, never a truncated float; stored as ``int``."""
+    def rule(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"expected int, got {value!r}")
+        if value < low:
             raise ValueError(f"must be at least {low}, got {value}")
-        return value
-    return convert
+        return int(value)
+    return rule
+
+
+_COUNT, _SEED = _at_least(1), _at_least(0)
 
 
 def _number(value):
-    """Converter for a finite JSON number, not a bool or a string; kept as written, so ``asdict`` echoes it."""
+    """Rule of a finite number, not a bool or a string; kept as written, so ``asdict`` echoes it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return value
 
 
-def _list_of(convert):
-    """Converter for a JSON list of distinct items, reading each with ``convert``."""
+def _list_of(rule):
+    """Rule of a list (or, from Python, a tuple) of distinct items, each read by ``rule``; stored as a tuple."""
     def read(value):
-        items = [convert(item) for item in _exact(list)(value)]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected list, got {value!r}")
+        items = tuple(rule(item) for item in value)
         if len(set(items)) < len(items):
             raise ValueError(f"an item is listed twice in {value!r}")
         return items
@@ -152,55 +183,46 @@ class NoiseModel(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """Shape and spectrum of a generated system matrix."""
+    """Shape and spectrum of a generated system matrix: a config's ``spectrum`` block."""
 
-    m: int
-    n: int
-    r: int
-    sigma_min: float
-    sigma_max: float
-    spacing: Spacing = Spacing.EVEN
+    m: int = _rule(_COUNT)
+    n: int = _rule(_COUNT)
+    r: int = _rule(_COUNT)
+    sigma_min: float = _rule(_number)
+    sigma_max: float = _rule(_number)
+    spacing: Spacing = _rule(Spacing, Spacing.EVEN)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spacing", Spacing(self.spacing))
-        if not all(isinstance(d, numbers.Integral) for d in (self.m, self.n, self.r)):
-            raise ValueError("m, n and r must be integers")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if not 1 <= self.r <= min(self.m, self.n):
-            raise ValueError("rank must satisfy 1 <= r <= min(m, n)")
-        if not 0 < self.sigma_min <= self.sigma_max:
-            raise ValueError("need 0 < sigma_min <= sigma_max")
-        if self.spacing is Spacing.FLAT_TOP and (self.r < 2 or self.sigma_min >= self.sigma_max):
-            raise ValueError("flat_top spacing needs r >= 2 and sigma_min < sigma_max")
-        if self.spacing is Spacing.EVEN and self.r > 1 and self.sigma_min == self.sigma_max:
-            raise ValueError("even spacing with r > 1 needs distinct endpoints, sigma_min < sigma_max")
-        if self.spacing is Spacing.RANDOM_DISTINCT and self.r > 1 \
-                and (self.sigma_max - self.sigma_min) < _MIN_GAP * self.sigma_max * (self.r - 1):
-            raise ValueError("interval sigma_max - sigma_min too narrow for r distinct singular values")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectrumSpec":
-        """Inverse of ``asdict``, read by :func:`_read`."""
-        return cls(**_read(data, "spectrum", {
-            "m": (_exact(int), _REQUIRED), "n": (_exact(int), _REQUIRED), "r": (_exact(int), _REQUIRED),
-            "sigma_min": (_number, _REQUIRED), "sigma_max": (_number, _REQUIRED), "spacing": (Spacing, "even"),
-        }))
+        _check(self, "spectrum")
+        r, low, high, spacing = self.r, self.sigma_min, self.sigma_max, self.spacing
+        if r > min(self.m, self.n):
+            key, why = "r", f"rank must satisfy r <= min(m, n) = {min(self.m, self.n)}, got {r}"
+        elif not 0 < low <= high:
+            key, why = "sigma_min", "need 0 < sigma_min <= sigma_max"
+        elif spacing is Spacing.FLAT_TOP and (r < 2 or low >= high):
+            key, why = "spacing", "flat_top spacing needs r >= 2 and sigma_min < sigma_max"
+        elif spacing is Spacing.EVEN and r > 1 and low == high:
+            key, why = "sigma_min", "even spacing with r > 1 needs distinct endpoints, sigma_min < sigma_max"
+        elif spacing is Spacing.RANDOM_DISTINCT and r > 1 and high - low < _MIN_GAP * high * (r - 1):
+            key, why = "sigma_max", "interval sigma_max - sigma_min too narrow for r distinct singular values"
+        else:
+            return
+        raise ValueError(f"spectrum: bad value for '{key}': {why}")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """A noise model; ``use_e`` / ``use_f`` switch the multiplicative factors.
+    """A noise model, the ``noise`` block of a config; ``use_e`` / ``use_f`` switch the multiplicative factors.
 
     The magnitudes ``sigma_a`` / ``sigma_b`` come from a grid point, or beside it in ``gen``'s block.
     """
 
-    model: NoiseModel = NoiseModel.ADDITIVE
-    use_e: bool = True
-    use_f: bool = True
+    model: NoiseModel = _rule(NoiseModel, NoiseModel.ADDITIVE)
+    use_e: bool = _rule(_exact(bool), True)
+    use_f: bool = _rule(_exact(bool), True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model", NoiseModel(self.model))
+        _check(self, "noise")
         if self.model is not NoiseModel.MULTIPLICATIVE and not (self.use_e and self.use_f):
             key = "use_f" if self.use_e else "use_e"
             raise ValueError(f"noise: bad value for '{key}': only the multiplicative model switches a factor off")
@@ -218,15 +240,6 @@ class NoiseSpec:
         else:
             return
         raise ValueError(f"{where}: bad value for '{key}': {why}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseSpec":
-        """Inverse of ``asdict``, read by :func:`_read`."""
-        return cls(**_read(data, "noise", _NOISE_KEYS))
-
-
-# The keys of a noise block; ``gen``'s block adds the magnitudes.
-_NOISE_KEYS = {"model": (NoiseModel, "additive"), "use_e": (_exact(bool), True), "use_f": (_exact(bool), True)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,8 +518,9 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     where = str(path / "meta.json")
     with open(where) as fh:
         meta = _read(json.load(fh), where, {
-            **_NOISE_KEYS, "model": (NoiseModel, _REQUIRED), "spec": (_or_none(SpectrumSpec.from_dict), None),
-            "sigma_a": (_number, _REQUIRED), "sigma_b": (_number, _REQUIRED), "seed": (_or_none(_exact(int)), None),
+            **_keys(NoiseSpec), "model": (NoiseModel, MISSING), "sigma_a": (_number, MISSING),
+            "sigma_b": (_number, MISSING), "seed": (_or_none(_SEED), None),
+            "spec": (_or_none(_record(SpectrumSpec, "spectrum")), None),
         })
     try:
         noise = NoiseSpec(meta["model"], meta["use_e"], meta["use_f"])

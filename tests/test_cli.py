@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisyrk import (
-    BoundKind, NoiseSpec, SpectrumSpec, cli, generate_system, load_system, read_matrix, read_vector, seeding,
-    write_matrix, write_vector,
+    BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, generate_system, load_system, read_matrix,
+    read_vector, seeding, write_matrix, write_vector,
 )
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
@@ -108,7 +109,7 @@ class TestGen:
         loaded = load_system(tmp_path / "system")
         magnitudes = (noise.get("sigma_a", 0.0), noise.get("sigma_b", 0.0))
         sys_ = generate_system(SpectrumSpec(**SPECTRUM), 3)
-        spec = NoiseSpec.from_dict({k: v for k, v in noise.items() if k not in ("sigma_a", "sigma_b")})
+        spec = NoiseSpec(**{k: v for k, v in noise.items() if k not in ("sigma_a", "sigma_b")})
         built = build_noisy(spec, sys_, *magnitudes, 3)
         assert np.array_equal(loaded.a_tilde, built.a_tilde)
         assert np.array_equal(loaded.b_tilde, built.b_tilde)
@@ -395,6 +396,14 @@ _MODELS = ["additive", "multiplicative", "partial_consistent", "preconditioner"]
 _RK_OUT_OF_RANGE = [("max_iterations", 0), ("trials", 0), ("record_stride", 0), ("seed", -1)]
 # dropped, or the grid made null, these run their defaults: 10000 iterations, 10 trials, table2's ten points
 _OVER_BUDGET = {("rk",), ("rk", "max_iterations"), ("rk", "trials"), ("grid",)}
+# the keys a config cannot drop, as the README's schemas list them; a dropped one is exit 1
+_REQUIRED = {"gen": {"spectrum"}, "solve": {"system_dir"}, "bounds": {"system_dir", "bounds"},
+             "precondition": {"spectrum", "tau"}, "table2": {"spectrum", "master_seed"},
+             "figure": {"spectrum", "master_seed"}}
+_REQUIRED_SPECTRUM = {"m", "n", "r", "sigma_min", "sigma_max"}
+# the keys whose value is any finite number (an integer too), and the keys that take null
+_REAL = {"sigma_min", "sigma_max", "tau"}
+_NULLABLE = {"record_stride", "grid"}
 
 
 def _paths(data, prefix=()):
@@ -417,17 +426,32 @@ def _with(data, path, value):
     return data
 
 
+def _schema_code(subcommand, path, value):
+    """The exit code the schema decides for ``value`` (``_DROP``: the key dropped) at ``path``, or None.
+
+    A dropped required key and a value of a type the key does not take (a float where an integer goes) are
+    exit 1; a dropped optional key, an integer where a real goes and a null where null is allowed may run.
+    """
+    if value is _DROP:
+        required = {(key,) for key in _REQUIRED[subcommand]} | {("spectrum", key) for key in _REQUIRED_SPECTRUM}
+        return 1 if path in required else None
+    if type(value) is int and path[-1] in _REAL or value is None and path[-1] in _NULLABLE:
+        return None
+    return 1
+
+
 @st.composite
 def config_mutations(draw):
-    """(subcommand, config, the block and keys an exit-1 message names, *extra flags): one change to a valid run.
+    """(subcommand, config, the block and keys an exit-1 message names, exit code or None, *extra flags).
 
-    The change is to the config, or a negative ``--seed`` flag, a usage error named by the flag.
+    One change to a valid run: to the config, or a negative ``--seed`` flag, a usage error named by the flag.
+    A change the schema rejects carries exit code 1; None is a change that may run, fail or be rejected.
     """
     subcommand = draw(st.sampled_from(sorted(CONFIGS)))
     data = config_for(subcommand, "system")
     kind = draw(st.sampled_from(["drop", "swap", "range", "flag"]))
     if kind == "flag":
-        return subcommand, data, ("--seed", ("must be at least 0",)), "--seed", "-1"
+        return subcommand, data, ("--seed", ("must be at least 0",)), 1, "--seed", "-1"
     if kind in ("drop", "swap"):
         path = draw(st.sampled_from([p for p in _paths(data) if kind == "swap" or p not in _OVER_BUDGET]))
         old = data
@@ -435,32 +459,33 @@ def config_mutations(draw):
             old = old[key]
         swaps = [v for v in _SWAPS if type(v) is not type(old) and not (v is None and path in _OVER_BUDGET)]
         value = _DROP if kind == "drop" else draw(st.sampled_from(swaps))
-        return subcommand, _with(data, path, value), (path[-2] if len(path) > 1 else "config", (path[-1],))
-    # out of range: a spectrum rule, an rk value or a seed, or magnitudes up to 1e300, q >= 1 among them,
-    # under any model
+        names = (path[-2] if len(path) > 1 else "config", (path[-1],))
+        return subcommand, _with(data, path, value), names, _schema_code(subcommand, path, value)
+    # out of range: a spectrum rule, an rk value or a seed (exit 1), or magnitudes up to 1e300, q >= 1 among
+    # them, under any model (any code)
     magnitude = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e300]), st.floats(0.0, 1e300))
-    cases = [case for case in _OUT_OF_RANGE if case[0] == subcommand]
+    cases = [(*case, 1) for case in _OUT_OF_RANGE if case[0] == subcommand]
     pair = [draw(magnitude), draw(magnitude)]
     model = draw(st.sampled_from(_MODELS))
     if subcommand == "gen":
         cases.append(("gen", "noise", {"model": model, "sigma_a": pair[0], "sigma_b": pair[1]},
-                      ("noise", ("sigma_a", "sigma_b"))))
+                      ("noise", ("sigma_a", "sigma_b")), None))
     elif subcommand in ("figure", "table2"):  # table2 takes only the additive model
-        cases.append((subcommand, "grid", [pair], ("grid", ("sigma_a", "sigma_b"))))
+        cases.append((subcommand, "grid", [pair], ("grid", ("sigma_a", "sigma_b")), None))
     elif subcommand == "precondition":  # a tolerance at or below the horizon is unreachable
-        cases.append(("precondition", "tau", pair[0], ("config", ("tau",))))
-        cases.append(("precondition", "initial_sq_error", pair[1] - 1.0, ("config", ("initial_sq_error",))))
+        cases.append(("precondition", "tau", pair[0], ("config", ("tau",)), None))
+        cases.append(("precondition", "initial_sq_error", pair[1] - 1.0, ("config", ("initial_sq_error",)), None))
     if subcommand == "table2" and model != "additive":  # the sweep is defined for the additive model alone
-        cases.append(("table2", "noise", {"model": model}, ("noise", ("model",))))
+        cases.append(("table2", "noise", {"model": model}, ("noise", ("model",)), 1))
     if "rk" in data:
-        cases += [(subcommand, "rk", {**RK, key: value}, ("rk", (key,))) for key, value in _RK_OUT_OF_RANGE]
-    cases += [(subcommand, key, -1, ("config", (key,))) for key in ("seed", "master_seed") if key in data]
-    _, block, value, names = draw(st.sampled_from(cases))
+        cases += [(subcommand, "rk", {**RK, key: value}, ("rk", (key,)), 1) for key, value in _RK_OUT_OF_RANGE]
+    cases += [(subcommand, key, -1, ("config", (key,)), 1) for key in ("seed", "master_seed") if key in data]
+    _, block, value, names, code = draw(st.sampled_from(cases))
     if subcommand == "figure" and block == "grid":
         data = {**data, "noise": {"model": model}}
     if subcommand == "table2" and block == "noise" and model == "partial_consistent":
         data = {**data, "grid": [[0.5, 0.0]]}  # a point the model takes, so that the model is the one fault
-    return subcommand, {**data, block: value}, names
+    return subcommand, {**data, block: value}, names, code
 
 
 def _expected_files(subcommand, data, meta) -> set:
@@ -503,39 +528,43 @@ def _finite(value) -> bool:
 @given(case=config_mutations())
 # each once a config error naming neither the block nor the key, the spectrum rules from inside a run
 @example(case=("gen", config_for("gen", None, spectrum={**SPECTRUM, "sigma_min": 2.0, "sigma_max": 2.0}),
-               ("spectrum", ("sigma_min",))))
+               ("spectrum", ("sigma_min",)), 1))
 @example(case=("table2", config_for("table2", None, spectrum={
-    **SPECTRUM, "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7, "spacing": "random_distinct"}), ("spectrum", ("sigma_max",))))
+    **SPECTRUM, "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7, "spacing": "random_distinct"}), ("spectrum", ("sigma_max",)),
+               1))
 @example(case=("figure", config_for("figure", None, noise={"model": "partial_consistent"}),  # q = 0 at [0, 0]
-               ("grid", ("sigma_a",))))
+               ("grid", ("sigma_a",)), 1))
 @example(case=("gen", config_for("gen", None, noise={"model": "preconditioner", "sigma_b": 1e-300}),
-               ("noise", ("sigma_b",))))
-@example(case=("precondition", config_for("precondition", None, tau=1e-300), ("config", ("tau",))))
+               ("noise", ("sigma_b",)), 1))
+@example(case=("precondition", config_for("precondition", None, tau=1e-300), ("config", ("tau",)), 1))
 @example(case=("precondition", config_for("precondition", None, initial_sq_error=0.0),
-               ("config", ("initial_sq_error",))))
+               ("config", ("initial_sq_error",)), 1))
 # each once a config error naming no block, raised by RkConfig or, for a seed, at the first draw
-@example(case=("solve", config_for("solve", "system", rk={**RK, "max_iterations": 0}), ("rk", ("max_iterations",))))
-@example(case=("bounds", config_for("bounds", "system", rk={**RK, "trials": 0}), ("rk", ("trials",))))
-@example(case=("figure", config_for("figure", None, rk={**RK, "record_stride": 0}), ("rk", ("record_stride",))))
-@example(case=("table2", config_for("table2", None, rk={**RK, "seed": -1}), ("rk", ("seed",))))
-@example(case=("gen", config_for("gen", None, seed=-1), ("config", ("seed",))))
-@example(case=("precondition", config_for("precondition", None, master_seed=-1), ("config", ("master_seed",))))
-@example(case=("figure", config_for("figure", None), ("--seed", ("must be at least 0",)), "--seed", "-1"))
+@example(case=("solve", config_for("solve", "system", rk={**RK, "max_iterations": 0}), ("rk", ("max_iterations",)),
+               1))
+@example(case=("bounds", config_for("bounds", "system", rk={**RK, "trials": 0}), ("rk", ("trials",)), 1))
+@example(case=("figure", config_for("figure", None, rk={**RK, "record_stride": 0}), ("rk", ("record_stride",)), 1))
+@example(case=("table2", config_for("table2", None, rk={**RK, "seed": -1}), ("rk", ("seed",)), 1))
+@example(case=("gen", config_for("gen", None, seed=-1), ("config", ("seed",)), 1))
+@example(case=("precondition", config_for("precondition", None, master_seed=-1), ("config", ("master_seed",)), 1))
+@example(case=("figure", config_for("figure", None), ("--seed", ("must be at least 0",)), 1, "--seed", "-1"))
 # each once exit 0 running a point or a kind twice, or a config error naming no key
-@example(case=("table2", config_for("table2", None, grid=[[0.1, 0.1], [0.1, 0.1]]), ("config", ("'grid'",))))
-@example(case=("figure", config_for("figure", None, grid=[]), ("config", ("'grid'",))))
+@example(case=("table2", config_for("table2", None, grid=[[0.1, 0.1], [0.1, 0.1]]), ("config", ("'grid'",)), 1))
+@example(case=("figure", config_for("figure", None, grid=[]), ("config", ("'grid'",)), 1))
 @example(case=("bounds", config_for("bounds", "system", bounds=["additive", "additive"]),
-               ("config", ("'bounds'",))))
+               ("config", ("'bounds'",)), 1))
 # each once a config error naming no block: the preconditioner's rank hypothesis, now exit 2
 @example(case=("gen", config_for("gen", None, spectrum={**SPECTRUM, "r": 1}, noise={"model": "preconditioner"}),
-               ("spectrum", ("r",))))
+               ("spectrum", ("r",)), 2))
 @example(case=("figure", config_for("figure", None, spectrum={**SPECTRUM, "r": 1}, noise={"model": "preconditioner"}),
-               ("spectrum", ("r",))))
-@example(case=("precondition", config_for("precondition", None, spectrum={**SPECTRUM, "r": 1}), ("spectrum", ("r",))))
+               ("spectrum", ("r",)), 2))
+@example(case=("precondition", config_for("precondition", None, spectrum={**SPECTRUM, "r": 1}), ("spectrum", ("r",)),
+               2))
 def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
     # each subcommand's valid config with one change: exit 0 with finite numbers and exactly the requested
-    # files, 1 naming the block and the key, or 2 with one line; never a traceback or a numpy warning
-    subcommand, data, names, *flags = case
+    # files, 1 naming the block and the key, or 2 with one line; never a traceback or a numpy warning.  A
+    # change whose code the schema decides must end in it
+    subcommand, data, names, expected, *flags = case
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         if data.get("system_dir") == "system":
@@ -556,7 +585,7 @@ def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
                 else:
                     values = np.loadtxt(file, delimiter="," if file.suffix == ".csv" else None, skiprows=1)
                     written.append(bool(np.isfinite(values).all()))
-    assert code in (0, 1, 2)
+    assert code in (0, 1, 2) if expected is None else code == expected, (code, err)
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert all(written) and (written or code != 0)
     if code == 1:
@@ -565,6 +594,65 @@ def test_a_mutated_config_ends_in_its_exit_code(generated_systems, case):
         assert block in err and any(key in err for key in keys), err
     if code == 2:
         assert err.startswith("hypothesis failed:") and err.count("\n") == 1, err
+
+
+# each config record, the block of figure's config that it is read from with every key given, and the record's
+# fields as Python builds it, a nested block given as its record
+_BLOCKS = {
+    "spectrum": (SpectrumSpec, {**SPECTRUM, "spacing": "even"}, SPECTRUM),
+    "noise": (NoiseSpec, {"model": "additive", "use_e": True, "use_f": True}, {}),
+    "rk": (RkConfig, {**RK, "x0_mode": "range"}, RK),
+    "config": (ExperimentConfig, {**CONFIGS["figure"], "noise": {}}, {
+        "spectrum": SpectrumSpec(**SPECTRUM), "rk": RkConfig(**RK), "master_seed": 7, "grid": ((0.0, 0.0),),
+        "bounds": (BoundKind.ADDITIVE,)}),
+}
+
+
+def _rejected_changes():
+    """(block, change): each value of the mutation vocabulary that the schema rejects, at a key of a record."""
+    for block, (_, given_keys, _) in _BLOCKS.items():
+        for key, old in given_keys.items():
+            for value in _SWAPS:
+                if type(value) is not type(old) and _schema_code(None, (key,), value) == 1:
+                    yield block, {key: value}
+    yield from (("spectrum", spectrum) for subcommand, _, spectrum, _ in _OUT_OF_RANGE if subcommand == "figure")
+    yield from (("rk", {key: value}) for key, value in _RK_OUT_OF_RANGE)
+    yield from [("spectrum", {"spacing": "7"}), ("noise", {"model": "7"}), ("noise", {"use_e": False}),
+                ("rk", {"x0_mode": "7"}), ("config", {"master_seed": -1}), ("config", {"grid": []}),
+                ("config", {"grid": [[0.1, 0.1], [0.1, 0.1]]}), ("config", {"bounds": ["additive", "additive"]}),
+                ("config", {"bounds": [7]})]
+
+
+@pytest.mark.parametrize("block, change", [
+    pytest.param(block, change, id=f"{block}-{'-'.join(f'{k}={v!r}' for k, v in change.items())}")
+    for block, change in _rejected_changes()
+])
+def test_python_and_json_reject_the_same_values(tmp_path, capsys, block, change):
+    # a record built in Python takes what its config block takes: each value the CLI rejects, the record
+    # rejects in the words the CLI prints
+    data = config_for("figure", None)
+    data = {**data, **change} if block == "config" else {**data, block: {**data.get(block, {}), **change}}
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["figure", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    record, _, python_keys = _BLOCKS[block]
+    with pytest.raises(ValueError) as info:
+        record(**{**python_keys, **change})
+    assert str(info.value).startswith(f"{block}: bad value for '") and str(info.value) in err, (str(info.value), err)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpectrumSpec(m=30, n=15, r=15, sigma_min=1, sigma_max=4.0, spacing="random_distinct"),
+    lambda: NoiseSpec("multiplicative", use_f=False),
+    lambda: RkConfig(),
+    lambda: RkConfig(max_iterations=np.int64(50), trials=np.int32(2), record_stride=7, seed=3, x0_mode="zero"),
+    lambda: ExperimentConfig(**_BLOCKS["config"][2], noise=NoiseSpec("multiplicative", use_e=False)),
+    lambda: ExperimentConfig(spectrum=SPECTRUM, master_seed=0),
+], ids=["spectrum", "noise", "rk-defaults", "rk-numpy-integers", "config", "config-defaults"])
+def test_a_record_survives_a_trip_through_json(build):
+    # what asdict writes, the record reads back: a numpy integer is stored as int, an enum as its member
+    record = build()
+    assert type(record)(**json.loads(json.dumps(asdict(record)))) == record
 
 
 @pytest.mark.parametrize(

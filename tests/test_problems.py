@@ -412,6 +412,7 @@ class TestSerialization:
         ("additive", "meta.json", lambda meta: {**meta, "sigma_a": float("nan")},
          "meta.json: bad value for 'sigma_a'"),
         ("additive", "meta.json", lambda meta: {**meta, "seed": 13.0}, "meta.json: bad value for 'seed'"),
+        ("additive", "meta.json", lambda meta: {**meta, "seed": -1}, "meta.json: bad value for 'seed'"),
         ("additive", "meta.json", lambda meta: {**meta, "bogus": 1}, "meta.json: unknown key 'bogus'"),
         ("additive", "meta.json", lambda meta: {**meta, "use_e": False}, "meta.json: noise: bad value for 'use_e'"),
     ])

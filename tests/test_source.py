@@ -1,12 +1,16 @@
 """Checks on the package source that a linter would make.
 
-No module imports a name it never reads, and only ``cli`` and ``problems`` reach the file writers of ``linalg``.
+No module imports a name it never reads, only ``cli`` and ``problems`` reach the file writers of ``linalg``, and
+every config key's rule and default live on its record's field, with no second JSON reader beside them.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from noisyrk import ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "noisyrk"
 
@@ -79,3 +83,25 @@ def test_only_the_cli_and_problems_write_files(path):
     # the CLI names and formats every dataset file and save_system lays out a system directory; the
     # solver, the bounds and the experiments compute and write nothing
     assert path.stem in ("cli", "problems", "linalg") or writer_users(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("record", [SpectrumSpec, NoiseSpec, RkConfig, ExperimentConfig], ids=lambda r: r.__name__)
+def test_every_config_field_carries_its_rule(record):
+    # the rule a record checks in Python is the one the JSON reader applies, so a new key cannot skip it
+    assert [f.name for f in dataclasses.fields(record) if "rule" not in f.metadata] == []
+
+
+def from_dicts(source: str) -> list:
+    """The line of each function or method named ``from_dict`` that ``source`` defines."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "from_dict"]
+
+
+def test_the_guard_sees_a_from_dict():
+    assert from_dicts("class A:\n    @classmethod\n    def from_dict(cls, data):\n        pass\n") == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_defines_a_second_config_reader(path):
+    # a record is read from JSON by problems._read through its fields, so its defaults are written once
+    assert from_dicts(path.read_text()) == []
