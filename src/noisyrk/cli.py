@@ -107,6 +107,7 @@ def _build_parser() -> _Parser:
 
 # An experiment's config keys, as its record's fields state them; the other commands share some of them.
 _EXPERIMENT = _keys(ExperimentConfig)
+_EXPERIMENT["rk"] = (_EXPERIMENT["rk"][0], {})  # a config may leave its rk block out; _config seeds it
 
 
 def _config(args, schema: dict) -> dict:

@@ -48,7 +48,7 @@ from .problems import (
     NoiseSpec,
     NoisySystem,
     SpectrumSpec,
-    _SEED, _check, _list_of, _number, _or_none, _record, _rule,  # the config rules
+    _SEED, _bad, _check, _list_of, _number, _or_none, _record, _rule,  # the config rules
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -105,10 +105,11 @@ class ExperimentConfig:
     """Everything a suite needs: system, noise model, grid, solver, bounds; its fields are its config's keys.
 
     A ``spectrum``, ``rk`` or ``noise`` is a record or its JSON object; every grid point must be one the model takes.
+    ``rk`` is required: a config's ``rk`` block, or its seed, defaults to one seeded by ``master_seed``.
     """
 
     spectrum: SpectrumSpec = _rule(_record(SpectrumSpec, "spectrum"))
-    rk: RkConfig = _rule(_record(RkConfig, "rk"), RkConfig())
+    rk: RkConfig = _rule(_record(RkConfig, "rk"))
     master_seed: int = _rule(_SEED)
     noise: NoiseSpec = _rule(_record(NoiseSpec, "noise"), NoiseSpec())
     grid: tuple | None = _rule(_or_none(_noise_grid), None)
@@ -277,7 +278,7 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     standard ten-point grid when the config does not override it.
     """
     if cfg.noise.model is not NoiseModel.ADDITIVE:
-        raise ValueError("noise: bad value for 'model': the sweep is defined for the additive noise model")
+        raise _bad("noise", "model", "the sweep is defined for the additive noise model")
     grid = cfg.grid if cfg.grid is not None else TABLE2_GRID
     return _map_grid(_run_table2_point, cfg, grid, threads)
 

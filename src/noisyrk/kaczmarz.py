@@ -28,7 +28,7 @@ A trial sees the uniforms its stream's ``random()`` would return, and
 the kernel advances each trial on its own iterate, so a trial's result
 does not depend on how many trials run beside it.
 
-:class:`RkConfig` is a config's ``rk`` block; ``RkConfig()`` is the empty one.
+:class:`RkConfig` is a config's ``rk`` block; ``RkConfig()`` is the empty one of a config with no ``master_seed``.
 """
 
 from __future__ import annotations

@@ -90,6 +90,11 @@ def _check(record, block: str) -> None:
         object.__setattr__(record, key, value)
 
 
+def _bad(where: str, key: str, why) -> ValueError:
+    """The error naming ``where``, the block, and the ``key`` whose value breaks a rule for the reason ``why``."""
+    return ValueError(f"{where}: bad value for '{key}': {why}")
+
+
 def _read(data, where: str, schema: dict) -> dict:
     """The JSON object ``data`` read through ``schema``: ``{key: (rule, default)}``, ``MISSING`` if it has none.
 
@@ -108,7 +113,7 @@ def _read(data, where: str, schema: dict) -> dict:
         try:
             values[key] = rule(data.get(key, default))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: bad value for '{key}': {exc}") from None
+            raise _bad(where, key, exc) from None
     return values
 
 
@@ -196,18 +201,17 @@ class SpectrumSpec:
         _check(self, "spectrum")
         r, low, high, spacing = self.r, self.sigma_min, self.sigma_max, self.spacing
         if r > min(self.m, self.n):
-            key, why = "r", f"rank must satisfy r <= min(m, n) = {min(self.m, self.n)}, got {r}"
-        elif not 0 < low <= high:
-            key, why = "sigma_min", "need 0 < sigma_min <= sigma_max"
-        elif spacing is Spacing.FLAT_TOP and (r < 2 or low >= high):
-            key, why = "spacing", "flat_top spacing needs r >= 2 and sigma_min < sigma_max"
-        elif spacing is Spacing.EVEN and r > 1 and low == high:
-            key, why = "sigma_min", "even spacing with r > 1 needs distinct endpoints, sigma_min < sigma_max"
-        elif spacing is Spacing.RANDOM_DISTINCT and r > 1 and high - low < _MIN_GAP * high * (r - 1):
-            key, why = "sigma_max", "interval sigma_max - sigma_min too narrow for r distinct singular values"
-        else:
-            return
-        raise ValueError(f"spectrum: bad value for '{key}': {why}")
+            raise _bad("spectrum", "r", f"rank must satisfy r <= min(m, n) = {min(self.m, self.n)}, got {r}")
+        if not 0 < low <= high:
+            raise _bad("spectrum", "sigma_min", "need 0 < sigma_min <= sigma_max")
+        if spacing is Spacing.FLAT_TOP and (r < 2 or low >= high):
+            raise _bad("spectrum", "spacing", "flat_top spacing needs r >= 2 and sigma_min < sigma_max")
+        if spacing is Spacing.EVEN and r > 1 and low == high:
+            raise _bad("spectrum", "sigma_min",
+                       "even spacing with r > 1 needs distinct endpoints, sigma_min < sigma_max")
+        if spacing is Spacing.RANDOM_DISTINCT and r > 1 and high - low < _MIN_GAP * high * (r - 1):
+            raise _bad("spectrum", "sigma_max",
+                       "interval sigma_max - sigma_min too narrow for r distinct singular values")
 
 
 @dataclass(frozen=True)
@@ -225,21 +229,18 @@ class NoiseSpec:
         _check(self, "noise")
         if self.model is not NoiseModel.MULTIPLICATIVE and not (self.use_e and self.use_f):
             key = "use_f" if self.use_e else "use_e"
-            raise ValueError(f"noise: bad value for '{key}': only the multiplicative model switches a factor off")
+            raise _bad("noise", key, "only the multiplicative model switches a factor off")
 
     def check(self, sigma_a: float, sigma_b: float, where: str) -> None:
         """A ``ValueError`` naming ``where`` and the first magnitude this model does not take at its value."""
         if self.model is NoiseModel.PARTIAL_CONSISTENT and not 0 < sigma_a < 1:
-            key, why = "sigma_a", f"q = ||pinv(A)|| ||dA|| must lie strictly between 0 and 1, got {sigma_a:g}"
-        elif self.model is NoiseModel.PRECONDITIONER and sigma_a != 0:
-            key, why = "sigma_a", "the preconditioner model takes no sigma_a"
-        elif self.model in (NoiseModel.PARTIAL_CONSISTENT, NoiseModel.PRECONDITIONER) and sigma_b != 0:
-            key, why = "sigma_b", f"the {self.model.value} model takes no sigma_b"
-        elif sigma_a < 0 or sigma_b < 0:
-            key, why = "sigma_a" if sigma_a < 0 else "sigma_b", "noise magnitudes must be nonnegative"
-        else:
-            return
-        raise ValueError(f"{where}: bad value for '{key}': {why}")
+            raise _bad(where, "sigma_a", f"q = ||pinv(A)|| ||dA|| must lie strictly between 0 and 1, got {sigma_a:g}")
+        if self.model is NoiseModel.PRECONDITIONER and sigma_a != 0:
+            raise _bad(where, "sigma_a", "the preconditioner model takes no sigma_a")
+        if self.model in (NoiseModel.PARTIAL_CONSISTENT, NoiseModel.PRECONDITIONER) and sigma_b != 0:
+            raise _bad(where, "sigma_b", f"the {self.model.value} model takes no sigma_b")
+        if sigma_a < 0 or sigma_b < 0:
+            raise _bad(where, "sigma_a" if sigma_a < 0 else "sigma_b", "noise magnitudes must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -647,12 +647,29 @@ def test_python_and_json_reject_the_same_values(tmp_path, capsys, block, change)
     lambda: RkConfig(),
     lambda: RkConfig(max_iterations=np.int64(50), trials=np.int32(2), record_stride=7, seed=3, x0_mode="zero"),
     lambda: ExperimentConfig(**_BLOCKS["config"][2], noise=NoiseSpec("multiplicative", use_e=False)),
-    lambda: ExperimentConfig(spectrum=SPECTRUM, master_seed=0),
+    lambda: ExperimentConfig(spectrum=SPECTRUM, rk=RkConfig(seed=7), master_seed=7),
 ], ids=["spectrum", "noise", "rk-defaults", "rk-numpy-integers", "config", "config-defaults"])
 def test_a_record_survives_a_trip_through_json(build):
     # what asdict writes, the record reads back: a numpy integer is stored as int, an enum as its member
     record = build()
     assert type(record)(**json.loads(json.dumps(asdict(record)))) == record
+
+
+@pytest.mark.parametrize("subcommand, rk", [("figure", None), ("table2", {"max_iterations": 300, "trials": 2})])
+def test_an_rk_seed_left_out_is_master_seed_in_python_as_in_json(tmp_path, subcommand, rk):
+    # the record a command reads, as its meta.json echoes it, is the one Python builds with the rk seed
+    # set to master_seed (7); Python cannot leave rk out, so no record takes another seed silently
+    data = {key: value for key, value in config_for(subcommand, None).items() if key != "rk"}
+    cfg = write_config(tmp_path / "cfg.json", data if rk is None else {**data, "rk": rk})
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    read = json.loads((tmp_path / "out" / "meta.json").read_text())["config"]
+    del read["output_dir"]
+    python = {"spectrum": SpectrumSpec(**SPECTRUM), "master_seed": 7, "grid": ((0.0, 0.0),)}
+    if subcommand == "figure":
+        python["bounds"] = (BoundKind.ADDITIVE,)
+    assert ExperimentConfig(**read) == ExperimentConfig(**python, rk=RkConfig(**rk or {}, seed=7))
+    with pytest.raises(TypeError, match="'rk'"):
+        ExperimentConfig(**python)
 
 
 @pytest.mark.parametrize(
