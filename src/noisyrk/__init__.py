@@ -22,7 +22,7 @@ _EXPORTS = {
         "errors": ("HypothesisError", "KernelBuildError"),
         "linalg": (
             "svd", "pseudoinverse", "scaled_condition_number", "spectral_norm", "sigma_min_nonzero",
-            "orthonormalize_columns", "read_matrix", "write_matrix", "read_vector", "write_vector",
+            "read_matrix", "write_matrix", "read_vector", "write_vector",
         ),
         "problems": (
             "Spacing", "NoiseModel", "NoiseSpec", "SpectrumSpec", "LinearSystem", "NoisySystem",
@@ -34,7 +34,7 @@ _EXPORTS = {
             "record_points", "solve", "empirical_horizon",
         ),
         "bounds": (
-            "BoundKind", "BoundCurve", "HorizonComparison", "bound_additive", "perturbed_ls_distance",
+            "BoundKind", "BoundCurve", "HorizonComparison", "bound_additive",
             "horizon_comparison", "iterations_to_tolerance", "evaluate_bound",
         ),
         "experiments": (

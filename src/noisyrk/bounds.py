@@ -54,7 +54,6 @@ __all__ = [
     "BoundCurve",
     "HorizonComparison",
     "bound_additive",
-    "perturbed_ls_distance",
     "horizon_comparison",
     "iterations_to_tolerance",
     "evaluate_bound",
@@ -221,7 +220,7 @@ def _additive(noisy: NoisySystem):
     return noisy.base.x_ls, horizon, True, scalars
 
 
-def perturbed_ls_distance(noisy: NoisySystem) -> float:
+def _perturbed_ls_distance(noisy: NoisySystem) -> float:
     """Upper bound on the distance between the noisy and noiseless solutions.
 
     ``(2 q ||x_ls|| + ||pinv(A)|| ||eps||) / (1 - q)`` with
@@ -245,12 +244,12 @@ def _perturbation_doubly(noisy: NoisySystem):
     """The unsquared bound routed through the noisy least squares solution.
 
     Needs rank preservation, small noise, and consistency of the noisy
-    system itself; the horizon is :func:`perturbed_ls_distance`.
+    system itself; the horizon is :func:`_perturbed_ls_distance`.
     """
     tilde = noisy.analysis
     _q(noisy)  # rank preservation and small noise are checked before consistency
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    return tilde.x_nls, perturbed_ls_distance(noisy), False, _perturbation_scalars(noisy)
+    return tilde.x_nls, _perturbed_ls_distance(noisy), False, _perturbation_scalars(noisy)
 
 
 def _perturbation_partial(noisy: NoisySystem):

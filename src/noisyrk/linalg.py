@@ -49,7 +49,6 @@ __all__ = [
     "scaled_condition_number",
     "spectral_norm",
     "sigma_min_nonzero",
-    "orthonormalize_columns",
     "read_matrix",
     "write_matrix",
     "read_vector",
@@ -179,7 +178,7 @@ def scaled_condition_number(a) -> float:
     return float(np.sum(ratios * ratios))
 
 
-def orthonormalize_columns(a) -> np.ndarray:
+def _orthonormalize_columns(a) -> np.ndarray:
     """Orthonormal basis for the column span, column count preserved.
 
     Raises if the columns are numerically dependent (a QR pivot below

@@ -40,9 +40,9 @@ from .linalg import (
     SvdFactors,
     _identity_plus,
     _nonsingular,
+    _orthonormalize_columns,
     _write_json,
     least_squares,
-    orthonormalize_columns,
     read_matrix,
     read_vector,
     sigma_min_nonzero,
@@ -376,8 +376,8 @@ def generate_system(spec: SpectrumSpec, seed: int) -> LinearSystem:
     """
     sigma = _spectrum_values(spec, seed)
     # each Gaussian draw dies with its QR
-    u = orthonormalize_columns(seeding.stream(seed, seeding.LEFT_BASIS).standard_normal((spec.m, spec.r)))
-    v = orthonormalize_columns(seeding.stream(seed, seeding.RIGHT_BASIS).standard_normal((spec.n, spec.r)))
+    u = _orthonormalize_columns(seeding.stream(seed, seeding.LEFT_BASIS).standard_normal((spec.m, spec.r)))
+    v = _orthonormalize_columns(seeding.stream(seed, seeding.RIGHT_BASIS).standard_normal((spec.n, spec.r)))
     u *= sigma
     a = u @ v.T
     z = seeding.stream(seed, seeding.SOLUTION).standard_normal(spec.n)
@@ -513,7 +513,8 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     """Reconstruct a noisy system written by :func:`save_system`.
 
     Every file must agree with the ``(m, n)`` of ``A.mat``; a ``ValueError`` names the first file that does not and
-    both shapes.  Only a multiplicative system reads noise files: ``eps.vec`` and each factor ``meta.json`` switches on.
+    both shapes, and a magnitude in ``meta.json`` that its model does not take (:meth:`NoiseSpec.check`) is one too.
+    Only a multiplicative system reads noise files: ``eps.vec`` and each factor ``meta.json`` switches on.
     """
     path = Path(directory)
     where = str(path / "meta.json")
@@ -527,6 +528,7 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
         noise = NoiseSpec(meta["model"], meta["use_e"], meta["use_f"])
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    noise.check(meta["sigma_a"], meta["sigma_b"], where)
     spec = meta["spec"]
     a = read_matrix(path / "A.mat")
     m, n = a.shape

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from noisyrk import (
-    orthonormalize_columns,
     pseudoinverse,
     read_matrix,
     read_vector,
@@ -16,7 +15,7 @@ from noisyrk import (
     write_matrix,
     write_vector,
 )
-from noisyrk.linalg import _identity_plus
+from noisyrk.linalg import _identity_plus, _orthonormalize_columns
 
 from conftest import make_matrix_with_rank
 
@@ -204,24 +203,24 @@ class TestOrthonormalize:
     def test_orthonormal_input_fixed_up_to_signs(self):
         rng = np.random.default_rng(9)
         q0 = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-        q = orthonormalize_columns(q0)
+        q = _orthonormalize_columns(q0)
         signs = np.sign(np.sum(q * q0, axis=0))
         assert_allclose(q * signs, q0, atol=1e-12)
 
     def test_hand_gram_schmidt(self):
-        q = orthonormalize_columns(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        q = _orthonormalize_columns(np.array([[1.0, 1.0], [0.0, 1.0]]))
         signs = np.sign(np.diag(q))
         assert_allclose(q * signs, np.eye(2), atol=1e-12)
 
     def test_random_tall_matrix_invariant(self):
         rng = np.random.default_rng(10)
-        q = orthonormalize_columns(rng.standard_normal((50, 10)))
+        q = _orthonormalize_columns(rng.standard_normal((50, 10)))
         assert np.max(np.abs(q.T @ q - np.eye(10))) <= 1e-10
 
     def test_dependent_columns_error(self):
         a = np.ones((5, 2))
         with pytest.raises(ValueError, match="dependent"):
-            orthonormalize_columns(a)
+            _orthonormalize_columns(a)
 
 
 class TestIdentityPlus:
@@ -286,3 +285,11 @@ def test_deleted_bound_functions_are_gone():
         assert [name for name in deleted if hasattr(mod, name) or name in mod.__all__] == []
         assert {"bound_additive", "evaluate_bound"} <= set(mod.__all__)
         assert callable(mod.bound_additive) and callable(mod.evaluate_bound)
+
+
+def test_private_helpers_left_the_public_names():
+    # read only by their own module and the tests, they carry a leading underscore and no public name
+    for module, name in (("noisyrk.linalg", "orthonormalize_columns"), ("noisyrk.bounds", "perturbed_ls_distance")):
+        for mod in (importlib.import_module("noisyrk"), importlib.import_module(module)):
+            assert not hasattr(mod, name) and name not in mod.__all__
+        assert callable(getattr(importlib.import_module(module), f"_{name}"))

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,11 @@ from noisyrk import (
     generate_system,
     initial_iterates,
     multiplicative_noise,
+    partial_consistent_noise,
     pseudoinverse,
     run_table2,
     scaled_condition_number,
+    svd,
 )
 from noisyrk.experiments import build_noisy
 from noisyrk.kaczmarz import record_points
@@ -218,6 +221,39 @@ def test_every_squared_horizon_holds_at_k_infinity(instance):
     curve = evaluate_bound(kind, noisy, x0s, [0])
     limit = stationary_squared_error(noisy, x0s)
     assert curve.horizon >= limit - 1e-9 * limit - ROUNDING * curve.initial_error, (kind, curve.horizon, limit)
+
+
+def squared_mean_at_the_limit(noisy, x0s) -> float:
+    """``||x_nls - x_ls + P_null x0_bar||^2``: the squared limit of ``E[x_k - x_ls]``, with P_null the projector
+    onto the null space of a_tilde and x0_bar the mean start."""
+    v = svd(noisy.a_tilde).v
+    x0_bar = np.mean(x0s, axis=0)
+    d = noisy.analysis.x_nls - noisy.base.x_ls + x0_bar - v @ (v.T @ x0_bar)
+    return float(d @ d)
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances())
+@example(WIDE_ADDITIVE)
+@example(RANK_DEFICIENT_MULTIPLICATIVE)
+@example(FREE_NOISELESS)
+def test_the_stationary_error_is_at_least_its_squared_mean(instance):
+    # E||e||^2 >= ||E e||^2 at the limit, with the slack of the horizons at k = infinity
+    _, noisy, x0s, _ = instance
+    e0 = x0s - noisy.base.x_ls
+    initial = float(np.mean(np.einsum("ij,ij->i", e0, e0)))
+    lower, limit = squared_mean_at_the_limit(noisy, x0s), stationary_squared_error(noisy, x0s)
+    assert lower <= limit + 1e-9 * limit + ROUNDING * initial, (lower, limit)
+
+
+@pytest.mark.parametrize("noisy", [
+    additive_noise(generate_system(SpectrumSpec(m=12, n=12, r=12, sigma_min=1, sigma_max=4), 8), 0.1, 0.2, seed=8),
+    partial_consistent_noise(generate_system(SpectrumSpec(m=30, n=10, r=10, sigma_min=1, sigma_max=4), 9), 0.4, seed=9),
+], ids=["square_additive", "tall_partial_consistent"])
+def test_a_consistent_full_rank_limit_is_its_squared_mean(noisy):
+    # every row holds at x_nls, so the iterates settle there and the variance vanishes
+    x0s = initial_iterates(noisy.a_tilde, RkConfig(max_iterations=1, trials=3, seed=6))
+    np.testing.assert_allclose(stationary_squared_error(noisy, x0s), squared_mean_at_the_limit(noisy, x0s), rtol=1e-9)
 
 
 def test_theo_horizon_holds_at_k_infinity_on_the_sweep():

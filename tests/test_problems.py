@@ -34,7 +34,7 @@ from noisyrk import (
     write_vector,
 )
 from noisyrk import problems, seeding
-from noisyrk.linalg import _nonsingular, orthonormalize_columns
+from noisyrk.linalg import _nonsingular, _orthonormalize_columns
 from noisyrk.problems import _spectrum_values
 from test_oracle import instances, spectra
 
@@ -122,8 +122,8 @@ class TestGenerateSystem:
     @pytest.mark.parametrize("spacing", list(Spacing))
     def test_a_is_the_product_of_the_scaled_bases(self, spacing):
         spec = SpectrumSpec(m=40, n=25, r=12, sigma_min=0.5, sigma_max=7.0, spacing=spacing)
-        u = orthonormalize_columns(seeding.stream(6, seeding.LEFT_BASIS).standard_normal((40, 12)))
-        v = orthonormalize_columns(seeding.stream(6, seeding.RIGHT_BASIS).standard_normal((25, 12)))
+        u = _orthonormalize_columns(seeding.stream(6, seeding.LEFT_BASIS).standard_normal((40, 12)))
+        v = _orthonormalize_columns(seeding.stream(6, seeding.RIGHT_BASIS).standard_normal((25, 12)))
         assert np.array_equal(generate_system(spec, 6).a, (u * _spectrum_values(spec, 6)) @ v.T)
 
     def test_solution_in_row_space(self, rank_deficient_system):
@@ -415,6 +415,11 @@ class TestSerialization:
         ("additive", "meta.json", lambda meta: {**meta, "seed": -1}, "meta.json: bad value for 'seed'"),
         ("additive", "meta.json", lambda meta: {**meta, "bogus": 1}, "meta.json: unknown key 'bogus'"),
         ("additive", "meta.json", lambda meta: {**meta, "use_e": False}, "meta.json: noise: bad value for 'use_e'"),
+        # a magnitude the model does not take
+        ("multiplicative", "meta.json", lambda meta: {**meta, "sigma_a": -0.05}, "meta.json: bad value for 'sigma_a'"),
+        ("partial_consistent", "meta.json", lambda meta: {**meta, "sigma_a": 1.5},
+         "meta.json: bad value for 'sigma_a'"),
+        ("preconditioner", "meta.json", lambda meta: {**meta, "sigma_a": 7}, "meta.json: bad value for 'sigma_a'"),
     ])
     def test_rejects_misshaped_directory(self, small_system, tmp_path, model, name, bad, message):
         save_system(MODELS[model](small_system), tmp_path)

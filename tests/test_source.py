@@ -1,11 +1,13 @@
 """Checks on the package source that a linter would make.
 
-No module imports a name it never reads, only ``cli`` and ``problems`` reach the file writers of ``linalg``, and
-every config key's rule and default live on its record's field, with no second JSON reader beside them.
+No module imports a name it never reads or exports a private one, only ``cli`` and ``problems`` reach the file
+writers of ``linalg``, and every config key's rule and default live on its record's field, with no second JSON
+reader beside them.
 """
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,22 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(names) -> list:
+    """The names in ``names`` that begin with an underscore, except dunders such as ``__version__``."""
+    return [name for name in names if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_the_guard_sees_a_private_name():
+    assert private_names(["solve", "_solve", "__version__", "__solve"]) == ["_solve", "__solve"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_exports_a_private_name(path):
+    # the package's own __all__ included, so a helper renamed private cannot stay exported
+    mod = importlib.import_module("noisyrk" if path.stem == "__init__" else f"noisyrk.{path.stem}")
+    assert private_names(getattr(mod, "__all__", [])) == []
 
 
 def writer_users(source: str) -> set:
