@@ -19,10 +19,11 @@ factors, those that are on.  The catalog:
                       (||E x_ls - eps|| / sigma_min(At))^2
 * ``multiplicative``  the same bound, asked of a multiplicative system
 * ``perturbation_doubly``   unsquared, routed through the noisy least
-                      squares solution; needs rank preservation,
-                      ||pinv(A)|| ||E|| < 1 and a consistent noisy system
+                      squares solution; needs the perturbation argument
+                      and a consistent noisy system
 * ``perturbation_partial``  unsquared, for matrix noise that keeps the
-                      original right-hand side reachable
+                      original right-hand side reachable; needs the
+                      perturbation argument and a consistent At x = b
 * ``multiplicative_perturbation``  unsquared, valid for perturbations of
                       any size but needs a consistent noisy system
 
@@ -32,6 +33,10 @@ carries the trial-mean initial error of the (trials, n) stack ``x0s``.
 ``bound_additive`` is kept as the name of the squared bound that
 ``noiseless``, ``rhs_noise`` and ``multiplicative`` share.  Every kind
 reads ``noisy.analysis``, the one factorization of ``At``.
+
+``_perturbation`` is the one place of the perturbation argument: rank
+preservation, ``q = ||pinv(A)|| ||E|| < 1`` and Weyl's inequality, checked
+in that order once per call of either perturbation kind or of ``horizon_comparison``.
 
 Pure functions throughout; safe to evaluate concurrently.
 """
@@ -143,8 +148,9 @@ def _curve(kind, noisy, x0s, target, horizon, squared, ks, scalars) -> BoundCurv
     )
 
 
-def _q(noisy: NoisySystem) -> float:
-    """``||pinv(A)|| ||dA||``, once rank preservation, ``q < 1`` and Weyl are checked."""
+def _perturbation(noisy: NoisySystem) -> tuple:
+    """``q = ||pinv(A)|| ||E||`` and the scalars the perturbation kinds record, once rank preservation, ``q < 1``
+    and Weyl hold."""
     sigma, sigma_tilde = noisy.base.factors.sigma, noisy.analysis.sigma
     if sigma_tilde.size != sigma.size:
         raise HypothesisError(
@@ -158,23 +164,17 @@ def _q(noisy: NoisySystem) -> float:
     slack = 1e-9 * max(1.0, float(sigma[0]), float(sigma_tilde[0]))
     if np.max(np.abs(sigma_tilde - sigma)) > noisy.matrix_noise_norm + slack:
         raise HypothesisError("singular value perturbation exceeded the noise norm (Weyl check)")
-    return q
-
-
-def _perturbation_scalars(noisy: NoisySystem) -> dict:
-    """Scalars shared by the two bounds routed through a perturbation argument."""
-    return {
-        "sigma_min_tilde": float(noisy.analysis.sigma[-1]),
+    return q, {
+        "sigma_min_tilde": float(sigma_tilde[-1]),
         "matrix_noise_norm": noisy.matrix_noise_norm,
         "rhs_noise_norm": _norm(noisy.rhs_noise()),
         "x_ls_norm": _norm(noisy.base.x_ls),
     }
 
 
-def _partial_horizon(noisy: NoisySystem, q: float) -> float:
+def _partial_horizon(q: float, scalars: dict) -> float:
     """``2 ||x_ls|| q / (1 - q) + ||eps|| / sigma_min(At)``, the ``perturbation_partial`` horizon."""
-    eps_part = _norm(noisy.rhs_noise()) / float(noisy.analysis.sigma[-1])
-    return 2.0 * _norm(noisy.base.x_ls) * q / (1.0 - q) + eps_part
+    return 2.0 * scalars["x_ls_norm"] * q / (1.0 - q) + scalars["rhs_noise_norm"] / scalars["sigma_min_tilde"]
 
 
 def _factor(sigma_a: float, unit: np.ndarray | None, label: str) -> tuple | None:
@@ -220,18 +220,16 @@ def _additive(noisy: NoisySystem):
     return noisy.base.x_ls, horizon, True, scalars
 
 
-def _perturbed_ls_distance(noisy: NoisySystem) -> float:
-    """Upper bound on the distance between the noisy and noiseless solutions.
+def _perturbed_ls_distance(noisy: NoisySystem, q: float, scalars: dict) -> float:
+    """Upper bound on the distance between the noisy and noiseless solutions, from :func:`_perturbation`'s result.
 
     ``(2 q ||x_ls|| + ||pinv(A)|| ||eps||) / (1 - q)`` with
-    ``q = ||pinv(A)|| ||E||``; requires rank preservation and ``q < 1``.
-    The returned value is verified to dominate the directly computed
-    distance ``||pinv(At) bt - x_ls||``.
+    ``q = ||pinv(A)|| ||E||``.  The returned value is verified to dominate
+    the directly computed distance ``||pinv(At) bt - x_ls||``.
     """
     base = noisy.base
-    q = _q(noisy)
     pinv_norm = 1.0 / float(base.factors.sigma[-1])
-    value = (2.0 * q * _norm(base.x_ls) + pinv_norm * _norm(noisy.rhs_noise())) / (1.0 - q)
+    value = (2.0 * q * scalars["x_ls_norm"] + pinv_norm * scalars["rhs_noise_norm"]) / (1.0 - q)
     direct = _norm(noisy.analysis.x_nls - base.x_ls)
     if direct > value + 1e-9 * max(1.0, value):
         raise HypothesisError(
@@ -247,9 +245,9 @@ def _perturbation_doubly(noisy: NoisySystem):
     system itself; the horizon is :func:`_perturbed_ls_distance`.
     """
     tilde = noisy.analysis
-    _q(noisy)  # rank preservation and small noise are checked before consistency
+    q, scalars = _perturbation(noisy)  # rank preservation and small noise are checked before consistency
     _require_consistent(noisy.a_tilde, tilde.x_nls, noisy.b_tilde, "the noisy linear system")
-    return tilde.x_nls, _perturbed_ls_distance(noisy), False, _perturbation_scalars(noisy)
+    return tilde.x_nls, _perturbed_ls_distance(noisy, q, scalars), False, scalars
 
 
 def _perturbation_partial(noisy: NoisySystem):
@@ -259,9 +257,9 @@ def _perturbation_partial(noisy: NoisySystem):
     the initial error is measured against ``pinv(At) b``.
     """
     tilde = noisy.analysis
-    q = _q(noisy)
+    q, scalars = _perturbation(noisy)
     _require_consistent(noisy.a_tilde, tilde.x_pnls, noisy.base.b, "the partially noisy linear system")
-    return tilde.x_pnls, _partial_horizon(noisy, q), False, _perturbation_scalars(noisy)
+    return tilde.x_pnls, _partial_horizon(q, scalars), False, scalars
 
 
 def _multiplicative_perturbation(noisy: NoisySystem):
@@ -353,20 +351,15 @@ def horizon_comparison(noisy: NoisySystem) -> HorizonComparison:
         raise HypothesisError(
             "horizon comparison requested for a model other than partial_consistent"
         )
-    base = noisy.base
-    q = _q(noisy)
-    sigma_min = float(base.factors.sigma[-1])
-    sigma_min_tilde = float(noisy.analysis.sigma[-1])
-    eps_norm = _norm(noisy.rhs_noise())
-    x_ls_norm = _norm(base.x_ls)
-
+    q, scalars = _perturbation(noisy)
+    sigma_min_tilde = scalars["sigma_min_tilde"]
     main = math.sqrt(bound_additive(noisy, np.zeros((1, noisy.a_tilde.shape[1])), [0]).horizon)
-    partial = _partial_horizon(noisy, q)
-    condition = 2.0 * sigma_min_tilde > sigma_min - noisy.matrix_noise_norm
+    partial = _partial_horizon(q, scalars)
+    condition = 2.0 * sigma_min_tilde > float(noisy.base.factors.sigma[-1]) - noisy.matrix_noise_norm
 
     chain = False
     if condition:
-        middle = (noisy.matrix_noise_norm * x_ls_norm + eps_norm) / sigma_min_tilde
+        middle = (noisy.matrix_noise_norm * scalars["x_ls_norm"] + scalars["rhs_noise_norm"]) / sigma_min_tilde
         slack = 1e-9 * max(1.0, partial)
         chain = main <= middle + slack and middle <= partial + slack
     return HorizonComparison(

@@ -12,8 +12,8 @@ This module names and formats every dataset file, and a system
 directory's files are laid out by ``save_system``: each command computes
 first and writes its files and ``meta.json`` only once that has
 succeeded, so a failed run leaves no partial dataset.  Exit codes: 0 success, 1 configuration error
-or failed kernel build, 2 failed numerical hypothesis (the failing
-condition is printed).
+(an array too large to allocate included) or failed kernel build, 2
+failed numerical hypothesis (the failing condition is printed).
 
 numpy's BLAS runs on one thread, so the bytes do not depend on the host.
 A fresh process that imports this module before numpy sets
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         prefix = "kernel build error" if isinstance(exc, KernelBuildError) else "config error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return 1

@@ -48,7 +48,7 @@ from .problems import (
     NoiseSpec,
     NoisySystem,
     SpectrumSpec,
-    _SEED, _bad, _check, _list_of, _number, _or_none, _record, _rule,  # the config rules
+    _MAX_COUNT, _SEED, _bad, _check, _list_of, _number, _or_none, _record, _rule,  # the config rules
     additive_noise,
     generate_system,
     multiplicative_noise,
@@ -251,6 +251,10 @@ def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> Table2Row:
     r_tilde = curve.scalars["scaled_condition_number_tilde"]
     kappa = float(noisy.analysis.sigma[0] / noisy.analysis.sigma[-1])
     iterations = _adaptive_iterations(r_tilde, curve.initial_error)
+    if iterations > _MAX_COUNT:
+        raise HypothesisError(f"at grid point [{sigma_a:g}, {sigma_b:g}] the scaled condition number {r_tilde:.6g} "
+                              f"needs an adaptive budget of {iterations} iterations, more than the {_MAX_COUNT} "
+                              "the solver counts")
     traj = solve(noisy, replace(cfg.rk, max_iterations=iterations), x0s)
     empirical = empirical_horizon(traj)
     decayed = curve.rate ** iterations * curve.initial_error

@@ -116,20 +116,21 @@ def make_sampler(a_tilde: np.ndarray, seed: int, trial: int = 0) -> RowSampler:
     return RowSampler(a_tilde, seeding.stream(seed, seeding.SAMPLER, trial))
 
 
-def _rk_solve(a, b, sampler, rngs, ks, steps, x_ls, x, err) -> None:
-    """Advance each row t of ``x`` in place by ``steps`` projections onto rows of ``a`` drawn from ``rngs[t]``.
+def _rk_solve(a, b, rngs, ks, x_ls, x, err) -> None:
+    """Advance each row t of ``x`` in place by ``ks[-1]`` projections onto rows of ``a`` drawn from ``rngs[t]``.
 
-    ``sampler``'s table turns the draws into rows.  After step ``ks[r]``,
-    r >= 1, the squared distance of row t to ``x_ls`` goes to ``err[t, r]``.
-    Shapes and the grid are checked here, before any pointer is handed to
-    the kernel, and ``rngs`` holds every generator until the kernel returns.
+    A :class:`RowSampler` table of ``a`` turns the draws into rows.  After
+    step ``ks[r]``, r >= 1, the squared distance of row t to ``x_ls`` goes
+    to ``err[t, r]``.  Shapes and the grid are checked here, before any
+    pointer is handed to the kernel, and ``rngs`` holds every generator
+    until the kernel returns.
     """
     (m, n), trials = a.shape, len(rngs)
-    if (b.shape, sampler.weights.shape, x_ls.shape, x.shape, err.shape) \
-            != ((m,), (m,), (n,), (trials, n), (trials, ks.size)):
+    if (b.shape, x_ls.shape, x.shape, err.shape) != ((m,), (n,), (trials, n), (trials, ks.size)):
         raise ValueError("RK kernel arguments have inconsistent shapes")
-    if ks.size < 2 or ks[0] != 0 or ks[-1] != steps or np.any(np.diff(ks) <= 0):
-        raise ValueError(f"record grid must rise strictly from 0 to {steps}")
+    if ks.size < 2 or ks[0] != 0 or np.any(np.diff(ks) <= 0):
+        raise ValueError("record grid must rise strictly from 0")
+    sampler = RowSampler(a, None)
     bitgens = (ctypes.c_void_p * trials)(*(rng.bit_generator.ctypes.bit_generator.value for rng in rngs))
     _kernel().rk_solve(trials, n, a, b, sampler.weights, *sampler.table, bitgens, ks.size, ks, x_ls, x, err)
 
@@ -165,8 +166,8 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
         raise ValueError(f"cannot project onto row {row.tolist()}: its squared norm underflows to 0")
     a, block = np.ascontiguousarray(row)[None, :], x[None, :].copy()
     # the table of one row maps every draw to it; the generator's one draw is discarded
-    _rk_solve(a, np.array([rhs]), RowSampler(a, None), [np.random.default_rng(0)],
-              np.array([0, 1], np.int64), 1, np.zeros(x.size), block, np.empty((1, 2)))
+    _rk_solve(a, np.array([rhs]), [np.random.default_rng(0)], np.array([0, 1], np.int64), np.zeros(x.size), block,
+              np.empty((1, 2)))
     if not np.isfinite(block).all():
         raise ValueError("the projection overflowed")
     return block[0]
@@ -249,7 +250,7 @@ def solve(noisy: NoisySystem, cfg: RkConfig, x0: np.ndarray | None = None) -> Tr
     d = x - x_ls
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
         per_trial[:, 0] = np.vecdot(d, d)
-        _rk_solve(a, b, RowSampler(a, None), rngs, ks, cfg.max_iterations, x_ls, x, per_trial)
+        _rk_solve(a, b, rngs, ks, x_ls, x, per_trial)
         mean, std = per_trial.mean(axis=0), per_trial.std(axis=0)  # a mean that overflows leaves std non-finite
     if not (np.isfinite(per_trial).all() and np.isfinite(std).all()):
         raise HypothesisError("iteration produced non-finite errors or spread: the system is out of scale")

@@ -136,18 +136,25 @@ def _exact(kind: type):
     return rule
 
 
-def _at_least(low: int):
-    """Rule of an integer of at least ``low``: never a bool, never a truncated float; stored as ``int``."""
+def _at_least(low: int, high: int | None = None):
+    """Rule of an integer of at least ``low`` and, unless ``high`` is None, at most ``high``.
+
+    Never a bool, never a truncated float; stored as ``int``.
+    """
     def rule(value):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"expected int, got {value!r}")
         if value < low:
             raise ValueError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"must be at most {high}, got {value}")
         return int(value)
     return rule
 
 
-_COUNT, _SEED = _at_least(1), _at_least(0)
+# the most steps, trials or rows the RK kernel counts: its counters are int64
+_MAX_COUNT = 2**63 - 1
+_COUNT, _SEED = _at_least(1, _MAX_COUNT), _at_least(0)
 
 
 def _number(value):

@@ -17,6 +17,7 @@ from noisyrk import (
     SpectrumSpec,
     additive_noise,
     bound_additive,
+    bounds,
     evaluate_bound,
     generate_system,
     horizon_comparison,
@@ -30,7 +31,7 @@ from noisyrk import (
     solve,
     spectral_norm,
 )
-from noisyrk.bounds import _perturbed_ls_distance
+from noisyrk.bounds import _perturbation, _perturbed_ls_distance
 from noisyrk.cli import write_bound_csv
 
 KS = np.arange(0, 201, 20)
@@ -138,30 +139,30 @@ def test_noiseless_and_rhs_noise_are_the_additive_bound(request, kind, sigma_b, 
 class TestPerturbedLsDistance:
     def test_no_noise_gives_zero(self, small_system):
         noisy = additive_noise(small_system, 0.0, 0.0, seed=1)
-        assert _perturbed_ls_distance(noisy) == pytest.approx(0.0, abs=1e-15)
+        assert _perturbed_ls_distance(noisy, *_perturbation(noisy)) == pytest.approx(0.0, abs=1e-15)
 
     def test_rhs_only_collapses_to_pinv_times_eps(self, small_system):
         noisy = additive_noise(small_system, 0.0, 0.3, seed=1)
         expected = np.linalg.norm(noisy.rhs_noise()) / sigma_min_nonzero(small_system.a)
-        assert _perturbed_ls_distance(noisy) == pytest.approx(expected, rel=1e-12)
+        assert _perturbed_ls_distance(noisy, *_perturbation(noisy)) == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_direct_distance(self, small_system):
         noisy = additive_noise(small_system, 0.002, 0.01, seed=14)
-        bound = _perturbed_ls_distance(noisy)
+        bound = _perturbed_ls_distance(noisy, *_perturbation(noisy))
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert bound >= np.linalg.norm(x_nls - small_system.x_ls)
 
     def test_partial_instance_with_rhs_noise(self, small_system, partial):
         eps = np.sin(np.arange(40.0))  # fixed small perturbation
         noisy = dataclasses.replace(partial, sigma_b=0.01, b_tilde=small_system.b + 0.01 * eps)
-        bound = _perturbed_ls_distance(noisy)
+        bound = _perturbed_ls_distance(noisy, *_perturbation(noisy))
         x_nls = pseudoinverse(noisy.a_tilde) @ noisy.b_tilde
         assert bound >= np.linalg.norm(x_nls - small_system.x_ls)
 
     def test_large_noise_rejected(self, small_system):
         noisy = additive_noise(small_system, 5.0, 0.0, seed=1)
         with pytest.raises(HypothesisError, match="smallness"):
-            _perturbed_ls_distance(noisy)
+            _perturbed_ls_distance(noisy, *_perturbation(noisy))
 
 
 class TestBoundPerturbationDoubly:
@@ -648,8 +649,21 @@ class TestNoisyAnalysisMemo:
         evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, x0s, KS)
         evaluate_bound(BoundKind.PERTURBATION_PARTIAL, noisy, x0s, KS)
         horizon_comparison(noisy)
-        _perturbed_ls_distance(noisy)
-        assert svds_of(sys_.a) == 1  # partial_consistent_noise took it; the _q bounds read the memo
+        _perturbed_ls_distance(noisy, *_perturbation(noisy))
+        assert svds_of(sys_.a) == 1  # partial_consistent_noise took it; _perturbation reads the memo
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda noisy, x0s: evaluate_bound(BoundKind.PERTURBATION_DOUBLY, noisy, x0s, KS),
+         lambda noisy, x0s: evaluate_bound(BoundKind.PERTURBATION_PARTIAL, noisy, x0s, KS),
+         lambda noisy, x0s: horizon_comparison(noisy)],
+        ids=["perturbation_doubly", "perturbation_partial", "horizon_comparison"],
+    )
+    def test_the_perturbation_argument_runs_once_per_call(self, partial, x0s, evaluate, monkeypatch):
+        calls, real = [], bounds._perturbation
+        monkeypatch.setattr(bounds, "_perturbation", lambda noisy: calls.append(noisy) or real(noisy))
+        evaluate(partial, x0s)
+        assert calls == [partial]
 
     @pytest.mark.parametrize(
         "make_noisy",
@@ -668,7 +682,7 @@ class TestNoisyAnalysisMemo:
                 pass
         if noisy.model is NoiseModel.PARTIAL_CONSISTENT:
             horizon_comparison(noisy)
-            _perturbed_ls_distance(noisy)
+            _perturbed_ls_distance(noisy, *_perturbation(noisy))
         own = {f.name for f in dataclasses.fields(noisy)}
         memo = {k: v for k, v in vars(noisy).items() if k not in own}
         assert set(memo) == {"analysis", "matrix_noise_norm"}  # a_tilde - a is formed at each call, not kept

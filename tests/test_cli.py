@@ -127,6 +127,20 @@ class TestGen:
         assert err.startswith("config error:")
         assert f"takes no {key}" in err
 
+    def test_an_array_too_large_to_allocate_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the allocation is never made for real: a host that overcommits memory would start to fill it
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_system", too_large)
+        spectrum = {**SPECTRUM, "m": 1_000_000, "n": 1_000_000, "r": 1}
+        cfg = write_config(tmp_path / "cfg.json", config_for("gen", None, spectrum=spectrum))
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolve:
     def test_happy_path(self, tmp_path, system_dir):
@@ -392,8 +406,9 @@ _OUT_OF_RANGE = [
                         ({"spacing": "random_distinct", "sigma_min": 2.0, "sigma_max": 2.0 + 1e-7}, "sigma_max")]
 ]
 _MODELS = ["additive", "multiplicative", "partial_consistent", "preconditioner"]
-# (key, value) of an rk block: a count below 1, a negative seed
-_RK_OUT_OF_RANGE = [("max_iterations", 0), ("trials", 0), ("record_stride", 0), ("seed", -1)]
+# (key, value) of an rk block: a count below 1 or past the kernel's int64, a negative seed
+_RK_OUT_OF_RANGE = [("max_iterations", 0), ("max_iterations", 2**63), ("trials", 0), ("record_stride", 0),
+                    ("seed", -1)]
 # dropped, or the grid made null, these run their defaults: 10000 iterations, 10 trials, table2's ten points
 _OVER_BUDGET = {("rk",), ("rk", "max_iterations"), ("rk", "trials"), ("grid",)}
 # the keys a config cannot drop, as the README's schemas list them; a dropped one is exit 1
@@ -754,6 +769,19 @@ def test_a_right_hand_side_whose_norm_overflows_is_out_of_scale(tmp_path, capsys
                        config_for("bounds", system, bounds=["multiplicative_perturbation"]))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert_out_of_scale(capsys.readouterr().err, recwarn)
+
+
+def test_an_adaptive_budget_past_the_kernel_count_is_a_failed_hypothesis(tmp_path, capsys):
+    # R~ = 5.2e18 asks for 1.6e20 steps, past the kernel's int64: one line naming the point, R~ and the budget, not
+    # an OverflowError, and not a config error about an rk key the config never set
+    spectrum = {**SPECTRUM, "sigma_min": 1e-9, "sigma_max": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", config_for(
+        "table2", None, spectrum=spectrum, rk={"max_iterations": 1, "trials": 2}, master_seed=1))
+    assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypothesis failed: at grid point [0, 0]") and err.count("\n") == 1, err
+    assert "5.17857e+18" in err and "161362376891920859136 iterations" in err and str(2**63 - 1) in err
+    assert not (tmp_path / "out").exists()
 
 
 def fresh_python(code: str) -> str:
