@@ -20,6 +20,12 @@ A fresh process that imports this module before numpy sets
 ``OPENBLAS_NUM_THREADS=1`` first, so OpenBLAS loads with one thread and
 never starts its pool; a process that already loaded numpy keeps its
 environment, and ``main`` pins the thread count in process instead.
+The same fresh process never loads OpenSSL: it marks ``_hashlib``
+missing, so ``hashlib`` and ``hmac`` (which ``numpy.random`` imports)
+fall back to CPython's built-in hashes, the kernel's cache key takes the
+built-in SHA-256 (the same digest), and the process and its forked pool
+workers each map about 3.4 MB less.  A process that loaded numpy first
+keeps its ``hashlib`` as it is.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from pathlib import Path
 if "numpy" not in sys.modules:
     # read once, when numpy loads OpenBLAS: its worker threads then never start and spin
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # a failing `import _hashlib`: hmac and hashlib (numpy.random imports both) then never load libcrypto
+    sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 
@@ -84,6 +92,13 @@ def _integer(low: int):
     return integer
 
 
+def _cores() -> int:
+    """The cores this process may run on, at least 1: its CPU affinity where the host reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="noisyrk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -101,7 +116,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output directory")
         if name in ("table2", "figure"):
             p.add_argument("--scale", choices=("desk", "paper"), default="desk", help="'paper': full-size run")
-            p.add_argument("--threads", type=_integer(1), default=os.cpu_count(), help="pool size over grid points")
+            p.add_argument("--threads", type=_integer(1), default=_cores(), help="pool size over grid points")
     return parser
 
 

@@ -215,7 +215,7 @@ def _kernel():
     each write a private temp file and rename it into place.  Every
     failure, an unusable cache location included, is a ``KernelBuildError``.
     """
-    import hashlib  # not loaded by numpy, so imported here to keep `import noisyrk` light
+    import hashlib  # only numpy.random loads it (through hmac), and not every import of this module does
 
     source = _KERNEL_SOURCE.read_bytes()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "noisyrk"

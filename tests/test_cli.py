@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisyrk import (
-    BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, generate_system, load_system, read_matrix,
-    read_vector, seeding, write_matrix, write_vector,
+    BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, generate_system, linalg, load_system,
+    read_matrix, read_vector, seeding, write_matrix, write_vector,
 )
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
@@ -809,6 +809,38 @@ class TestFreshProcess:
         code = "import os, noisyrk; noisyrk.solve; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         assert fresh_python(code) == "None"
 
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="reads /proc/self/maps")
+    def test_a_cli_process_and_its_pool_workers_never_map_openssl(self, tmp_path):
+        # each worker writes what it maps into a file named for its pid; hashlib is loaded for the kernel's key
+        cfg = write_config(tmp_path / "fig.json", config_for("figure", None, grid=[[0.0, 0.0], [0.1, 0.1]]))
+        code = f"""if True:
+            import os, sys
+            from pathlib import Path
+            import noisyrk.cli as cli, noisyrk.experiments as experiments
+            def crypto():
+                return "libcrypto" in Path("/proc/self/maps").read_text()
+            run = experiments._generate_and_run
+            def mapped(*args):
+                Path({str(tmp_path)!r}, str(os.getpid())).write_text(str(crypto()))
+                return run(*args)
+            experiments._generate_and_run = mapped
+            for threads in ("1", "2"):
+                assert cli.main(["figure", "--config", {cfg!r}, "--out", {str(tmp_path / "out")!r} + threads,
+                                 "--threads", threads]) == 0
+            print(sys.modules.get("_hashlib"), "hashlib" in sys.modules, "numpy.random" in sys.modules, crypto())
+        """
+        assert fresh_python(code) == "None True True False"
+        workers = [path for path in tmp_path.iterdir() if path.name.isdigit()]
+        assert workers and all(path.read_text() == "False" for path in workers)
+
+    def test_numpy_loaded_first_keeps_openssl(self):
+        assert fresh_python("import numpy, noisyrk.cli, _hashlib; print(_hashlib.__name__)") == "_hashlib"
+
+    def test_the_kernel_library_name_does_not_depend_on_openssl(self):
+        # the cache key is a SHA-256 digest, which the built-in and OpenSSL's implementations agree on
+        code = "import sys, noisyrk.cli, noisyrk.linalg as lib; print(sys.modules['_hashlib'], lib._kernel()._name)"
+        assert fresh_python(code) == f"None {linalg._kernel()._name}"
+
 
 class TestTable2:
     def test_happy_path_and_determinism(self, tmp_path):
@@ -980,6 +1012,21 @@ class TestUsageErrors:
         # --threads and --scale act on figure/table2 only, and --threads is at least 1
         assert main([*argv, "--config", "x.json"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+
+class TestThreadsDefault:
+    def test_affinity_sets_the_default(self, monkeypatch):
+        # a process bound to one core of eight runs one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli._build_parser().parse_args(["figure", "--config", "x.json"]).threads == 1
+
+    def test_an_unknown_core_count_runs_one_worker(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._build_parser().parse_args(["table2", "--config", "x.json"]).threads == 1
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=[[0.0, 0.0], [0.1, 0.1]]))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestConfigErrors:
