@@ -30,7 +30,10 @@
  * err[t * nks + r]; column 0 is left to the caller.  A trial draws the
  * row of step s + 1 before it updates x_t at step s, so one pass over
  * x_t writes the update and sums the next row's dot product with it
- * (project_dot); the draws keep their order and their count.  The
+ * (project_dot); the draws keep their order and their count.  The first
+ * row's dot product is project_dot with c = 0: x_t - 0 * a_i is x_t, but
+ * for a -0 entry facing a negative (or -0) entry of a_i, which turns +0.
+ * Only the sign of a zero moves, which no squared error can see.  The
  * generators are used without numpy's lock, so no other thread may draw
  * from them while the kernel runs.
  *
@@ -70,20 +73,21 @@
  * Fast conversions.  Each direction has a fast path that decides the easy
  * cases exactly and hands every other case to glibc (the usual scheme of
  * Loitsch, PLDI 2010, and Lemire, SPE 2021), so the bytes written and the
- * values read are glibc's.  Both scale by tens[], the powers 10^j for
- * j in [TEN_MIN, TEN_MAX] as 128-bit mantissas truncated from the exact
- * integers, built at load.  The writer forms m * 10^k for the 53-bit
- * significand m as a 192-bit product whose integer part holds the 17
- * digits and whose next 64 bits hold the fraction; the reader forms
- * w * 10^e for at most 19 digits w and keeps the top 53 bits.  The
- * truncation and the dropped low bits leave the true value within two
+ * values read are glibc's.  Both scale by tens[], the powers 10^j for j in
+ * [TEN_MIN, TEN_MAX] as 128-bit mantissas truncated from the exact
+ * integers, which noisyrk.linalg computes with Python's integers and hands
+ * over through rk_set_tens when it loads the library.  The writer forms
+ * m * 10^k for the 53-bit significand m as a 192-bit product whose integer
+ * part holds the 17 digits and whose next 64 bits hold the fraction; the
+ * reader forms w * 10^e for at most 19 digits w and keeps the top 53 bits.
+ * The truncation and the dropped low bits leave the true value within two
  * units of those 64 (writer) or 128 (reader) bits above the computed one,
- * so rounding is decided exactly unless the bits below the rounding
- * point lie within ROUND_SLACK units of one half, which covers every
- * exact tie.  Those values go to snprintf("%.17g") or strtod, as do
- * infinities, a token outside the grammar [-]d+[.d*][e[+-]d+] (such as
- * "+1", ".5", "1E5", "inf" or 20 significant digits), an exponent
- * outside the table, and a value read that would be subnormal or overflow.
+ * so rounding is decided exactly unless the bits below the rounding point
+ * lie within ROUND_SLACK units of one half, which covers every exact tie.
+ * Those values go to snprintf("%.17g") or strtod, as do infinities, a
+ * token outside the grammar [-]d+[.d*][e[+-]d+] (such as "+1", ".5",
+ * "1E5", "inf" or 20 significant digits), an exponent outside the table,
+ * and a value read that would be subnormal or overflow.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <ctype.h>
@@ -116,25 +120,7 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-static inline double dot4(const double *p, const double *q, int64_t n)
-{
-    v2 s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, p01, p23, q01, q23;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        __builtin_memcpy(&p01, p + j, sizeof p01);
-        __builtin_memcpy(&p23, p + j + 2, sizeof p23);
-        __builtin_memcpy(&q01, q + j, sizeof q01);
-        __builtin_memcpy(&q23, q + j + 2, sizeof q23);
-        s01 += p01 * q01;
-        s23 += p23 * q23;
-    }
-    double s0 = s01[0];
-    for (; j < n; j++)
-        s0 += p[j] * q[j];
-    return (s0 + s01[1]) + (s23[0] + s23[1]);
-}
-
-/* ||p - q||^2 in the order of dot4 */
+/* ||p - q||^2, summed as project_dot sums */
 static inline double dist4(const double *p, const double *q, int64_t n)
 {
     v2 s01 = {0.0, 0.0}, s23 = {0.0, 0.0}, p01, p23, q01, q23;
@@ -157,7 +143,7 @@ static inline double dist4(const double *p, const double *q, int64_t n)
     return (s0 + s01[1]) + (s23[0] + s23[1]);
 }
 
-/* x -= c * row, then next . x in the order of dot4 */
+/* x -= c * row, then next . x, summed in the order the header gives */
 static inline double project_dot(double *x, const double *row, double c, const double *next, int64_t n)
 {
     const v2 cc = {c, c};
@@ -206,7 +192,7 @@ void rk_solve(int64_t trials, int64_t n, const double *a, const double *b, const
         double *xt = x + t * n;
         int64_t i = resolve(gen->next_double(gen->state), m, cum, total, guide, g, last);
         const double *row = a + i * n;
-        double dot = dot4(row, xt, n);
+        double dot = project_dot(xt, row, 0.0, row, n);
         for (int64_t r = 1, s = 0; r < nks; r++) {
             for (; s < ks[r]; s++) {
                 int64_t k = i;
@@ -259,51 +245,16 @@ static struct ten {
     int e;
 } tens[TEN_MAX - TEN_MIN + 1];
 
-/* 32-bit limbs, least significant first: 10^340 * 2^128 and 2^1280 fit */
-#define LIMBS 42
-
-/* the top 128 bits of x >= 2^127, whose bit 0 weighs 2^scale */
-static void set_ten(const uint32_t *x, int scale, struct ten *t)
+/* Fills tens[] with the table noisyrk.linalg computes from exact integers:
+ * entry k, for j = TEN_MIN + k, is (top[2k] * 2^64 + top[2k + 1]) * 2^e[k].
+ * Returns -1, and fills nothing, for any range but [TEN_MIN, TEN_MAX]. */
+int rk_set_tens(int64_t lo, int64_t hi, const uint64_t *top, const int64_t *e)
 {
-    int i = LIMBS - 1;
-    while (x[i] == 0)
-        i--;
-    int b = 32 * i + 31 - __builtin_clz(x[i]);
-    u128 v = 0;
-    for (i = b; i > b - 128; i--)
-        v = v << 1 | (x[i / 32] >> (i % 32) & 1);
-    t->hi = (uint64_t)(v >> 64);
-    t->lo = (uint64_t)v;
-    t->e = b - 127 + scale;
-}
-
-/* From exact integers, so each entry is the truncation of the true power:
- * 10^j * 2^128 for j >= 0, and floor(2^1280 / 10^-j), which has at least
- * 140 bits, for j < 0. */
-__attribute__((constructor)) static void build_tens(void)
-{
-    uint32_t x[LIMBS] = {0};
-    x[128 / 32] = 1;
-    for (int j = 0; j <= TEN_MAX; j++) {
-        set_ten(x, -128, &tens[j - TEN_MIN]);
-        uint64_t carry = 0;
-        for (int i = 0; i < LIMBS; i++) {
-            carry += (uint64_t)x[i] * 10;
-            x[i] = (uint32_t)carry;
-            carry >>= 32;
-        }
-    }
-    memset(x, 0, sizeof x);
-    x[1280 / 32] = 1;
-    for (int j = -1; j >= TEN_MIN; j--) {
-        uint64_t rem = 0;
-        for (int i = LIMBS - 1; i >= 0; i--) {
-            rem = rem << 32 | x[i];
-            x[i] = (uint32_t)(rem / 10);
-            rem %= 10;
-        }
-        set_ten(x, -1280, &tens[j - TEN_MIN]);
-    }
+    if (lo != TEN_MIN || hi != TEN_MAX)
+        return -1;
+    for (int k = 0; k <= TEN_MAX - TEN_MIN; k++)
+        tens[k] = (struct ten){top[2 * k], top[2 * k + 1], (int)e[k]};
+    return 0;
 }
 
 /* The top 128 bits of the 192-bit m * tens[j]. */

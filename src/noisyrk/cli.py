@@ -238,10 +238,15 @@ def _cmd_table2(args) -> int:
     # the sweep evaluates no bound curves, so a bounds list is an unknown key
     cfg, exp = _experiment(args, {k: v for k, v in _EXPERIMENT.items() if k != "bounds"})
     rows = run_table2(exp, threads=args.threads)
+    warnings = {_tag(r.sigma_a, r.sigma_b): list(r.warnings) for r in rows if r.warnings}
+    for messages in warnings.values():
+        for message in messages:
+            print(f"warning: {message}", file=sys.stderr)
     out = _out(cfg)
     write_table2_csv(out / "table2.csv", rows)
     config = {k: v for k, v in asdict(exp).items() if k != "bounds"}  # so `table2` reads it back
-    _write_meta(out, cfg, config, adaptive_iterations={_tag(r.sigma_a, r.sigma_b): r.iterations for r in rows})
+    _write_meta(out, cfg, config, adaptive_iterations={_tag(r.sigma_a, r.sigma_b): r.iterations for r in rows},
+                warnings=warnings)
     return 0
 
 

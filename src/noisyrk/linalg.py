@@ -31,8 +31,6 @@ import functools
 import json
 import os
 import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,6 +200,22 @@ def _orthonormalize_columns(a) -> np.ndarray:
 _KERNEL_SOURCE = Path(__file__).with_name("_rk.c")
 _COMPILER = "gcc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_TENS = range(-343, 341)  # _rk.c's TEN_MIN..TEN_MAX
+
+
+def _powers_of_ten() -> tuple:
+    """``_rk.c``'s ``tens[]``: 10^j ~ top * 2^e for j in ``_TENS``, top the truncated top 128 bits of an exact integer.
+
+    The integer is 10^j * 2^128 for j >= 0 and floor(2^1280 / 10^-j), which has at least 140 bits, for j < 0.
+    Returns the (hi, lo) 64-bit halves of each top and each e.
+    """
+    tops, exps = [], []
+    for j in _TENS:
+        x, scale = (10**j << 128, -128) if j >= 0 else ((1 << 1280) // 10**-j, -1280)
+        cut = x.bit_length() - 128
+        tops += divmod(x >> cut, 1 << 64)
+        exps.append(cut + scale)
+    return np.array(tops, dtype=np.uint64), np.array(exps, dtype=np.int64)
 
 
 @functools.cache
@@ -212,8 +226,10 @@ def _kernel():
     The library's name is the sha256 of the source, the flags and the
     resolved compiler with its ``stat``, so a warm start runs no process
     and a changed compiler or source builds afresh.  Concurrent builds
-    each write a private temp file and rename it into place.  Every
-    failure, an unusable cache location included, is a ``KernelBuildError``.
+    each write a private temp file and rename it into place.  Once loaded,
+    the library takes its powers of ten from :func:`_powers_of_ten`.  Every
+    failure, an unusable cache location or a refused table included, is a
+    ``KernelBuildError``.
     """
     import hashlib  # only numpy.random loads it (through hmac), and not every import of this module does
 
@@ -234,6 +250,9 @@ def _kernel():
     lib = cache / f"_rk-{key}.so"
     try:
         if not lib.exists():
+            import subprocess  # a warm start imports neither
+            import tempfile
+
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
             os.close(fd)
@@ -266,6 +285,11 @@ def _kernel():
     kernel.rk_write_table.argtypes = [ctypes.c_char_p, ctypes.c_char_p, f64, n, n, ctypes.c_char]
     kernel.rk_read_table.argtypes = [ctypes.c_char_p, n, n, n, out, ctypes.POINTER(n)]
     kernel.rk_write_table.restype = kernel.rk_read_table.restype = ctypes.c_int
+    kernel.rk_set_tens.argtypes = [n, n, np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"), i64]
+    kernel.rk_set_tens.restype = ctypes.c_int
+    if kernel.rk_set_tens(_TENS.start, _TENS.stop - 1, *_powers_of_ten()) != 0:
+        raise KernelBuildError(f"the kernel library at {lib} refused the powers of ten 10^j for j in "
+                               f"[{_TENS.start}, {_TENS.stop - 1}]: its source and noisyrk.linalg disagree")
     return kernel
 
 

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they are produced; without ``-s`` they still appear for any failure.
 """
 
+import json
+
 import numpy as np
 import scipy.stats
 
@@ -246,7 +248,12 @@ class TestCriterion7Properties:
         )
         snapshot = run_command("figure", cfg, tmp_path / "out")
         again = run_command("figure", cfg, tmp_path / "out")
-        report(7, snapshot == again, f"{len(snapshot)} output files byte-identical across reruns")
+        table2 = run_command("table2", cfg, tmp_path / "t2")
+        table2_again = run_command("table2", cfg, tmp_path / "t2")
+        warnings = json.loads(table2["meta.json"])["warnings"]
+        ok = snapshot == again and table2 == table2_again and warnings == {}
+        report(7, ok, f"{len(snapshot)} figure and {len(table2)} table2 output files byte-identical across reruns, "
+                      f"table2 warnings {warnings}")
 
 
 def test_criterion_8_noiseless_rate_sanity():

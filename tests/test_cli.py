@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisyrk import (
-    BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, generate_system, linalg, load_system,
-    read_matrix, read_vector, seeding, write_matrix, write_vector,
+    BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, experiments, generate_system, linalg,
+    load_system, read_matrix, read_vector, seeding, write_matrix, write_vector,
 )
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
@@ -784,6 +784,39 @@ def test_an_adaptive_budget_past_the_kernel_count_is_a_failed_hypothesis(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+class Reached(Exception):
+    """Raised by a patched ``solve`` with the steps it was asked for, so a test never runs them."""
+
+
+def reached(noisy, rk, x0s):
+    raise Reached(rk.trials * rk.max_iterations)
+
+
+def test_a_point_past_the_step_ceiling_is_a_failed_hypothesis_before_it_solves(tmp_path, capsys, monkeypatch):
+    # sigma_min 1e-4 asks for 16 137 691 500 iterations over 2 trials, 3.2e10 steps (about 30 min at 50 ns a step)
+    monkeypatch.setattr(experiments, "solve", reached)
+    spectrum = {**SPECTRUM, "sigma_min": 1e-4, "sigma_max": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", config_for(
+        "table2", None, spectrum=spectrum, rk={"max_iterations": 1, "trials": 2}, master_seed=1))
+    assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypothesis failed: at grid point [0, 0]") and err.count("\n") == 1, err
+    for part in ("5.17904e+08", "16137691500 iterations", "32275383000 steps", "the 10000000000 a grid point"):
+        assert part in err, (part, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_point_below_the_step_ceiling_solves(tmp_path, monkeypatch):
+    # sigma_min 1e-3: 161 507 885 iterations over 2 trials, 3.2e8 steps, reach the solve
+    monkeypatch.setattr(experiments, "solve", reached)
+    spectrum = {**SPECTRUM, "sigma_min": 1e-3, "sigma_max": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", config_for(
+        "table2", None, spectrum=spectrum, rk={"max_iterations": 1, "trials": 2}, master_seed=1))
+    with pytest.raises(Reached) as info:
+        main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"])
+    assert info.value.args == (323015770,)
+
+
 def fresh_python(code: str) -> str:
     """What ``code`` prints in a new interpreter whose environment sets no thread count."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
@@ -836,6 +869,22 @@ class TestFreshProcess:
     def test_numpy_loaded_first_keeps_openssl(self):
         assert fresh_python("import numpy, noisyrk.cli, _hashlib; print(_hashlib.__name__)") == "_hashlib"
 
+    def test_a_warm_run_imports_neither_subprocess_nor_logging(self, tmp_path):
+        linalg._kernel()  # the fresh process finds the library in the cache it inherits
+        system = tmp_path / "system"
+        runs = [("gen", config_for("gen", None), system)]
+        runs += [(sub, config_for(sub, system), tmp_path / sub) for sub in ("solve", "bounds", "figure")]
+        argvs = [[sub, "--config", write_config(tmp_path / f"{sub}.json", data), "--out", str(out)]
+                 for sub, data, out in runs]
+        argvs[-1] += ["--threads", "1"]
+        code = f"""if True:
+            import sys, noisyrk.cli as cli
+            for argv in {argvs!r}:
+                assert cli.main(argv) == 0, argv
+            print(sorted({{"subprocess", "logging"}} & sys.modules.keys()))
+        """
+        assert fresh_python(code) == "[]"
+
     def test_the_kernel_library_name_does_not_depend_on_openssl(self):
         # the cache key is a SHA-256 digest, which the built-in and OpenSSL's implementations agree on
         code = "import sys, noisyrk.cli, noisyrk.linalg as lib; print(sys.modules['_hashlib'], lib._kernel()._name)"
@@ -859,6 +908,19 @@ class TestTable2:
         first = snapshot(out)
         assert main(["table2", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         assert snapshot(out) == first
+
+    def test_a_pool_workers_warning_reaches_meta_json(self, tmp_path, capsys, monkeypatch):
+        # a budget of one step, in a pool worker only, leaves the geometric term: the warning can only come from one
+        parent, budget = os.getpid(), experiments._adaptive_iterations
+        monkeypatch.setattr(experiments, "_adaptive_iterations",
+                            lambda *args: 1 if os.getpid() != parent else budget(*args))
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=[[0.0, 0.0], [0.1, 0.1]]))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+        warnings = json.loads((tmp_path / "out" / "meta.json").read_text())["warnings"]
+        assert set(warnings) == {"0_0", "0.1_0.1"}
+        assert all(any("still carries a geometric term" in message for message in ms) for ms in warnings.values())
+        err = capsys.readouterr().err
+        assert sorted(err.splitlines()) == sorted(f"warning: {message}" for ms in warnings.values() for message in ms)
 
     def test_rank_one_system(self, tmp_path):
         # at (0, 0) the scaled condition number is sigma^2 / sigma^2 = 1 exactly, so the rate is 0

@@ -1,8 +1,10 @@
 """Exact bytes of every output writer, the float64 round trip of the text formats,
 and the reader's rejection of every other layout."""
 
+import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from noisyrk import linalg
 from noisyrk.bounds import BoundCurve, BoundKind
 from noisyrk.cli import write_band_csv, write_bound_csv, write_table2_csv, write_trajectory_csv
+from noisyrk.errors import KernelBuildError
 from noisyrk.experiments import Table2Row
 from noisyrk.kaczmarz import Trajectory
 from noisyrk.linalg import _read_table, _write_table, read_matrix, read_vector, write_matrix, write_vector
@@ -228,6 +232,34 @@ class TestFastPathSweep:
             point = rng.randint(0, len(digits))
             tokens.append(f"{rng.choice(['', '-'])}{digits[:point] or '0'}.{digits[point:]}e{rng.randint(-350, 350)}")
         self.assert_reads_as_float(tmp_path, tokens)
+
+
+class TestPowersOfTen:
+    """The table of powers of ten that linalg computes and hands to the kernel's conversions."""
+
+    def test_every_entry_is_the_truncated_power(self):
+        # derived apart from linalg: 10^j = top * 2^e + rest with 2^127 <= top < 2^128 and 0 <= rest < 2^e
+        halves, exps = linalg._powers_of_ten()
+        assert (linalg._TENS.start, linalg._TENS.stop - 1) == (-343, 340)
+        assert halves.shape == (2 * len(linalg._TENS),) and exps.shape == (len(linalg._TENS),)
+        for k, j in enumerate(linalg._TENS):
+            power, e = Fraction(10) ** j, math.floor(j * math.log2(10)) - 127
+            while power / Fraction(2) ** e >= 2**128:
+                e += 1
+            while power / Fraction(2) ** e < 2**127:
+                e -= 1
+            top = math.floor(power / Fraction(2) ** e)
+            assert (int(halves[2 * k]) << 64 | int(halves[2 * k + 1]), int(exps[k])) == (top, e), j
+
+    @pytest.mark.parametrize("js", [range(-342, 341), range(-343, 340)], ids=["short-below", "short-above"])
+    def test_the_library_refuses_another_range(self, monkeypatch, js):
+        monkeypatch.setattr(linalg, "_TENS", js)
+        linalg._kernel.cache_clear()
+        try:
+            with pytest.raises(KernelBuildError, match=r"refused the powers of ten 10\^j for j in \["):
+                linalg._kernel()
+        finally:
+            linalg._kernel.cache_clear()
 
 
 class TestReaderRejects:
