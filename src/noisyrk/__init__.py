@@ -20,10 +20,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": ("HypothesisError", "KernelBuildError"),
-        "linalg": (
-            "svd", "pseudoinverse", "scaled_condition_number", "spectral_norm", "sigma_min_nonzero",
-            "read_matrix", "write_matrix", "read_vector", "write_vector",
-        ),
+        "linalg": ("svd", "pseudoinverse", "scaled_condition_number", "spectral_norm", "sigma_min_nonzero"),
         "problems": (
             "Spacing", "NoiseModel", "NoiseSpec", "SpectrumSpec", "LinearSystem", "NoisySystem",
             "generate_system", "additive_noise", "multiplicative_noise", "partial_consistent_noise",

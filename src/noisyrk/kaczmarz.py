@@ -42,7 +42,7 @@ import numpy as np
 
 from . import seeding
 from .errors import HypothesisError
-from .linalg import _kernel, as_matrix, as_vector
+from .linalg import _finite, _kernel
 from .problems import _COUNT, _SEED, NoisySystem, _check, _or_none, _rule  # the config rules
 
 __all__ = [
@@ -93,12 +93,12 @@ class RowSampler:
     """
 
     def __init__(self, a: np.ndarray, rng: np.random.Generator | None):
-        arr = as_matrix(a, "a_tilde")
-        self.weights = as_vector(np.einsum("ij,ij->i", arr, arr), "squared row norms")
+        arr = _finite(a, 2, "a_tilde")
+        self.weights = _finite(np.einsum("ij,ij->i", arr, arr), 1, "squared row norms")
         if not np.any(self.weights > 0):
             raise ValueError("matrix has no row of positive squared norm to sample")
         self.rng = rng
-        cumulative = as_vector(np.cumsum(self.weights), "cumulative squared row norms")
+        cumulative = _finite(np.cumsum(self.weights), 1, "cumulative squared row norms")
         total, size = float(cumulative[-1]), 1 << (arr.shape[0] - 1).bit_length()
         guide = np.searchsorted(cumulative, np.arange(size) / size * total, side="right")
         # the resolver's arguments after the uniforms, in _rk.c's order
@@ -154,8 +154,8 @@ def rk_step(x: np.ndarray, row: np.ndarray, rhs: float) -> np.ndarray:
     a step that overflows raises ``ValueError``.
     This is the solver's kernel called for one trial and one step.
     """
-    x = as_vector(x, "x")
-    row = as_vector(row, "row")
+    x = _finite(x, 1, "x")
+    row = _finite(row, 1, "row")
     if row.size != x.size:
         raise ValueError(f"row has width {row.size}, x has {x.size}")
     if not math.isfinite(rhs := float(rhs)):

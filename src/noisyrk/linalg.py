@@ -5,10 +5,12 @@ singular value, scaled condition number, the nonsingularity check of a
 noise factor) flow through :func:`svd`, the one SVD in the package, which
 cuts below a numerical-rank tolerance; :func:`least_squares` makes the
 same cut without U or V.  :func:`_identity_plus` builds a noise factor
-I + sE in one buffer, with no identity matrix.  The table and JSON
-writers here write bytes, not datasets: which records go in which file
-is the command-line front end's choice.  The text tables round-trip
-float64 values exactly via 17 significant digits.
+I + sE in one buffer, with no identity matrix.  :func:`_finite` is the
+one check of an array's dimensions and finiteness.  The table reader and
+the table and JSON writers here move bytes, not datasets: which records
+go in which file, under which header, is the choice of the command-line
+front end for its CSVs and of ``problems`` for a system directory.  The
+text tables round-trip float64 values exactly via 17 significant digits.
 
 The compiled kernel library, ``_rk.c``, is built and loaded here by
 :func:`_kernel`, at the first solve or the first file read or write.
@@ -39,18 +41,12 @@ import numpy as np
 from .errors import KernelBuildError
 
 __all__ = [
-    "as_matrix",
-    "as_vector",
     "svd",
     "least_squares",
     "pseudoinverse",
     "scaled_condition_number",
     "spectral_norm",
     "sigma_min_nonzero",
-    "read_matrix",
-    "write_matrix",
-    "read_vector",
-    "write_vector",
 ]
 
 # Independent columns are declared numerically dependent when a QR pivot
@@ -59,23 +55,11 @@ _DEPENDENT_PIVOT = 1e-12
 _MIN_FACTOR_SIGMA = 1e-8  # nonsingularity floor for the noise factors (I + E), (I + F), (I + M)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a nonempty float64 2-D array with finite entries."""
+def _finite(a, ndim: int, name: str) -> np.ndarray:
+    """Coerce ``a`` to a nonempty float64 array of ``ndim`` dimensions with finite entries."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce ``v`` to a nonempty float64 1-D array with finite entries."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
     if not np.isfinite(arr).all():
@@ -108,7 +92,7 @@ def svd(a) -> SvdFactors:
     Singular values at or below ``max(m, n) * machine epsilon * sigma_1``
     are dropped.  Deterministic for a fixed input.
     """
-    arr = as_matrix(a)
+    arr = _finite(a, 2, "matrix")
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
     rank = int(np.count_nonzero(s > max(arr.shape) * np.finfo(float).eps * s[0]))
     return SvdFactors(
@@ -120,7 +104,7 @@ def svd(a) -> SvdFactors:
 
 def least_squares(a, b1: np.ndarray, b2: np.ndarray) -> tuple:
     """The singular values :func:`svd` keeps, ``pinv(a) b1`` and ``pinv(a) b2``, from one ``gelsd`` call (no U, no V)."""
-    x, _, rank, s = np.linalg.lstsq(as_matrix(a), np.column_stack((b1, b2)), rcond=None)
+    x, _, rank, s = np.linalg.lstsq(_finite(a, 2, "matrix"), np.column_stack((b1, b2)), rcond=None)
     return s[:rank], np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(x[:, 1])
 
 
@@ -182,7 +166,7 @@ def _orthonormalize_columns(a) -> np.ndarray:
     Raises if the columns are numerically dependent (a QR pivot below
     ``1e-12`` of the first pivot).
     """
-    arr = as_matrix(a)
+    arr = _finite(a, 2, "matrix")
     if arr.shape[0] < arr.shape[1]:
         raise ValueError("matrix has more columns than rows; columns cannot be independent")
     q, r = np.linalg.qr(arr)
@@ -294,18 +278,19 @@ def _kernel():
 
 
 # ---------------------------------------------------------------------------
-# Plain-text file formats, all written through the writers here.
+# Plain-text file formats, all written through the writers here; which
+# header a file carries is its caller's choice (cli for the CSVs, problems
+# for a system directory's tables).
 #
 # _write_table: one header line, then one line per row of an array, every
 # value as %.17g (float64 round-trips exactly; integers below 2**53 print
 # without a decimal point) joined by a delimiter: the bytes of numpy's
-# savetxt(fmt="%.17g", header=..., comments="").  Matrix: header
-# "rows cols", space-separated rows.  Vector: header "dim", one value per
-# line.  The CSVs: a column-name header, comma-separated rows.
-# _read_table reads the matrix and vector layout back: one space between
-# values, each a token strtod reads (so "+1", ".5" and "1E5" too, but no
-# hexadecimal float), plus trailing whitespace, CRLF and blank lines after
-# the last row.  Anything else is a ValueError naming the file and line.
+# savetxt(fmt="%.17g", header=..., comments="").
+# _read_table reads back a table whose header is its dims, one or two
+# sizes, and whose values are separated by one space: each a token strtod
+# reads (so "+1", ".5" and "1E5" too, but no hexadecimal float), plus
+# trailing whitespace, CRLF and blank lines after the last row.  Anything
+# else is a ValueError naming the file and line.
 # _write_json: indent 2, sorted keys, trailing newline.
 # ---------------------------------------------------------------------------
 
@@ -336,14 +321,20 @@ def _write_json(path: str | os.PathLike, obj) -> None:
         fh.write("\n")
 
 
-def _read_table(path: str | os.PathLike, header_name: str) -> np.ndarray:
-    """Body of a file written by :func:`_write_table`, checked against its dims header."""
+def _read_table(path: str | os.PathLike, shape: tuple) -> np.ndarray:
+    """Body of a file written by :func:`_write_table`, once its dims header agrees with ``shape``.
+
+    ``shape`` holds one expected size per dimension, or None where the file decides it; a header
+    that disagrees is a ``ValueError`` before any value is read.  Values are not checked for finiteness.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().split()
         offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    if len(header) != len(header_name.split()) or not all(d.isdigit() for d in header):
-        raise ValueError(f"{path}: expected '{header_name}' header")
+    if len(header) != len(shape) or not all(d.isdigit() for d in header):
+        raise ValueError(f"{path}: expected '{('dim', 'rows cols')[len(shape) - 1]}' header")
     dims = tuple(int(d) for d in header)
+    if any(want is not None and want != got for want, got in zip(shape, dims)):
+        raise ValueError(f"{path}: shape {dims} does not match {shape}")
     rows, cols = dims if len(dims) == 2 else (dims[0], 1)
     # every value takes at least a byte, so a header no body could fill allocates nothing
     if rows * cols > size:
@@ -355,25 +346,3 @@ def _read_table(path: str | os.PathLike, header_name: str) -> np.ndarray:
     if err < 0:
         raise ValueError(f"{path}: line {line.value}: " + _TABLE_ERRORS[err].format(rows=rows, cols=cols))
     return data
-
-
-def write_matrix(path: str | os.PathLike, a) -> None:
-    """Write a matrix in the plain-text format described above."""
-    arr = as_matrix(a)
-    _write_table(path, f"{arr.shape[0]} {arr.shape[1]}", arr, delimiter=" ")
-
-
-def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
-    return as_matrix(_read_table(path, "rows cols"), name=str(path))
-
-
-def write_vector(path: str | os.PathLike, v) -> None:
-    """Write a vector: a "dim" header line, then one value per line."""
-    arr = as_vector(v)
-    _write_table(path, str(arr.size), arr)
-
-
-def read_vector(path: str | os.PathLike) -> np.ndarray:
-    """Read a vector written by :func:`write_vector`."""
-    return as_vector(_read_table(path, "dim"), name=str(path))

@@ -38,18 +38,17 @@ from . import seeding
 from .errors import HypothesisError
 from .linalg import (
     SvdFactors,
+    _finite,
     _identity_plus,
     _nonsingular,
     _orthonormalize_columns,
+    _read_table,
     _write_json,
+    _write_table,
     least_squares,
-    read_matrix,
-    read_vector,
     sigma_min_nonzero,
     spectral_norm,
     svd,
-    write_matrix,
-    write_vector,
 )
 
 __all__ = [
@@ -489,7 +488,9 @@ def preconditioner_noise(sys: LinearSystem) -> NoisySystem:
 # ---------------------------------------------------------------------------
 # Directory serialization: A.mat, b.vec, xls.vec, atilde.mat, btilde.vec and
 # meta.json; a multiplicative system adds eps.vec and e.mat / f.mat for each
-# factor that is on, which meta.json names as use_e / use_f.
+# factor that is on, which meta.json names as use_e / use_f.  A .mat file is
+# a "rows cols" header and one space-separated line per row; a .vec file is a
+# "dim" header and one value per line (linalg's _write_table layout).
 # ---------------------------------------------------------------------------
 
 
@@ -501,7 +502,8 @@ def save_system(noisy: NoisySystem, directory: str | os.PathLike) -> None:
               "btilde.vec": noisy.b_tilde, "e.mat": noisy.e, "f.mat": noisy.f, "eps.vec": noisy.eps}
     for name, array in arrays.items():
         if array is not None:  # None: a piece the model does not keep
-            (write_matrix if name.endswith(".mat") else write_vector)(path / name, array)
+            array = _finite(array, 2 if name.endswith(".mat") else 1, str(path / name))
+            _write_table(path / name, " ".join(map(str, array.shape)), array, " ")
     meta = {"model": noisy.model.value, "sigma_a": noisy.sigma_a, "sigma_b": noisy.sigma_b, "seed": noisy.base.seed,
             "spec": asdict(noisy.base.spec) if noisy.base.spec else None}
     if noisy.model is NoiseModel.MULTIPLICATIVE:
@@ -509,18 +511,12 @@ def save_system(noisy: NoisySystem, directory: str | os.PathLike) -> None:
     _write_json(path / "meta.json", meta)
 
 
-def _read_shaped(file: Path, shape: tuple) -> np.ndarray:
-    arr = read_matrix(file) if file.suffix == ".mat" else read_vector(file)
-    if arr.shape != shape:
-        raise ValueError(f"{file}: shape {arr.shape} does not match {shape} implied by A.mat")
-    return arr
-
-
 def load_system(directory: str | os.PathLike) -> NoisySystem:
     """Reconstruct a noisy system written by :func:`save_system`.
 
-    Every file must agree with the ``(m, n)`` of ``A.mat``; a ``ValueError`` names the first file that does not and
-    both shapes, and a magnitude in ``meta.json`` that its model does not take (:meth:`NoiseSpec.check`) is one too.
+    Every file must agree with the ``(m, n)`` of ``A.mat``: a ``ValueError`` names the first file whose header does
+    not, and both shapes, before any of its values is read.  A value that is not finite, and a magnitude in
+    ``meta.json`` that its model does not take (:meth:`NoiseSpec.check`), each raise one too.
     Only a multiplicative system reads noise files: ``eps.vec`` and each factor ``meta.json`` switches on.
     """
     path = Path(directory)
@@ -536,22 +532,25 @@ def load_system(directory: str | os.PathLike) -> NoisySystem:
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     noise.check(meta["sigma_a"], meta["sigma_b"], where)
+
+    def read(name: str, *shape) -> np.ndarray:
+        return _finite(_read_table(path / name, shape), len(shape), str(path / name))
+
     spec = meta["spec"]
-    a = read_matrix(path / "A.mat")
+    a = read("A.mat", None, None)
     m, n = a.shape
     if spec is not None and (spec.m, spec.n) != (m, n):
         raise ValueError(f"{where}: spec shape ({spec.m}, {spec.n}) does not match A.mat {a.shape}")
-    b, x_ls = _read_shaped(path / "b.vec", (m,)), _read_shaped(path / "xls.vec", (n,))
-    base = LinearSystem(a=a, b=b, x_ls=x_ls, spec=spec, seed=meta["seed"])
+    base = LinearSystem(a=a, b=read("b.vec", m), x_ls=read("xls.vec", n), spec=spec, seed=meta["seed"])
     mult = noise.model is NoiseModel.MULTIPLICATIVE
     return NoisySystem(
         base=base,
-        a_tilde=_read_shaped(path / "atilde.mat", (m, n)),
-        b_tilde=_read_shaped(path / "btilde.vec", (m,)),
+        a_tilde=read("atilde.mat", m, n),
+        b_tilde=read("btilde.vec", m),
         sigma_a=float(meta["sigma_a"]),
         sigma_b=float(meta["sigma_b"]),
         model=noise.model,
-        e=_read_shaped(path / "e.mat", (m, m)) if mult and noise.use_e else None,
-        f=_read_shaped(path / "f.mat", (n, n)) if mult and noise.use_f else None,
-        eps=_read_shaped(path / "eps.vec", (m,)) if mult else None,
+        e=read("e.mat", m, m) if mult and noise.use_e else None,
+        f=read("f.mat", n, n) if mult and noise.use_f else None,
+        eps=read("eps.vec", m) if mult else None,
     )

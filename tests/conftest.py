@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisyrk import SpectrumSpec, cli, generate_system, kaczmarz, problems
+from noisyrk.linalg import _write_table
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -89,6 +90,12 @@ def kernel_cache(monkeypatch, tmp_path):
 def make_matrix_with_rank(rng: np.random.Generator, m: int, n: int, r: int) -> np.ndarray:
     """Exact-rank-r matrix from a product of Gaussian factors."""
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+def write_table(path, array) -> None:
+    """Write ``array`` into a system directory's table as ``save_system`` does: its shape is the header."""
+    array = np.asarray(array, dtype=float)
+    _write_table(path, " ".join(map(str, array.shape)), array, " ")
 
 
 def run_command(subcommand: str, cfg, out, threads: int = 1) -> dict:

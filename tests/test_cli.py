@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from noisyrk import (
     BoundKind, ExperimentConfig, NoiseSpec, RkConfig, SpectrumSpec, cli, experiments, generate_system, linalg,
-    load_system, read_matrix, read_vector, seeding, write_matrix, write_vector,
+    load_system, save_system, seeding,
 )
 from noisyrk.cli import main
 from noisyrk.experiments import build_noisy
+from noisyrk.linalg import _read_table
+
+from conftest import write_table
 
 SPECTRUM = {"m": 30, "n": 15, "r": 15, "sigma_min": 1.0, "sigma_max": 4.0}
 RK = {"max_iterations": 2000, "trials": 4, "record_stride": 100, "seed": 5}
@@ -269,7 +272,7 @@ class TestMalformedSystem:
         gen = write_config(tmp_path / "gen.json", {"spectrum": SPECTRUM, "noise": noise, "seed": 3})
         system = tmp_path / "system"
         assert main(["gen", "--config", gen, "--out", str(system)]) == 0
-        write_matrix(system / "atilde.mat", np.zeros((SPECTRUM["m"], SPECTRUM["n"])))
+        write_table(system / "atilde.mat", np.zeros((SPECTRUM["m"], SPECTRUM["n"])))
         cfg = write_config(tmp_path / "bounds.json", config_for("bounds", system, bounds=[kind]))
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 2
         err = capsys.readouterr().err
@@ -283,7 +286,8 @@ class TestMalformedSystem:
         gen = write_config(tmp_path / "gen.json", {"spectrum": spectrum, "noise": noise, "seed": 3})
         system = tmp_path / "system"
         assert main(["gen", "--config", gen, "--out", str(system)]) == 0
-        write_matrix(system / "A.mat", np.zeros((15, 15)))
+        noisy = load_system(system)
+        save_system(replace(noisy, base=replace(noisy.base, a=np.zeros((15, 15)))), system)
         cfg = write_config(tmp_path / "bounds.json",
                            config_for("bounds", system, bounds=["multiplicative_perturbation"]))
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 2
@@ -331,13 +335,13 @@ def mutate(system, mutation, args):
     """Apply ``mutation`` to the directory ``system`` in place."""
     if mutation == "scale":
         name, factor = args
-        table = (read_matrix if name.endswith(".mat") else read_vector)(system / name)
+        table = _read_table(system / name, (None, None) if name.endswith(".mat") else (None,))
         with np.errstate(over="ignore"):  # 1e300 overflows to inf, which the reader must reject
-            (write_matrix if name.endswith(".mat") else write_vector)(system / name, table * factor)
+            write_table(system / name, table * factor)
     elif mutation == "zero_row":
-        a_tilde = read_matrix(system / "atilde.mat")
+        a_tilde = _read_table(system / "atilde.mat", (None, None))
         a_tilde[args[0]] = 0.0
-        write_matrix(system / "atilde.mat", a_tilde)
+        write_table(system / "atilde.mat", a_tilde)
     elif mutation in ("nan", "drop_row"):
         name, row, column = args
         lines = (system / name).read_text().splitlines()
@@ -492,6 +496,9 @@ def config_mutations(draw):
         cases.append(("precondition", "initial_sq_error", pair[1] - 1.0, ("config", ("initial_sq_error",)), None))
     if subcommand == "table2" and model != "additive":  # the sweep is defined for the additive model alone
         cases.append(("table2", "noise", {"model": model}, ("noise", ("model",)), 1))
+    if subcommand == "table2":  # a point past the step ceiling, never one between 1e-4 and 1e-3 that would solve
+        spectrum = {**SPECTRUM, "sigma_min": draw(st.sampled_from([1e-4, 1e-6])), "sigma_max": 1.0}
+        cases.append(("table2", "spectrum", spectrum, ("spectrum", ("sigma_min",)), 2))
     if "rk" in data:
         cases += [(subcommand, "rk", {**RK, key: value}, ("rk", (key,)), 1) for key, value in _RK_OUT_OF_RANGE]
     cases += [(subcommand, key, -1, ("config", (key,)), 1) for key in ("seed", "master_seed") if key in data]
@@ -568,6 +575,9 @@ def _finite(value) -> bool:
 @example(case=("figure", config_for("figure", None, grid=[]), ("config", ("'grid'",)), 1))
 @example(case=("bounds", config_for("bounds", "system", bounds=["additive", "additive"]),
                ("config", ("'bounds'",)), 1))
+# a table2 point whose budget passes the step ceiling: exit 2 before it solves
+@example(case=("table2", config_for("table2", None, spectrum={**SPECTRUM, "sigma_min": 1e-4, "sigma_max": 1.0}),
+               ("spectrum", ("sigma_min",)), 2))
 # each once a config error naming no block: the preconditioner's rank hypothesis, now exit 2
 @example(case=("gen", config_for("gen", None, spectrum={**SPECTRUM, "r": 1}, noise={"model": "preconditioner"}),
                ("spectrum", ("r",)), 2))
@@ -772,15 +782,16 @@ def test_a_right_hand_side_whose_norm_overflows_is_out_of_scale(tmp_path, capsys
 
 
 def test_an_adaptive_budget_past_the_kernel_count_is_a_failed_hypothesis(tmp_path, capsys):
-    # R~ = 5.2e18 asks for 1.6e20 steps, past the kernel's int64: one line naming the point, R~ and the budget, not
-    # an OverflowError, and not a config error about an rk key the config never set
+    # R~ = 5.2e18 asks for 1.6e20 iterations, past the kernel's int64: the step ceiling, far below it, makes one line
+    # naming the point, R~, the budget and the ceiling, not an OverflowError, and not a config error about an rk key
+    # the config never set
     spectrum = {**SPECTRUM, "sigma_min": 1e-9, "sigma_max": 1.0}
     cfg = write_config(tmp_path / "cfg.json", config_for(
         "table2", None, spectrum=spectrum, rk={"max_iterations": 1, "trials": 2}, master_seed=1))
     assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hypothesis failed: at grid point [0, 0]") and err.count("\n") == 1, err
-    assert "5.17857e+18" in err and "161362376891920859136 iterations" in err and str(2**63 - 1) in err
+    assert "5.17857e+18" in err and "161362376891920859136 iterations" in err and "10000000000" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,8 @@ from noisyrk.cli import write_band_csv, write_bound_csv, write_table2_csv, write
 from noisyrk.errors import KernelBuildError
 from noisyrk.experiments import Table2Row
 from noisyrk.kaczmarz import Trajectory
-from noisyrk.linalg import _read_table, _write_table, read_matrix, read_vector, write_matrix, write_vector
+from noisyrk.linalg import _read_table, _write_table
+from noisyrk.problems import LinearSystem, NoiseModel, NoisySystem, additive_noise, load_system, save_system
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -34,7 +35,7 @@ class TestGoldenBytes:
     """Literal file texts; any change to a writer's output shows up here."""
 
     def test_matrix(self, tmp_path):
-        write_matrix(tmp_path / "a.mat", [[-0.0, TINY, HUGE], [0.1, 1.0, -2.5]])
+        _write_table(tmp_path / "a.mat", "2 3", [[-0.0, TINY, HUGE], [0.1, 1.0, -2.5]], " ")
         assert (tmp_path / "a.mat").read_text() == (
             "2 3\n"
             "-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
@@ -42,10 +43,21 @@ class TestGoldenBytes:
         )
 
     def test_vector(self, tmp_path):
-        write_vector(tmp_path / "v.vec", [-0.0, TINY, HUGE, 0.1])
+        _write_table(tmp_path / "v.vec", "4", [-0.0, TINY, HUGE, 0.1], " ")
         assert (tmp_path / "v.vec").read_text() == (
             "4\n-0\n4.9406564584124654e-324\n1.7976931348623157e+308\n0.10000000000000001\n"
         )
+
+    def test_system_directory_tables(self, tmp_path):
+        # save_system's headers: "rows cols" for a matrix, "dim" for a vector
+        a, b = np.array([[0.1, -0.0], [1.0, -2.5]]), np.array([TINY, 0.1])
+        base = LinearSystem(a=a, b=b, x_ls=np.array([-0.0, 2.0**53]))
+        save_system(NoisySystem(base, a, b, 0.0, 0.0, NoiseModel.ADDITIVE), tmp_path)
+        assert (tmp_path / "A.mat").read_text() == (tmp_path / "atilde.mat").read_text() == (
+            "2 2\n0.10000000000000001 -0\n1 -2.5\n")
+        assert (tmp_path / "b.vec").read_text() == (tmp_path / "btilde.vec").read_text() == (
+            "2\n4.9406564584124654e-324\n0.10000000000000001\n")
+        assert (tmp_path / "xls.vec").read_text() == "2\n-0\n9007199254740992\n"
 
     def test_trajectory_csv(self, tmp_path):
         write_trajectory_csv(tmp_path / "traj.csv", TRAJ)
@@ -115,8 +127,8 @@ class TestRoundTrip:
                         elements=FINITE))
     def test_matrix_bit_exact(self, tmp_path_factory, a):
         path = tmp_path_factory.mktemp("m") / "a.mat"
-        write_matrix(path, a)
-        back = read_matrix(path)
+        _write_table(path, f"{a.shape[0]} {a.shape[1]}", a, " ")
+        back = _read_table(path, (None, None))
         assert back.shape == a.shape
         assert back.tobytes() == a.tobytes()
 
@@ -125,8 +137,8 @@ class TestRoundTrip:
                         elements=FINITE))
     def test_vector_bit_exact(self, tmp_path_factory, v):
         path = tmp_path_factory.mktemp("v") / "v.vec"
-        write_vector(path, v)
-        back = read_vector(path)
+        _write_table(path, str(v.size), v, " ")
+        back = _read_table(path, v.shape)
         assert back.shape == v.shape
         assert back.tobytes() == v.tobytes()
 
@@ -161,7 +173,7 @@ class TestSavetxtOracle:
 
     def test_missing_directory_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "absent" / "a.mat"))):
-            write_matrix(tmp_path / "absent" / "a.mat", np.eye(2))
+            _write_table(tmp_path / "absent" / "a.mat", "2 2", np.eye(2), " ")
 
 
 def sweep_values() -> np.ndarray:
@@ -202,14 +214,14 @@ class TestFastPathSweep:
         wrong = [(x, got) for x, got in zip(rows.ravel().tolist(), " ".join(lines[1:-1]).split(" "))
                  if got != "%.17g" % x]
         assert wrong == []
-        assert read_matrix(path).tobytes() == rows.tobytes()
+        assert _read_table(path, (None, 8)).tobytes() == rows.tobytes()
 
     @staticmethod
     def assert_reads_as_float(tmp_path, tokens):
         path = tmp_path / "tokens.vec"
         path.write_text(f"{len(tokens)}\n" + "\n".join(tokens) + "\n")
         expected = np.array([float(t) for t in tokens])
-        assert _read_table(path, "dim").tobytes() == expected.tobytes()
+        assert _read_table(path, (None,)).tobytes() == expected.tobytes()
 
     def test_reader_edge_tokens_match_float(self, tmp_path):
         # what the strict grammar leaves to strtod, and values at its edges: ties,
@@ -294,36 +306,48 @@ class TestReaderRejects:
         path = tmp_path / "bad.mat"
         path.write_bytes(text.encode())
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ") + ".*" + what):
-            read_matrix(path)
+            _read_table(path, (None, None))
 
     def test_vector_row_with_two_values(self, tmp_path):
         path = tmp_path / "bad.vec"
         path.write_bytes(b"3\n1\n2 4\n3\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + "row has more values"):
-            read_vector(path)
+            _read_table(path, (None,))
 
     @pytest.mark.parametrize("text", [b"2 x\n1 2\n3 4\n", b"-2 2\n1 2\n3 4\n", b"2\n1\n2\n", b""])
     def test_malformed_header(self, tmp_path, text):
         path = tmp_path / "bad.mat"
         path.write_bytes(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: expected 'rows cols' header")):
-            read_matrix(path)
+            _read_table(path, (None, None))
 
     def test_header_larger_than_the_file(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_bytes(b"100000000 100000000\n1 2\n")
         with pytest.raises(ValueError, match="asks for more values than the file"):
-            read_matrix(path)
+            _read_table(path, (None, None))
+
+    @pytest.mark.parametrize("shape", [(3, None), (None, 3), (2, 3), (3,)])
+    def test_a_header_off_the_shape_is_named_before_the_body(self, tmp_path, shape):
+        # the body has a malformed value and too few rows, so only the header is read
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"2 2\n1 x\n")
+        message = "expected 'dim' header" if len(shape) == 1 else f"shape (2, 2) does not match {shape}"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            _read_table(path, shape)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e999", "1e400"])
-    def test_non_finite_value(self, tmp_path, value):
-        path = tmp_path / "bad.mat"
-        path.write_text(f"1 2\n1 {value}\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            read_matrix(path)
+    def test_non_finite_value(self, small_system, tmp_path, value):
+        # the reader takes any value strtod reads; load_system names the file that holds a non-finite one
+        save_system(additive_noise(small_system, 0.1, 0.1, seed=13), tmp_path)
+        lines = (tmp_path / "A.mat").read_text().split("\n")
+        lines[1] = " ".join([lines[1].split(" ")[0], value, *lines[1].split(" ")[2:]])
+        (tmp_path / "A.mat").write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'A.mat'} contains non-finite entries")):
+            load_system(tmp_path)
 
     @pytest.mark.parametrize("text", ["2 2\r\n1 2\r\n3 4\r\n", "2 2\n1 2 \t\n3 4\n\n \n", "2 2\n1 2\n3 4"])
     def test_trailing_whitespace_crlf_and_no_final_newline(self, tmp_path, text):
         path = tmp_path / "ok.mat"
         path.write_bytes(text.encode())
-        assert read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert _read_table(path, (2, 2)).tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -6,16 +6,12 @@ from numpy.testing import assert_allclose
 
 from noisyrk import (
     pseudoinverse,
-    read_matrix,
-    read_vector,
     scaled_condition_number,
     sigma_min_nonzero,
     spectral_norm,
     svd,
-    write_matrix,
-    write_vector,
 )
-from noisyrk.linalg import _identity_plus, _orthonormalize_columns
+from noisyrk.linalg import _identity_plus, _orthonormalize_columns, _read_table, _write_table
 
 from conftest import make_matrix_with_rank
 
@@ -239,8 +235,8 @@ class TestTextFormats:
         rng = np.random.default_rng(33)
         a = rng.standard_normal((5, 3)) * np.logspace(-8, 8, 3)
         path = tmp_path / "a.mat"
-        write_matrix(path, a)
-        back = read_matrix(path)
+        _write_table(path, "5 3", a, " ")
+        back = _read_table(path, (5, 3))
         assert back.shape == a.shape
         assert np.array_equal(back, a)
         assert (path.read_text().splitlines()[0]) == "5 3"
@@ -249,14 +245,14 @@ class TestTextFormats:
         rng = np.random.default_rng(34)
         v = rng.standard_normal(7) * 1e-5
         path = tmp_path / "v.vec"
-        write_vector(path, v)
-        assert np.array_equal(read_vector(path), v)
+        _write_table(path, "7", v)
+        assert np.array_equal(_read_table(path, (7,)), v)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_text("2 2\n1 2\n")
         with pytest.raises(ValueError):
-            read_matrix(path)
+            _read_table(path, (None, None))
 
 
 MODULES = ["noisyrk", *(f"noisyrk.{m}" for m in ("bounds", "cli", "experiments", "kaczmarz", "linalg", "problems"))]
@@ -285,6 +281,14 @@ def test_deleted_bound_functions_are_gone():
         assert [name for name in deleted if hasattr(mod, name) or name in mod.__all__] == []
         assert {"bound_additive", "evaluate_bound"} <= set(mod.__all__)
         assert callable(mod.bound_additive) and callable(mod.evaluate_bound)
+
+
+def test_deleted_table_functions_are_gone():
+    # a system directory's tables are problems' to lay out, through linalg's one table reader and writer
+    deleted = ["read_matrix", "write_matrix", "read_vector", "write_vector", "as_matrix", "as_vector", "_read_shaped"]
+    for module in ("noisyrk", "noisyrk.linalg", "noisyrk.problems"):
+        mod = importlib.import_module(module)
+        assert [name for name in deleted if hasattr(mod, name) or name in mod.__all__] == []
 
 
 def test_private_helpers_left_the_public_names():

@@ -30,12 +30,11 @@ from noisyrk import (
     solve,
     spectral_norm,
     svd,
-    write_matrix,
-    write_vector,
 )
 from noisyrk import problems, seeding
 from noisyrk.linalg import _nonsingular, _orthonormalize_columns
 from noisyrk.problems import _spectrum_values
+from conftest import write_table
 from test_oracle import instances, spectra
 
 
@@ -426,11 +425,16 @@ class TestSerialization:
         target = tmp_path / name
         if name == "meta.json":
             target.write_text(json.dumps(bad(json.loads(target.read_text()))))
-        elif name.endswith(".mat"):
-            write_matrix(target, np.ones(bad))
         else:
-            write_vector(target, np.ones(bad))
+            write_table(target, np.ones(bad))
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_system(tmp_path)
+
+    def test_a_misshaped_header_is_named_before_the_body_is_read(self, small_system, tmp_path):
+        # the body's line 22 is malformed, so reading it would be a line error: only the header is read
+        save_system(additive_noise(small_system, 0.1, 0.1, seed=13), tmp_path)
+        (tmp_path / "b.vec").write_text("39\n" + "1\n" * 20 + "x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b.vec'}: shape (39,) does not match (40,)")):
             load_system(tmp_path)
 
     def test_load_and_solve_take_no_svd(self, small_system, tmp_path, svd_calls):
@@ -461,8 +465,7 @@ class TestSerialization:
         # read as both factors on; the zero one adds 0 to the bound, as the switched-off one does
         noisy = multiplicative_noise(small_system, 0.05, 0.0, use_f=False, seed=13)
         noisy = dataclasses.replace(noisy, b_tilde=noisy.a_tilde @ small_system.x_ls)  # consistent
-        save_system(noisy, tmp_path)
-        write_matrix(tmp_path / "f.mat", np.zeros((20, 20)))
+        save_system(dataclasses.replace(noisy, f=np.zeros((20, 20))), tmp_path)
         meta = json.loads((tmp_path / "meta.json").read_text())
         (tmp_path / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if k not in ("use_e", "use_f")}))
         back = load_system(tmp_path)
