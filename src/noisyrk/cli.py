@@ -246,7 +246,7 @@ def _cmd_table2(args) -> int:
     write_table2_csv(out / "table2.csv", rows)
     config = {k: v for k, v in asdict(exp).items() if k != "bounds"}  # so `table2` reads it back
     _write_meta(out, cfg, config, adaptive_iterations={_tag(r.sigma_a, r.sigma_b): r.iterations for r in rows},
-                warnings=warnings)
+                ls_shift={_tag(r.sigma_a, r.sigma_b): r.ls_shift for r in rows}, warnings=warnings)
     return 0
 
 

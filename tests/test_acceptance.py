@@ -250,10 +250,12 @@ class TestCriterion7Properties:
         again = run_command("figure", cfg, tmp_path / "out")
         table2 = run_command("table2", cfg, tmp_path / "t2")
         table2_again = run_command("table2", cfg, tmp_path / "t2")
-        warnings = json.loads(table2["meta.json"])["warnings"]
-        ok = snapshot == again and table2 == table2_again and warnings == {}
+        meta = json.loads(table2["meta.json"])
+        warnings, shifts = meta["warnings"], meta["ls_shift"]
+        ok = (snapshot == again and table2 == table2_again and warnings == {}
+              and set(shifts) == set(meta["adaptive_iterations"]) == {"0_0", "0.1_0.1"} and shifts["0.1_0.1"] > 0)
         report(7, ok, f"{len(snapshot)} figure and {len(table2)} table2 output files byte-identical across reruns, "
-                      f"table2 warnings {warnings}")
+                      f"table2 warnings {warnings}, ls_shift {shifts}")
 
 
 def test_criterion_8_noiseless_rate_sanity():

@@ -791,7 +791,7 @@ def test_an_adaptive_budget_past_the_kernel_count_is_a_failed_hypothesis(tmp_pat
     assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hypothesis failed: at grid point [0, 0]") and err.count("\n") == 1, err
-    assert "5.17857e+18" in err and "161362376891920859136 iterations" in err and "10000000000" in err
+    assert "5.17857e+18" in err and "161362376837570150400 iterations" in err and "10000000000" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -932,6 +932,19 @@ class TestTable2:
         assert all(any("still carries a geometric term" in message for message in ms) for ms in warnings.values())
         err = capsys.readouterr().err
         assert sorted(err.splitlines()) == sorted(f"warning: {message}" for ms in warnings.values() for message in ms)
+
+    def test_a_noiseless_point_past_its_zero_horizon_warns(self, tmp_path, capsys, monkeypatch):
+        # a budget of one step at the first point, 0_0, leaves its error far above its horizon of 0
+        budget, first = experiments._adaptive_iterations, iter([1])
+        monkeypatch.setattr(experiments, "_adaptive_iterations", lambda *args: next(first, None) or budget(*args))
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=[[0.0, 0.0], [0.1, 0.1]]))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+        warnings = json.loads((tmp_path / "out" / "meta.json").read_text())["warnings"]
+        assert list(warnings) == ["0_0"] and len(warnings["0_0"]) == 2
+        geometric, ordering = warnings["0_0"]
+        assert "still carries a geometric term" in geometric
+        assert "exceeds the theoretical horizon 0 at (0, 0)" in ordering
+        assert capsys.readouterr().err.splitlines() == [f"warning: {geometric}", f"warning: {ordering}"]
 
     def test_rank_one_system(self, tmp_path):
         # at (0, 0) the scaled condition number is sigma^2 / sigma^2 = 1 exactly, so the rate is 0

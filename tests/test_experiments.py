@@ -15,16 +15,18 @@ from noisyrk import (
     Spacing,
     SpectrumSpec,
     TABLE2_GRID,
+    X0Mode,
     additive_noise,
     apply_paper_scale,
     bound_additive,
     generate_system,
     initial_iterates,
+    iterations_to_tolerance,
     run_figure_experiment,
     run_preconditioner_demo,
     run_table2,
 )
-from noisyrk import cli, problems, seeding
+from noisyrk import cli, experiments, problems, seeding
 from noisyrk.experiments import build_noisy
 
 from conftest import run_command
@@ -251,6 +253,87 @@ class TestTable2:
             noisy = additive_noise(sys_, s, s, seed=1)
             horizons.append(bound_additive(noisy, x0s, [0]).horizon)
         assert all(a < b for a, b in zip(horizons, horizons[1:]))
+
+
+# the table2-sweep benchmark config (demos/04_noise_sweep.py) at a given --seed
+SWEEP_GRID = ((0.0, 0.0), (0.0, 1.0), (0.01, 0.01), (0.1, 0.1), (0.5, 0.5), (1.0, 1.0))
+
+
+def sweep_config(seed: int, **rk) -> ExperimentConfig:
+    return ExperimentConfig(spectrum=SpectrumSpec(m=100, n=50, r=50, sigma_min=5.0, sigma_max=50.0),
+                            rk=RkConfig(max_iterations=1, trials=10, seed=seed, **rk), master_seed=seed,
+                            grid=SWEEP_GRID)
+
+
+class Budget(Exception):
+    """Raised by a patched ``solve`` with the budget it was given, so a test never runs it."""
+
+
+def budgets(monkeypatch, cfg) -> list:
+    """Each grid point's adaptive budget, computed without solving."""
+    def stop(noisy, rk, x0s):
+        raise Budget(rk.max_iterations)
+
+    monkeypatch.setattr(experiments, "solve", stop)
+    sys_ = generate_system(cfg.spectrum, cfg.master_seed)
+    found = []
+    for sigma_a, sigma_b in cfg.grid:
+        with pytest.raises(Budget) as info:
+            experiments._run_table2_point(cfg, sys_, sigma_a, sigma_b)
+        found.append(info.value.args[0])
+    return found
+
+
+def decay_target_budget(cfg, sys_, sigma_a, sigma_b) -> int:
+    """The budget that drives the geometric term, measured from ``x_ls``, below 1e-12 at every point."""
+    noisy = build_noisy(cfg.noise, sys_, sigma_a, sigma_b, cfg.master_seed)
+    curve = bound_additive(noisy, initial_iterates(noisy.a_tilde, cfg.rk), [0])
+    return max(1, iterations_to_tolerance(curve.scalars["scaled_condition_number_tilde"], curve.initial_error, 1e-12))
+
+
+class TestTable2Budget:
+    def test_the_sweep_at_desk_scale(self, monkeypatch):
+        cfg = sweep_config(1)
+        found = budgets(monkeypatch, cfg)
+        assert found == [71631, 35547, 45587, 35746, 23233, 15010] and sum(found) == 226754
+        sys_ = generate_system(cfg.spectrum, cfg.master_seed)
+        floorless = [decay_target_budget(cfg, sys_, a, b) for a, b in cfg.grid]
+        assert sum(floorless) == 373784
+        assert found[0] == floorless[0]  # the noiseless point's floor is 0, so 1e-12 alone sets its budget
+        assert all(k <= was for k, was in zip(found, floorless))
+
+    def test_the_sweep_at_paper_scale(self, monkeypatch):
+        assert sum(budgets(monkeypatch, apply_paper_scale(sweep_config(1)))) == 1300778
+
+    def test_a_zero_start_is_budgeted_from_the_noisy_solution(self, monkeypatch):
+        # the floor exceeds ||x0 - x_ls||^2 here, so a transient measured from x_ls would stop at 12 106
+        cfg = dataclasses.replace(sweep_config(1, x0_mode=X0Mode.ZERO), grid=((0.0, 20.0),))
+        [k] = budgets(monkeypatch, cfg)
+        assert k == 14019
+        noisy = build_noisy(cfg.noise, generate_system(cfg.spectrum, 1), 0.0, 20.0, 1)
+        x0s, x_nls = initial_iterates(noisy.a_tilde, cfg.rk), noisy.analysis.x_nls
+        transient = float(np.mean([d @ d for d in x0s - x_nls]))
+        shift = x_nls - noisy.base.x_ls
+        rate = bound_additive(noisy, x0s, [0]).rate
+        assert rate ** k * transient <= 1e-3 * float(shift @ shift) < rate ** (k - 1) * transient
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_the_sweep_solves_between_its_floor_and_its_horizon(self, seed):
+        rows = run_table2(sweep_config(seed))
+        assert [r.warnings for r in rows] == [()] * len(SWEEP_GRID)
+        for r in rows:
+            assert r.empirical_horizon <= r.theoretical_horizon + 1e-10
+            # exact: x_nls - P_row x_ls = pinv(At)(eps - E x_ls), and the horizon adds the null part
+            assert r.ls_shift <= r.theoretical_horizon * (1 + 1e-9) + 1e-20
+
+    def test_the_floor_is_below_the_horizon_at_lower_rank(self, rank_deficient_system):
+        grid = ((0.0, 0.0), (0.0, 1.0), (0.1, 0.1))
+        cfg = ExperimentConfig(spectrum=rank_deficient_system.spec, rk=RkConfig(max_iterations=1, trials=5, seed=19),
+                               master_seed=19, grid=grid)
+        assert build_noisy(cfg.noise, rank_deficient_system, 0.0, 1.0, 19).analysis.sigma.size == 20
+        rows = run_table2(cfg)
+        assert all(r.ls_shift <= r.theoretical_horizon * (1 + 1e-9) + 1e-20 for r in rows)
+        assert rows[1].ls_shift > 0 and not rows[1].warnings
 
 
 class TestPreconditionerDemo:

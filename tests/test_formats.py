@@ -107,8 +107,8 @@ class TestGoldenBytes:
         )
 
     def test_table2_csv(self, tmp_path):
-        rows = [Table2Row(-0.0, TINY, HUGE, 0.1, 2000.0, 1e-300, 1),
-                Table2Row(0.1, 0.2, 3.0, 4.5, 1e10, 0.3, 7)]
+        rows = [Table2Row(-0.0, TINY, HUGE, 0.1, 2000.0, 1e-300, 1, 0.0),
+                Table2Row(0.1, 0.2, 3.0, 4.5, 1e10, 0.3, 7, 0.05)]
         write_table2_csv(tmp_path / "table2.csv", rows)
         assert (tmp_path / "table2.csv").read_text() == (
             "sigma_a,sigma_b,kappa,r_tilde,theo_horizon,emp_horizon\n"
