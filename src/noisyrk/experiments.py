@@ -29,7 +29,6 @@ from JSON through its fields, its nested records included.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -210,27 +209,20 @@ def _run_grid_point(cfg, sys, sigma_a, sigma_b) -> GridPointResult:
     return GridPointResult(sigma_a, sigma_b, traj, curves, errors)
 
 
-def _generate_and_run(worker, cfg: ExperimentConfig, sigma_a: float, sigma_b: float):
-    return worker(cfg, generate_system(cfg.spectrum, cfg.master_seed), sigma_a, sigma_b)
-
-
 def _map_grid(worker, cfg: ExperimentConfig, grid, threads: int) -> list:
-    """``worker(cfg, sys, sigma_a, sigma_b)`` at each grid point.
+    """``worker(cfg, sys, sigma_a, sigma_b)`` at each grid point, in grid order; the first failed point raises.
 
-    In process the system is generated once.  Pool tasks generate their own:
-    generating it here would import ``numpy.random`` and run the QRs in this
-    process before the fork.  As it is, on the ``table2-sweep`` benchmark
-    config at seed 1 this process peaks at 30.8 MB and each worker at 32.2 MB.
+    In process the system is generated once.  Pooled, the points run in forks of this process (see
+    ``_pool``), a module that a run at one thread never loads.
     """
-    if threads <= 1 or len(grid) <= 1:
+    import os
+
+    if threads <= 1 or len(grid) <= 1 or not hasattr(os, "fork"):
         sys = generate_system(cfg.spectrum, cfg.master_seed)
         return [worker(cfg, sys, a, b) for a, b in grid]
-    # imported here: every other command starts faster without it
-    from concurrent.futures import ProcessPoolExecutor
+    from ._pool import fork_map
 
-    # fork starts every worker up front, so never more workers than points
-    with ProcessPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-        return list(pool.map(partial(_generate_and_run, worker, cfg), *zip(*grid)))
+    return fork_map(worker, cfg, grid, threads)
 
 
 def run_figure_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from noisyrk import (
     load_system, save_system, seeding,
 )
 from noisyrk.cli import main
+from noisyrk.errors import HypothesisError
 from noisyrk.experiments import build_noisy
 from noisyrk.linalg import _read_table
 
@@ -863,11 +866,12 @@ class TestFreshProcess:
             import noisyrk.cli as cli, noisyrk.experiments as experiments
             def crypto():
                 return "libcrypto" in Path("/proc/self/maps").read_text()
-            run = experiments._generate_and_run
+            parent, run = os.getpid(), experiments._run_grid_point
             def mapped(*args):
-                Path({str(tmp_path)!r}, str(os.getpid())).write_text(str(crypto()))
+                if os.getpid() != parent:
+                    Path({str(tmp_path)!r}, str(os.getpid())).write_text(str(crypto()))
                 return run(*args)
-            experiments._generate_and_run = mapped
+            experiments._run_grid_point = mapped
             for threads in ("1", "2"):
                 assert cli.main(["figure", "--config", {cfg!r}, "--out", {str(tmp_path / "out")!r} + threads,
                                  "--threads", threads]) == 0
@@ -957,6 +961,93 @@ class TestTable2:
         header, first = [line.split(",") for line in (out / "table2.csv").read_text().splitlines()[:2]]
         row = dict(zip(header, first))
         assert (row["sigma_a"], row["sigma_b"], row["kappa"], row["r_tilde"]) == ("0", "0", "1", "1")
+
+
+FIVE_POINTS = [[0.0, 0.0], [0.01, 0.01], [0.05, 0.05], [0.1, 0.1], [0.5, 0.5]]
+
+
+RUN_TABLE2_POINT = experiments._run_table2_point
+
+
+def fails_twice(cfg, sys_, sigma_a, sigma_b):
+    # the second point fails after a pause, the third at once
+    if (sigma_a, sigma_b) in ((0.01, 0.01), (0.05, 0.05)):
+        time.sleep(0.3 if sigma_a == 0.01 else 0.0)
+        raise HypothesisError(f"point [{sigma_a:g}, {sigma_b:g}] fails")
+    return RUN_TABLE2_POINT(cfg, sys_, sigma_a, sigma_b)
+
+
+def killed_at_a_point(cfg, sys_, sigma_a, sigma_b):
+    # the third point kills the process that runs it
+    if (sigma_a, sigma_b) == (0.05, 0.05):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return RUN_TABLE2_POINT(cfg, sys_, sigma_a, sigma_b)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedGrid:
+    """``--threads`` above 1 runs the grid points in forks of the CLI process."""
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path):
+        # five points on up to three workers: more points than workers, and uneven adaptive budgets
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=FIVE_POINTS))
+        out, runs = tmp_path / "out", []
+        for threads in ("1", "2", "3"):
+            assert main(["table2", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            runs.append(snapshot(out))
+            shutil.rmtree(out)
+        assert runs[0]["table2.csv"].count(b"\n") == 6 and runs[1] == runs[0] and runs[2] == runs[0]
+        assert_no_child_left()
+
+    def test_a_failed_first_point_stops_the_pool(self, tmp_path, capsys, monkeypatch):
+        # the step ceiling just below the first point's budget fails it before it solves, and every other point
+        # passes; each solve leaves a marker file and takes long enough that the failure empties the queue first
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=FIVE_POINTS))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "budgets"), "--threads", "1"]) == 0
+        budgets = json.loads((tmp_path / "budgets" / "meta.json").read_text())["adaptive_iterations"]
+        first = RK["trials"] * budgets.pop("0_0")
+        assert RK["trials"] * max(budgets.values()) < first
+        monkeypatch.setattr(experiments, "_MAX_STEPS", first - 1)
+        markers, run = tmp_path / "solves", experiments.solve
+        markers.mkdir()
+
+        def marked(*args):
+            (markers / f"{os.getpid()}-{len(list(markers.iterdir()))}").touch()
+            time.sleep(0.3)
+            return run(*args)
+
+        monkeypatch.setattr(experiments, "solve", marked)
+        errors = []
+        for threads in ("1", "2"):
+            assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("hypothesis failed: at grid point [0, 0]") and errors[1] == errors[0]
+        assert len(list(markers.iterdir())) <= 1  # at most threads - 1 points solved
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_the_first_failed_point_in_grid_order_is_reported(self, tmp_path, capsys, monkeypatch, threads):
+        # the second point fails late, the third at once: the second is still the one reported
+        monkeypatch.setattr(experiments, "_run_table2_point", fails_twice)
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=FIVE_POINTS))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+        assert capsys.readouterr().err == "hypothesis failed: point [0.01, 0.01] fails\n"
+        assert_no_child_left()
+
+    def test_a_killed_worker_is_one_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_table2_point", killed_at_a_point)
+        cfg = write_config(tmp_path / "t2.json", config_for("table2", None, grid=FIVE_POINTS))
+        assert main(["table2", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a grid worker ended") and err.count("\n") == 1, err
+        assert "killed by signal 9" in err and "[0.05, 0.05]" in err
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize(

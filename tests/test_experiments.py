@@ -1,6 +1,6 @@
-import concurrent.futures
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -178,25 +178,19 @@ class TestFigureExperiment:
             make_config(grid=((0.1, 0.1), (0.1, 0.1)))
 
     def test_pool_has_no_more_workers_than_points(self, monkeypatch):
-        # fork starts every worker at once: a pool must never outnumber the grid
-        sizes = []
+        # every worker is forked at once: a pool must never outnumber the grid
+        sizes, fork = [], os.fork
 
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            pid = fork()
+            if pid:
+                sizes[-1] += 1
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        run_figure_experiment(make_config(grid=((0.0, 0.0), (0.1, 0.1))), threads=5000)
-        run_figure_experiment(make_config(grid=((0.0, 0.0), (0.1, 0.1), (0.2, 0.2))), threads=2)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for grid, threads in [(((0.0, 0.0), (0.1, 0.1)), 5000), (((0.0, 0.0), (0.1, 0.1), (0.2, 0.2)), 2)]:
+            sizes.append(0)
+            run_figure_experiment(make_config(grid=grid), threads=threads)
         assert sizes == [2, 2]
 
 
